@@ -1,7 +1,7 @@
 """Serverless function placement at the edge.
 
 A reinforcement-learned placement agent with exact per-function traffic
-routing, an exact joint branch-and-bound reference solver, greedy baselines,
+routing, an exact joint MIP reference solver, greedy baselines,
 a workload synthesizer, a decision verifier, and a benchmark harness.
 """
 

@@ -1,12 +1,11 @@
 """Non-learning placement baselines.
 
-solve_joint_milp: exact joint placement+routing via branch and bound on the
-binary placement variables with LP relaxation bounds (routing is a linear
-program once placements are fixed, so leaves are solved exactly). Branching
-is function-major / node-index ascending with the 1-branch explored first,
-which makes the search order, the incumbent, and therefore the output fully
-deterministic. Budgets are counted in LP solves, not wall time, so budgeted
-runs are reproducible too.
+solve_joint_milp: exact joint placement+routing as one HiGHS MIP
+(scipy.optimize.milp) over binary placements and continuous routing splits,
+solved to a zero relative gap. Routing is then re-solved exactly as an LP over
+the chosen placement, so emitted routes meet the verifier's tolerances. The
+optional budget counts HiGHS branch-and-bound nodes, not wall time, so
+budgeted runs are reproducible too.
 
 solve_vsvbp: bin-packing-flavored greedy, fewest hosting nodes first.
 solve_creua: criticality-ordered greedy, nearest node first per source.
@@ -16,18 +15,15 @@ of any specific system.
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import LinearConstraint, linprog, milp
 
 from .env import cost_increment, make_queue, t_max_bound
 from .model import Scenario, initial_deployment
 from .routing import RoutingProblem, solve_routing, total_delay
-
-_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -130,34 +126,58 @@ def _joint_routing_lp(
     return lam_t * delay + lam_c * cost, delay, cost, x
 
 
-def _memory_ok(scenario: Scenario, placements: np.ndarray) -> bool:
-    mem = scenario.function_memory()
-    used = placements.astype(float).T @ mem
-    return bool(np.all(used <= scenario.topology.memory + 1e-9))
-
-
 # --------------------------------------------------------------------------
-# branch and bound
+# joint placement MIP
 # --------------------------------------------------------------------------
 
 
-class _Budget:
-    def __init__(self, lp_budget: int | None, time_budget_s: float | None):
-        self.lp_budget = lp_budget
-        self.deadline = time.monotonic() + time_budget_s if time_budget_s else None
-        self.lp_solves = 0
-        self.exhausted = False
+def _placement_mip(scenario: Scenario, workload: np.ndarray, lam_t: float, lam_c: float):
+    """Sparse MIP over binary p[f, j] (row-major) and x[s, j] per traffic source s.
 
-    def charge(self) -> bool:
-        """Account for one LP; False when the budget is already gone."""
-        if self.lp_budget is not None and self.lp_solves >= self.lp_budget:
-            self.exhausted = True
-            return False
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.exhausted = True
-            return False
-        self.lp_solves += 1
-        return True
+    Returns (cost vector, constraints, integrality): each source's split sums
+    to 1 and only reaches hosts (x <= p), every function has a host, and node
+    memory (placements) and cores (routed load) stay within capacity.
+    """
+    f_cnt, n = workload.shape
+    fs, srcs = np.nonzero(workload > 0)
+    k, n_p = fs.size, f_cnt * n
+    rate = workload[fs, srcs][:, None]
+    load = rate * scenario.cores_per_request_matrix()[fs]  # cores per unit split, (k, n)
+    cost = np.concatenate(
+        [np.zeros(n_p), (lam_t * rate * scenario.topology.delays[srcs] + lam_c * load).ravel()]
+    )
+    pick = sparse.csr_array(
+        (np.ones(k * n), (np.arange(k * n), (fs[:, None] * n + np.arange(n)).ravel())),
+        shape=(k * n, n_p),
+    )
+    a = sparse.block_array(
+        [
+            [None, sparse.kron(sparse.eye_array(k), np.ones((1, n)))],  # split sums to 1
+            [-pick, sparse.eye_array(k * n)],  # x[s, j] <= p[f(s), j]
+            [sparse.kron(scenario.function_memory()[None, :], sparse.eye_array(n)), None],  # memory
+            [sparse.kron(sparse.eye_array(f_cnt), np.ones((1, n))), None],  # some host
+            [None, sparse.kron(np.ones((1, k)), sparse.eye_array(n)) * load.ravel()],  # cores
+        ],
+        format="csr",
+    )
+    lb = np.concatenate(
+        [np.ones(k), np.full(k * n + n, -np.inf), np.ones(f_cnt), np.full(n, -np.inf)]
+    )
+    ub = np.concatenate(
+        [np.ones(k), np.zeros(k * n), scenario.topology.memory, np.full(f_cnt, np.inf),
+         scenario.topology.cores]
+    )
+    integrality = np.concatenate([np.ones(n_p), np.zeros(k * n)])
+    return cost, [LinearConstraint(a, lb, ub)], integrality
+
+
+def _mip_status(res) -> str:
+    if res.status == 0:
+        return "optimal"
+    if res.status == 2:
+        return "infeasible"
+    # scipy reports a hit HiGHS node limit as status 4, not 1: trust only 0
+    return "feasible" if res.x is not None else "budget-exhausted"
 
 
 def solve_joint_milp(
@@ -165,118 +185,42 @@ def solve_joint_milp(
     workload: np.ndarray | None = None,
     alpha: float = 0.0,
     node_budget: int | None = None,
-    time_budget_s: float | None = None,
     tie_exact: bool | None = None,
 ) -> JointSolution:
-    """Joint placement with optimality proof (unless a budget interrupts).
+    """Joint placement with optimality proof (unless the node budget interrupts).
 
+    One HiGHS MIP picks the placement; routing is then re-solved exactly as an
+    LP over that placement. node_budget caps HiGHS branch-and-bound nodes.
     tie_exact=True resolves objective ties to the lexicographically smallest
-    placement (row-major over function then node) by exploring equal-bound
-    subtrees; that is affordable only on small instances, so by default it
-    turns on when F*N <= 9 and budgeted equal-bound pruning is used above.
+    placement (row-major over function then node) with a second MIP that keeps
+    the optimum and minimises sum_k 2^-k p_k; by default it turns on when
+    F*N <= 9, where those weights stay far above HiGHS's gap tolerance.
     """
     workload = scenario.workload if workload is None else workload
     f_cnt, n = workload.shape
     if tie_exact is None:
         tie_exact = f_cnt * n <= 9
     lam_t, lam_c = joint_objective_weights(scenario, workload, alpha)
-    mem = scenario.function_memory()
-    node_mem = scenario.topology.memory
-    budget = _Budget(node_budget, time_budget_s)
-    order = [(f, i) for f in range(f_cnt) for i in range(n)]
-    depth_total = f_cnt * n
-
-    best: dict | None = None
-
-    def lex_tuple(placements: np.ndarray) -> tuple:
-        return tuple(int(v) for v in placements.ravel())
-
-    def allowed_mask(assign: np.ndarray) -> np.ndarray:
-        return (assign != 0).reshape(f_cnt, n)  # undecided (-1) or chosen (1)
-
-    def relax_bound(assign: np.ndarray):
-        if not budget.charge():
-            return None
-        sol = _joint_routing_lp(scenario, workload, allowed_mask(assign), lam_t, lam_c)
-        return ("infeasible",) if sol is None else ("ok", sol[0])
-
-    def leaf_eval(assign: np.ndarray):
-        nonlocal best
-        placements = (assign == 1).reshape(f_cnt, n)
-        if not _memory_ok(scenario, placements):
-            return
-        if not budget.charge():
-            return
-        sol = _joint_routing_lp(scenario, workload, placements, lam_t, lam_c)
-        if sol is None:
-            return
-        obj, delay, cost, x = sol
-        tup = lex_tuple(placements)
-        if (
-            best is None
-            or obj < best["obj"] - _TIE_TOL
-            or (tie_exact and obj <= best["obj"] + _TIE_TOL and tup < best["lex"])
-        ):
-            best = {
-                "obj": obj,
-                "lex": tup,
-                "placements": placements.copy(),
-                "delay": delay,
-                "cost": cost,
-                "x": x,
-            }
-
-    root = np.full(depth_total, -1, dtype=np.int8)
-    root_bound = relax_bound(root)
-    if root_bound is None or root_bound[0] == "infeasible":
-        return JointSolution(
-            status="infeasible",
-            placements=None,
-            routes=None,
-            total_delay=None,
-            total_cost=None,
-            objective=None,
-            optimal=root_bound is not None,
-            lp_solves=budget.lp_solves,
-            metadata={"alpha": alpha, "tie_exact": tie_exact},
-        )
-
-    # stack entries: (depth, assignment, inherited bound); LIFO, 1-branch on top
-    stack: list[tuple[int, np.ndarray, float]] = [(0, root, root_bound[1])]
-    while stack:
-        if budget.exhausted:
-            break
-        depth, assign, bound = stack.pop()
-        if best is not None:
-            if bound > best["obj"] + _TIE_TOL:
-                continue
-            if bound >= best["obj"] - _TIE_TOL:
-                if not tie_exact:
-                    continue
-                floor_lex = tuple(max(int(v), 0) for v in assign)
-                if best["lex"] <= floor_lex:
-                    continue  # no lex improvement possible in this subtree
-        if depth == depth_total:
-            leaf_eval(assign)
-            continue
-        f, i = order[depth]
-        # 0-branch: node i excluded for f; needs a fresh relaxation
-        child0 = assign.copy()
-        child0[depth] = 0
-        row = child0[f * n : (f + 1) * n]
-        if np.any(row != 0):  # at least one host still possible for f
-            b0 = relax_bound(child0)
-            if b0 is not None and b0[0] == "ok":
-                stack.append((depth + 1, child0, b0[1]))
-        # 1-branch: same relaxation as parent, just check memory of decided 1s
-        child1 = assign.copy()
-        child1[depth] = 1
-        ones = (child1 == 1).reshape(f_cnt, n)
-        if float(ones[:, i].astype(float) @ mem) <= node_mem[i] + 1e-9:
-            stack.append((depth + 1, child1, bound))
-
-    if best is None:
-        status = "budget-exhausted" if budget.exhausted else "infeasible"
+    cost, constraints, integrality = _placement_mip(scenario, workload, lam_t, lam_c)
+    options = {"mip_rel_gap": 0.0}
+    if node_budget is not None:
+        options["node_limit"] = node_budget
+    shared = {"integrality": integrality, "bounds": (0.0, 1.0), "options": options}
+    res = milp(cost, constraints=constraints, **shared)
+    status = _mip_status(res)
+    mip_nodes = res.mip_node_count or 0
+    x = res.x
+    if tie_exact and status == "optimal":
+        cap = res.fun + 1e-12 + 1e-9 * abs(res.fun)
+        lex_cost = np.zeros_like(cost)
+        lex_cost[: f_cnt * n] = 2.0 ** -np.arange(f_cnt * n)
+        tie = milp(lex_cost, constraints=[*constraints, LinearConstraint(cost, -np.inf, cap)],
+                   **shared)
+        mip_nodes += tie.mip_node_count or 0
+        if tie.x is not None:
+            x = tie.x
+    metadata = {"alpha": alpha, "tie_exact": tie_exact, "mip_nodes": mip_nodes}
+    if x is None:
         return JointSolution(
             status=status,
             placements=None,
@@ -284,21 +228,24 @@ def solve_joint_milp(
             total_delay=None,
             total_cost=None,
             objective=None,
-            optimal=False,
-            lp_solves=budget.lp_solves,
-            metadata={"alpha": alpha, "tie_exact": tie_exact},
+            optimal=status == "infeasible",
+            metadata=metadata,
         )
-    routes = {f: best["x"][f] for f in range(f_cnt)}
+    placements = np.round(x[: f_cnt * n]).reshape(f_cnt, n).astype(bool)
+    routed = _joint_routing_lp(scenario, workload, placements, lam_t, lam_c)
+    if routed is None:
+        raise RuntimeError("HiGHS placement admits no routing under the exact LP")
+    obj, delay, total_cost, routing = routed
     return JointSolution(
-        status="optimal" if not budget.exhausted else "feasible",
-        placements=best["placements"],
-        routes=routes,
-        total_delay=best["delay"],
-        total_cost=best["cost"],
-        objective=best["obj"],
-        optimal=not budget.exhausted,
-        lp_solves=budget.lp_solves,
-        metadata={"alpha": alpha, "tie_exact": tie_exact},
+        status=status,
+        placements=placements,
+        routes={f: routing[f] for f in range(f_cnt)},
+        total_delay=delay,
+        total_cost=total_cost,
+        objective=obj,
+        optimal=status == "optimal",
+        lp_solves=1,
+        metadata=metadata,
     )
 
 

@@ -47,7 +47,6 @@ class ExperimentPlan:
     scenario: Scenario
     workload_cfg: WorkloadGenConfig
     alphas: tuple[float, ...] = (0.0, 0.5)
-    seeds: tuple[int, ...] = (1,)
     candidates: tuple[str, ...] = CANDIDATES
     train_snapshots: int = 50
     eval_snapshots: int = 150
@@ -94,9 +93,8 @@ def train_agent(
     total_timesteps: int,
 ) -> TrainResult:
     """PPO training over generated snapshots; fully determined by the seed."""
-    cfg = replace(workload_cfg) if workload_cfg.n_snapshots > 0 else workload_cfg
     snapshots = generate_workloads(
-        scenario.n_functions, scenario.n_nodes, cfg, rng_stream(seed, "workload-train")
+        scenario.n_functions, scenario.n_nodes, workload_cfg, rng_stream(seed, "workload-train")
     )
     scale = build_state_scale(scenario, snapshots)
     net = MLP(
@@ -361,7 +359,8 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
 
 def emit_results(
     out_dir: str, rows: list[ResultRow], plan: ExperimentPlan, seed: int
-) -> dict[str, str]:
+) -> tuple[dict[str, str], list[dict]]:
+    """Write results.csv, summary.json and metadata.json; return their paths and the summary."""
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(results_path, rows, timing=plan.timing)
@@ -387,7 +386,7 @@ def emit_results(
             "ppo": plan.ppo.to_dict(),
         },
     )
-    return {"results": results_path, "summary": summary_path, "metadata": meta_path}
+    return {"results": results_path, "summary": summary_path, "metadata": meta_path}, summary
 
 
 def render_summary_table(summary: list[dict], timing: bool) -> str:
@@ -439,6 +438,5 @@ def run_compare(plan: ExperimentPlan, seed: int, out_dir: str) -> dict:
             extras={"alpha": alpha, "seed": seed, "reward_bounds": result.bounds_dict},
         )
     rows = evaluate_candidates(plan, seed, agents)
-    paths = emit_results(out_dir, rows, plan, seed)
-    summary = summarize(rows)
+    paths, summary = emit_results(out_dir, rows, plan, seed)
     return {"paths": paths, "summary": summary, "rows": rows}

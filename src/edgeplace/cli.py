@@ -75,7 +75,10 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", default="agent,joint-milp,vsvbp,cr-eua")
     p.add_argument("--snapshots", type=int, default=150)
     p.add_argument("--trace", default=None, help="evaluate on snapshots from this trace CSV")
-    p.add_argument("--milp-budget", type=int, default=2000, help="LP solves per MILP call")
+    p.add_argument(
+        "--milp-budget", type=int, default=2000,
+        help="HiGHS branch-and-bound nodes per joint-milp call",
+    )
     timing = p.add_mutually_exclusive_group()
     timing.add_argument("--timing", dest="timing", action="store_true", default=True)
     timing.add_argument("--no-timing", dest="timing", action="store_false")
@@ -86,7 +89,10 @@ def build_parser() -> _Parser:
     p.add_argument("--timesteps", type=int, default=20000)
     p.add_argument("--train-snapshots", type=int, default=50)
     p.add_argument("--snapshots", type=int, default=150)
-    p.add_argument("--milp-budget", type=int, default=2000)
+    p.add_argument(
+        "--milp-budget", type=int, default=2000,
+        help="HiGHS branch-and-bound nodes per joint-milp call",
+    )
     timing = p.add_mutually_exclusive_group()
     timing.add_argument("--timing", dest="timing", action="store_true", default=True)
     timing.add_argument("--no-timing", dest="timing", action="store_false")
@@ -218,7 +224,6 @@ def _build_plan(args, scenario, overrides, alphas) -> bench.ExperimentPlan:
         scenario=scenario,
         workload_cfg=workload_cfg,
         alphas=alphas,
-        seeds=(args.seed,),
         candidates=tuple(
             c.strip() for c in getattr(args, "candidates", ",".join(bench.CANDIDATES)).split(",")
         ),
@@ -237,7 +242,7 @@ def _build_plan(args, scenario, overrides, alphas) -> bench.ExperimentPlan:
         fields = {
             k: v for k, v in patch.items() if k in bench.ExperimentPlan.__dataclass_fields__
         }
-        for key in ("alphas", "seeds", "candidates"):
+        for key in ("alphas", "candidates"):
             if key in fields:
                 fields[key] = tuple(fields[key])
         plan = replace(plan, **fields)
@@ -272,11 +277,7 @@ def cmd_evaluate(args) -> int:
             )
         plan = replace(plan, eval_snapshots=len(snapshots))
     rows = bench.evaluate_candidates(plan, args.seed, agents, snapshots=snapshots)
-    paths = bench.emit_results(out_dir, rows, plan, args.seed)
-    summary = bench.summarize(rows)
-    if not plan.timing:
-        for entry in summary:
-            entry["mean_decision_time_ms"] = None
+    paths, summary = bench.emit_results(out_dir, rows, plan, args.seed)
     print(bench.render_summary_table(summary, timing=plan.timing), end="")
     print(f"wrote {paths['results']}")
     return EXIT_OK
@@ -290,11 +291,7 @@ def cmd_compare(args) -> int:
     args.candidates = ",".join(bench.CANDIDATES)
     plan = _build_plan(args, scenario, overrides, alphas=alphas)
     outcome = bench.run_compare(plan, args.seed, out_dir)
-    summary = outcome["summary"]
-    if not plan.timing:
-        for entry in summary:
-            entry["mean_decision_time_ms"] = None
-    print(bench.render_summary_table(summary, timing=plan.timing), end="")
+    print(bench.render_summary_table(outcome["summary"], timing=plan.timing), end="")
     print(f"wrote {outcome['paths']['results']}")
     return EXIT_OK
 

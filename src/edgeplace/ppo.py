@@ -64,10 +64,6 @@ class PolicyAgent:
     net: MLP
     state_scale: np.ndarray  # positive, same length as the state vector
 
-    def probs_value(self, state: np.ndarray):
-        logits, values = self.net.forward(np.asarray(state, dtype=float) / self.state_scale)
-        return _sigmoid(logits[0]), float(values[0])
-
 
 def forward(net: MLP, state: np.ndarray):
     """Per-node activation probabilities and state value for one raw state."""
@@ -267,7 +263,20 @@ class PolicyCheckpoint:
 def load_policy(
     path: str, expect_input_dim: int | None = None, expect_n_actions: int | None = None
 ) -> PolicyCheckpoint:
-    doc = load_json(path)
+    """Read a checkpoint; any unreadable or incomplete file is a PolicyArchitectureError."""
+    try:
+        doc = load_json(path)
+    except (OSError, ValueError) as exc:
+        raise PolicyArchitectureError(f"cannot read policy {path}: {exc}") from exc
+    try:
+        return _checkpoint_from_doc(doc, expect_input_dim, expect_n_actions)
+    except KeyError as exc:
+        raise PolicyArchitectureError(f"policy {path} lacks key {exc}") from exc
+
+
+def _checkpoint_from_doc(
+    doc: dict, expect_input_dim: int | None, expect_n_actions: int | None
+) -> PolicyCheckpoint:
     version = doc.get("schema_version")
     if version != POLICY_SCHEMA_VERSION:
         raise PolicyArchitectureError(f"unsupported policy schema_version {version}")

@@ -10,6 +10,7 @@ from edgeplace.baselines import (
     solve_vsvbp,
 )
 from edgeplace.env import t_max_bound
+from edgeplace.scenarios import random_scenario
 
 from conftest import make_scenario
 from oracles import exhaustive_joint_enumeration, joint_lp_reference
@@ -113,15 +114,19 @@ def test_milp_tie_breaks_lexicographically():
     np.testing.assert_array_equal(sol.placements, [[False, True]])
 
 
-def test_milp_budget_is_deterministic_and_reported(tri_scenario):
-    runs = [solve_joint_milp(tri_scenario, alpha=0.5, node_budget=6) for _ in range(2)]
-    assert runs[0].lp_solves == runs[1].lp_solves <= 6
-    assert runs[0].status == runs[1].status
-    if runs[0].feasible:
-        np.testing.assert_array_equal(runs[0].placements, runs[1].placements)
+def test_milp_budget_is_deterministic_and_reported():
+    # big enough that HiGHS cannot close the gap at the root node
+    scenario = random_scenario(8, 12, np.random.default_rng(1))
+    for budget, status in ((0, "budget-exhausted"), (1, "feasible")):
+        runs = [solve_joint_milp(scenario, alpha=0.0, node_budget=budget) for _ in range(2)]
+        assert runs[0].metadata["mip_nodes"] == runs[1].metadata["mip_nodes"] <= budget
+        assert runs[0].status == runs[1].status == status
         assert not runs[0].optimal
-    full = solve_joint_milp(tri_scenario, alpha=0.5)
-    assert full.optimal and full.lp_solves > 0
+        if runs[0].feasible:
+            np.testing.assert_array_equal(runs[0].placements, runs[1].placements)
+    full = solve_joint_milp(scenario, alpha=0.0)
+    assert full.optimal and full.metadata["mip_nodes"] > 1
+    assert full.objective <= runs[0].objective
 
 
 def test_milp_detects_memory_infeasibility():

@@ -148,10 +148,10 @@ def test_summarize_matches_hand_means(small_plan, tri_scenario):
 def test_emit_results_writes_artifacts(small_plan, tri_scenario, tmp_path):
     agent = _train(tri_scenario).agent
     rows = evaluate_candidates(small_plan, seed=3, agents={0.0: agent})
-    paths = emit_results(str(tmp_path / "out"), rows, small_plan, seed=3)
+    paths, summary = emit_results(str(tmp_path / "out"), rows, small_plan, seed=3)
     assert os.path.exists(paths["results"])
     with open(paths["summary"]) as fh:
-        summary = json.load(fh)
+        assert json.load(fh) == summary
     assert {e["candidate"] for e in summary} == set(CANDIDATES)
     with open(paths["metadata"]) as fh:
         meta = json.load(fh)
@@ -168,7 +168,7 @@ def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
     for attempt in range(2):
         rows = evaluate_candidates(plan, seed=3, agents={0.0: agent})
         out = tmp_path / f"run{attempt}"
-        paths = emit_results(str(out), rows, plan, seed=3)
+        paths, _ = emit_results(str(out), rows, plan, seed=3)
         blob = b"".join(open(paths[k], "rb").read() for k in ("results", "summary", "metadata"))
         blobs.append(blob)
     assert blobs[0] == blobs[1]

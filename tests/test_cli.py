@@ -85,6 +85,21 @@ def test_invalid_scenario_file_exits_2(tmp_path):
     assert run_cli("gen-workload", "--scenario", str(bad), "--out", str(tmp_path / "t.csv")) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "content", [None, "not json", json.dumps({"schema_version": 1})],
+    ids=["missing", "not-json", "no-arch"],
+)
+def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
+    checkpoint = tmp_path / "policy.json"
+    if content is not None:
+        checkpoint.write_text(content)
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--checkpoint", str(checkpoint), "--snapshots", "2",
+    )
+    assert code == EXIT_INVALID
+
+
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "s.json"
     assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(out)) == EXIT_INTERNAL
