@@ -48,7 +48,6 @@ from .ppo import (
 from .routing import (
     RoutingProblem,
     RoutingSolution,
-    brute_force_routing,
     chosen_nodes,
     solve_routing,
     total_delay,

@@ -71,56 +71,41 @@ def _joint_routing_lp(
     f_cnt, n = workload.shape
     delays = scenario.topology.delays
     cpr = scenario.cores_per_request_matrix()
-    var_index: list[tuple[int, int, int]] = []
-    for f in range(f_cnt):
-        hosts = np.flatnonzero(allowed[f])
-        if hosts.size == 0:
-            return None
-        for i in np.flatnonzero(workload[f] > 0):
-            for j in hosts:
-                var_index.append((f, int(i), int(j)))
-    if not var_index:
-        # no traffic at all: park every function on its lowest allowed node
-        x = np.zeros((f_cnt, n, n))
-        for f in range(f_cnt):
-            x[f, :, int(np.flatnonzero(allowed[f])[0])] = 1.0
+    if not allowed.any(axis=1).all():
+        return None
+    x = np.zeros((f_cnt, n, n))
+    # zero-traffic sources ride on each function's lowest allowed node
+    idle_f, idle_i = np.nonzero(workload <= 0)
+    x[idle_f, idle_i, allowed.argmax(axis=1)[idle_f]] = 1.0
+    # variables x[f, i, j] in (function, source, host) row-major order, one
+    # split-sums-to-1 row per source and one core row per node; the matrices
+    # stay dense because linprog validates sparse input more slowly than it
+    # converts these small dense ones
+    fs, srcs = np.nonzero(workload > 0)
+    src, hosts = np.nonzero(allowed[fs])
+    nvar = src.size
+    if nvar == 0:
         return 0.0, 0.0, 0.0, x
-    nvar = len(var_index)
-    cost_vec = np.array(
-        [
-            lam_t * workload[f, i] * delays[i, j] + lam_c * workload[f, i] * cpr[f, j]
-            for f, i, j in var_index
-        ]
-    )
-    rows = {}
-    for idx, (f, i, _) in enumerate(var_index):
-        rows.setdefault((f, i), []).append(idx)
-    a_eq = np.zeros((len(rows), nvar))
-    for r, idxs in enumerate(rows.values()):
-        a_eq[r, idxs] = 1.0
-    b_eq = np.ones(len(rows))
+    var_f, var_i = fs[src], srcs[src]
+    rate = workload[var_f, var_i]
+    cost_vec = lam_t * rate * delays[var_i, hosts] + lam_c * rate * cpr[var_f, hosts]
+    columns = np.arange(nvar)
+    a_eq = np.zeros((fs.size, nvar))
+    a_eq[src, columns] = 1.0
     a_ub = np.zeros((n, nvar))
-    for idx, (f, i, j) in enumerate(var_index):
-        a_ub[j, idx] = workload[f, i] * cpr[f, j]
-    b_ub = scenario.topology.cores
+    a_ub[hosts, columns] = rate * cpr[var_f, hosts]
     res = linprog(
         cost_vec,
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=scenario.topology.cores,
         A_eq=a_eq,
-        b_eq=b_eq,
+        b_eq=np.ones(fs.size),
         bounds=(0, None),
         method="highs",
     )
     if not res.success:
         return None
-    x = np.zeros((f_cnt, n, n))
-    for idx, (f, i, j) in enumerate(var_index):
-        x[f, i, j] = res.x[idx]
-    for f in range(f_cnt):
-        j_star = int(np.flatnonzero(allowed[f])[0])
-        for i in np.flatnonzero(workload[f] <= 0):
-            x[f, i, j_star] = 1.0
+    x[var_f, var_i, hosts] = res.x
     delay = float(sum(total_delay(x[f], workload[f], delays) for f in range(f_cnt)))
     cost = float(sum(cost_increment(x[f], workload[f], cpr[f]) for f in range(f_cnt)))
     return lam_t * delay + lam_c * cost, delay, cost, x
@@ -195,6 +180,8 @@ def solve_joint_milp(
     placement (row-major over function then node) with a second MIP that keeps
     the optimum and minimises sum_k 2^-k p_k; by default it turns on when
     F*N <= 9, where those weights stay far above HiGHS's gap tolerance.
+    Without tie_exact, hosts that the routing leaves idle are dropped from the
+    returned placement.
     """
     workload = scenario.workload if workload is None else workload
     f_cnt, n = workload.shape
@@ -236,6 +223,10 @@ def solve_joint_milp(
     if routed is None:
         raise RuntimeError("HiGHS placement admits no routing under the exact LP")
     obj, delay, total_cost, routing = routed
+    if not tie_exact:
+        # placement is free in the objective, so the MIP may keep replicas that
+        # the routing leaves idle; they would only hold memory
+        placements &= (routing != 0.0).any(axis=1)
     return JointSolution(
         status=status,
         placements=placements,

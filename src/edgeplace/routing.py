@@ -6,15 +6,22 @@ node j can absorb at most available_cores[j] / cores_per_request[j]
 requests/s. Minimizing total delay under those constraints is a capacitated
 transportation problem in the shipped rates y[i, j] = x[i, j] * w[i], which
 is solved here with a transportation simplex (deterministic min-cost initial
-basis, Bland's rule). A dummy zero-cost source absorbs spare capacity.
+basis, Bland's rule). A dummy source with one constant cost absorbs spare
+capacity.
 
-brute_force_routing enumerates every basic solution of the same polytope
-and is the independent oracle used by the tests; it shares no solver code.
+Fast path: when every source's lowest-delay host (the lowest node index on
+ties) has room for all the traffic sent to it with a relative margin of
+1e-12, that one-hot routing is returned without running the simplex. It is
+the routing the simplex returns: the greedy start visits each source's cells
+in (cost, column) order, so it ships the whole source to that host while the
+host still has room, and a start in which every request pays its minimum
+delay is optimal, so no pivot moves flow. The margin covers the float dust
+of the greedy's one-at-a-time capacity updates; a host loaded to equality,
+or within the margin of it, takes the simplex path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +29,7 @@ import numpy as np
 _EPS_REDUCED = 1e-10  # reduced-cost threshold for entering variable
 _EPS_FEAS = 1e-9
 _MAX_PIVOTS = 20000
+_FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class RoutingSolution:
 
 def chosen_nodes(placement: np.ndarray) -> list[int]:
     """Indices selected by a boolean placement vector, ascending."""
-    return [int(i) for i in np.flatnonzero(np.asarray(placement, dtype=bool))]
+    return np.flatnonzero(np.asarray(placement, dtype=bool)).tolist()
 
 
 def total_delay(routing: np.ndarray, workload_row: np.ndarray, delays: np.ndarray) -> float:
@@ -64,17 +72,13 @@ def _expand_solution(
     problem: RoutingProblem, chosen: list[int], sources: list[int], y: np.ndarray
 ) -> RoutingSolution:
     n = problem.workload_row.shape[0]
-    x = np.zeros((n, n))
     w = problem.workload_row
-    for si, i in enumerate(sources):
-        row = y[si] / w[i]
-        s = row.sum()
-        if s > 0:
-            row = row / s  # exact unit row sum regardless of simplex dust
-        x[i, chosen] = row
-    for i in range(n):
-        if w[i] <= 0:
-            x[i, chosen[0]] = 1.0  # no traffic: route to lowest-index host
+    rows = y / w[sources][:, None]
+    sums = rows.sum(axis=1, keepdims=True)
+    np.divide(rows, sums, out=rows, where=sums > 0)  # exact unit row sums despite simplex dust
+    x = np.zeros((n, n))
+    x[np.ix_(sources, chosen)] = rows
+    x[w <= 0, chosen[0]] = 1.0  # no traffic: route to lowest-index host
     return RoutingSolution(
         status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
     )
@@ -86,7 +90,7 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     if not chosen:
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     w = np.asarray(problem.workload_row, dtype=float)
-    sources = [int(i) for i in np.flatnonzero(w > 0)]
+    sources = np.flatnonzero(w > 0).tolist()
     caps = _capacities(problem, chosen)
     supply_total = float(w[sources].sum())
     caps_total = float(caps.sum())
@@ -94,12 +98,19 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     if not sources:
         return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
-    cost = problem.delays[np.ix_(sources, chosen)].astype(float)
+    cost = problem.delays[sources][:, chosen].astype(float)
+    nearest = cost.argmin(axis=1)  # first minimum: the greedy start's first cell per row
+    supply = w[sources]
+    load = np.bincount(nearest, weights=supply, minlength=len(chosen))
+    if np.all(load <= caps * _FAST_MARGIN):
+        y = np.zeros(cost.shape)
+        y[np.arange(len(sources)), nearest] = supply
+        return _expand_solution(problem, chosen, sources, y)
     # dummy source soaks up spare capacity; its cost is one constant for the
     # whole row (so the optimum is unchanged) and higher than any real cell
     # (so real traffic claims equally-cheap columns in index order first)
     cost = np.vstack([cost, np.full(len(chosen), cost.max() + 1.0 if cost.size else 1.0)])
-    supply = np.append(w[sources], max(caps_total - supply_total, 0.0))
+    supply = np.append(supply, max(caps_total - supply_total, 0.0))
     y = _transport_simplex(cost, supply, caps)
     return _expand_solution(problem, chosen, sources, y[:-1])
 
@@ -109,17 +120,17 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
 # --------------------------------------------------------------------------
 
 
-def _initial_basis(cost: np.ndarray, supply: np.ndarray, caps: np.ndarray):
+def _initial_basis(cost: list[list[float]], supply: np.ndarray, caps: np.ndarray):
     """Minimum-cost greedy start; ties go to (lower cost, lower column, lower row)."""
-    m, n = cost.shape
+    m, n = len(cost), len(cost[0])
     y = np.zeros((m, n))
-    rs = supply.astype(float).copy()
-    rc = caps.astype(float).copy()
+    rs = supply.tolist()
+    rc = caps.tolist()
     row_active = [True] * m
     col_active = [True] * n
     rows_left, cols_left = m, n
     basis: list[tuple[int, int]] = []
-    order = sorted(((cost[i, j], j, i) for i in range(m) for j in range(n)))
+    order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
     for _, j, i in order:
         if rows_left == 0 or cols_left == 0:
             break
@@ -154,7 +165,7 @@ def _initial_basis(cost: np.ndarray, supply: np.ndarray, caps: np.ndarray):
     return y, basis
 
 
-def _repair_basis(basis: list[tuple[int, int]], cost: np.ndarray, m: int, n: int) -> None:
+def _repair_basis(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int) -> None:
     """Pad the basis with zero cells until it spans all rows and columns.
 
     Float dust in the greedy can leave the basis one short of the m+n-1
@@ -173,7 +184,7 @@ def _repair_basis(basis: list[tuple[int, int]], cost: np.ndarray, m: int, n: int
         parent[find(i)] = find(m + j)
     if len(basis) == m + n - 1:
         return
-    order = sorted(((cost[i, j], j, i) for i in range(m) for j in range(n)))
+    order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
     for _, j, i in order:
         if len(basis) == m + n - 1:
             break
@@ -183,9 +194,13 @@ def _repair_basis(basis: list[tuple[int, int]], cost: np.ndarray, m: int, n: int
             basis.append((i, j))
 
 
-def _duals(basis: list[tuple[int, int]], cost: np.ndarray, m: int, n: int):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
+def _duals(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int):
+    """Potentials u, v with u[i] + v[j] = cost[i][j] on every basic cell.
+
+    Returns None when the basis does not span the transportation graph.
+    """
+    u: list[float | None] = [None] * m
+    v: list[float | None] = [None] * n
     rows_adj: list[list[int]] = [[] for _ in range(m)]
     cols_adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in basis:
@@ -197,17 +212,17 @@ def _duals(basis: list[tuple[int, int]], cost: np.ndarray, m: int, n: int):
         is_row, a = stack.pop()
         if is_row:
             for j in rows_adj[a]:
-                if np.isnan(v[j]):
-                    v[j] = cost[a, j] - u[a]
+                if v[j] is None:
+                    v[j] = cost[a][j] - u[a]
                     stack.append((False, j))
         else:
             for i in cols_adj[a]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, a] - v[a]
+                if u[i] is None:
+                    u[i] = cost[i][a] - v[a]
                     stack.append((True, i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise RuntimeError("basis does not span the transportation graph")
-    return u, v
+    if None in u or None in v:
+        return None
+    return np.array(u), np.array(v)
 
 
 def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
@@ -255,12 +270,17 @@ def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int)
 def _transport_simplex(cost: np.ndarray, supply: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Balanced transportation solve; returns the flow matrix y."""
     m, n = cost.shape
-    y, basis = _initial_basis(cost, supply, caps)
+    cost_rows = cost.tolist()
+    y, basis = _initial_basis(cost_rows, supply, caps)
     basic_mask = np.zeros((m, n), dtype=bool)
     for i, j in basis:
         basic_mask[i, j] = True
     for _ in range(_MAX_PIVOTS):
-        u, v = _duals(basis, cost, m, n)
+        duals = _duals(basis, cost_rows, m, n)
+        if duals is None:
+            raise RuntimeError(_failure("basis does not span the transportation graph",
+                                        cost, supply, caps))
+        u, v = duals
         reduced = cost - u[:, None] - v[None, :]
         reduced[basic_mask] = 0.0
         candidates = np.argwhere(reduced < -_EPS_REDUCED)
@@ -280,63 +300,9 @@ def _transport_simplex(cost: np.ndarray, supply: np.ndarray, caps: np.ndarray) -
         basis.append(enter)
         basic_mask[leave] = False
         basic_mask[enter] = True
-    raise RuntimeError("transportation simplex exceeded pivot limit")
+    raise RuntimeError(_failure("transportation simplex exceeded pivot limit", cost, supply, caps))
 
 
-# --------------------------------------------------------------------------
-# independent oracle: exhaustive basic-solution enumeration
-# --------------------------------------------------------------------------
-
-
-def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> RoutingSolution:
-    """Optimal routing by enumerating all basic solutions of the flow polytope.
-
-    Intended for small instances only (the optimum of a linear program lies
-    at a vertex, and every vertex is a basic solution, so this search is
-    complete). Raises ValueError when the combination count exceeds
-    max_bases.
-    """
-    chosen = chosen_nodes(problem.placement)
-    if not chosen:
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    w = np.asarray(problem.workload_row, dtype=float)
-    sources = [int(i) for i in np.flatnonzero(w > 0)]
-    caps = _capacities(problem, chosen)
-    if float(w[sources].sum()) > float(caps.sum()) + _EPS_FEAS * max(1.0, float(caps.sum())):
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    if not sources:
-        return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
-    m, n = len(sources), len(chosen)
-    nvar = m * n + n  # flows plus one slack per capacity
-    rows = m + n
-    from math import comb
-
-    if comb(nvar, rows) > max_bases:
-        raise ValueError(f"instance too large for brute force: C({nvar},{rows}) bases")
-    A = np.zeros((rows, nvar))
-    for i in range(m):
-        A[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        A[m + j, j:m * n:n] = 1.0
-        A[m + j, m * n + j] = 1.0
-    b = np.concatenate([w[sources], caps])
-    cost_vec = np.concatenate(
-        [problem.delays[np.ix_(sources, chosen)].ravel(), np.zeros(n)]
-    )
-    combos = np.array(list(itertools.combinations(range(nvar), rows)))
-    mats = A[:, combos].transpose(1, 0, 2)  # (K, rows, rows)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-9  # entries are 0/1 so true determinants are integers
-    if not np.any(ok):
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    rhs = np.broadcast_to(b[:, None], (int(ok.sum()), rows, 1)).copy()
-    sols = np.linalg.solve(mats[ok], rhs)[:, :, 0]
-    feas = np.all(sols >= -_EPS_FEAS, axis=1)
-    if not np.any(feas):
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    objs = np.einsum("kr,kr->k", sols, cost_vec[combos[ok]])
-    objs = np.where(feas, objs, np.inf)
-    best = int(np.argmin(objs))
-    y = np.zeros(nvar)
-    y[combos[ok][best]] = np.maximum(sols[best], 0.0)
-    return _expand_solution(problem, chosen, sources, y[: m * n].reshape(m, n))
+def _failure(cause: str, cost: np.ndarray, supply: np.ndarray, caps: np.ndarray) -> str:
+    """Error text that carries the instance, so a failed solve can be replayed."""
+    return f"{cause}: cost={cost.tolist()} supply={supply.tolist()} caps={caps.tolist()}"

@@ -12,6 +12,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from edgeplace.model import Scenario
+from edgeplace.routing import (
+    _EPS_FEAS,
+    RoutingProblem,
+    RoutingSolution,
+    _capacities,
+    _expand_solution,
+    chosen_nodes,
+)
 
 _TIE_TOL = 1e-12
 
@@ -119,3 +127,58 @@ def exhaustive_joint_enumeration(scenario: Scenario, workload: np.ndarray,
         if best is None or obj < best[0] - _TIE_TOL:
             best = (obj, placements)
     return best
+
+
+def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> RoutingSolution:
+    """Optimal routing by enumerating all basic solutions of the flow polytope.
+
+    Intended for small instances only (the optimum of a linear program lies
+    at a vertex, and every vertex is a basic solution, so this search is
+    complete). Raises ValueError when the combination count exceeds
+    max_bases. It reuses the package's capacity and row-expansion helpers
+    but no solver code.
+    """
+    chosen = chosen_nodes(problem.placement)
+    if not chosen:
+        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+    w = np.asarray(problem.workload_row, dtype=float)
+    sources = [int(i) for i in np.flatnonzero(w > 0)]
+    caps = _capacities(problem, chosen)
+    if float(w[sources].sum()) > float(caps.sum()) + _EPS_FEAS * max(1.0, float(caps.sum())):
+        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+    if not sources:
+        return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
+    m, n = len(sources), len(chosen)
+    nvar = m * n + n  # flows plus one slack per capacity
+    rows = m + n
+    from math import comb
+
+    if comb(nvar, rows) > max_bases:
+        raise ValueError(f"instance too large for brute force: C({nvar},{rows}) bases")
+    A = np.zeros((rows, nvar))
+    for i in range(m):
+        A[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        A[m + j, j:m * n:n] = 1.0
+        A[m + j, m * n + j] = 1.0
+    b = np.concatenate([w[sources], caps])
+    cost_vec = np.concatenate(
+        [problem.delays[np.ix_(sources, chosen)].ravel(), np.zeros(n)]
+    )
+    combos = np.array(list(itertools.combinations(range(nvar), rows)))
+    mats = A[:, combos].transpose(1, 0, 2)  # (K, rows, rows)
+    dets = np.linalg.det(mats)
+    ok = np.abs(dets) > 1e-9  # entries are 0/1 so true determinants are integers
+    if not np.any(ok):
+        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+    rhs = np.broadcast_to(b[:, None], (int(ok.sum()), rows, 1)).copy()
+    sols = np.linalg.solve(mats[ok], rhs)[:, :, 0]
+    feas = np.all(sols >= -_EPS_FEAS, axis=1)
+    if not np.any(feas):
+        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+    objs = np.einsum("kr,kr->k", sols, cost_vec[combos[ok]])
+    objs = np.where(feas, objs, np.inf)
+    best = int(np.argmin(objs))
+    y = np.zeros(nvar)
+    y[combos[ok][best]] = np.maximum(sols[best], 0.0)
+    return _expand_solution(problem, chosen, sources, y[: m * n].reshape(m, n))

@@ -22,12 +22,12 @@ from edgeplace.env import PENALTY_REWARD, PlacementEnv, RewardBounds, normalize_
 from edgeplace.model import save_scenario
 from edgeplace.nn import MLP
 from edgeplace.ppo import PPOConfig, log_prob_from_logits, ppo_loss_and_grad
-from edgeplace.routing import RoutingProblem, brute_force_routing, solve_routing
+from edgeplace.routing import RoutingProblem, solve_routing
 from edgeplace.scenarios import build_preset, preset_workload_config
 from edgeplace.verify import save_decision
 
 from conftest import make_scenario, random_routing_case
-from oracles import exhaustive_joint_enumeration, finite_difference_grad
+from oracles import brute_force_routing, exhaustive_joint_enumeration, finite_difference_grad
 from test_baselines import _random_joint_scenario
 
 TIMESTEPS = 20_000

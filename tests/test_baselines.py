@@ -10,7 +10,9 @@ from edgeplace.baselines import (
     solve_vsvbp,
 )
 from edgeplace.env import t_max_bound
-from edgeplace.scenarios import random_scenario
+from edgeplace.scenarios import build_preset, preset_workload_config, random_scenario
+from edgeplace.verify import decision_to_dict, verify_decision
+from edgeplace.workload import generate_workloads
 
 from conftest import make_scenario
 from oracles import exhaustive_joint_enumeration, joint_lp_reference
@@ -139,6 +141,22 @@ def test_milp_detects_memory_infeasibility():
     )
     sol = solve_joint_milp(scenario, alpha=0.0)
     assert sol.status == "infeasible" and not sol.feasible
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_milp_places_no_idle_replicas(alpha):
+    scenario = build_preset("small-payload")
+    config = preset_workload_config("small-payload", 1)
+    (workload,) = generate_workloads(
+        scenario.n_functions, scenario.n_nodes, config, np.random.default_rng(1)
+    )
+    sol = solve_joint_milp(scenario, workload, alpha=alpha)
+    assert sol.optimal and not sol.metadata["tie_exact"]
+    for f, route in sol.routes.items():
+        assert np.all(route.sum(axis=0)[sol.placements[f]] > 0)
+    doc = decision_to_dict("small-payload", workload, sol.placements, sol.routes,
+                           sol.total_delay, sol.total_cost, "joint-milp", alpha, 0)
+    assert verify_decision(scenario, doc) == []
 
 
 def _check_valid_greedy(scenario, workload, sol):

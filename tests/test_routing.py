@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeplace import routing
 from edgeplace.routing import (
     RoutingProblem,
-    brute_force_routing,
+    _capacities,
+    _transport_simplex,
     chosen_nodes,
     solve_routing,
     total_delay,
 )
 
 from conftest import random_routing_case
+from oracles import brute_force_routing
 
 
 def _problem(delays, w, placement, cores, cpr) -> RoutingProblem:
@@ -166,3 +169,89 @@ def test_superset_placement_never_hurts():
         if sol.status == "optimal":
             assert sol_wide.status == "optimal"
             assert sol_wide.objective_delay <= sol.objective_delay + 1e-9
+
+
+def _simplex_reference(p: RoutingProblem) -> tuple[np.ndarray, float]:
+    """A feasible instance routed by the transportation simplex alone, expanded row by row."""
+    chosen = chosen_nodes(p.placement)
+    w = p.workload_row
+    sources = [int(i) for i in np.flatnonzero(w > 0)]
+    caps = _capacities(p, chosen)
+    x = np.zeros(p.delays.shape)
+    if sources:
+        cost = p.delays[np.ix_(sources, chosen)]
+        cost = np.vstack([cost, np.full(len(chosen), cost.max() + 1.0)])
+        spare = max(float(caps.sum()) - float(w[sources].sum()), 0.0)
+        y = _transport_simplex(cost, np.append(w[sources], spare), caps)
+        for si, i in enumerate(sources):
+            row = y[si] / w[i]
+            x[i, chosen] = row / row.sum()
+    for i in np.flatnonzero(w <= 0):
+        x[i, chosen[0]] = 1.0
+    return x, total_delay(x, w, p.delays)
+
+
+@st.composite
+def _tie_heavy_problem(draw) -> RoutingProblem:
+    """Integer delays with repeats; nearest-host loads at, or within 1e-12 of, capacity."""
+    n = draw(st.integers(2, 6))
+    ints = st.integers(0, 3)
+    delays = np.array(draw(st.lists(ints, min_size=n * n, max_size=n * n)), float).reshape(n, n)
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.7]), min_size=n,
+                                max_size=n)))
+    placement = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    placement[draw(st.integers(0, n - 1))] = True
+    cpr = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n)))
+    hosts = np.flatnonzero(placement)
+    nearest = hosts[np.argmin(delays[:, hosts], axis=1)]
+    load = np.bincount(nearest, weights=w, minlength=n)
+    slack = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-13, 0.5, 2.0])
+    factor = np.array(draw(st.lists(slack, min_size=n, max_size=n)))
+    spare = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]), min_size=n, max_size=n)))
+    cores = np.where(load > 0, load * cpr * factor, spare)
+    return _problem(delays, w, placement, cores, cpr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_tie_heavy_problem())
+def test_nearest_host_fast_path_matches_simplex(p):
+    sol = solve_routing(p)
+    if sol.status == "infeasible":
+        return
+    x, objective = _simplex_reference(p)
+    assert np.array_equal(sol.routing, x)
+    assert sol.objective_delay == objective
+
+
+def _load_equals_capacity() -> RoutingProblem:
+    # nearest hosts: source 0 fills node 0 exactly, source 2 fits on node 1
+    return _problem([[0, 1, 2], [1, 0, 2], [2, 1, 0]], [4, 0, 2], [True, True, False],
+                    [4, 10, 0], [1, 1, 1])
+
+
+def test_load_equal_to_capacity_takes_simplex(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _transport_simplex(*args)
+
+    monkeypatch.setattr(routing, "_transport_simplex", counting)
+    p = _load_equals_capacity()
+    sol = solve_routing(p)
+    assert len(calls) == 1
+    x, objective = _simplex_reference(p)
+    assert np.array_equal(sol.routing, x)
+    assert sol.objective_delay == objective
+    np.testing.assert_array_equal(sol.routing, [[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+def test_simplex_failure_reports_instance(monkeypatch):
+    monkeypatch.setattr(routing, "_MAX_PIVOTS", 0)
+    with pytest.raises(RuntimeError) as err:
+        solve_routing(_load_equals_capacity())
+    msg = str(err.value)
+    assert "pivot limit" in msg
+    assert "cost=[[0.0, 1.0], [2.0, 1.0], [3.0, 3.0]]" in msg
+    assert "supply=[4.0, 2.0, 8.0]" in msg
+    assert "caps=[4.0, 10.0]" in msg
