@@ -145,6 +145,7 @@ def train_agent(
                 "value_loss": diag["value_loss"],
                 "entropy": diag["entropy"],
                 "clip_fraction": diag["clip_fraction"],
+                "approx_kl": diag["approx_kl"],
             }
         )
     return TrainResult(
@@ -198,13 +199,12 @@ def _eval_one(
     milp_budget: int | None,
 ) -> ResultRow:
     total_rate = float(workload.sum())
-    started = time.perf_counter()
+    started = time.perf_counter()  # every candidate: wall time of the whole decision call
     if candidate == "agent":
         if agent is None:
             raise ValueError("agent candidate requested but no policy supplied")
-        env = PlacementEnv(scenario, alpha)
-        record = run_episode(agent, env, workload, deterministic=True)
-        decision_s = record.decision_seconds
+        record = run_episode(agent, PlacementEnv(scenario, alpha), workload, deterministic=True)
+        decision_s = time.perf_counter() - started
         valid = record.valid
         delay, cost = record.total_delay, record.total_cost
         placements = np.zeros((scenario.n_functions, scenario.n_nodes), dtype=bool)

@@ -14,7 +14,6 @@ a flat penalty below that range and commit nothing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .routing import RoutingProblem, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
+_QUEUE_STATS_CACHE = 4096  # queue orders whose statistics one environment keeps
 
 
 # --------------------------------------------------------------------------
@@ -74,24 +74,29 @@ def build_state(
     workload: np.ndarray,
     queue: list[int],
 ) -> EnvState:
-    n = scenario.n_nodes
-    current = queue[0]
-    resources = np.empty(2 * n)
-    resources[0::2] = deployment.available_cores
-    resources[1::2] = deployment.available_memory
-    mem = scenario.function_memory()
-    rest = np.array([mem[f] for f in queue[1:]])
-    if rest.size:
-        queue_memory = np.array([mem[current], rest.mean(), rest.std()])
-    else:
-        queue_memory = np.array([mem[current], 0.0, 0.0])
     return EnvState(
         delays_flat=scenario.topology.delays.ravel().copy(),
-        node_resources=resources,
-        workload_row=workload[current].copy(),
-        queue_memory=queue_memory,
+        node_resources=_node_resources(deployment),
+        workload_row=workload[queue[0]].copy(),
+        queue_memory=_queue_memory(scenario.function_memory()[queue]),
         cumulative_delay=deployment.total_delay,
     )
+
+
+def _node_resources(deployment: DeploymentState) -> np.ndarray:
+    """Residual (cores_i, memory_i) pairs, interleaved."""
+    resources = np.empty(2 * deployment.available_cores.shape[0])
+    resources[0::2] = deployment.available_cores
+    resources[1::2] = deployment.available_memory
+    return resources
+
+
+def _queue_memory(queued: np.ndarray) -> np.ndarray:
+    """(memory of the first queued function, mean and std of the others)."""
+    rest = queued[1:]
+    if rest.size:
+        return np.array([queued[0], rest.mean(), rest.std()])
+    return np.array([queued[0], 0.0, 0.0])
 
 
 def build_state_scale(scenario: Scenario, snapshots: list[np.ndarray]) -> np.ndarray:
@@ -196,81 +201,122 @@ class StepOutcome:
     violation: str | None
     delay_increment: float
     cost_increment: float
-    routing_seconds: float
     state: EnvState | None  # next observation, None when done
 
 
 class PlacementEnv:
+    """One placement episode per reset; `deployment` is updated in place by valid steps."""
+
     def __init__(self, scenario: Scenario, alpha: float, bounds: RewardBounds | None = None):
         self.scenario = scenario
         self.alpha = float(alpha)
-        self.bounds = bounds if bounds is not None else RewardBounds(
-            c_max=float(scenario.topology.cores.sum())
-        )
+        # scenario constants that every step and reset reads
+        self._delays = scenario.topology.delays
+        self._delays_flat = self._delays.ravel().copy()
+        self._delays_flat.flags.writeable = False  # shared by every observation
+        self._memory = scenario.function_memory()
+        self._cpr = [fn.cores_per_request_vec(scenario.n_nodes) for fn in scenario.functions]
+        self._total_cores = float(scenario.topology.cores.sum())
+        self.bounds = bounds if bounds is not None else RewardBounds(c_max=self._total_cores)
         self.workload = scenario.workload
         self.deployment = initial_deployment(scenario.topology)
         self.queue: list[int] = []
+        self._queue_memory: list[np.ndarray] = []
+        self._queue_stats: dict[tuple[int, ...], list[np.ndarray]] = {}
         self.invalid_steps = 0
 
     def reset(self, workload: np.ndarray | None = None) -> EnvState:
         if workload is not None:
             self.workload = workload
         self.bounds = self.bounds.widened(
-            t_upper=t_max_bound(self.scenario, self.workload),
-            c_upper=float(self.scenario.topology.cores.sum()),
+            t_upper=t_max_bound(self.scenario, self.workload), c_upper=self._total_cores
         )
         self.deployment = initial_deployment(self.scenario.topology)
         self.queue = make_queue(self.scenario, self.workload)
+        self._queue_memory = self._queue_memory_by_position()
         self.invalid_steps = 0
-        return build_state(self.scenario, self.deployment, self.workload, self.queue)
+        return self._observe()
+
+    def _queue_memory_by_position(self) -> list[np.ndarray]:
+        """Queue-memory statistics at every position of this episode's queue.
+
+        They depend only on the queue order, which is fixed for the episode,
+        so they are computed once per order and shared, read-only, by every
+        observation of every episode with that order.
+        """
+        key = tuple(self.queue)
+        stats = self._queue_stats.get(key)
+        if stats is None:
+            if len(self._queue_stats) >= _QUEUE_STATS_CACHE:
+                self._queue_stats.clear()
+            queued = self._memory[self.queue]
+            stats = [_queue_memory(queued[k:]) for k in range(len(key))]
+            for entry in stats:
+                entry.flags.writeable = False
+            self._queue_stats[key] = stats
+        return stats
+
+    def _observe(self) -> EnvState:
+        current = self.queue[0]
+        return EnvState(
+            delays_flat=self._delays_flat,
+            node_resources=_node_resources(self.deployment),
+            workload_row=self.workload[current].copy(),
+            # after k steps len(queue) == F - k, so this is position k's entry
+            queue_memory=self._queue_memory[-len(self.queue)],
+            cumulative_delay=self.deployment.total_delay,
+        )
 
     def step(self, action: np.ndarray) -> StepOutcome:
         if not self.queue:
             raise RuntimeError("step() after episode end; call reset()")
         fid = self.queue.pop(0)
         fn = self.scenario.functions[fid]
-        placement = np.asarray(action, dtype=bool)
-        n = self.scenario.n_nodes
+        placement = np.array(action, dtype=bool)  # a copy: the deployment keeps it
+        dep = self.deployment
         violation = None
-        routing = None
         delay_inc = 0.0
         cost_inc = 0.0
-        routing_seconds = 0.0
 
         if not placement.any():
             violation = "empty-placement"
         else:
-            mem_after = self.deployment.available_memory - np.where(placement, fn.memory, 0.0)
-            if np.any(mem_after < -_CORE_TOL):
+            mem_after = dep.available_memory - np.where(placement, fn.memory, 0.0)
+            if (mem_after < -_CORE_TOL).any():
                 violation = "memory"
         if violation is None:
-            cpr = fn.cores_per_request_vec(n)
-            problem = RoutingProblem(
-                delays=self.scenario.topology.delays,
-                workload_row=self.workload[fid],
-                placement=placement,
-                available_cores=self.deployment.available_cores,
-                cores_per_request=cpr,
+            row = self.workload[fid]
+            cpr = self._cpr[fid]
+            solution = solve_routing(
+                RoutingProblem(
+                    delays=self._delays,
+                    workload_row=row,
+                    placement=placement,
+                    available_cores=dep.available_cores,
+                    cores_per_request=cpr,
+                )
             )
-            start = time.perf_counter()
-            solution = solve_routing(problem)
-            routing_seconds = time.perf_counter() - start
             if not solution.feasible:
                 violation = "routing-infeasible"
             else:
                 routing = solution.routing
                 delay_inc = solution.objective_delay
-                cost_inc = cost_increment(routing, self.workload[fid], cpr)
-                draw = routing.T @ self.workload[fid] * cpr
-                if np.any(self.deployment.available_cores - draw < -_CORE_TOL):
+                cost_inc = cost_increment(routing, row, cpr)
+                # routing sends nothing to unplaced nodes, so their draw is
+                # exactly 0.0, as DeploymentState.commit's np.where makes it
+                cores_after = dep.available_cores - routing.T @ row * cpr
+                if (cores_after < -_CORE_TOL).any():
                     violation = "cores"
 
         if violation is None:
-            self.deployment = self.deployment.commit(
-                fn, placement, routing, self.workload[fid], delay_inc, cost_inc
-            )
+            dep.available_cores = cores_after
+            dep.available_memory = mem_after
+            dep.placements[fid] = placement
+            dep.routes[fid] = routing
+            dep.total_delay += delay_inc
+            dep.total_cost += cost_inc
             reward, self.bounds = normalize_and_reward(
-                self.deployment.total_delay, self.deployment.total_cost, self.bounds, self.alpha
+                dep.total_delay, dep.total_cost, self.bounds, self.alpha
             )
             valid = True
         else:
@@ -281,11 +327,6 @@ class PlacementEnv:
             cost_inc = 0.0
 
         done = not self.queue
-        state = (
-            None
-            if done
-            else build_state(self.scenario, self.deployment, self.workload, self.queue)
-        )
         return StepOutcome(
             function_id=fid,
             reward=reward,
@@ -294,8 +335,7 @@ class PlacementEnv:
             violation=violation,
             delay_increment=delay_inc,
             cost_increment=cost_inc,
-            routing_seconds=routing_seconds,
-            state=state,
+            state=None if done else self._observe(),
         )
 
 
@@ -313,7 +353,6 @@ class EpisodeRecord:
     violations: list[str]
     placements: dict[int, np.ndarray]
     routes: dict[int, np.ndarray]
-    decision_seconds: float  # policy forward + routing solve only
     valid: bool
 
 
@@ -329,21 +368,17 @@ def run_episode(
     state = env.reset(workload)
     rewards: list[float] = []
     violations: list[str] = []
-    decision_seconds = 0.0
     done = False
     while not done:
         # the trajectory must hold exactly what the net consumed, so scale here
         net_input = state.vector / agent.state_scale
-        start = time.perf_counter()
         probs, value = forward(agent.net, net_input)
         if deterministic:
             action = deterministic_action(probs)
             log_prob = 0.0
         else:
             action, log_prob = sample_action(probs, rng)
-        decision_seconds += time.perf_counter() - start
         outcome = env.step(action)
-        decision_seconds += outcome.routing_seconds
         rewards.append(outcome.reward)
         if outcome.violation:
             violations.append(f"{outcome.function_id}:{outcome.violation}")
@@ -361,6 +396,5 @@ def run_episode(
         violations=violations,
         placements=dict(env.deployment.placements),
         routes=dict(env.deployment.routes),
-        decision_seconds=decision_seconds,
         valid=env.invalid_steps == 0,
     )

@@ -294,12 +294,15 @@ def save_scenario(path: str, scenario: Scenario) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeploymentState:
     """Residual cluster state while a queue of functions is being placed.
 
-    Immutable; commits produce a new state. available_cores can go slightly
-    negative only through external mutation, never through a valid commit.
+    commit() returns a successor state and leaves this one as it was; the
+    greedy baselines chain states that way. PlacementEnv instead keeps one
+    state per episode and updates its arrays, dicts and totals in place.
+    available_cores can go slightly negative only through external mutation,
+    never through a valid commit.
     """
 
     available_cores: np.ndarray  # (N,)

@@ -92,20 +92,24 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     w = np.asarray(problem.workload_row, dtype=float)
     sources = np.flatnonzero(w > 0).tolist()
     caps = _capacities(problem, chosen)
-    supply_total = float(w[sources].sum())
+    supply = w[sources]
+    supply_total = float(supply.sum())
     caps_total = float(caps.sum())
     if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     if not sources:
         return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
-    cost = problem.delays[sources][:, chosen].astype(float)
+    cost = problem.delays[sources][:, chosen].astype(float, copy=False)
     nearest = cost.argmin(axis=1)  # first minimum: the greedy start's first cell per row
-    supply = w[sources]
     load = np.bincount(nearest, weights=supply, minlength=len(chosen))
-    if np.all(load <= caps * _FAST_MARGIN):
-        y = np.zeros(cost.shape)
-        y[np.arange(len(sources)), nearest] = supply
-        return _expand_solution(problem, chosen, sources, y)
+    if (load <= caps * _FAST_MARGIN).all():
+        # the one-hot rows _expand_solution would build: y / w is exactly 1.0
+        x = np.zeros((w.shape[0], w.shape[0]))
+        x[sources, np.asarray(chosen)[nearest]] = 1.0
+        x[w <= 0, chosen[0]] = 1.0
+        return RoutingSolution(
+            status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
+        )
     # dummy source soaks up spare capacity; its cost is one constant for the
     # whole row (so the optimum is unchanged) and higher than any real cell
     # (so real traffic claims equally-cheap columns in index order first)

@@ -4,9 +4,12 @@ import csv
 import json
 import os
 
+import time
+
 import numpy as np
 import pytest
 
+from edgeplace import bench
 from edgeplace.bench import (
     CANDIDATES,
     RESULT_COLUMNS,
@@ -20,6 +23,7 @@ from edgeplace.bench import (
     write_results_csv,
     write_train_log,
 )
+from edgeplace.env import run_episode
 from edgeplace.ppo import PPOConfig
 from edgeplace.workload import WorkloadGenConfig
 
@@ -57,6 +61,7 @@ def test_train_log_rows_are_consistent(tri_scenario):
         assert row["cumulative_invalid"] + row["cumulative_valid"] == row["timesteps"]
         assert row["window_steps"] >= _FAST_PPO.update_interval
         assert np.isfinite(row["mean_reward"])
+        assert np.isfinite(row["approx_kl"])
     assert result.log_rows[-1]["timesteps"] >= 128
     assert set(result.bounds_dict) == {"t_min", "t_max", "c_min", "c_max"}
 
@@ -77,6 +82,7 @@ def test_write_train_log_round_trips(tri_scenario, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(result.log_rows)
     assert float(rows[0]["mean_reward"]) == result.log_rows[0]["mean_reward"]
+    assert float(rows[-1]["approx_kl"]) == result.log_rows[-1]["approx_kl"]
     assert int(rows[-1]["timesteps"]) == result.log_rows[-1]["timesteps"]
 
 
@@ -99,6 +105,24 @@ def test_evaluate_produces_verified_grid(small_plan, tri_scenario):
         assert row.delay_ms_per_req == pytest.approx(
             row.total_delay / snapshots[row.snapshot].sum()
         )
+
+
+def test_agent_decision_time_covers_the_whole_episode(small_plan, tri_scenario, monkeypatch):
+    agent = _train(tri_scenario).agent
+    episode_ms = []
+
+    def timed_episode(*args, **kwargs):
+        started = time.perf_counter()
+        record = run_episode(*args, **kwargs)
+        episode_ms.append((time.perf_counter() - started) * 1000.0)
+        return record
+
+    monkeypatch.setattr(bench, "run_episode", timed_episode)
+    plan = ExperimentPlan(**{**small_plan.__dict__, "candidates": ("agent",), "warmup": 0})
+    rows = evaluate_candidates(plan, seed=3, agents={0.0: agent})
+    assert len(rows) == len(episode_ms) == plan.eval_snapshots
+    for row, ms in zip(rows, episode_ms):  # one run_episode per snapshot, in row order
+        assert row.decision_time_ms >= ms
 
 
 def test_snapshots_shared_across_candidates(small_plan, tri_scenario):

@@ -9,6 +9,7 @@ from edgeplace import routing
 from edgeplace.routing import (
     RoutingProblem,
     _capacities,
+    _cycle,
     _transport_simplex,
     chosen_nodes,
     solve_routing,
@@ -119,6 +120,53 @@ def test_matches_oracle_randomized():
             _assert_solution_feasible(p, fast.routing)
             agree += 1
     assert agree > 100  # mix must contain plenty of feasible cases
+
+
+def _contested_hub_problem(rng: np.random.Generator) -> RoutingProblem:
+    """Sources compete for one cheap host that cannot take them all.
+
+    The source nearest to that hub loses the least by going elsewhere, but
+    the min-cost greedy start serves it at the hub first, so reaching the
+    optimum takes simplex pivots.
+    """
+    n = int(rng.integers(3, 5))
+    hosts = rng.choice(n, size=int(rng.integers(2, 4)), replace=False)
+    hub, others = hosts[0], hosts[1:]
+    w = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(1.0, 10.0, n))
+    near = rng.uniform(0.0, 2.0, n)  # each source's delay to the hub
+    regret = rng.uniform(1.0, 10.0, n)  # extra delay of any other host
+    regret[np.argmin(near)] = rng.uniform(0.0, 1.0)
+    delays = (near + regret)[:, None] + rng.uniform(0.0, 2.0, (n, n))
+    delays[:, hub] = near
+    placement = np.zeros(n, dtype=bool)
+    placement[hosts] = True
+    cpr = rng.uniform(0.5, 2.0, n)
+    caps = np.zeros(n)
+    caps[hub] = w.sum() * rng.uniform(0.2, 0.8)
+    caps[others] = w.sum() * rng.uniform(0.9, 1.2) * rng.dirichlet(np.ones(len(others)))
+    return _problem(delays, w, placement, caps * cpr, cpr)
+
+
+def test_contested_hub_pivots_and_matches_oracle(monkeypatch):
+    cycles = []
+
+    def counting(*args):
+        cycles.append(args)
+        return _cycle(*args)
+
+    monkeypatch.setattr(routing, "_cycle", counting)
+    rng = np.random.default_rng(20261018)
+    pivoted = 0
+    for _ in range(200):
+        p = _contested_hub_problem(rng)
+        before = len(cycles)
+        fast = solve_routing(p)
+        slow = brute_force_routing(p)
+        assert fast.status == slow.status == "optimal"
+        assert fast.objective_delay == pytest.approx(slow.objective_delay, rel=1e-9, abs=1e-9)
+        _assert_solution_feasible(p, fast.routing)
+        pivoted += len(cycles) > before
+    assert pivoted >= 150  # the greedy start is rarely optimal here
 
 
 def _assert_solution_feasible(p: RoutingProblem, x: np.ndarray, tol: float = 1e-9):
