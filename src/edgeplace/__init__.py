@@ -7,11 +7,9 @@ a workload synthesizer, a decision verifier, and a benchmark harness.
 
 from .baselines import JointSolution, solve_creua, solve_joint_milp, solve_vsvbp
 from .env import (
-    EnvState,
     PlacementEnv,
     RewardBounds,
     StepOutcome,
-    build_state,
     build_state_scale,
     make_queue,
     normalize_and_reward,

@@ -304,10 +304,12 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
         if solution is None:
             violations.append(f"{f}:unplaceable")
             continue
-        delay = solution.objective_delay
-        cost = cost_increment(solution.routing, workload[f], cpr)
-        deployment = deployment.commit(
-            fn, placement, solution.routing, workload[f], delay, cost
+        routing = solution.routing
+        deployment.place(
+            f, placement, routing,
+            deployment.available_cores - routing.T @ workload[f] * cpr,
+            deployment.available_memory - np.where(placement, fn.memory, 0.0),
+            solution.objective_delay, cost_increment(routing, workload[f], cpr),
         )
     return _greedy_solution(scenario, workload, deployment, violations, "vsvbp")
 
@@ -368,7 +370,11 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
                 routing[i, int(np.flatnonzero(placement)[0])] = 1.0
             else:
                 routing[i] /= routing[i].sum()  # absorb split-loop float dust
-        delay = total_delay(routing, workload[f], scenario.topology.delays)
-        cost = cost_increment(routing, workload[f], cpr)
-        deployment = deployment.commit(fn, placement, routing, workload[f], delay, cost)
+        deployment.place(
+            f, placement, routing,
+            deployment.available_cores - routing.T @ workload[f] * cpr,
+            deployment.available_memory - np.where(placement, fn.memory, 0.0),
+            total_delay(routing, workload[f], scenario.topology.delays),
+            cost_increment(routing, workload[f], cpr),
+        )
     return _greedy_solution(scenario, workload, deployment, violations, "cr-eua")

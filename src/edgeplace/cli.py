@@ -2,7 +2,7 @@
 
 Batch-style subcommands over the library: generate scenarios and workload
 traces, train the placement agent, evaluate candidates, run the full
-comparison, and verify emitted decision files.
+comparison, and verify decision files (written with verify.save_decision).
 
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 internal error.
@@ -50,6 +50,22 @@ def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = True) ->
     sub.add_argument("--config", default=None, help="JSON file with config overrides")
 
 
+def _add_training(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--timesteps", type=int, default=20000)
+    sub.add_argument("--train-snapshots", type=int, default=50)
+
+
+def _add_evaluation(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--snapshots", type=int, default=150)
+    sub.add_argument(
+        "--milp-budget", type=int, default=2000,
+        help="HiGHS branch-and-bound nodes per joint-milp call",
+    )
+    timing = sub.add_mutually_exclusive_group()
+    timing.add_argument("--timing", dest="timing", action="store_true", default=True)
+    timing.add_argument("--no-timing", dest="timing", action="store_false")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="edgeplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,36 +82,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the placement agent")
     _add_common(p)
-    p.add_argument("--timesteps", type=int, default=20000)
-    p.add_argument("--train-snapshots", type=int, default=50)
+    _add_training(p)
 
     p = sub.add_parser("evaluate", help="evaluate candidates on fresh or traced snapshots")
     _add_common(p)
     p.add_argument("--checkpoint", default=None, help="trained policy for the agent candidate")
-    p.add_argument("--candidates", default="agent,joint-milp,vsvbp,cr-eua")
-    p.add_argument("--snapshots", type=int, default=150)
+    p.add_argument("--candidates", default=",".join(bench.CANDIDATES))
     p.add_argument("--trace", default=None, help="evaluate on snapshots from this trace CSV")
-    p.add_argument(
-        "--milp-budget", type=int, default=2000,
-        help="HiGHS branch-and-bound nodes per joint-milp call",
-    )
-    timing = p.add_mutually_exclusive_group()
-    timing.add_argument("--timing", dest="timing", action="store_true", default=True)
-    timing.add_argument("--no-timing", dest="timing", action="store_false")
+    _add_evaluation(p)
 
     p = sub.add_parser("compare", help="train at each alpha, evaluate everything, print table")
     _add_common(p)
     p.add_argument("--alphas", default="0,0.5", help="comma-separated cost weights")
-    p.add_argument("--timesteps", type=int, default=20000)
-    p.add_argument("--train-snapshots", type=int, default=50)
-    p.add_argument("--snapshots", type=int, default=150)
-    p.add_argument(
-        "--milp-budget", type=int, default=2000,
-        help="HiGHS branch-and-bound nodes per joint-milp call",
-    )
-    timing = p.add_mutually_exclusive_group()
-    timing.add_argument("--timing", dest="timing", action="store_true", default=True)
-    timing.add_argument("--no-timing", dest="timing", action="store_false")
+    _add_training(p)
+    _add_evaluation(p)
 
     p = sub.add_parser("verify", help="check decision files against a scenario")
     _add_common(p)
@@ -109,6 +109,13 @@ def build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 
 
+# config sections and the keys each takes; snapshot counts come from the flags
+_CONFIG_KEYS = {
+    "ppo": frozenset(PPOConfig.__dataclass_fields__),
+    "workload": frozenset(WorkloadGenConfig.__dataclass_fields__) - {"n_snapshots"},
+}
+
+
 def _load_overrides(path: str | None) -> dict:
     if path is None:
         return {}
@@ -119,6 +126,19 @@ def _load_overrides(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must be a JSON object")
+    for section, patch in doc.items():
+        if section not in _CONFIG_KEYS:
+            raise UsageError(
+                f"config {path}: unknown section {section!r}; choose from {sorted(_CONFIG_KEYS)}"
+            )
+        if not isinstance(patch, dict):
+            raise UsageError(f"config {path}: section {section!r} must be a JSON object")
+        unknown = sorted(set(patch) - _CONFIG_KEYS[section])
+        if unknown:
+            raise UsageError(
+                f"config {path}: unknown {section} key(s) {unknown}; "
+                f"choose from {sorted(_CONFIG_KEYS[section])}"
+            )
     return doc
 
 
@@ -131,13 +151,10 @@ def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGen
         cfg = preset_workload_config(scenario.name, n_snapshots)
     else:
         cfg = WorkloadGenConfig(n_snapshots=n_snapshots)
-    patch = overrides.get("workload", {})
-    if patch:
-        fields = {k: v for k, v in patch.items() if k in WorkloadGenConfig.__dataclass_fields__}
-        if "rate_range" in fields:
-            fields["rate_range"] = tuple(fields["rate_range"])
-        cfg = replace(cfg, **fields)
-    return replace(cfg, n_snapshots=n_snapshots)
+    patch = dict(overrides.get("workload", {}))
+    if "rate_range" in patch:
+        patch["rate_range"] = tuple(patch["rate_range"])
+    return replace(cfg, **patch)
 
 
 def _require_out(args, what: str) -> str:
@@ -217,36 +234,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _build_plan(args, scenario, overrides, alphas) -> bench.ExperimentPlan:
-    ppo_cfg = _ppo_config(overrides)
-    workload_cfg = _workload_config(scenario, args.snapshots, overrides)
-    plan = bench.ExperimentPlan(
-        scenario=scenario,
-        workload_cfg=workload_cfg,
-        alphas=alphas,
-        candidates=tuple(
-            c.strip() for c in getattr(args, "candidates", ",".join(bench.CANDIDATES)).split(",")
-        ),
-        train_snapshots=getattr(args, "train_snapshots", 50),
-        eval_snapshots=args.snapshots,
-        total_timesteps=getattr(args, "timesteps", 20000),
-        ppo=ppo_cfg,
-        milp_node_budget=args.milp_budget,
-        timing=args.timing,
-    )
-    for candidate in plan.candidates:
+def _candidate_list(spec: str) -> tuple[str, ...]:
+    candidates = tuple(c.strip() for c in spec.split(","))
+    for candidate in candidates:
         if candidate not in bench.CANDIDATES:
             raise UsageError(f"unknown candidate {candidate!r}; choose from {bench.CANDIDATES}")
-    patch = overrides.get("plan", {})
-    if patch:
-        fields = {
-            k: v for k, v in patch.items() if k in bench.ExperimentPlan.__dataclass_fields__
-        }
-        for key in ("alphas", "candidates"):
-            if key in fields:
-                fields[key] = tuple(fields[key])
-        plan = replace(plan, **fields)
-    return plan
+    return candidates
+
+
+def _build_plan(args, scenario, overrides, **fields) -> bench.ExperimentPlan:
+    """The plan of an evaluate or compare run; fields are the command's own plan fields."""
+    return bench.ExperimentPlan(
+        scenario=scenario,
+        workload_cfg=_workload_config(scenario, args.snapshots, overrides),
+        eval_snapshots=args.snapshots,
+        ppo=_ppo_config(overrides),
+        milp_node_budget=args.milp_budget,
+        timing=args.timing,
+        **fields,
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -255,7 +261,9 @@ def cmd_evaluate(args) -> int:
     if not 0.0 <= args.alpha <= 1.0:
         raise UsageError("--alpha must lie in [0, 1]")
     overrides = _load_overrides(args.config)
-    plan = _build_plan(args, scenario, overrides, alphas=(args.alpha,))
+    plan = _build_plan(
+        args, scenario, overrides, alphas=(args.alpha,), candidates=_candidate_list(args.candidates)
+    )
     agents = {}
     if "agent" in plan.candidates:
         if not args.checkpoint:
@@ -288,8 +296,10 @@ def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides = _load_overrides(args.config)
     alphas = _alpha_list(args.alphas)
-    args.candidates = ",".join(bench.CANDIDATES)
-    plan = _build_plan(args, scenario, overrides, alphas=alphas)
+    plan = _build_plan(
+        args, scenario, overrides, alphas=alphas,
+        train_snapshots=args.train_snapshots, total_timesteps=args.timesteps,
+    )
     outcome = bench.run_compare(plan, args.seed, out_dir)
     print(bench.render_summary_table(outcome["summary"], timing=plan.timing), end="")
     print(f"wrote {outcome['paths']['results']}")

@@ -1,9 +1,12 @@
 """Sequential placement environment.
 
 One episode places every function of a workload snapshot, most demanding
-first. The observation concatenates the flattened delay matrix, interleaved
-per-node residual (cores, memory), the current function's workload row,
-memory statistics of the functions still queued, and the cumulative delay.
+first. Each observation is one float vector of length state_dim(N): the
+flattened delay matrix, interleaved per-node residual (cores, memory), the
+current function's workload row, memory statistics of the functions still
+queued, and the cumulative delay. The environment keeps one DeploymentState
+per episode; a valid step records its placement and routing there in place
+through DeploymentState.place, and an invalid step leaves it untouched.
 
 Rewards: each valid step re-normalizes the cumulative delay and cumulative
 core cost into [-1, 1] against run-level bounds and returns their negated
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DeploymentState, Scenario, initial_deployment
+from .model import Scenario, initial_deployment
 from .ppo import PolicyAgent, Trajectory, deterministic_action, forward, sample_action
 from .routing import RoutingProblem, solve_routing
 
@@ -30,27 +33,6 @@ _QUEUE_STATS_CACHE = 4096  # queue orders whose statistics one environment keeps
 # --------------------------------------------------------------------------
 # state construction
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnvState:
-    delays_flat: np.ndarray  # N*N
-    node_resources: np.ndarray  # 2N, interleaved (cores_i, memory_i)
-    workload_row: np.ndarray  # N, current function
-    queue_memory: np.ndarray  # 3, (current mem, mean, std of remaining)
-    cumulative_delay: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.delays_flat,
-                self.node_resources,
-                self.workload_row,
-                self.queue_memory,
-                [self.cumulative_delay],
-            ]
-        )
 
 
 def state_dim(n_nodes: int) -> int:
@@ -66,29 +48,6 @@ def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[i
     return sorted(
         range(scenario.n_functions), key=lambda f: (-totals[f], -mem[f], f)
     )
-
-
-def build_state(
-    scenario: Scenario,
-    deployment: DeploymentState,
-    workload: np.ndarray,
-    queue: list[int],
-) -> EnvState:
-    return EnvState(
-        delays_flat=scenario.topology.delays.ravel().copy(),
-        node_resources=_node_resources(deployment),
-        workload_row=workload[queue[0]].copy(),
-        queue_memory=_queue_memory(scenario.function_memory()[queue]),
-        cumulative_delay=deployment.total_delay,
-    )
-
-
-def _node_resources(deployment: DeploymentState) -> np.ndarray:
-    """Residual (cores_i, memory_i) pairs, interleaved."""
-    resources = np.empty(2 * deployment.available_cores.shape[0])
-    resources[0::2] = deployment.available_cores
-    resources[1::2] = deployment.available_memory
-    return resources
 
 
 def _queue_memory(queued: np.ndarray) -> np.ndarray:
@@ -150,15 +109,6 @@ class RewardBounds:
     def to_dict(self) -> dict:
         return {"t_min": self.t_min, "t_max": self.t_max, "c_min": self.c_min, "c_max": self.c_max}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RewardBounds":
-        return cls(
-            t_min=float(doc["t_min"]),
-            t_max=float(doc["t_max"]),
-            c_min=float(doc["c_min"]),
-            c_max=float(doc["c_max"]),
-        )
-
 
 def _normalize(value: float, lo: float, hi: float) -> float:
     if hi - lo <= 1e-12:
@@ -199,25 +149,22 @@ class StepOutcome:
     done: bool
     valid: bool
     violation: str | None
-    delay_increment: float
-    cost_increment: float
-    state: EnvState | None  # next observation, None when done
+    state: np.ndarray | None  # next observation vector, None when done
 
 
 class PlacementEnv:
     """One placement episode per reset; `deployment` is updated in place by valid steps."""
 
-    def __init__(self, scenario: Scenario, alpha: float, bounds: RewardBounds | None = None):
+    def __init__(self, scenario: Scenario, alpha: float):
         self.scenario = scenario
         self.alpha = float(alpha)
         # scenario constants that every step and reset reads
         self._delays = scenario.topology.delays
-        self._delays_flat = self._delays.ravel().copy()
-        self._delays_flat.flags.writeable = False  # shared by every observation
+        self._delays_flat = self._delays.ravel()
         self._memory = scenario.function_memory()
         self._cpr = [fn.cores_per_request_vec(scenario.n_nodes) for fn in scenario.functions]
         self._total_cores = float(scenario.topology.cores.sum())
-        self.bounds = bounds if bounds is not None else RewardBounds(c_max=self._total_cores)
+        self.bounds = RewardBounds(c_max=self._total_cores)
         self.workload = scenario.workload
         self.deployment = initial_deployment(scenario.topology)
         self.queue: list[int] = []
@@ -225,7 +172,7 @@ class PlacementEnv:
         self._queue_stats: dict[tuple[int, ...], list[np.ndarray]] = {}
         self.invalid_steps = 0
 
-    def reset(self, workload: np.ndarray | None = None) -> EnvState:
+    def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
         if workload is not None:
             self.workload = workload
         self.bounds = self.bounds.widened(
@@ -241,8 +188,8 @@ class PlacementEnv:
         """Queue-memory statistics at every position of this episode's queue.
 
         They depend only on the queue order, which is fixed for the episode,
-        so they are computed once per order and shared, read-only, by every
-        observation of every episode with that order.
+        so they are computed once per order and shared by every episode with
+        that order.
         """
         key = tuple(self.queue)
         stats = self._queue_stats.get(key)
@@ -251,21 +198,22 @@ class PlacementEnv:
                 self._queue_stats.clear()
             queued = self._memory[self.queue]
             stats = [_queue_memory(queued[k:]) for k in range(len(key))]
-            for entry in stats:
-                entry.flags.writeable = False
             self._queue_stats[key] = stats
         return stats
 
-    def _observe(self) -> EnvState:
-        current = self.queue[0]
-        return EnvState(
-            delays_flat=self._delays_flat,
-            node_resources=_node_resources(self.deployment),
-            workload_row=self.workload[current].copy(),
-            # after k steps len(queue) == F - k, so this is position k's entry
-            queue_memory=self._queue_memory[-len(self.queue)],
-            cumulative_delay=self.deployment.total_delay,
-        )
+    def _observe(self) -> np.ndarray:
+        n = self.scenario.n_nodes
+        dep = self.deployment
+        head = n * n
+        obs = np.empty(state_dim(n))
+        obs[:head] = self._delays_flat
+        obs[head : head + 2 * n : 2] = dep.available_cores
+        obs[head + 1 : head + 2 * n : 2] = dep.available_memory
+        obs[head + 2 * n : head + 3 * n] = self.workload[self.queue[0]]
+        # after k steps len(queue) == F - k, so this is position k's entry
+        obs[head + 3 * n : -1] = self._queue_memory[-len(self.queue)]
+        obs[-1] = dep.total_delay
+        return obs
 
     def step(self, action: np.ndarray) -> StepOutcome:
         if not self.queue:
@@ -275,8 +223,6 @@ class PlacementEnv:
         placement = np.array(action, dtype=bool)  # a copy: the deployment keeps it
         dep = self.deployment
         violation = None
-        delay_inc = 0.0
-        cost_inc = 0.0
 
         if not placement.any():
             violation = "empty-placement"
@@ -300,41 +246,30 @@ class PlacementEnv:
                 violation = "routing-infeasible"
             else:
                 routing = solution.routing
-                delay_inc = solution.objective_delay
-                cost_inc = cost_increment(routing, row, cpr)
-                # routing sends nothing to unplaced nodes, so their draw is
-                # exactly 0.0, as DeploymentState.commit's np.where makes it
+                # routing sends nothing to unplaced nodes, so their draw is exactly 0.0
                 cores_after = dep.available_cores - routing.T @ row * cpr
                 if (cores_after < -_CORE_TOL).any():
                     violation = "cores"
 
         if violation is None:
-            dep.available_cores = cores_after
-            dep.available_memory = mem_after
-            dep.placements[fid] = placement
-            dep.routes[fid] = routing
-            dep.total_delay += delay_inc
-            dep.total_cost += cost_inc
+            dep.place(
+                fid, placement, routing, cores_after, mem_after,
+                solution.objective_delay, cost_increment(routing, row, cpr),
+            )
             reward, self.bounds = normalize_and_reward(
                 dep.total_delay, dep.total_cost, self.bounds, self.alpha
             )
-            valid = True
         else:
             self.invalid_steps += 1
             reward = PENALTY_REWARD
-            valid = False
-            delay_inc = 0.0
-            cost_inc = 0.0
 
         done = not self.queue
         return StepOutcome(
             function_id=fid,
             reward=reward,
             done=done,
-            valid=valid,
+            valid=violation is None,
             violation=violation,
-            delay_increment=delay_inc,
-            cost_increment=cost_inc,
             state=None if done else self._observe(),
         )
 
@@ -371,7 +306,7 @@ def run_episode(
     done = False
     while not done:
         # the trajectory must hold exactly what the net consumed, so scale here
-        net_input = state.vector / agent.state_scale
+        net_input = state / agent.state_scale
         probs, value = forward(agent.net, net_input)
         if deterministic:
             action = deterministic_action(probs)

@@ -11,7 +11,7 @@ Units used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -298,11 +298,10 @@ def save_scenario(path: str, scenario: Scenario) -> None:
 class DeploymentState:
     """Residual cluster state while a queue of functions is being placed.
 
-    commit() returns a successor state and leaves this one as it was; the
-    greedy baselines chain states that way. PlacementEnv instead keeps one
-    state per episode and updates its arrays, dicts and totals in place.
-    available_cores can go slightly negative only through external mutation,
-    never through a valid commit.
+    PlacementEnv keeps one state per episode and each greedy baseline one per
+    solve; place() records every placed function in it, in place. The caller
+    computes the residual arrays it passes: PlacementEnv already holds them
+    from its memory and core checks.
     """
 
     available_cores: np.ndarray  # (N,)
@@ -312,35 +311,24 @@ class DeploymentState:
     total_delay: float = 0.0
     total_cost: float = 0.0
 
-    def commit(
+    def place(
         self,
-        function: FunctionSpec,
+        function_id: int,
         placement: np.ndarray,
         routing: np.ndarray,
-        workload_row: np.ndarray,
+        cores: np.ndarray,
+        memory: np.ndarray,
         delay: float,
         cost: float,
-    ) -> "DeploymentState":
-        """Apply one placement decision and return the successor state."""
-        placement = np.asarray(placement, dtype=bool)
-        n = self.available_cores.shape[0]
-        cpr = function.cores_per_request_vec(n)
-        core_use = routing.T @ workload_row * cpr  # per-node core draw
-        cores = self.available_cores - np.where(placement, core_use, 0.0)
-        memory = self.available_memory - np.where(placement, function.memory, 0.0)
-        placements = dict(self.placements)
-        routes = dict(self.routes)
-        placements[function.id] = placement.copy()
-        routes[function.id] = routing.copy()
-        return replace(
-            self,
-            available_cores=cores,
-            available_memory=memory,
-            placements=placements,
-            routes=routes,
-            total_delay=self.total_delay + delay,
-            total_cost=self.total_cost + cost,
-        )
+    ) -> None:
+        """Record one function's placement and routing (kept, not copied),
+        set the residual core and memory arrays, and add its delay and cost."""
+        self.placements[function_id] = placement
+        self.routes[function_id] = routing
+        self.available_cores = cores
+        self.available_memory = memory
+        self.total_delay += delay
+        self.total_cost += cost
 
 
 def initial_deployment(topology: Topology) -> DeploymentState:

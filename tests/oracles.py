@@ -7,11 +7,12 @@ internals, so agreement between package and oracle is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
 
-from edgeplace.model import Scenario
+from edgeplace.model import DeploymentState, FunctionSpec, Scenario
 from edgeplace.routing import (
     _EPS_FEAS,
     RoutingProblem,
@@ -182,3 +183,42 @@ def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> Ro
     y = np.zeros(nvar)
     y[combos[ok][best]] = np.maximum(sols[best], 0.0)
     return _expand_solution(problem, chosen, sources, y[: m * n].reshape(m, n))
+
+
+def build_state(scenario: Scenario, deployment: DeploymentState, workload: np.ndarray,
+                queue: list[int]) -> np.ndarray:
+    """The placement observation from its definition.
+
+    Flattened delays, interleaved residual (cores, memory) per node, the queue
+    head's workload row, (memory of the head, mean and std of the others'
+    memory) and the cumulative delay.
+    """
+    resources = np.empty(2 * scenario.n_nodes)
+    resources[0::2] = deployment.available_cores
+    resources[1::2] = deployment.available_memory
+    queued = scenario.function_memory()[queue]
+    rest = queued[1:]
+    memory = [queued[0], rest.mean(), rest.std()] if rest.size else [queued[0], 0.0, 0.0]
+    return np.concatenate([scenario.topology.delays.ravel(), resources,
+                           workload[queue[0]], memory, [deployment.total_delay]])
+
+
+def commit(deployment: DeploymentState, function: FunctionSpec, placement: np.ndarray,
+           routing: np.ndarray, workload_row: np.ndarray, delay: float,
+           cost: float) -> DeploymentState:
+    """The successor state after one placement, built by copying; the input is unchanged.
+
+    Only placed nodes are charged the routed core draw and the memory.
+    """
+    placement = np.asarray(placement, dtype=bool)
+    cpr = function.cores_per_request_vec(deployment.available_cores.shape[0])
+    core_use = routing.T @ workload_row * cpr
+    return replace(
+        deployment,
+        available_cores=deployment.available_cores - np.where(placement, core_use, 0.0),
+        available_memory=deployment.available_memory - np.where(placement, function.memory, 0.0),
+        placements={**deployment.placements, function.id: placement.copy()},
+        routes={**deployment.routes, function.id: routing.copy()},
+        total_delay=deployment.total_delay + delay,
+        total_cost=deployment.total_cost + cost,
+    )

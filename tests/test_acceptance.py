@@ -519,7 +519,7 @@ def test_criterion_10_determinism(report, tmp_path):
     scenario_path = tmp_path / "scenario.json"
     save_scenario(str(scenario_path), build_preset("small-payload"))
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"plan": {"warmup": 0}}))
+    cfg_path.write_text(json.dumps({"workload": {"drift_prob": 0.5}}))
     runs = []
     for attempt in ("a", "b"):
         train_dir = tmp_path / f"train-{attempt}"

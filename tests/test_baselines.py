@@ -221,6 +221,22 @@ def test_creua_places_zero_traffic_function(tri_scenario):
     np.testing.assert_allclose(sol.routes[1].sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("solver", [solve_vsvbp, solve_creua])
+@pytest.mark.parametrize("cores, memory", [([8, 8], [64, 64]), ([50, 50], [3, 64])],
+                         ids=["cores", "memory"])
+def test_greedy_charges_earlier_functions(solver, cores, memory):
+    # both functions prefer node 0; after the first is placed there, node 0
+    # lacks the room for all of the second
+    scenario = make_scenario(
+        delays=[[0, 1], [1, 0]], cores=cores, memory=memory, fn_memory=[2, 2],
+        workload=[[6, 0], [6, 0]],
+    )
+    sol = solver(scenario)
+    _check_valid_greedy(scenario, scenario.workload, sol)
+    np.testing.assert_array_equal(sol.placements[0], [True, False])
+    assert sol.placements[1][1]
+
+
 def test_greedy_reports_unplaceable_overload():
     scenario = make_scenario(
         delays=[[0, 1], [1, 0]],

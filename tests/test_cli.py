@@ -100,6 +100,28 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"plan": {"ppo": {"epochs": 1}}}, "plan"),
+        ({"ppo": {"learning_rat": 1e-3}}, "learning_rat"),
+        ({"workload": {"n_snapshots": 3}}, "n_snapshots"),
+        ({"polciy": {}}, "polciy"),
+    ],
+    ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section"],
+)
+def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(
+        "compare", "--scenario", scenario_path, "--alphas", "0",
+        "--timesteps", "64", "--train-snapshots", "2", "--snapshots", "2",
+        "--milp-budget", "50", "--no-timing", "--config", str(path), "--out", str(tmp_path / "c"),
+    )
+    assert code == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "s.json"
     assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(out)) == EXIT_INTERNAL

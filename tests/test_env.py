@@ -6,10 +6,8 @@ import pytest
 from edgeplace.env import (
     _CORE_TOL,
     PENALTY_REWARD,
-    EnvState,
     PlacementEnv,
     RewardBounds,
-    build_state,
     build_state_scale,
     cost_increment,
     make_queue,
@@ -25,6 +23,7 @@ from edgeplace.routing import RoutingProblem, solve_routing
 from edgeplace.scenarios import random_scenario
 
 from conftest import make_scenario
+from oracles import build_state, commit
 
 
 def _agent(scenario, snapshots):
@@ -38,10 +37,10 @@ def test_state_dim_formula():
 
 
 def test_build_state_layout(tri_scenario):
+    v = PlacementEnv(tri_scenario, alpha=0.0).reset()
     dep = initial_deployment(tri_scenario.topology)
-    queue = make_queue(tri_scenario)
-    state = build_state(tri_scenario, dep, tri_scenario.workload, queue)
-    v = state.vector
+    reference = build_state(tri_scenario, dep, tri_scenario.workload, make_queue(tri_scenario))
+    np.testing.assert_array_equal(v, reference)
     assert v.shape == (state_dim(3),)
     np.testing.assert_array_equal(v[:9], tri_scenario.topology.delays.ravel())
     # interleaved (cores, memory) per node
@@ -96,11 +95,6 @@ def test_reward_bounds_only_widen():
     assert seen.t_max == 25.0 and seen.c_min == -1.0 and seen.c_max == 9.0
 
 
-def test_reward_bounds_round_trip():
-    b = RewardBounds(t_min=1.0, t_max=9.0, c_min=0.5, c_max=3.5)
-    assert RewardBounds.from_dict(b.to_dict()) == b
-
-
 def test_degenerate_window_scores_best():
     reward, _ = normalize_and_reward(0.0, 0.0, RewardBounds(), alpha=0.7)
     assert reward == pytest.approx(1.0)
@@ -133,14 +127,14 @@ def test_valid_step_commits_and_scores(tri_scenario):
     # queue head is f1 (heaviest); send all of its traffic to node 0
     out = env.step(np.array([True, False, False]))
     assert out.valid and out.violation is None and out.function_id == 1
-    assert out.delay_increment == pytest.approx(2 * 0 + 6 * 2 + 8 * 5)
-    assert out.cost_increment == pytest.approx(16.0)
+    assert env.deployment.total_delay == pytest.approx(2 * 0 + 6 * 2 + 8 * 5)
+    assert env.deployment.total_cost == pytest.approx(16.0)
     assert env.deployment.available_cores[0] == pytest.approx(30 - 16)
     assert env.deployment.available_memory[0] == pytest.approx(64 - 4)
     # t window is [0, 198] from the reset-time bound, alpha=0 ignores cost
     assert out.reward == pytest.approx(1 - 2 * 52 / 198)
     assert not out.done and out.state is not None
-    np.testing.assert_array_equal(out.state.workload_row, [10, 4, 0])
+    np.testing.assert_array_equal(out.state[15:18], [10, 4, 0])  # f0's workload row
 
 
 def test_empty_placement_penalized_without_commit(tri_scenario):
@@ -228,14 +222,14 @@ def test_run_episode_trajectory_holds_net_inputs(tri_scenario):
     probe = PlacementEnv(tri_scenario, alpha=0.0)
     first = probe.reset(tri_scenario.workload)
     np.testing.assert_allclose(
-        batch["states"][0], first.vector / agent.state_scale, rtol=1e-12
+        batch["states"][0], first / agent.state_scale, rtol=1e-12
     )
     np.testing.assert_array_equal(batch["dones"], [False, True])
     assert traj.last_value == 0.0
 
 
 class _ReferenceEnv:
-    """The placement step written from DeploymentState.commit and build_state."""
+    """The placement step written from the copying oracles.commit and build_state."""
 
     def __init__(self, scenario, alpha):
         self.scenario = scenario
@@ -273,7 +267,7 @@ class _ReferenceEnv:
                 violation = "routing-infeasible"
             else:
                 cost = cost_increment(sol.routing, row, cpr)
-                dep = dep.commit(fn, placement, sol.routing, row, sol.objective_delay, cost)
+                dep = commit(dep, fn, placement, sol.routing, row, sol.objective_delay, cost)
                 if np.any(dep.available_cores < -_CORE_TOL):
                     violation = "cores"
         if violation is None:
@@ -334,7 +328,7 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario):
         for episode in range(6):
             workload = scenario.workload * (rng.choice([0.5, 3.0]) if episode % 2 else 1.0)
             state = env.reset(workload)
-            np.testing.assert_array_equal(state.vector, ref.reset(workload).vector)
+            np.testing.assert_array_equal(state, ref.reset(workload))
             done = False
             while not done:
                 action = rng.random(scenario.n_nodes) < rng.choice([0.0, 0.3, 0.7, 1.0])
@@ -355,7 +349,7 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario):
                 if done:
                     assert ref_state is None and out.state is None
                 else:
-                    np.testing.assert_array_equal(out.state.vector, ref_state.vector)
+                    np.testing.assert_array_equal(out.state, ref_state)
     assert seen == {"empty-placement", "memory", "cores", "routing-infeasible"}
 
 

@@ -124,18 +124,18 @@ def test_cores_per_request_vector_length_checked():
 
 def test_commit_updates_resources(tri_scenario):
     dep = initial_deployment(tri_scenario.topology)
-    fn = tri_scenario.functions[0]
     placement = np.array([True, False, True])
     routing = np.array(
         [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     )
-    w = tri_scenario.workload[0]  # [10, 4, 0]
-    after = dep.commit(fn, placement, routing, w, delay=25.0, cost=9.0)
-    # node 0 serves 10*0.5 + 4*1.0 = 9 requests/s at 1 core-unit each
-    np.testing.assert_allclose(after.available_cores, [30 - 9.0, 20.0, 40 - 5.0])
-    np.testing.assert_allclose(after.available_memory, [64 - 8, 32, 128 - 8])
-    assert after.total_delay == 25.0 and after.total_cost == 9.0
-    assert 0 in after.placements and 0 in after.routes
-    # original state untouched
-    np.testing.assert_allclose(dep.available_cores, [30, 20, 40])
-    assert dep.placements == {}
+    cores = dep.available_cores - [9.0, 0.0, 5.0]
+    memory = dep.available_memory - [8.0, 0.0, 8.0]
+    dep.place(0, placement, routing, cores, memory, delay=25.0, cost=9.0)
+    np.testing.assert_array_equal(dep.available_cores, [30 - 9.0, 20.0, 40 - 5.0])
+    np.testing.assert_array_equal(dep.available_memory, [64 - 8, 32, 128 - 8])
+    assert dep.placements[0] is placement and dep.routes[0] is routing
+    dep.place(1, np.array([False, True, False]), np.eye(3)[[1, 1, 1]], cores - [0, 6, 0],
+              memory - [0, 4, 0], delay=5.0, cost=6.0)
+    assert dep.total_delay == 30.0 and dep.total_cost == 15.0  # totals add up
+    assert sorted(dep.placements) == [0, 1] and sorted(dep.routes) == [0, 1]
+    np.testing.assert_array_equal(dep.available_cores, [21.0, 14.0, 35.0])
