@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import replace
 
 from . import bench
@@ -42,6 +44,14 @@ class UsageError(ValueError):
     pass
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count flag: a count below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = True) -> None:
     sub.add_argument("--scenario", required=scenario_required, help="scenario JSON path")
     sub.add_argument("--alpha", type=float, default=0.0, help="cost weight in [0, 1]")
@@ -51,12 +61,12 @@ def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = True) ->
 
 
 def _add_training(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--timesteps", type=int, default=20000)
-    sub.add_argument("--train-snapshots", type=int, default=50)
+    sub.add_argument("--timesteps", type=positive_int, default=20000)
+    sub.add_argument("--train-snapshots", type=positive_int, default=50)
 
 
 def _add_evaluation(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--snapshots", type=int, default=150)
+    sub.add_argument("--snapshots", type=positive_int, default=150)
     sub.add_argument(
         "--milp-budget", type=int, default=2000,
         help="HiGHS branch-and-bound nodes per joint-milp call",
@@ -73,12 +83,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-scenario", help="write a preset or randomized scenario")
     _add_common(p, scenario_required=False)
     p.add_argument("--preset", choices=PRESETS, default=None)
-    p.add_argument("--nodes", type=int, default=5)
-    p.add_argument("--functions", type=int, default=4)
+    p.add_argument("--nodes", type=positive_int, default=5)
+    p.add_argument("--functions", type=positive_int, default=4)
 
     p = sub.add_parser("gen-workload", help="write workload snapshots as a trace CSV")
     _add_common(p)
-    p.add_argument("--snapshots", type=int, default=150)
+    p.add_argument("--snapshots", type=positive_int, default=150)
 
     p = sub.add_parser("train", help="train the placement agent")
     _add_common(p)
@@ -109,11 +119,28 @@ def build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 
 
-# config sections and the keys each takes; snapshot counts come from the flags
+# config sections and the declared type of each key; snapshot counts come from the flags
 _CONFIG_KEYS = {
-    "ppo": frozenset(PPOConfig.__dataclass_fields__),
-    "workload": frozenset(WorkloadGenConfig.__dataclass_fields__) - {"n_snapshots"},
+    "ppo": typing.get_type_hints(PPOConfig),
+    "workload": typing.get_type_hints(WorkloadGenConfig),
 }
+del _CONFIG_KEYS["workload"]["n_snapshots"]
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's declared type (JSON lists stand for tuples)."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
 def _load_overrides(path: str | None) -> dict:
@@ -133,12 +160,19 @@ def _load_overrides(path: str | None) -> dict:
             )
         if not isinstance(patch, dict):
             raise UsageError(f"config {path}: section {section!r} must be a JSON object")
-        unknown = sorted(set(patch) - _CONFIG_KEYS[section])
+        fields = _CONFIG_KEYS[section]
+        unknown = sorted(set(patch) - set(fields))
         if unknown:
             raise UsageError(
-                f"config {path}: unknown {section} key(s) {unknown}; "
-                f"choose from {sorted(_CONFIG_KEYS[section])}"
+                f"config {path}: unknown {section} key(s) {unknown}; choose from {sorted(fields)}"
             )
+        for key, value in patch.items():
+            if not _fits(value, fields[key]):
+                hint = fields[key]
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise UsageError(
+                    f"config {path}: '{section}.{key}' must be {expected}, got {value!r}"
+                )
     return doc
 
 
@@ -183,8 +217,6 @@ def cmd_gen_scenario(args) -> int:
     if args.preset:
         scenario = build_preset(args.preset)
     else:
-        if args.nodes < 1 or args.functions < 1:
-            raise UsageError("--nodes and --functions must be positive")
         scenario = random_scenario(
             args.nodes, args.functions, rng_stream(args.seed, "gen-scenario"), name="random"
         )

@@ -4,6 +4,11 @@ Two tanh hidden layers feed a combined linear head: the first n_actions
 outputs are Bernoulli logits, the last output is the state value. The final
 layer starts at zero so an untrained policy emits probability 0.5 per node
 and value 0, which keeps early exploration symmetric.
+
+All parameters live in one flat array, `MLP.params`: per layer the weights
+(row-major), then the biases. `weights` and `biases` are views into it, so
+`Adam.step` updating `params` in place updates the network, and
+`forward_backward` returns the gradient as a new array in the same layout.
 """
 
 from __future__ import annotations
@@ -30,80 +35,75 @@ class MLP:
         self.hidden = tuple(int(h) for h in hidden)
         rng = rng or np.random.default_rng(0)
         sizes = [self.input_dim, *self.hidden, self.n_actions + 1]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(a)
-            self.weights.append(rng.uniform(-bound, bound, size=(a, b)))
-            self.biases.append(np.zeros(b))
+        self._shapes = list(zip(sizes[:-1], sizes[1:]))
+        self.params = np.zeros(sum(a * b + b for a, b in self._shapes))
+        self.weights, self.biases = self._layer_views(self.params)
+        for w in self.weights:
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[:] = rng.uniform(-bound, bound, size=w.shape)
         self.weights[-1][:] = 0.0  # zero head: p=0.5, v=0 before training
 
-    # ---- parameter vector interface (flat, deterministic order) ----
+    def _layer_views(self, flat: np.ndarray):
+        """Per-layer (weights, biases) views into a flat parameter-layout array."""
+        weights, biases = [], []
+        pos = 0
+        for a, b in self._shapes:
+            weights.append(flat[pos : pos + a * b].reshape(a, b))
+            pos += a * b
+            biases.append(flat[pos : pos + b])
+            pos += b
+        return weights, biases
+
+    # ---- parameter vector interface ----
 
     def get_params(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-        return np.concatenate(chunks)
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
-        pos = 0
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[layer] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[layer] = flat[pos : pos + b.size].copy()
-            pos += b.size
-        if pos != flat.size:
+        if flat.shape != self.params.shape:
             raise PolicyArchitectureError(
-                f"parameter vector has {flat.size} entries, network needs {pos}"
+                f"parameter vector has shape {flat.shape}, network needs {self.params.shape}"
             )
+        self.params[:] = flat
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     # ---- forward / backward ----
 
     def forward(self, x: np.ndarray):
         """Batch forward. Returns (logits (B, n_actions), values (B,))."""
-        out, _ = self._forward_cached(np.atleast_2d(np.asarray(x, dtype=float)))
-        return out[:, : self.n_actions], out[:, self.n_actions]
+        logits, values, _ = self._forward_cached(x)
+        return logits, values
 
     def _forward_cached(self, x: np.ndarray):
-        activations = [x]
-        h = x
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        activations = [h]
         for layer in range(len(self.weights) - 1):
             h = np.tanh(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
         out = h @ self.weights[-1] + self.biases[-1]
-        return out, activations
+        return out[:, : self.n_actions], out[:, self.n_actions], activations
 
     def forward_backward(self, x: np.ndarray, d_out_fn):
         """Forward pass, then backprop of d_out_fn(logits, values).
 
         d_out_fn returns the gradient of a scalar loss w.r.t. the combined
-        head output (B, n_actions+1). Returns (logits, values, flat grad).
+        head output (B, n_actions+1). Returns (logits, values, grad), where
+        grad is a new flat array laid out like `params`.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out, acts = self._forward_cached(x)
-        logits = out[:, : self.n_actions]
-        values = out[:, self.n_actions]
-        d_out = d_out_fn(logits, values)
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        delta = d_out
+        logits, values, acts = self._forward_cached(x)
+        delta = d_out_fn(logits, values)
+        grad = np.empty_like(self.params)
+        grads_w, grads_b = self._layer_views(grad)
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            grads_w[layer][:] = acts[layer].T @ delta
+            grads_b[layer][:] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        chunks = []
-        for gw, gb in zip(grads_w, grads_b):
-            chunks.append(gw.ravel())
-            chunks.append(gb.ravel())
-        return logits, values, np.concatenate(chunks)
+        return logits, values, grad
 
     def arch_dict(self) -> dict:
         return {
@@ -115,47 +115,23 @@ class MLP:
 
 @dataclass
 class Adam:
-    """Plain Adam on a flat parameter vector."""
+    """Plain Adam that updates a flat parameter vector in place."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    t: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    t: int = field(default=0, init=False)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m.size != params.size:
             self.m = np.zeros(params.size)
             self.v = np.zeros(params.size)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m[:] = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v[:] = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "t": self.t,
-            "m": self.m.tolist(),
-            "v": self.v.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, doc: dict) -> "Adam":
-        opt = cls(
-            lr=float(doc["lr"]),
-            beta1=float(doc["beta1"]),
-            beta2=float(doc["beta2"]),
-            eps=float(doc["eps"]),
-            t=int(doc["t"]),
-        )
-        opt.m = np.array(doc["m"], dtype=float)
-        opt.v = np.array(doc["v"], dtype=float)
-        return opt
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

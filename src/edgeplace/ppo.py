@@ -122,7 +122,6 @@ class Trajectory:
             "states": np.stack(self.states),
             "actions": np.stack(self.actions),
             "log_probs": np.array(self.log_probs),
-            "values": np.array(self.values),
             "rewards": np.array(self.rewards),
             "dones": np.array(self.dones, dtype=bool),
         }
@@ -173,7 +172,7 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
 
     def d_out(logits, values):
         probs = _sigmoid(logits)
-        new_lp = np.sum(actions * logits - _softplus(logits), axis=1)
+        new_lp = log_prob_from_logits(logits, actions)
         ratio = np.exp(new_lp - old_lp)
         clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
         surr = np.minimum(ratio * adv, clipped * adv)
@@ -225,7 +224,7 @@ def ppo_update(
                 "returns": returns[idx],
             }
             stats, grad = ppo_loss_and_grad(net, batch, config)
-            net.set_params(optimizer.step(net.get_params(), grad))
+            optimizer.step(net.params, grad)
             diag = stats
     diag["mean_reward"] = float(np.mean(data["rewards"]))
     diag["mean_advantage"] = float(adv_raw.mean())
@@ -237,17 +236,13 @@ def ppo_update(
 # --------------------------------------------------------------------------
 
 
-def save_policy(
-    path: str, agent: PolicyAgent, optimizer: Adam | None = None, extras: dict | None = None
-) -> None:
+def save_policy(path: str, agent: PolicyAgent, extras: dict | None = None) -> None:
     doc = {
         "schema_version": POLICY_SCHEMA_VERSION,
         "arch": agent.net.arch_dict(),
-        "params": agent.net.get_params().tolist(),
+        "params": agent.net.params.tolist(),
         "state_scale": agent.state_scale.tolist(),
     }
-    if optimizer is not None:
-        doc["adam"] = optimizer.state_dict()
     if extras:
         doc["extras"] = extras
     dump_json(path, doc)
@@ -256,7 +251,6 @@ def save_policy(
 @dataclass
 class PolicyCheckpoint:
     agent: PolicyAgent
-    optimizer: Adam | None
     extras: dict
 
 
@@ -294,9 +288,6 @@ def _checkpoint_from_doc(
     scale = np.array(doc["state_scale"], dtype=float)
     if scale.shape != (net.input_dim,):
         raise PolicyArchitectureError("state_scale length does not match input_dim")
-    optimizer = Adam.from_state(doc["adam"]) if "adam" in doc else None
     return PolicyCheckpoint(
-        agent=PolicyAgent(net=net, state_scale=scale),
-        optimizer=optimizer,
-        extras=doc.get("extras", {}),
+        agent=PolicyAgent(net=net, state_scale=scale), extras=doc.get("extras", {})
     )

@@ -63,6 +63,22 @@ def gae_reference(rewards, values, dones, last_value, gamma, lam):
     return adv
 
 
+def adam_reference(params: np.ndarray, grads, lr: float, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8) -> list[np.ndarray]:
+    """Out-of-place Adam (Kingma & Ba, Algorithm 1); returns the iterate after each gradient."""
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    iterates = []
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+        iterates.append(params)
+    return iterates
+
+
 def joint_lp_reference(scenario: Scenario, workload: np.ndarray, placements: np.ndarray,
                        lam_t: float, lam_c: float):
     """Exact routing cost of a fixed 0/1 placement, written independently.

@@ -107,8 +107,11 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
         ({"ppo": {"learning_rat": 1e-3}}, "learning_rat"),
         ({"workload": {"n_snapshots": 3}}, "n_snapshots"),
         ({"polciy": {}}, "polciy"),
+        ({"ppo": {"epochs": "2"}}, "ppo.epochs"),
+        ({"workload": {"rate_range": 5}}, "workload.rate_range"),
     ],
-    ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section"],
+    ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section",
+         "string-for-int", "number-for-pair"],
 )
 def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
@@ -120,6 +123,37 @@ def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, conf
     )
     assert code == EXIT_USAGE
     assert repr(key) in capsys.readouterr().err
+
+
+_SMALL_RUN = {
+    "gen-workload": ["--snapshots", "2"],
+    "train": ["--timesteps", "64", "--train-snapshots", "2"],
+    "evaluate": ["--snapshots", "2", "--candidates", "cr-eua"],
+    "compare": ["--alphas", "0", "--timesteps", "64", "--train-snapshots", "2",
+                "--snapshots", "2", "--milp-budget", "50"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gen-workload", "--snapshots"),
+        ("evaluate", "--snapshots"),
+        ("compare", "--snapshots"),
+        ("train", "--timesteps"),
+        ("compare", "--timesteps"),
+        ("train", "--train-snapshots"),
+        ("compare", "--train-snapshots"),
+    ],
+)
+def test_non_positive_count_exits_1(scenario_path, tmp_path, capsys, command, flag, value):
+    code = run_cli(
+        command, "--scenario", scenario_path, "--out", str(tmp_path / "o"),
+        *_SMALL_RUN[command], flag, value,  # the last occurrence of a flag wins
+    )
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_3(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from edgeplace.nn import MLP, Adam, PolicyArchitectureError
 
-from oracles import finite_difference_grad
+from oracles import adam_reference, finite_difference_grad
 
 
 def test_cold_start_outputs_zero():
@@ -61,21 +61,43 @@ def test_backward_matches_finite_differences():
     assert np.max(np.abs(grad - fd) / denom) <= 1e-4
 
 
+def test_weights_and_biases_are_views_of_params():
+    net = MLP(5, 2, hidden=(7, 3), rng=np.random.default_rng(5))
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+    copy = net.get_params()
+    assert not np.shares_memory(copy, net.params)
+    copy += 1.0
+    assert not np.array_equal(copy, net.params)
+    # set_params writes through the views: weights row-major, then biases
+    net.set_params(np.arange(net.n_params, dtype=float))
+    np.testing.assert_array_equal(net.weights[0].ravel(), np.arange(5 * 7))
+    np.testing.assert_array_equal(net.biases[0], np.arange(5 * 7, 5 * 7 + 7))
+
+
+def test_adam_step_on_params_changes_forward():
+    net = MLP(4, 2, hidden=(5,), rng=np.random.default_rng(6))
+    x = np.random.default_rng(7).normal(size=(3, 4))
+    before = net.forward(x)[0].copy()
+    Adam(lr=0.01).step(net.params, np.ones(net.n_params))
+    assert not np.array_equal(net.forward(x)[0], before)
+
+
 def test_adam_moves_toward_minimum():
     opt = Adam(lr=0.05)
     params = np.array([5.0, -3.0])
     for _ in range(400):
-        grad = 2 * params  # d/dx of |x|^2
-        params = opt.step(params, grad)
+        opt.step(params, 2 * params)  # d/dx of |x|^2
     assert np.all(np.abs(params) < 1e-2)
 
 
-def test_adam_state_round_trip():
+def test_adam_in_place_matches_out_of_place_reference():
+    rng = np.random.default_rng(8)
+    params = rng.normal(size=11)
+    grads = [rng.normal(size=11) for _ in range(50)]
     opt = Adam(lr=0.01)
-    params = np.array([1.0, 2.0, 3.0])
-    for _ in range(5):
-        params = opt.step(params, params * 0.1)
-    clone = Adam.from_state(opt.state_dict())
-    p1 = opt.step(params.copy(), params * 0.1)
-    p2 = clone.step(params.copy(), params * 0.1)
-    np.testing.assert_array_equal(p1, p2)
+    live = params.copy()
+    for grad, expected in zip(grads, adam_reference(params, grads, lr=0.01)):
+        opt.step(live, grad)
+        np.testing.assert_array_equal(live, expected)
+    assert opt.t == 50
