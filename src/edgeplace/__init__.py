@@ -7,6 +7,8 @@ a workload synthesizer, a decision verifier, and a benchmark harness.
 
 from .baselines import JointSolution, solve_creua, solve_joint_milp, solve_vsvbp
 from .env import (
+    VIOLATIONS,
+    LockstepEnv,
     PlacementEnv,
     RewardBounds,
     StepOutcome,
@@ -16,6 +18,7 @@ from .env import (
     run_episode,
     state_dim,
     t_max_bound,
+    window_rewards,
 )
 from .model import (
     DeploymentState,
@@ -40,7 +43,7 @@ from .ppo import (
     forward,
     load_policy,
     ppo_update,
-    sample_action,
+    sample_actions,
     save_policy,
 )
 from .routing import (

@@ -21,10 +21,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, verify
-from .env import PlacementEnv, build_state_scale, run_episode, state_dim
+from .env import (
+    VIOLATIONS,
+    LockstepEnv,
+    PlacementEnv,
+    RewardBounds,
+    build_state_scale,
+    run_episode,
+    state_dim,
+    t_max_bound,
+    window_rewards,
+)
 from .model import Scenario
 from .nn import MLP, Adam
-from .ppo import PolicyAgent, PPOConfig, Trajectory, ppo_update, save_policy
+from .ppo import PolicyAgent, PPOConfig, Trajectory, ppo_update, sample_actions, save_policy
 from .util import dump_json, rng_stream
 from .workload import WorkloadGenConfig, generate_workloads
 
@@ -92,7 +102,14 @@ def train_agent(
     ppo_cfg: PPOConfig,
     total_timesteps: int,
 ) -> TrainResult:
-    """PPO training over generated snapshots; fully determined by the seed."""
+    """PPO training over generated snapshots; fully determined by the seed.
+
+    Every episode places all F functions, so an update window is the
+    ceil(update_interval / F) episodes that reach update_interval steps.
+    They run in lockstep (_rollout_window); the result is the one a rollout
+    of one episode at a time gives, up to the rounding of batched forward
+    passes.
+    """
     snapshots = generate_workloads(
         scenario.n_functions, scenario.n_nodes, workload_cfg, rng_stream(seed, "workload-train")
     )
@@ -105,7 +122,10 @@ def train_agent(
     )
     agent = PolicyAgent(net=net, state_scale=scale)
     optimizer = Adam(lr=ppo_cfg.learning_rate)
-    env = PlacementEnv(scenario, alpha)
+    env = LockstepEnv(scenario)
+    bounds = RewardBounds(c_max=env.total_cores)
+    t_uppers = [t_max_bound(scenario, s) for s in snapshots]
+    window_episodes = -(-ppo_cfg.update_interval // scenario.n_functions)
     sample_rng = rng_stream(seed, "action-sample")
     shuffle_rng = rng_stream(seed, "minibatch-shuffle")
 
@@ -116,17 +136,16 @@ def train_agent(
     cumulative_valid = 0
     iteration = 0
     while timesteps < total_timesteps:
-        trajectory = Trajectory()
-        window_invalid = 0
-        window_episodes = 0
-        while len(trajectory) < ppo_cfg.update_interval:
-            snapshot = snapshots[episodes % len(snapshots)]
-            record = run_episode(agent, env, snapshot, rng=sample_rng, trajectory=trajectory)
-            episodes += 1
-            window_episodes += 1
-            window_invalid += record.invalid_steps
-            cumulative_invalid += record.invalid_steps
-            cumulative_valid += len(record.rewards) - record.invalid_steps
+        picks = [(episodes + e) % len(snapshots) for e in range(window_episodes)]
+        trajectory, codes, bounds = _rollout_window(
+            agent, env, [snapshots[i] for i in picks], [t_uppers[i] for i in picks],
+            bounds, alpha, sample_rng,
+        )
+        kinds = np.bincount(codes.ravel(), minlength=len(VIOLATIONS) + 1).tolist()
+        window_invalid = len(trajectory) - kinds[0]
+        episodes += window_episodes
+        cumulative_invalid += window_invalid
+        cumulative_valid += kinds[0]
         timesteps += len(trajectory)
         diag = ppo_update(net, trajectory, ppo_cfg, optimizer, shuffle_rng)
         iteration += 1
@@ -137,6 +156,10 @@ def train_agent(
                 "episodes": episodes,
                 "window_steps": len(trajectory),
                 "window_invalid": window_invalid,
+                **{
+                    f"invalid_{kind.replace('-', '_')}": count
+                    for kind, count in zip(VIOLATIONS, kinds[1:])
+                },
                 "window_episodes": window_episodes,
                 "cumulative_invalid": cumulative_invalid,
                 "cumulative_valid": cumulative_valid,
@@ -153,8 +176,58 @@ def train_agent(
         seed=seed,
         alpha=alpha,
         log_rows=log_rows,
-        bounds_dict=env.bounds.to_dict(),
+        bounds_dict=bounds.to_dict(),
     )
+
+
+def _rollout_window(
+    agent: PolicyAgent,
+    env: LockstepEnv,
+    workloads: list[np.ndarray],
+    t_uppers: list[float],
+    bounds: RewardBounds,
+    alpha: float,
+    rng: np.random.Generator,
+) -> tuple[Trajectory, np.ndarray, RewardBounds]:
+    """Sample one episode per workload, all in lockstep, and score them in order.
+
+    The uniforms are drawn up front in (episode, step, node) order, which
+    are the draws of sampling the episodes one after another. Returns the
+    window's trajectory in episode order, the (E, F) violation codes and the
+    reward bounds after the window.
+    """
+    n_eps, n_steps, n = len(workloads), env.scenario.n_functions, env.scenario.n_nodes
+    uniforms = rng.random((n_eps, n_steps, n))
+    states = np.empty((n_eps, n_steps, agent.state_scale.size))
+    actions = np.empty((n_eps, n_steps, n), dtype=bool)
+    log_probs = np.empty((n_eps, n_steps))
+    values = np.empty((n_eps, n_steps))
+    codes = np.empty((n_eps, n_steps), dtype=np.int8)
+    delays = np.empty((n_eps, n_steps))
+    costs = np.empty((n_eps, n_steps))
+    obs = env.reset(workloads)
+    for k in range(n_steps):
+        net_input = obs / agent.state_scale
+        logits, values[:, k] = agent.net.forward(net_input)
+        actions[:, k], log_probs[:, k] = sample_actions(logits, uniforms[:, k])
+        states[:, k] = net_input
+        codes[:, k], obs = env.step(actions[:, k])
+        delays[:, k] = env.total_delay
+        costs[:, k] = env.total_cost
+    rewards, bounds = window_rewards(
+        bounds, t_uppers, env.total_cores, codes == 0, delays, costs, alpha
+    )
+    dones = np.zeros((n_eps, n_steps), dtype=bool)
+    dones[:, -1] = True  # episodes always end at the queue tail
+    trajectory = Trajectory(
+        states=states.reshape(n_eps * n_steps, -1),
+        actions=actions.reshape(n_eps * n_steps, n),
+        log_probs=log_probs.ravel(),
+        values=values.ravel(),
+        rewards=rewards.ravel(),
+        dones=dones.ravel(),
+    )
+    return trajectory, codes, bounds
 
 
 def write_train_log(path: str, rows: list[dict]) -> None:

@@ -125,6 +125,8 @@ _CONFIG_KEYS = {
     "workload": typing.get_type_hints(WorkloadGenConfig),
 }
 del _CONFIG_KEYS["workload"]["n_snapshots"]
+# counts that must be at least 1; update_interval also sets the training window's episodes
+_POSITIVE_KEYS = {"ppo": ("epochs", "minibatch_size", "update_interval", "hidden")}
 
 
 def _fits(value, hint) -> bool:
@@ -173,6 +175,11 @@ def _load_overrides(path: str | None) -> dict:
                 raise UsageError(
                     f"config {path}: '{section}.{key}' must be {expected}, got {value!r}"
                 )
+            counts = value if isinstance(value, list) else [value]
+            if key in _POSITIVE_KEYS.get(section, ()) and any(c < 1 for c in counts):
+                raise UsageError(
+                    f"config {path}: '{section}.{key}' must be positive, got {value!r}"
+                )
     return doc
 
 
@@ -186,6 +193,12 @@ def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGen
     else:
         cfg = WorkloadGenConfig(n_snapshots=n_snapshots)
     patch = dict(overrides.get("workload", {}))
+    ranges = patch.get("per_function_rate_ranges")
+    if ranges is not None and len(ranges) != scenario.n_functions:
+        raise UsageError(
+            f"config: 'workload.per_function_rate_ranges' has {len(ranges)} entries, "
+            f"scenario {scenario.name!r} has {scenario.n_functions} functions"
+        )
     if "rate_range" in patch:
         patch["rate_range"] = tuple(patch["rate_range"])
     return replace(cfg, **patch)

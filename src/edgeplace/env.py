@@ -1,18 +1,29 @@
-"""Sequential placement environment.
+"""Placement environments: one episode at a time, or a window of them in lockstep.
 
 One episode places every function of a workload snapshot, most demanding
 first. Each observation is one float vector of length state_dim(N): the
 flattened delay matrix, interleaved per-node residual (cores, memory), the
 current function's workload row, memory statistics of the functions still
-queued, and the cumulative delay. The environment keeps one DeploymentState
-per episode; a valid step records its placement and routing there in place
-through DeploymentState.place, and an invalid step leaves it untouched.
+queued, and the cumulative delay.
+
+PlacementEnv is the single-decision path that evaluation uses. It keeps one
+DeploymentState per episode; a valid step records its placement and routing
+there in place through DeploymentState.place, and an invalid step leaves it
+untouched. LockstepEnv is the training path: it steps E episodes together,
+with residual cores and memory as (E, N) arrays and totals as (E,) arrays.
+Each lockstep step runs the memory and capacity checks and the nearest-host
+routing fast path for all E slots at once with array operations, and only
+the slots that miss the fast path's margin call solve_routing. Every slot's
+violations, residuals, routing, totals and observations are bit-identical
+to PlacementEnv.step on the same actions, which a test pins.
 
 Rewards: each valid step re-normalizes the cumulative delay and cumulative
 core cost into [-1, 1] against run-level bounds and returns their negated
 alpha-blend, so 0-cost/0-delay scores +1 and worst-case scores -1. Invalid
 steps (no node chosen, memory or core overdraft, unroutable traffic) score
-a flat penalty below that range and commit nothing.
+a flat penalty below that range and commit nothing. The bounds widen in
+episode order across a run, so LockstepEnv leaves the rewards to
+window_rewards, which scans a finished window in that order.
 """
 
 from __future__ import annotations
@@ -22,12 +33,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Scenario, initial_deployment
-from .ppo import PolicyAgent, Trajectory, deterministic_action, forward, sample_action
-from .routing import RoutingProblem, solve_routing
+from .ppo import PolicyAgent, deterministic_action, forward
+from .routing import _EPS_FEAS, _FAST_MARGIN, RoutingProblem, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
 _QUEUE_STATS_CACHE = 4096  # queue orders whose statistics one environment keeps
+# LockstepEnv's violation codes: 0 is a valid step, k + 1 stands for VIOLATIONS[k]
+VIOLATIONS = ("empty-placement", "memory", "routing-infeasible", "cores")
+_EMPTY, _MEMORY, _UNROUTABLE, _CORES = range(1, len(VIOLATIONS) + 1)
+# relative room by which LockstepEnv's summed demand must exceed solve_routing's
+# capacity threshold before it calls a slot infeasible itself; its sums may
+# differ from the router's by a few ulps, and a closer call goes to the router
+_SUM_SLACK = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +145,32 @@ def normalize_and_reward(
     return reward, bounds
 
 
+def window_rewards(
+    bounds: RewardBounds,
+    t_uppers: list[float],
+    c_upper: float,
+    valid: np.ndarray,
+    delays: np.ndarray,
+    costs: np.ndarray,
+    alpha: float,
+) -> tuple[np.ndarray, RewardBounds]:
+    """Rewards of a window of E episodes of F steps, scored as PlacementEnv scores them.
+
+    Episodes are taken in order: episode e first widens the bounds to
+    t_uppers[e] and c_upper, as PlacementEnv.reset does; then each valid step
+    scores its cumulative delays[e, k] and costs[e, k] through
+    normalize_and_reward, and each invalid step scores PENALTY_REWARD.
+    Returns the (E, F) rewards and the bounds after the window.
+    """
+    rewards = np.full(valid.shape, PENALTY_REWARD)
+    rows = zip(t_uppers, delays.tolist(), costs.tolist())
+    for e, (t_upper, delay_row, cost_row) in enumerate(rows):
+        bounds = bounds.widened(t_upper=t_upper, c_upper=c_upper)
+        for k in np.flatnonzero(valid[e]).tolist():
+            rewards[e, k], bounds = normalize_and_reward(delay_row[k], cost_row[k], bounds, alpha)
+    return rewards, bounds
+
+
 def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float:
     """Upper bound on cumulative delay: every request crossing every link."""
     return float(np.sum(workload * scenario.topology.delays.sum(axis=1)[None, :]))
@@ -138,8 +182,31 @@ def cost_increment(routing: np.ndarray, workload_row: np.ndarray, cpr: np.ndarra
 
 
 # --------------------------------------------------------------------------
-# environment
+# environments
 # --------------------------------------------------------------------------
+
+
+class _QueueStats:
+    """Queue-memory statistics at every position of a queue, by queue order.
+
+    They depend only on the order, which is fixed for an episode, so they are
+    computed once per order and shared by every episode with that order.
+    """
+
+    def __init__(self, memory: np.ndarray):
+        self._memory = memory
+        self._cache: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+    def __call__(self, queue: list[int]) -> list[np.ndarray]:
+        key = tuple(queue)
+        stats = self._cache.get(key)
+        if stats is None:
+            if len(self._cache) >= _QUEUE_STATS_CACHE:
+                self._cache.clear()
+            queued = self._memory[list(key)]
+            stats = [_queue_memory(queued[k:]) for k in range(len(key))]
+            self._cache[key] = stats
+        return stats
 
 
 @dataclass
@@ -169,7 +236,7 @@ class PlacementEnv:
         self.deployment = initial_deployment(scenario.topology)
         self.queue: list[int] = []
         self._queue_memory: list[np.ndarray] = []
-        self._queue_stats: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._queue_stats = _QueueStats(self._memory)
         self.invalid_steps = 0
 
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
@@ -180,26 +247,9 @@ class PlacementEnv:
         )
         self.deployment = initial_deployment(self.scenario.topology)
         self.queue = make_queue(self.scenario, self.workload)
-        self._queue_memory = self._queue_memory_by_position()
+        self._queue_memory = self._queue_stats(self.queue)
         self.invalid_steps = 0
         return self._observe()
-
-    def _queue_memory_by_position(self) -> list[np.ndarray]:
-        """Queue-memory statistics at every position of this episode's queue.
-
-        They depend only on the queue order, which is fixed for the episode,
-        so they are computed once per order and shared by every episode with
-        that order.
-        """
-        key = tuple(self.queue)
-        stats = self._queue_stats.get(key)
-        if stats is None:
-            if len(self._queue_stats) >= _QUEUE_STATS_CACHE:
-                self._queue_stats.clear()
-            queued = self._memory[self.queue]
-            stats = [_queue_memory(queued[k:]) for k in range(len(key))]
-            self._queue_stats[key] = stats
-        return stats
 
     def _observe(self) -> np.ndarray:
         n = self.scenario.n_nodes
@@ -274,6 +324,123 @@ class PlacementEnv:
         )
 
 
+class LockstepEnv:
+    """E placement episodes stepped together: PlacementEnv.step as array operations.
+
+    Slot e runs one episode on workloads[e]. Residual cores and memory are
+    (E, N) arrays and the totals (E,) arrays, updated by valid slots only.
+    step() takes an (E, N) action batch and returns one violation code per
+    slot: 0 for a valid step, k + 1 for VIOLATIONS[k]. It checks memory and
+    demand against capacity, then tries the nearest-host routing of
+    solve_routing's fast path for every slot at once; only the slots that
+    miss its margin call solve_routing. `routing` holds the last step's
+    (E, N, N) routings, zero for invalid slots. Rewards are window_rewards'
+    job, because the reward bounds are shared by episodes in their order.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self._delays = scenario.topology.delays
+        self._delays_flat = self._delays.ravel()
+        self._memory = scenario.function_memory()
+        self._cpr = scenario.cores_per_request_matrix()
+        self._queue_stats = _QueueStats(self._memory)
+        self.total_cores = float(scenario.topology.cores.sum())
+
+    def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
+        """Start one episode per workload; returns the (E, state_dim) observations."""
+        n_slots, n = len(workloads), self.scenario.n_nodes
+        self.workloads = np.stack(workloads)
+        queues = [make_queue(self.scenario, w) for w in workloads]
+        self.queues = np.array(queues)
+        self._queue_memory = np.array([self._queue_stats(q) for q in queues])
+        self.available_cores = np.tile(self.scenario.topology.cores, (n_slots, 1))
+        self.available_memory = np.tile(self.scenario.topology.memory, (n_slots, 1))
+        self.total_delay = np.zeros(n_slots)
+        self.total_cost = np.zeros(n_slots)
+        self.routing = np.zeros((n_slots, n, n))
+        self.position = 0
+        self._slots = np.arange(n_slots)
+        return self._observe()
+
+    def _observe(self) -> np.ndarray:
+        n = self.scenario.n_nodes
+        k = self.position
+        head = n * n
+        obs = np.empty((self._slots.size, state_dim(n)))
+        obs[:, :head] = self._delays_flat
+        obs[:, head : head + 2 * n : 2] = self.available_cores
+        obs[:, head + 1 : head + 2 * n : 2] = self.available_memory
+        obs[:, head + 2 * n : head + 3 * n] = self.workloads[self._slots, self.queues[:, k]]
+        obs[:, head + 3 * n : -1] = self._queue_memory[:, k]
+        obs[:, -1] = self.total_delay
+        return obs
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Place every slot's next function; returns (violation codes, observations or None)."""
+        if self.position >= self.queues.shape[1]:
+            raise RuntimeError("step() after episode end; call reset()")
+        slots = self._slots
+        n_slots, n = slots.size, self.scenario.n_nodes
+        placement = np.asarray(actions, dtype=bool)
+        fids = self.queues[:, self.position]
+        rows = self.workloads[slots, fids]
+        cpr = self._cpr[fids]
+        codes = np.where(placement.any(axis=1), 0, _EMPTY).astype(np.int8)
+        mem_after = self.available_memory - np.where(placement, self._memory[fids, None], 0.0)
+        codes[(codes == 0) & (mem_after < -_CORE_TOL).any(axis=1)] = _MEMORY
+
+        # solve_routing's tests for all slots: demand against total capacity,
+        # then each source to its nearest host (the lowest index on ties),
+        # with zero-rate sources on the lowest-index host
+        caps = np.where(placement, np.maximum(self.available_cores, 0.0) / cpr, 0.0)
+        caps_total = caps.sum(axis=1)
+        threshold = caps_total + _EPS_FEAS * np.maximum(1.0, caps_total)
+        codes[(codes == 0) & (rows.sum(axis=1) > threshold * (1.0 + _SUM_SLACK))] = _UNROUTABLE
+        nearest = np.where(placement[:, None, :], self._delays, np.inf).argmin(axis=2)
+        hosts = np.where(rows > 0, nearest, placement.argmax(axis=1)[:, None])
+        load = np.bincount(
+            (slots[:, None] * n + hosts).ravel(), weights=rows.ravel(), minlength=n_slots * n
+        ).reshape(n_slots, n)
+        fast = (load <= caps * _FAST_MARGIN).all(axis=1)
+        routing = np.zeros((n_slots, n, n))
+        routing[slots[:, None], np.arange(n), hosts] = 1.0
+        # the sums total_delay and cost_increment take, one slot per row
+        delay = (routing * self._delays * rows[:, :, None]).reshape(n_slots, -1).sum(axis=1)
+        cost = (routing * rows[:, :, None] * cpr[:, None, :]).reshape(n_slots, -1).sum(axis=1)
+        for e in np.flatnonzero((codes == 0) & ~fast).tolist():
+            solution = solve_routing(
+                RoutingProblem(
+                    delays=self._delays,
+                    workload_row=rows[e],
+                    placement=placement[e],
+                    available_cores=self.available_cores[e],
+                    cores_per_request=cpr[e],
+                )
+            )
+            if not solution.feasible:
+                codes[e] = _UNROUTABLE
+                continue
+            routing[e] = solution.routing
+            delay[e] = solution.objective_delay
+            cost[e] = cost_increment(solution.routing, rows[e], cpr[e])
+
+        # the stacked matmul runs PlacementEnv's routing.T @ row slot by slot
+        served = np.matmul(routing.transpose(0, 2, 1), rows[:, :, None])[:, :, 0]
+        cores_after = self.available_cores - served * cpr
+        codes[(codes == 0) & (cores_after < -_CORE_TOL).any(axis=1)] = _CORES
+        valid = codes == 0
+        self.available_cores = np.where(valid[:, None], cores_after, self.available_cores)
+        self.available_memory = np.where(valid[:, None], mem_after, self.available_memory)
+        self.total_delay += np.where(valid, delay, 0.0)
+        self.total_cost += np.where(valid, cost, 0.0)
+        routing[~valid] = 0.0
+        self.routing = routing
+        self.position += 1
+        done = self.position == self.queues.shape[1]
+        return codes, None if done else self._observe()
+
+
 # --------------------------------------------------------------------------
 # episode runner
 # --------------------------------------------------------------------------
@@ -295,34 +462,27 @@ def run_episode(
     agent: PolicyAgent,
     env: PlacementEnv,
     workload: np.ndarray,
-    rng: np.random.Generator | None = None,
-    deterministic: bool = False,
-    trajectory: Trajectory | None = None,
+    deterministic: bool = True,
 ) -> EpisodeRecord:
-    """Roll one snapshot through the policy; optionally record transitions."""
+    """Roll one snapshot through the policy's deterministic decisions.
+
+    This is the evaluation runner; training samples its episodes in
+    lockstep (bench.train_agent). `deterministic` names the only mode.
+    """
+    if not deterministic:
+        raise ValueError("run_episode runs deterministic episodes only")
     state = env.reset(workload)
     rewards: list[float] = []
     violations: list[str] = []
     done = False
     while not done:
-        # the trajectory must hold exactly what the net consumed, so scale here
-        net_input = state / agent.state_scale
-        probs, value = forward(agent.net, net_input)
-        if deterministic:
-            action = deterministic_action(probs)
-            log_prob = 0.0
-        else:
-            action, log_prob = sample_action(probs, rng)
-        outcome = env.step(action)
+        probs, _ = forward(agent.net, state / agent.state_scale)
+        outcome = env.step(deterministic_action(probs))
         rewards.append(outcome.reward)
         if outcome.violation:
             violations.append(f"{outcome.function_id}:{outcome.violation}")
-        if trajectory is not None:
-            trajectory.add(net_input, action, log_prob, value, outcome.reward, outcome.done)
         done = outcome.done
         state = outcome.state
-    if trajectory is not None:
-        trajectory.last_value = 0.0  # episodes always end at the queue tail
     return EpisodeRecord(
         total_delay=env.deployment.total_delay,
         total_cost=env.deployment.total_cost,

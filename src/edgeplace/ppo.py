@@ -8,7 +8,7 @@ finite differences in the tests, so every sign here is load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -71,13 +71,16 @@ def forward(net: MLP, state: np.ndarray):
     return _sigmoid(logits[0]), float(values[0])
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator):
-    """Draw one multi-binary action; returns (bool vector, joint log-prob)."""
-    probs = np.asarray(probs, dtype=float)
-    action = rng.random(probs.shape) < probs
-    picked = np.where(action, probs, 1.0 - probs)
-    log_prob = float(np.sum(np.log(np.maximum(picked, 1e-300))))
-    return action, log_prob
+def sample_actions(logits: np.ndarray, uniforms: np.ndarray):
+    """Draw multi-binary actions for a batch of logit rows from pre-drawn uniforms.
+
+    Node i of row b is active when uniforms[b, i] < sigmoid(logits[b, i]).
+    Returns (bool actions, joint log-prob per row).
+    """
+    probs = _sigmoid(logits)
+    actions = uniforms < probs
+    picked = np.where(actions, probs, 1.0 - probs)
+    return actions, np.sum(np.log(np.maximum(picked, 1e-300)), axis=1)
 
 
 def deterministic_action(probs: np.ndarray) -> np.ndarray:
@@ -98,33 +101,18 @@ def log_prob_from_logits(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    states: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
+    """One update window's transitions in rollout order, one row per step."""
+
+    states: np.ndarray  # (T, D) the net inputs
+    actions: np.ndarray  # (T, N) bool
+    log_probs: np.ndarray  # (T,) joint log-prob of each action when it was drawn
+    values: np.ndarray  # (T,)
+    rewards: np.ndarray  # (T,)
+    dones: np.ndarray  # (T,) bool, True on an episode's last step
     last_value: float = 0.0  # bootstrap for a rollout cut mid-episode
 
     def __len__(self) -> int:
         return len(self.rewards)
-
-    def add(self, state, action, log_prob, value, reward, done) -> None:
-        self.states.append(np.asarray(state, dtype=float))
-        self.actions.append(np.asarray(action, dtype=bool))
-        self.log_probs.append(float(log_prob))
-        self.values.append(float(value))
-        self.rewards.append(float(reward))
-        self.dones.append(bool(done))
-
-    def arrays(self) -> dict:
-        return {
-            "states": np.stack(self.states),
-            "actions": np.stack(self.actions),
-            "log_probs": np.array(self.log_probs),
-            "rewards": np.array(self.rewards),
-            "dones": np.array(self.dones, dtype=bool),
-        }
 
 
 def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
@@ -134,9 +122,9 @@ def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
     normalization is the updater's job so a single transition keeps the
     textbook identity advantage = reward - value (when done).
     """
-    rewards = np.array(trajectory.rewards)
-    values = np.array(trajectory.values)
-    dones = np.array(trajectory.dones, dtype=bool)
+    rewards = trajectory.rewards
+    values = trajectory.values
+    dones = trajectory.dones
     t_len = len(rewards)
     advantages = np.zeros(t_len)
     next_adv = 0.0
@@ -207,7 +195,6 @@ def ppo_update(
     rng: np.random.Generator,
 ) -> dict:
     """Multi-epoch minibatch PPO update in place. Returns diagnostics."""
-    data = trajectory.arrays()
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
     t_len = len(trajectory)
@@ -217,16 +204,16 @@ def ppo_update(
         for start in range(0, t_len, config.minibatch_size):
             idx = perm[start : start + config.minibatch_size]
             batch = {
-                "states": data["states"][idx],
-                "actions": data["actions"][idx],
-                "old_log_probs": data["log_probs"][idx],
+                "states": trajectory.states[idx],
+                "actions": trajectory.actions[idx],
+                "old_log_probs": trajectory.log_probs[idx],
                 "advantages": adv[idx],
                 "returns": returns[idx],
             }
             stats, grad = ppo_loss_and_grad(net, batch, config)
             optimizer.step(net.params, grad)
             diag = stats
-    diag["mean_reward"] = float(np.mean(data["rewards"]))
+    diag["mean_reward"] = float(np.mean(trajectory.rewards))
     diag["mean_advantage"] = float(adv_raw.mean())
     return diag
 
@@ -262,10 +249,16 @@ def load_policy(
         doc = load_json(path)
     except (OSError, ValueError) as exc:
         raise PolicyArchitectureError(f"cannot read policy {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PolicyArchitectureError(f"policy {path} is not a JSON object")
     try:
         return _checkpoint_from_doc(doc, expect_input_dim, expect_n_actions)
     except KeyError as exc:
         raise PolicyArchitectureError(f"policy {path} lacks key {exc}") from exc
+    except PolicyArchitectureError:
+        raise
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged arrays, bad field types
+        raise PolicyArchitectureError(f"policy {path} is malformed: {exc}") from exc
 
 
 def _checkpoint_from_doc(

@@ -7,12 +7,19 @@ internals, so agreement between package and oracle is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
 
+from edgeplace.bench import TrainResult
+from edgeplace.env import VIOLATIONS, PlacementEnv, build_state_scale, state_dim
 from edgeplace.model import DeploymentState, FunctionSpec, Scenario
+from edgeplace.nn import MLP, Adam
+from edgeplace.ppo import PolicyAgent, PPOConfig, Trajectory, forward, ppo_update
+from edgeplace.util import rng_stream
+from edgeplace.workload import WorkloadGenConfig, generate_workloads
 from edgeplace.routing import (
     _EPS_FEAS,
     RoutingProblem,
@@ -238,3 +245,76 @@ def commit(deployment: DeploymentState, function: FunctionSpec, placement: np.nd
         total_delay=deployment.total_delay + delay,
         total_cost=deployment.total_cost + cost,
     )
+
+
+def sample_action(probs: np.ndarray, rng: np.random.Generator):
+    """One multi-binary action drawn from one probability row; returns (bools, joint log-prob)."""
+    action = rng.random(probs.shape) < probs
+    picked = np.where(action, probs, 1.0 - probs)
+    return action, float(np.sum(np.log(np.maximum(picked, 1e-300))))
+
+
+def train_agent_reference(scenario: Scenario, alpha: float, seed: int,
+                          workload_cfg: WorkloadGenConfig, ppo_cfg: PPOConfig,
+                          total_timesteps: int) -> TrainResult:
+    """bench.train_agent with the rollout run one episode and one decision at a time.
+
+    Each window collects whole PlacementEnv episodes until it holds
+    update_interval steps; each decision is a one-row forward pass and one
+    sample_action draw, and its reward comes from PlacementEnv.step. The
+    seed streams and the log columns are bench.train_agent's.
+    """
+    snapshots = generate_workloads(
+        scenario.n_functions, scenario.n_nodes, workload_cfg, rng_stream(seed, "workload-train")
+    )
+    scale = build_state_scale(scenario, snapshots)
+    net = MLP(state_dim(scenario.n_nodes), scenario.n_nodes, hidden=ppo_cfg.hidden,
+              rng=rng_stream(seed, "policy-init"))
+    optimizer = Adam(lr=ppo_cfg.learning_rate)
+    env = PlacementEnv(scenario, alpha)
+    sample_rng = rng_stream(seed, "action-sample")
+    shuffle_rng = rng_stream(seed, "minibatch-shuffle")
+    log_rows = []
+    timesteps = episodes = cumulative_invalid = cumulative_valid = 0
+    while timesteps < total_timesteps:
+        steps = []  # (net input, action, log-prob, value, reward, done)
+        kinds = Counter()
+        window_episodes = 0
+        while len(steps) < ppo_cfg.update_interval:
+            state = env.reset(snapshots[episodes % len(snapshots)])
+            done = False
+            while not done:
+                net_input = state / scale
+                probs, value = forward(net, net_input)
+                action, log_prob = sample_action(probs, sample_rng)
+                outcome = env.step(action)
+                kinds[outcome.violation] += 1
+                steps.append((net_input, action, log_prob, value, outcome.reward, outcome.done))
+                done, state = outcome.done, outcome.state
+            episodes += 1
+            window_episodes += 1
+        states, actions, log_probs, values, rewards, dones = zip(*steps)
+        trajectory = Trajectory(
+            states=np.stack(states), actions=np.stack(actions), log_probs=np.array(log_probs),
+            values=np.array(values), rewards=np.array(rewards), dones=np.array(dones),
+        )
+        window_invalid = len(steps) - kinds[None]
+        cumulative_invalid += window_invalid
+        cumulative_valid += kinds[None]
+        timesteps += len(steps)
+        diag = ppo_update(net, trajectory, ppo_cfg, optimizer, shuffle_rng)
+        log_rows.append({
+            "iteration": len(log_rows) + 1,
+            "timesteps": timesteps,
+            "episodes": episodes,
+            "window_steps": len(steps),
+            "window_invalid": window_invalid,
+            **{f"invalid_{kind.replace('-', '_')}": kinds[kind] for kind in VIOLATIONS},
+            "window_episodes": window_episodes,
+            "cumulative_invalid": cumulative_invalid,
+            "cumulative_valid": cumulative_valid,
+            **{key: diag[key] for key in ("mean_reward", "policy_loss", "value_loss", "entropy",
+                                          "clip_fraction", "approx_kl")},
+        })
+    return TrainResult(agent=PolicyAgent(net=net, state_scale=scale), seed=seed, alpha=alpha,
+                       log_rows=log_rows, bounds_dict=env.bounds.to_dict())

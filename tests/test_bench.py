@@ -23,9 +23,22 @@ from edgeplace.bench import (
     write_results_csv,
     write_train_log,
 )
-from edgeplace.env import run_episode
-from edgeplace.ppo import PPOConfig
+from edgeplace.env import (
+    VIOLATIONS,
+    LockstepEnv,
+    PlacementEnv,
+    RewardBounds,
+    build_state_scale,
+    run_episode,
+    state_dim,
+    t_max_bound,
+)
+from edgeplace.nn import MLP
+from edgeplace.ppo import PolicyAgent, PPOConfig
+from edgeplace.scenarios import build_preset, preset_workload_config
 from edgeplace.workload import WorkloadGenConfig
+
+from oracles import train_agent_reference
 
 _FAST_PPO = PPOConfig(update_interval=64, minibatch_size=32, epochs=2, hidden=(16,))
 
@@ -54,12 +67,17 @@ def _train(tri_scenario, seed=1):
     )
 
 
+_KIND_COLUMNS = [f"invalid_{kind.replace('-', '_')}" for kind in VIOLATIONS]
+
+
 def test_train_log_rows_are_consistent(tri_scenario):
     result = _train(tri_scenario)
     assert len(result.log_rows) == 2  # 128 timesteps at 64 per update
     for row in result.log_rows:
         assert row["cumulative_invalid"] + row["cumulative_valid"] == row["timesteps"]
         assert row["window_steps"] >= _FAST_PPO.update_interval
+        assert sum(row[c] for c in _KIND_COLUMNS) == row["window_invalid"]
+        assert all(row[c] >= 0 for c in _KIND_COLUMNS)
         assert np.isfinite(row["mean_reward"])
         assert np.isfinite(row["approx_kl"])
     assert result.log_rows[-1]["timesteps"] >= 128
@@ -72,6 +90,58 @@ def test_training_is_seed_deterministic(tri_scenario):
     c = _train(tri_scenario, seed=8).agent
     np.testing.assert_array_equal(a.net.get_params(), b.net.get_params())
     assert not np.array_equal(a.net.get_params(), c.net.get_params())
+
+
+_LOSS_COLUMNS = ("policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
+
+
+@pytest.mark.parametrize(
+    "preset, alpha, update_interval, timesteps",
+    [
+        ("small-payload", 0.0, 256, 512),  # 64 episodes per window
+        ("large-payload", 0.5, 256, 520),  # 26 episodes, 260 steps per window
+        ("large-payload", 0.0, 4, 30),  # one episode per window, longer than the interval
+    ],
+    ids=["small-64-episodes", "large-26-episodes", "large-1-episode"],
+)
+def test_lockstep_training_matches_sequential_reference(preset, alpha, update_interval, timesteps):
+    scenario = build_preset(preset)
+    args = (scenario, alpha, 5, preset_workload_config(preset, 7),
+            PPOConfig(update_interval=update_interval, epochs=3), timesteps)
+    got = train_agent(*args)
+    expected = train_agent_reference(*args)
+    assert got.bounds_dict == expected.bounds_dict
+    assert len(got.log_rows) == len(expected.log_rows)
+    for row, ref in zip(got.log_rows, expected.log_rows):
+        assert list(row) == list(ref)
+        for key, value in ref.items():
+            if key in _LOSS_COLUMNS:  # batched forward passes round differently
+                assert abs(row[key] - value) <= 1e-12, key
+            else:  # same actions, so the same steps, rewards and counts
+                assert row[key] == value, key
+    assert sum(row["window_invalid"] for row in got.log_rows) > 0  # penalties were scored
+    assert np.max(np.abs(got.agent.net.params - expected.agent.net.params)) <= 1e-12
+    np.testing.assert_array_equal(got.agent.state_scale, expected.agent.state_scale)
+
+
+def test_rollout_window_holds_net_inputs(tri_scenario):
+    net = MLP(state_dim(3), 3, rng=np.random.default_rng(0))
+    scale = build_state_scale(tri_scenario, [tri_scenario.workload])
+    agent = PolicyAgent(net=net, state_scale=scale)
+    workloads = [tri_scenario.workload * s for s in (1.0, 0.5, 2.0)]
+    env = LockstepEnv(tri_scenario)
+    bounds = RewardBounds(c_max=env.total_cores)
+    traj, codes, bounds = bench._rollout_window(
+        agent, env, workloads, [t_max_bound(tri_scenario, w) for w in workloads],
+        bounds, 0.0, np.random.default_rng(0),
+    )
+    assert traj.states.shape == (6, state_dim(3)) and codes.shape == (3, 2)
+    probe = PlacementEnv(tri_scenario, alpha=0.0)
+    for e, workload in enumerate(workloads):  # episode order: each episode's steps together
+        np.testing.assert_array_equal(traj.states[2 * e], probe.reset(workload) / agent.state_scale)
+    np.testing.assert_array_equal(traj.dones, [False, True] * 3)
+    assert traj.last_value == 0.0
+    assert bounds.t_max == max(t_max_bound(tri_scenario, w) for w in workloads)
 
 
 def test_write_train_log_round_trips(tri_scenario, tmp_path):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from edgeplace.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from edgeplace.env import state_dim
 from edgeplace.model import load_scenario, save_scenario
+from edgeplace.nn import MLP
+from edgeplace.ppo import PolicyAgent, save_policy
 from edgeplace.verify import load_decision, save_decision
 from edgeplace.workload import ingest_trace
 
@@ -101,6 +104,29 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("params", "x"), ("state_scale", [[1.0], [1.0, 2.0]])],
+    ids=["non-numeric-params", "ragged-state-scale"],
+)
+def test_malformed_checkpoint_numbers_exit_2(scenario_path, tmp_path, capsys, field, value):
+    checkpoint = tmp_path / "policy.json"
+    net = MLP(state_dim(3), 3, hidden=(4,), rng=np.random.default_rng(0))
+    save_policy(str(checkpoint), PolicyAgent(net=net, state_scale=np.ones(state_dim(3))))
+    doc = json.loads(checkpoint.read_text())
+    if field == "params":
+        doc["params"][0] = value
+    else:
+        doc["state_scale"] = value
+    checkpoint.write_text(json.dumps(doc))
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--checkpoint", str(checkpoint), "--snapshots", "2",
+    )
+    assert code == EXIT_INVALID
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "config, key",
     [
         ({"plan": {"ppo": {"epochs": 1}}}, "plan"),
@@ -109,9 +135,16 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
         ({"polciy": {}}, "polciy"),
         ({"ppo": {"epochs": "2"}}, "ppo.epochs"),
         ({"workload": {"rate_range": 5}}, "workload.rate_range"),
+        ({"ppo": {"epochs": 0}}, "ppo.epochs"),
+        ({"ppo": {"minibatch_size": 0}}, "ppo.minibatch_size"),
+        ({"ppo": {"update_interval": 0}}, "ppo.update_interval"),
+        ({"ppo": {"hidden": [0, 64]}}, "ppo.hidden"),
+        ({"workload": {"per_function_rate_ranges": [[1, 2], [3, 4], [5, 6]]}},
+         "workload.per_function_rate_ranges"),
     ],
     ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section",
-         "string-for-int", "number-for-pair"],
+         "string-for-int", "number-for-pair", "zero-epochs", "zero-minibatch",
+         "zero-update-interval", "zero-width-layer", "rate-ranges-per-function-count"],
 )
 def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, config, key):
     path = tmp_path / "config.json"

@@ -6,6 +6,8 @@ import pytest
 from edgeplace.env import (
     _CORE_TOL,
     PENALTY_REWARD,
+    VIOLATIONS,
+    LockstepEnv,
     PlacementEnv,
     RewardBounds,
     build_state_scale,
@@ -18,7 +20,7 @@ from edgeplace.env import (
 )
 from edgeplace.model import initial_deployment
 from edgeplace.nn import MLP
-from edgeplace.ppo import PolicyAgent, Trajectory
+from edgeplace.ppo import PolicyAgent
 from edgeplace.routing import RoutingProblem, solve_routing
 from edgeplace.scenarios import random_scenario
 
@@ -209,25 +211,6 @@ def test_run_episode_deterministic_cold_start(tri_scenario):
     assert len(record.rewards) == 2
 
 
-def test_run_episode_trajectory_holds_net_inputs(tri_scenario):
-    agent = _agent(tri_scenario, [tri_scenario.workload])
-    env = PlacementEnv(tri_scenario, alpha=0.0)
-    traj = Trajectory()
-    run_episode(
-        agent, env, tri_scenario.workload,
-        rng=np.random.default_rng(0), trajectory=traj,
-    )
-    batch = traj.arrays()
-    assert batch["states"].shape == (2, state_dim(3))
-    probe = PlacementEnv(tri_scenario, alpha=0.0)
-    first = probe.reset(tri_scenario.workload)
-    np.testing.assert_allclose(
-        batch["states"][0], first / agent.state_scale, rtol=1e-12
-    )
-    np.testing.assert_array_equal(batch["dones"], [False, True])
-    assert traj.last_value == 0.0
-
-
 class _ReferenceEnv:
     """The placement step written from the copying oracles.commit and build_state."""
 
@@ -293,7 +276,7 @@ def _equivalence_cases(tri_scenario):
     scenarios = [tri_scenario, overdraft] + [
         random_scenario(int(rng.integers(2, 6)), int(rng.integers(3, 13)), rng)
         for _ in range(8)
-    ]
+    ] + [random_scenario(int(rng.integers(8, 13)), int(rng.integers(3, 9)), rng) for _ in range(2)]
     return scenarios, rng
 
 
@@ -319,16 +302,20 @@ def _assert_dicts_equal(actual, expected):
 
 
 def test_step_matches_commit_and_build_state_reference(tri_scenario):
+    """PlacementEnv.step against the copying reference, then LockstepEnv.step
+    on all of a scenario's episodes at once against PlacementEnv.step."""
     scenarios, rng = _equivalence_cases(tri_scenario)
     seen = set()
     for scenario in scenarios:
         alpha = float(rng.choice([0.0, 0.5, 1.0]))
         env = PlacementEnv(scenario, alpha)
         ref = _ReferenceEnv(scenario, alpha)
+        episodes = []  # (workload, first state, [(action, PlacementEnv step record)])
         for episode in range(6):
             workload = scenario.workload * (rng.choice([0.5, 3.0]) if episode % 2 else 1.0)
             state = env.reset(workload)
             np.testing.assert_array_equal(state, ref.reset(workload))
+            episodes.append((workload, state, []))
             done = False
             while not done:
                 action = rng.random(scenario.n_nodes) < rng.choice([0.0, 0.3, 0.7, 1.0])
@@ -350,19 +337,55 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario):
                     assert ref_state is None and out.state is None
                 else:
                     np.testing.assert_array_equal(out.state, ref_state)
+                routing = None if violation else env.deployment.routes[out.function_id]
+                episodes[-1][2].append((action, out.violation, _snapshot(env.deployment),
+                                        routing, out.state))
+        _assert_lockstep_matches(scenario, episodes)
     assert seen == {"empty-placement", "memory", "cores", "routing-infeasible"}
+
+
+def _assert_lockstep_matches(scenario, episodes):
+    """LockstepEnv, one slot per episode, repeats PlacementEnv's steps bit for bit."""
+    env = LockstepEnv(scenario)
+    states = env.reset([workload for workload, _, _ in episodes])
+    np.testing.assert_array_equal(states, [state for _, state, _ in episodes])
+    n = scenario.n_nodes
+    for k in range(scenario.n_functions):
+        codes, states = env.step(np.array([steps[k][0] for _, _, steps in episodes]))
+        for e, (_, _, steps) in enumerate(episodes):
+            _, violation, (cores, memory, _, _, delay, cost), routing, state = steps[k]
+            assert codes[e] == (0 if violation is None else VIOLATIONS.index(violation) + 1)
+            np.testing.assert_array_equal(env.available_cores[e], cores)
+            np.testing.assert_array_equal(env.available_memory[e], memory)
+            assert (env.total_delay[e], env.total_cost[e]) == (delay, cost)
+            np.testing.assert_array_equal(
+                env.routing[e], np.zeros((n, n)) if routing is None else routing
+            )
+            if state is None:
+                assert states is None
+            else:
+                np.testing.assert_array_equal(states[e], state)
+    with pytest.raises(RuntimeError, match="reset"):
+        env.step(np.ones((len(episodes), n), dtype=bool))
 
 
 def test_episode_record_survives_later_episodes(tri_scenario):
     agent = _agent(tri_scenario, [tri_scenario.workload])
+    # a policy whose decisions change with the state, so later episodes place differently
+    agent.net.set_params(np.random.default_rng(9).normal(size=agent.net.n_params))
     env = PlacementEnv(tri_scenario, alpha=0.0)
-    rng = np.random.default_rng(3)
-    record = run_episode(agent, env, tri_scenario.workload, rng=rng)
+    record = run_episode(agent, env, tri_scenario.workload)
     placements = {f: p.copy() for f, p in record.placements.items()}
     routes = {f: r.copy() for f, r in record.routes.items()}
-    assert placements  # the sampled episode placed something
-    env.reset(tri_scenario.workload * 0.5)
-    run_episode(agent, env, tri_scenario.workload * 2.0, rng=rng)
-    run_episode(agent, env, tri_scenario.workload, deterministic=True)
+    assert placements
+    later = [run_episode(agent, env, tri_scenario.workload * s) for s in (0.5, 2.0)]
+    assert any(not np.array_equal(r.placements[1], placements[1]) for r in later)
     _assert_dicts_equal(record.placements, placements)
     _assert_dicts_equal(record.routes, routes)
+
+
+def test_run_episode_is_deterministic_only(tri_scenario):
+    agent = _agent(tri_scenario, [tri_scenario.workload])
+    with pytest.raises(ValueError, match="deterministic"):
+        run_episode(agent, PlacementEnv(tri_scenario, 0.0), tri_scenario.workload,
+                    deterministic=False)

@@ -15,7 +15,7 @@ from edgeplace.ppo import (
     log_prob_from_logits,
     ppo_loss_and_grad,
     ppo_update,
-    sample_action,
+    sample_actions,
     save_policy,
 )
 
@@ -23,12 +23,17 @@ from oracles import finite_difference_grad, gae_reference
 
 
 def _traj(rewards, values, dones, last_value=0.0, n_actions=2):
-    t = Trajectory()
     rng = np.random.default_rng(0)
-    for r, v, d in zip(rewards, values, dones):
-        t.add(rng.normal(size=3), rng.random(n_actions) < 0.5, -1.0, v, r, d)
-    t.last_value = last_value
-    return t
+    t_len = len(rewards)
+    return Trajectory(
+        states=rng.normal(size=(t_len, 3)),
+        actions=rng.random((t_len, n_actions)) < 0.5,
+        log_probs=np.full(t_len, -1.0),
+        values=np.asarray(values, dtype=float),
+        rewards=np.asarray(rewards, dtype=float),
+        dones=np.asarray(dones, dtype=bool),
+        last_value=last_value,
+    )
 
 
 def test_forward_probabilities_and_value():
@@ -40,14 +45,24 @@ def test_forward_probabilities_and_value():
 
 def test_sample_action_log_prob_uniform():
     rng = np.random.default_rng(1)
-    action, lp = sample_action(np.full(5, 0.5), rng)
-    assert lp == pytest.approx(5 * np.log(0.5))
+    uniforms = rng.random((3, 5))
+    actions, lp = sample_actions(np.zeros((3, 5)), uniforms)  # every probability 0.5
+    np.testing.assert_array_equal(actions, uniforms < 0.5)
+    np.testing.assert_allclose(lp, 5 * np.log(0.5), rtol=1e-15)
 
 
 def test_sample_action_certain_probs():
     rng = np.random.default_rng(2)
-    action, lp = sample_action(np.ones(4), rng)
-    assert action.all() and lp == 0.0
+    actions, lp = sample_actions(np.full((2, 4), 50.0), rng.random((2, 4)))  # sigmoid is 1.0
+    assert actions.all()
+    np.testing.assert_array_equal(lp, [0.0, 0.0])
+
+
+def test_sample_actions_log_prob_matches_logits():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(7, 5))
+    actions, lp = sample_actions(logits, rng.random((7, 5)))
+    np.testing.assert_allclose(lp, log_prob_from_logits(logits, actions), rtol=1e-12)
 
 
 def test_deterministic_action_threshold():
@@ -169,13 +184,13 @@ def test_ppo_update_improves_simple_preference():
     opt = Adam(lr=cfg.learning_rate)
     rng = np.random.default_rng(11)
     state = np.array([1.0, -1.0])
+    states = np.tile(state, (cfg.update_interval, 1))
     for _ in range(30):
-        t = Trajectory()
-        for _ in range(cfg.update_interval):
-            probs, value = forward(net, state)
-            a, lp = sample_action(probs, rng)
-            r = (1.0 if a[0] else -1.0) + (1.0 if not a[1] else -1.0)
-            t.add(state, a, lp, value, r, True)
+        logits, values = net.forward(states)
+        a, lp = sample_actions(logits, rng.random(logits.shape))
+        r = np.where(a[:, 0], 1.0, -1.0) + np.where(a[:, 1], -1.0, 1.0)
+        t = Trajectory(states=states, actions=a, log_probs=lp, values=values, rewards=r,
+                       dones=np.ones(cfg.update_interval, dtype=bool))
         ppo_update(net, t, cfg, opt, rng)
     probs, _ = forward(net, state)
     assert probs[0] > 0.9 and probs[1] < 0.1
