@@ -68,7 +68,7 @@ def _add_training(sub: argparse.ArgumentParser) -> None:
 def _add_evaluation(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--snapshots", type=positive_int, default=150)
     sub.add_argument(
-        "--milp-budget", type=int, default=2000,
+        "--milp-budget", type=positive_int, default=2000,
         help="HiGHS branch-and-bound nodes per joint-milp call",
     )
     timing = sub.add_mutually_exclusive_group()

@@ -12,10 +12,13 @@ there in place through DeploymentState.place, and an invalid step leaves it
 untouched. LockstepEnv is the training path: it steps E episodes together,
 with residual cores and memory as (E, N) arrays and totals as (E,) arrays.
 Each lockstep step runs the memory and capacity checks and the nearest-host
-routing fast path for all E slots at once with array operations, and only
-the slots that miss the fast path's margin call solve_routing. Every slot's
-violations, residuals, routing, totals and observations are bit-identical
-to PlacementEnv.step on the same actions, which a test pins.
+routing fast path for all E slots at once with array operations. The slots
+that miss the fast path's margin do not call solve_routing: the step cuts
+their cost rows, rates and capacities as lists from its arrays, calls the
+list transportation simplex (routing.route_flows) on each, and scores all of
+them with the same batched sums as the fast slots. Every slot's violations,
+residuals, routing, totals and observations are bit-identical to
+PlacementEnv.step on the same actions, which a test pins.
 
 Rewards: each valid step re-normalizes the cumulative delay and cumulative
 core cost into [-1, 1] against run-level bounds and returns their negated
@@ -34,7 +37,14 @@ import numpy as np
 
 from .model import Scenario, initial_deployment
 from .ppo import PolicyAgent, deterministic_action, forward
-from .routing import _EPS_FEAS, _FAST_MARGIN, RoutingProblem, solve_routing
+from .routing import (
+    _EPS_FEAS,
+    _FAST_MARGIN,
+    RoutingProblem,
+    route_flows,
+    solve_routing,
+    unit_rows,
+)
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
@@ -332,16 +342,19 @@ class LockstepEnv:
     step() takes an (E, N) action batch and returns one violation code per
     slot: 0 for a valid step, k + 1 for VIOLATIONS[k]. It checks memory and
     demand against capacity, then tries the nearest-host routing of
-    solve_routing's fast path for every slot at once; only the slots that
-    miss its margin call solve_routing. `routing` holds the last step's
-    (E, N, N) routings, zero for invalid slots. Rewards are window_rewards'
-    job, because the reward bounds are shared by episodes in their order.
+    solve_routing's fast path for every slot at once. The slots that miss its
+    margin go to route_flows, which also makes solve_routing's exact
+    capacity test, with no RoutingProblem or solve_routing call in between.
+    `routing` holds the last step's (E, N, N) routings, zero for invalid
+    slots. Rewards are window_rewards' job, because the reward bounds are
+    shared by episodes in their order.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
+        self._delay_rows = self._delays.tolist()
         self._memory = scenario.function_memory()
         self._cpr = scenario.cores_per_request_matrix()
         self._queue_stats = _QueueStats(self._memory)
@@ -405,26 +418,15 @@ class LockstepEnv:
         fast = (load <= caps * _FAST_MARGIN).all(axis=1)
         routing = np.zeros((n_slots, n, n))
         routing[slots[:, None], np.arange(n), hosts] = 1.0
+        slow = np.flatnonzero((codes == 0) & ~fast)
+        if slow.size:
+            routable, exact = self._route_exactly(rows[slow], placement[slow], caps[slow])
+            codes[slow[~routable]] = _UNROUTABLE
+            # zero-rate sources keep the fast path's lowest-index host
+            routing[slow] = np.where(rows[slow, :, None] > 0, exact, routing[slow])
         # the sums total_delay and cost_increment take, one slot per row
         delay = (routing * self._delays * rows[:, :, None]).reshape(n_slots, -1).sum(axis=1)
         cost = (routing * rows[:, :, None] * cpr[:, None, :]).reshape(n_slots, -1).sum(axis=1)
-        for e in np.flatnonzero((codes == 0) & ~fast).tolist():
-            solution = solve_routing(
-                RoutingProblem(
-                    delays=self._delays,
-                    workload_row=rows[e],
-                    placement=placement[e],
-                    available_cores=self.available_cores[e],
-                    cores_per_request=cpr[e],
-                )
-            )
-            if not solution.feasible:
-                codes[e] = _UNROUTABLE
-                continue
-            routing[e] = solution.routing
-            delay[e] = solution.objective_delay
-            cost[e] = cost_increment(solution.routing, rows[e], cpr[e])
-
         # the stacked matmul runs PlacementEnv's routing.T @ row slot by slot
         served = np.matmul(routing.transpose(0, 2, 1), rows[:, :, None])[:, :, 0]
         cores_after = self.available_cores - served * cpr
@@ -439,6 +441,37 @@ class LockstepEnv:
         self.position += 1
         done = self.position == self.queues.shape[1]
         return codes, None if done else self._observe()
+
+    def _route_exactly(
+        self, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """route_flows for S slots that missed the fast path, from their (S, N) arrays.
+
+        Returns which slots are routable and their (S, N, N) unit-row
+        routings; rows without traffic and unroutable slots are zero.
+        """
+        n = self.scenario.n_nodes
+        delays = self._delay_rows
+        routable = np.ones(len(rows), dtype=bool)
+        flows = []
+        for s, (rates, hosted, cap) in enumerate(zip(rows.tolist(), placement.tolist(),
+                                                     caps.tolist())):
+            chosen = [j for j in range(n) if hosted[j]]
+            sources = [i for i in range(n) if rates[i] > 0]
+            slot_flows = route_flows(
+                [[delays[i][j] for j in chosen] for i in sources],
+                [rates[i] for i in sources],
+                [cap[j] for j in chosen],
+            )
+            flat = [0.0] * (n * n)
+            if slot_flows is None:
+                routable[s] = False
+            else:
+                for i, source_flows in zip(sources, slot_flows):
+                    for j, flow in zip(chosen, source_flows):
+                        flat[i * n + j] = flow
+            flows.append(flat)
+        return routable, unit_rows(np.array(flows).reshape(-1, n, n), rows)
 
 
 # --------------------------------------------------------------------------

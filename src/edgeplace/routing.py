@@ -9,6 +9,17 @@ is solved here with a transportation simplex (deterministic min-cost initial
 basis, Bland's rule). A dummy source with one constant cost absorbs spare
 capacity.
 
+The simplex runs on Python lists: route_flows takes the sources' cost rows,
+their rates and the hosts' capacities as lists, tests demand against
+capacity, and returns the flows as lists. It has two callers.
+solve_routing, the single-problem router of evaluation and the baselines,
+tries the fast path below and hands every other problem to route_flows.
+LockstepEnv.step tries the fast path for all its slots at once and calls
+route_flows itself for the slots that miss it, with lists cut from the
+arrays it already holds. Both turn flows into routing rows with unit_rows,
+so the two paths agree bit for bit. route_flows sums left to right from
+0.0, as numpy does for fewer than 8 terms.
+
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
 1e-12, that one-hot routing is returned without running the simplex. It is
@@ -17,7 +28,8 @@ in (cost, column) order, so it ships the whole source to that host while the
 host still has room, and a start in which every request pays its minimum
 delay is optimal, so no pivot moves flow. The margin covers the float dust
 of the greedy's one-at-a-time capacity updates; a host loaded to equality,
-or within the margin of it, takes the simplex path.
+or within the margin of it, takes the simplex path. When every load fits,
+demand is within capacity, so the fast path needs no capacity test.
 """
 
 from __future__ import annotations
@@ -68,20 +80,17 @@ def _capacities(problem: RoutingProblem, chosen: list[int]) -> np.ndarray:
     return cores / cpr
 
 
-def _expand_solution(
-    problem: RoutingProblem, chosen: list[int], sources: list[int], y: np.ndarray
-) -> RoutingSolution:
-    n = problem.workload_row.shape[0]
-    w = problem.workload_row
-    rows = y / w[sources][:, None]
-    sums = rows.sum(axis=1, keepdims=True)
-    np.divide(rows, sums, out=rows, where=sums > 0)  # exact unit row sums despite simplex dust
-    x = np.zeros((n, n))
-    x[np.ix_(sources, chosen)] = rows
-    x[w <= 0, chosen[0]] = 1.0  # no traffic: route to lowest-index host
-    return RoutingSolution(
-        status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
-    )
+def unit_rows(flows: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Routing fractions from (..., N, N) flows and the (..., N) source rates.
+
+    Each row with traffic is its flows over its rate, rescaled so it sums to
+    exactly 1 despite simplex dust; a row without traffic stays zero.
+    """
+    rates = rates[..., None]
+    x = np.divide(flows, rates, out=np.zeros_like(flows), where=rates > 0)
+    sums = x.sum(axis=-1, keepdims=True)
+    np.divide(x, sums, out=x, where=sums > 0)
+    return x
 
 
 def solve_routing(problem: RoutingProblem) -> RoutingSolution:
@@ -92,31 +101,54 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     w = np.asarray(problem.workload_row, dtype=float)
     sources = np.flatnonzero(w > 0).tolist()
     caps = _capacities(problem, chosen)
-    supply = w[sources]
-    supply_total = float(supply.sum())
-    caps_total = float(caps.sum())
-    if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    if not sources:
-        return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
     cost = problem.delays[sources][:, chosen].astype(float, copy=False)
     nearest = cost.argmin(axis=1)  # first minimum: the greedy start's first cell per row
-    load = np.bincount(nearest, weights=supply, minlength=len(chosen))
+    load = np.bincount(nearest, weights=w[sources], minlength=len(chosen))
+    x = np.zeros((w.shape[0], w.shape[0]))
     if (load <= caps * _FAST_MARGIN).all():
-        # the one-hot rows _expand_solution would build: y / w is exactly 1.0
-        x = np.zeros((w.shape[0], w.shape[0]))
+        # the rows unit_rows would build from the simplex's flows: y / w is exactly 1.0
         x[sources, np.asarray(chosen)[nearest]] = 1.0
-        x[w <= 0, chosen[0]] = 1.0
-        return RoutingSolution(
-            status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
-        )
+    else:
+        flows = route_flows(cost.tolist(), w[sources].tolist(), caps.tolist())
+        if flows is None:
+            return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+        x[np.ix_(sources, chosen)] = flows
+        x = unit_rows(x, w)
+    x[w <= 0, chosen[0]] = 1.0  # no traffic: route to lowest-index host
+    return RoutingSolution(
+        status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
+    )
+
+
+def _total(values: list[float]) -> float:
+    """Left-to-right sum from 0.0, numpy's order for fewer than 8 terms.
+
+    Python's sum() compensates float sums from 3.12 on, so it is not used.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def route_flows(
+    cost: list[list[float]], supply: list[float], caps: list[float]
+) -> list[list[float]] | None:
+    """Least-delay flows from sources to hosts, or None when demand exceeds capacity.
+
+    cost[i][j] is the delay from source i to host j, supply[i] > 0 the
+    source's requests/s and caps[j] the requests/s host j can absorb. Returns
+    flows[i][j], the requests/s source i sends to host j.
+    """
+    supply_total, caps_total = _total(supply), _total(caps)
+    if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
+        return None
     # dummy source soaks up spare capacity; its cost is one constant for the
     # whole row (so the optimum is unchanged) and higher than any real cell
     # (so real traffic claims equally-cheap columns in index order first)
-    cost = np.vstack([cost, np.full(len(chosen), cost.max() + 1.0 if cost.size else 1.0)])
-    supply = np.append(supply, max(caps_total - supply_total, 0.0))
-    y = _transport_simplex(cost, supply, caps)
-    return _expand_solution(problem, chosen, sources, y[:-1])
+    dummy = [max(map(max, cost)) + 1.0] * len(caps)
+    spare = max(caps_total - supply_total, 0.0)
+    return _transport_simplex(cost + [dummy], supply + [spare], caps)[:-1]
 
 
 # --------------------------------------------------------------------------
@@ -124,24 +156,24 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
 # --------------------------------------------------------------------------
 
 
-def _initial_basis(cost: list[list[float]], supply: np.ndarray, caps: np.ndarray):
+def _initial_basis(cost: list[list[float]], supply: list[float], caps: list[float]):
     """Minimum-cost greedy start; ties go to (lower cost, lower column, lower row)."""
-    m, n = len(cost), len(cost[0])
-    y = np.zeros((m, n))
-    rs = supply.tolist()
-    rc = caps.tolist()
+    m, n = len(cost), len(caps)
+    y = [[0.0] * n for _ in range(m)]
+    rs = list(supply)
+    rc = list(caps)
     row_active = [True] * m
     col_active = [True] * n
     rows_left, cols_left = m, n
     basis: list[tuple[int, int]] = []
-    order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
+    order = sorted([(c, j, i) for i, row in enumerate(cost) for j, c in enumerate(row)])
     for _, j, i in order:
         if rows_left == 0 or cols_left == 0:
             break
         if not (row_active[i] and col_active[j]):
             continue
         alloc = min(rs[i], rc[j])
-        y[i, j] = alloc
+        y[i][j] = alloc
         basis.append((i, j))
         rs[i] -= alloc
         rc[j] -= alloc
@@ -176,6 +208,8 @@ def _repair_basis(basis: list[tuple[int, int]], cost: list[list[float]], m: int,
     spanning tree the dual computation needs; connect components with the
     cheapest admissible cells (never creating a cycle).
     """
+    if len(basis) == m + n - 1:
+        return
     parent = list(range(m + n))
 
     def find(a: int) -> int:
@@ -186,8 +220,6 @@ def _repair_basis(basis: list[tuple[int, int]], cost: list[list[float]], m: int,
 
     for i, j in basis:
         parent[find(i)] = find(m + j)
-    if len(basis) == m + n - 1:
-        return
     order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
     for _, j, i in order:
         if len(basis) == m + n - 1:
@@ -226,7 +258,7 @@ def _duals(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int
                     stack.append((True, i))
     if None in u or None in v:
         return None
-    return np.array(u), np.array(v)
+    return u, v
 
 
 def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
@@ -271,42 +303,48 @@ def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int)
     return plus, minus
 
 
-def _transport_simplex(cost: np.ndarray, supply: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Balanced transportation solve; returns the flow matrix y."""
-    m, n = cost.shape
-    cost_rows = cost.tolist()
-    y, basis = _initial_basis(cost_rows, supply, caps)
-    basic_mask = np.zeros((m, n), dtype=bool)
+def _entering(cost: list[list[float]], basic: list[list[bool]], u: list[float], v: list[float]):
+    """First non-basic cell in row-major order whose reduced cost is negative (Bland)."""
+    for i, (row, basic_row, ui) in enumerate(zip(cost, basic, u)):
+        for j, (c, vj) in enumerate(zip(row, v)):
+            if c - ui - vj < -_EPS_REDUCED and not basic_row[j]:
+                return i, j
+    return None
+
+
+def _transport_simplex(
+    cost: list[list[float]], supply: list[float], caps: list[float]
+) -> list[list[float]]:
+    """Balanced transportation solve; returns the flow rows y."""
+    m, n = len(cost), len(caps)
+    y, basis = _initial_basis(cost, supply, caps)
+    basic = [[False] * n for _ in range(m)]
     for i, j in basis:
-        basic_mask[i, j] = True
+        basic[i][j] = True
     for _ in range(_MAX_PIVOTS):
-        duals = _duals(basis, cost_rows, m, n)
+        duals = _duals(basis, cost, m, n)
         if duals is None:
             raise RuntimeError(_failure("basis does not span the transportation graph",
                                         cost, supply, caps))
-        u, v = duals
-        reduced = cost - u[:, None] - v[None, :]
-        reduced[basic_mask] = 0.0
-        candidates = np.argwhere(reduced < -_EPS_REDUCED)
-        if candidates.size == 0:
-            return np.maximum(y, 0.0)
-        enter = (int(candidates[0][0]), int(candidates[0][1]))  # Bland: first in row-major order
+        enter = _entering(cost, basic, *duals)
+        if enter is None:
+            return [[max(flow, 0.0) for flow in row] for row in y]
         plus, minus = _cycle(basis, enter, m, n)
-        theta = min(y[c] for c in minus)
-        leave = min(c for c in minus if y[c] <= theta)
-        for c in plus:
-            y[c] += theta
-        for c in minus:
-            y[c] -= theta
-        y[enter[0], enter[1]] += theta
-        y[leave] = 0.0
+        theta = min(y[i][j] for i, j in minus)
+        leave = min(c for c in minus if y[c[0]][c[1]] <= theta)
+        for i, j in plus:
+            y[i][j] += theta
+        for i, j in minus:
+            y[i][j] -= theta
+        y[enter[0]][enter[1]] += theta
+        y[leave[0]][leave[1]] = 0.0
         basis.remove(leave)
         basis.append(enter)
-        basic_mask[leave] = False
-        basic_mask[enter] = True
+        basic[leave[0]][leave[1]] = False
+        basic[enter[0]][enter[1]] = True
     raise RuntimeError(_failure("transportation simplex exceeded pivot limit", cost, supply, caps))
 
 
-def _failure(cause: str, cost: np.ndarray, supply: np.ndarray, caps: np.ndarray) -> str:
+def _failure(cause: str, cost: list[list[float]], supply: list[float], caps: list[float]) -> str:
     """Error text that carries the instance, so a failed solve can be replayed."""
-    return f"{cause}: cost={cost.tolist()} supply={supply.tolist()} caps={caps.tolist()}"
+    return f"{cause}: cost={cost} supply={supply} caps={caps}"

@@ -22,11 +22,15 @@ from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 from edgeplace.routing import (
     _EPS_FEAS,
+    _EPS_REDUCED,
+    _MAX_PIVOTS,
     RoutingProblem,
     RoutingSolution,
     _capacities,
-    _expand_solution,
+    _cycle,
+    _repair_basis,
     chosen_nodes,
+    total_delay,
 )
 
 _TIE_TOL = 1e-12
@@ -159,8 +163,7 @@ def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> Ro
     Intended for small instances only (the optimum of a linear program lies
     at a vertex, and every vertex is a basic solution, so this search is
     complete). Raises ValueError when the combination count exceeds
-    max_bases. It reuses the package's capacity and row-expansion helpers
-    but no solver code.
+    max_bases. It reuses the package's capacity helper but no solver code.
     """
     chosen = chosen_nodes(problem.placement)
     if not chosen:
@@ -171,7 +174,7 @@ def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> Ro
     if float(w[sources].sum()) > float(caps.sum()) + _EPS_FEAS * max(1.0, float(caps.sum())):
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     if not sources:
-        return _expand_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
+        return _routing_solution(problem, chosen, sources, np.zeros((0, len(chosen))))
     m, n = len(sources), len(chosen)
     nvar = m * n + n  # flows plus one slack per capacity
     rows = m + n
@@ -205,7 +208,137 @@ def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> Ro
     best = int(np.argmin(objs))
     y = np.zeros(nvar)
     y[combos[ok][best]] = np.maximum(sols[best], 0.0)
-    return _expand_solution(problem, chosen, sources, y[: m * n].reshape(m, n))
+    return _routing_solution(problem, chosen, sources, y[: m * n].reshape(m, n))
+
+
+def _routing_solution(problem: RoutingProblem, chosen: list[int], sources: list[int],
+                      flows: np.ndarray) -> RoutingSolution:
+    """Each source's flows over its rate as a routing row; no-traffic rows go to chosen[0]."""
+    w = problem.workload_row
+    x = np.zeros(problem.delays.shape)
+    for si, i in enumerate(sources):
+        row = flows[si] / w[i]
+        x[i, chosen] = row / row.sum()
+    x[w <= 0, chosen[0]] = 1.0
+    return RoutingSolution(status="optimal", routing=x,
+                           objective_delay=total_delay(x, w, problem.delays))
+
+
+def transport_simplex_reference(cost: np.ndarray, supply: np.ndarray,
+                                caps: np.ndarray) -> np.ndarray:
+    """The transportation simplex on numpy arrays: same start, duals and Bland pivots.
+
+    This is the array form the package's list-based routing.route_flows
+    replaced, kept to check that the list form returns the same flows bit for
+    bit. Returns the flow matrix y.
+    """
+    m, n = cost.shape
+    cost_rows = cost.tolist()
+    y, basis = _initial_basis_reference(cost_rows, supply, caps)
+    basic_mask = np.zeros((m, n), dtype=bool)
+    for i, j in basis:
+        basic_mask[i, j] = True
+    for _ in range(_MAX_PIVOTS):
+        duals = _duals_reference(basis, cost_rows, m, n)
+        if duals is None:
+            raise RuntimeError("basis does not span the transportation graph")
+        u, v = duals
+        reduced = cost - u[:, None] - v[None, :]
+        reduced[basic_mask] = 0.0
+        candidates = np.argwhere(reduced < -_EPS_REDUCED)
+        if candidates.size == 0:
+            return np.maximum(y, 0.0)
+        enter = (int(candidates[0][0]), int(candidates[0][1]))  # Bland: first in row-major order
+        plus, minus = _cycle(basis, enter, m, n)
+        theta = min(y[c] for c in minus)
+        leave = min(c for c in minus if y[c] <= theta)
+        for c in plus:
+            y[c] += theta
+        for c in minus:
+            y[c] -= theta
+        y[enter[0], enter[1]] += theta
+        y[leave] = 0.0
+        basis.remove(leave)
+        basis.append(enter)
+        basic_mask[leave] = False
+        basic_mask[enter] = True
+    raise RuntimeError("transportation simplex exceeded pivot limit")
+
+
+def _initial_basis_reference(cost: list[list[float]], supply: np.ndarray, caps: np.ndarray):
+    """Minimum-cost greedy start; ties go to (lower cost, lower column, lower row)."""
+    m, n = len(cost), len(cost[0])
+    y = np.zeros((m, n))
+    rs = supply.tolist()
+    rc = caps.tolist()
+    row_active = [True] * m
+    col_active = [True] * n
+    rows_left, cols_left = m, n
+    basis: list[tuple[int, int]] = []
+    order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
+    for _, j, i in order:
+        if rows_left == 0 or cols_left == 0:
+            break
+        if not (row_active[i] and col_active[j]):
+            continue
+        alloc = min(rs[i], rc[j])
+        y[i, j] = alloc
+        basis.append((i, j))
+        rs[i] -= alloc
+        rc[j] -= alloc
+        row_done = rs[i] <= 0.0
+        col_done = rc[j] <= 0.0
+        if row_done and col_done:
+            if rows_left == 1 and cols_left == 1:
+                row_active[i] = False
+                col_active[j] = False
+                rows_left -= 1
+                cols_left -= 1
+            elif rows_left > 1:
+                row_active[i] = False
+                rows_left -= 1
+            else:
+                col_active[j] = False
+                cols_left -= 1
+        elif row_done:
+            row_active[i] = False
+            rows_left -= 1
+        else:
+            col_active[j] = False
+            cols_left -= 1
+    _repair_basis(basis, cost, m, n)
+    return y, basis
+
+
+def _duals_reference(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int):
+    """Potentials u, v with u[i] + v[j] = cost[i][j] on every basic cell, as arrays.
+
+    Returns None when the basis does not span the transportation graph.
+    """
+    u: list[float | None] = [None] * m
+    v: list[float | None] = [None] * n
+    rows_adj: list[list[int]] = [[] for _ in range(m)]
+    cols_adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in basis:
+        rows_adj[i].append(j)
+        cols_adj[j].append(i)
+    u[0] = 0.0
+    stack: list[tuple[bool, int]] = [(True, 0)]
+    while stack:
+        is_row, a = stack.pop()
+        if is_row:
+            for j in rows_adj[a]:
+                if v[j] is None:
+                    v[j] = cost[a][j] - u[a]
+                    stack.append((False, j))
+        else:
+            for i in cols_adj[a]:
+                if u[i] is None:
+                    u[i] = cost[i][a] - v[a]
+                    stack.append((True, i))
+    if None in u or None in v:
+        return None
+    return np.array(u), np.array(v)
 
 
 def build_state(scenario: Scenario, deployment: DeploymentState, workload: np.ndarray,

@@ -178,6 +178,8 @@ _SMALL_RUN = {
         ("compare", "--timesteps"),
         ("train", "--train-snapshots"),
         ("compare", "--train-snapshots"),
+        ("evaluate", "--milp-budget"),
+        ("compare", "--milp-budget"),
     ],
 )
 def test_non_positive_count_exits_1(scenario_path, tmp_path, capsys, command, flag, value):

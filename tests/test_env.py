@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from edgeplace.env import (
 from edgeplace.model import initial_deployment
 from edgeplace.nn import MLP
 from edgeplace.ppo import PolicyAgent
-from edgeplace.routing import RoutingProblem, solve_routing
+from edgeplace.routing import RoutingProblem, _cycle, solve_routing
 from edgeplace.scenarios import random_scenario
 
 from conftest import make_scenario
@@ -277,7 +279,21 @@ def _equivalence_cases(tri_scenario):
         random_scenario(int(rng.integers(2, 6)), int(rng.integers(3, 13)), rng)
         for _ in range(8)
     ] + [random_scenario(int(rng.integers(8, 13)), int(rng.integers(3, 9)), rng) for _ in range(2)]
-    return scenarios, rng
+    pivoting = np.random.default_rng(20261019)
+    return scenarios + [_pivoting_scenario(n, 7, pivoting) for n in (5, 6, 9)], rng
+
+
+def _pivoting_scenario(n_nodes, n_functions, rng):
+    """random_scenario with random non-metric delays and 15% of its cores.
+
+    Routing problems that miss the nearest-host fast path then often need
+    simplex pivots, which the metric, roomy presets never do.
+    """
+    scenario = random_scenario(n_nodes, n_functions, rng, name="pivoting")
+    delays = rng.uniform(0.0, 10.0, (n_nodes, n_nodes))
+    np.fill_diagonal(delays, 0.0)
+    nodes = tuple(replace(node, cores=0.15 * node.cores) for node in scenario.topology.nodes)
+    return replace(scenario, topology=replace(scenario.topology, nodes=nodes, delays=delays))
 
 
 def _snapshot(dep):
@@ -301,9 +317,16 @@ def _assert_dicts_equal(actual, expected):
         np.testing.assert_array_equal(actual[key], value)
 
 
-def test_step_matches_commit_and_build_state_reference(tri_scenario):
+def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch):
     """PlacementEnv.step against the copying reference, then LockstepEnv.step
     on all of a scenario's episodes at once against PlacementEnv.step."""
+    cycles = []  # one entry per simplex pivot
+
+    def counting(*args):
+        cycles.append(args)
+        return _cycle(*args)
+
+    monkeypatch.setattr("edgeplace.routing._cycle", counting)
     scenarios, rng = _equivalence_cases(tri_scenario)
     seen = set()
     for scenario in scenarios:
@@ -340,7 +363,10 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario):
                 routing = None if violation else env.deployment.routes[out.function_id]
                 episodes[-1][2].append((action, out.violation, _snapshot(env.deployment),
                                         routing, out.state))
+        before = len(cycles)
         _assert_lockstep_matches(scenario, episodes)
+        if scenario.name == "pivoting":
+            assert len(cycles) > before  # LockstepEnv's own slow slots pivoted
     assert seen == {"empty-placement", "memory", "cores", "routing-infeasible"}
 
 

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from edgeplace import routing
 from edgeplace.routing import (
+    _EPS_FEAS,
     RoutingProblem,
     _capacities,
     _cycle,
     _transport_simplex,
     chosen_nodes,
+    route_flows,
     solve_routing,
     total_delay,
 )
 
 from conftest import random_routing_case
-from oracles import brute_force_routing
+from oracles import brute_force_routing, transport_simplex_reference
 
 
 def _problem(delays, w, placement, cores, cpr) -> RoutingProblem:
@@ -220,7 +222,7 @@ def test_superset_placement_never_hurts():
 
 
 def _simplex_reference(p: RoutingProblem) -> tuple[np.ndarray, float]:
-    """A feasible instance routed by the transportation simplex alone, expanded row by row."""
+    """A feasible instance routed by the numpy reference simplex alone, expanded row by row."""
     chosen = chosen_nodes(p.placement)
     w = p.workload_row
     sources = [int(i) for i in np.flatnonzero(w > 0)]
@@ -230,7 +232,7 @@ def _simplex_reference(p: RoutingProblem) -> tuple[np.ndarray, float]:
         cost = p.delays[np.ix_(sources, chosen)]
         cost = np.vstack([cost, np.full(len(chosen), cost.max() + 1.0)])
         spare = max(float(caps.sum()) - float(w[sources].sum()), 0.0)
-        y = _transport_simplex(cost, np.append(w[sources], spare), caps)
+        y = transport_simplex_reference(cost, np.append(w[sources], spare), caps)
         for si, i in enumerate(sources):
             row = y[si] / w[i]
             x[i, chosen] = row / row.sum()
@@ -288,6 +290,9 @@ def test_load_equal_to_capacity_takes_simplex(monkeypatch):
     p = _load_equals_capacity()
     sol = solve_routing(p)
     assert len(calls) == 1
+    # the core gets plain lists of floats: the dummy row and spare supply appended
+    assert calls[0] == ([[0.0, 1.0], [2.0, 1.0], [3.0, 3.0]], [4.0, 2.0, 8.0], [4.0, 10.0])
+    assert all(type(x) is float for arg in calls[0] for x in np.ravel(arg).tolist())
     x, objective = _simplex_reference(p)
     assert np.array_equal(sol.routing, x)
     assert sol.objective_delay == objective
@@ -296,10 +301,71 @@ def test_load_equal_to_capacity_takes_simplex(monkeypatch):
 
 def test_simplex_failure_reports_instance(monkeypatch):
     monkeypatch.setattr(routing, "_MAX_PIVOTS", 0)
-    with pytest.raises(RuntimeError) as err:
-        solve_routing(_load_equals_capacity())
-    msg = str(err.value)
-    assert "pivot limit" in msg
-    assert "cost=[[0.0, 1.0], [2.0, 1.0], [3.0, 3.0]]" in msg
-    assert "supply=[4.0, 2.0, 8.0]" in msg
-    assert "caps=[4.0, 10.0]" in msg
+    # through the router, and through the list core as LockstepEnv calls it
+    for solve in (lambda: solve_routing(_load_equals_capacity()),
+                  lambda: route_flows([[0.0, 1.0], [2.0, 1.0]], [4.0, 2.0], [4.0, 10.0])):
+        with pytest.raises(RuntimeError) as err:
+            solve()
+        msg = str(err.value)
+        assert "pivot limit" in msg
+        assert "cost=[[0.0, 1.0], [2.0, 1.0], [3.0, 3.0]]" in msg
+        assert "supply=[4.0, 2.0, 8.0]" in msg
+        assert "caps=[4.0, 10.0]" in msg
+
+
+@st.composite
+def _transport_instance(draw):
+    """Sources, hosts and random non-metric delays: about half of the solves pivot.
+
+    Integer-valued delays, repeated rates and capacities cut in equal shares
+    give tied cells and degenerate bases; total capacity is 1 to 3 times the
+    demand, sometimes exactly equal to it.
+    """
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    delay = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 10.0))
+    cost = [[draw(delay) for _ in range(n)] for _ in range(m)]
+    rate = st.one_of(st.sampled_from([0.7, 1.0, 2.0, 3.0]), st.floats(0.01, 20.0))
+    supply = [draw(rate) for _ in range(m)]
+    shares = [draw(st.sampled_from([0.0, 1.0, 2.0, 0.5])) for _ in range(n)]
+    shares[draw(st.integers(0, n - 1))] = 1.0
+    total = float(np.sum(supply)) * draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.3, 3.0]))
+    caps = [total * share / float(np.sum(shares)) for share in shares]
+    return cost, supply, caps
+
+
+def test_list_core_matches_numpy_reference(monkeypatch):
+    """route_flows returns the numpy reference simplex's flows bit for bit.
+
+    The reference gets the dummy row and spare supply as solve_routing built
+    them before the core took lists.
+    """
+    cycles = []
+
+    def counting(*args):
+        cycles.append(args)
+        return _cycle(*args)
+
+    monkeypatch.setattr(routing, "_cycle", counting)
+    pivoted = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance=_transport_instance())
+    def check(instance):
+        cost, supply, caps = instance
+        before = len(cycles)
+        flows = route_flows(cost, supply, caps)
+        pivoted.append(len(cycles) > before)
+        cost_np, supply_np, caps_np = np.array(cost), np.array(supply), np.array(caps)
+        supply_total, caps_total = float(supply_np.sum()), float(caps_np.sum())
+        if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
+            assert flows is None
+            return
+        y = transport_simplex_reference(
+            np.vstack([cost_np, np.full(len(caps), cost_np.max() + 1.0)]),
+            np.append(supply_np, max(caps_total - supply_total, 0.0)),
+            caps_np,
+        )
+        assert flows == y[:-1].tolist()
+
+    check()
+    assert sum(pivoted) >= len(pivoted) // 5  # the pivot loop is exercised, not just the start
