@@ -191,7 +191,7 @@ def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGen
     if scenario.name in PRESETS:
         cfg = preset_workload_config(scenario.name, n_snapshots)
     else:
-        cfg = WorkloadGenConfig(n_snapshots=n_snapshots)
+        cfg = WorkloadGenConfig(n_snapshots=n_snapshots, hotspot_count=min(2, scenario.n_nodes))
     patch = dict(overrides.get("workload", {}))
     ranges = patch.get("per_function_rate_ranges")
     if ranges is not None and len(ranges) != scenario.n_functions:

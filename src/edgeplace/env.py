@@ -11,14 +11,13 @@ DeploymentState per episode; a valid step records its placement and routing
 there in place through DeploymentState.place, and an invalid step leaves it
 untouched. LockstepEnv is the training path: it steps E episodes together,
 with residual cores and memory as (E, N) arrays and totals as (E,) arrays.
-Each lockstep step runs the memory and capacity checks and the nearest-host
-routing fast path for all E slots at once with array operations. The slots
-that miss the fast path's margin do not call solve_routing: the step cuts
-their cost rows, rates and capacities as lists from its arrays, calls the
-list transportation simplex (routing.route_flows) on each, and scores all of
-them with the same batched sums as the fast slots. Every slot's violations,
-residuals, routing, totals and observations are bit-identical to
-PlacementEnv.step on the same actions, which a test pins.
+Each lockstep step runs the empty-placement and memory checks for all E
+slots at once with array operations, then routes the slots still valid
+with one routing.route_batch call, which owns the batched nearest-host fast
+path, the exact fallback and the capacity test, and scores every slot with
+batched sums. Every slot's violations, residuals, routing, totals and
+observations are bit-identical to PlacementEnv.step on the same actions,
+which a test pins.
 
 Rewards: each valid step re-normalizes the cumulative delay and cumulative
 core cost into [-1, 1] against run-level bounds and returns their negated
@@ -37,14 +36,7 @@ import numpy as np
 
 from .model import Scenario, initial_deployment
 from .ppo import PolicyAgent, deterministic_action, forward
-from .routing import (
-    _EPS_FEAS,
-    _FAST_MARGIN,
-    RoutingProblem,
-    route_flows,
-    solve_routing,
-    unit_rows,
-)
+from .routing import RoutingProblem, route_batch, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
@@ -52,10 +44,6 @@ _QUEUE_STATS_CACHE = 4096  # queue orders whose statistics one environment keeps
 # LockstepEnv's violation codes: 0 is a valid step, k + 1 stands for VIOLATIONS[k]
 VIOLATIONS = ("empty-placement", "memory", "routing-infeasible", "cores")
 _EMPTY, _MEMORY, _UNROUTABLE, _CORES = range(1, len(VIOLATIONS) + 1)
-# relative room by which LockstepEnv's summed demand must exceed solve_routing's
-# capacity threshold before it calls a slot infeasible itself; its sums may
-# differ from the router's by a few ulps, and a closer call goes to the router
-_SUM_SLACK = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -340,11 +328,9 @@ class LockstepEnv:
     Slot e runs one episode on workloads[e]. Residual cores and memory are
     (E, N) arrays and the totals (E,) arrays, updated by valid slots only.
     step() takes an (E, N) action batch and returns one violation code per
-    slot: 0 for a valid step, k + 1 for VIOLATIONS[k]. It checks memory and
-    demand against capacity, then tries the nearest-host routing of
-    solve_routing's fast path for every slot at once. The slots that miss its
-    margin go to route_flows, which also makes solve_routing's exact
-    capacity test, with no RoutingProblem or solve_routing call in between.
+    slot: 0 for a valid step, k + 1 for VIOLATIONS[k]. It checks placement
+    and memory, routes the remaining slots with route_batch, which decides
+    routability as solve_routing does, and then checks the routed cores.
     `routing` holds the last step's (E, N, N) routings, zero for invalid
     slots. Rewards are window_rewards' job, because the reward bounds are
     shared by episodes in their order.
@@ -403,27 +389,12 @@ class LockstepEnv:
         mem_after = self.available_memory - np.where(placement, self._memory[fids, None], 0.0)
         codes[(codes == 0) & (mem_after < -_CORE_TOL).any(axis=1)] = _MEMORY
 
-        # solve_routing's tests for all slots: demand against total capacity,
-        # then each source to its nearest host (the lowest index on ties),
-        # with zero-rate sources on the lowest-index host
-        caps = np.where(placement, np.maximum(self.available_cores, 0.0) / cpr, 0.0)
-        caps_total = caps.sum(axis=1)
-        threshold = caps_total + _EPS_FEAS * np.maximum(1.0, caps_total)
-        codes[(codes == 0) & (rows.sum(axis=1) > threshold * (1.0 + _SUM_SLACK))] = _UNROUTABLE
-        nearest = np.where(placement[:, None, :], self._delays, np.inf).argmin(axis=2)
-        hosts = np.where(rows > 0, nearest, placement.argmax(axis=1)[:, None])
-        load = np.bincount(
-            (slots[:, None] * n + hosts).ravel(), weights=rows.ravel(), minlength=n_slots * n
-        ).reshape(n_slots, n)
-        fast = (load <= caps * _FAST_MARGIN).all(axis=1)
+        ok = np.flatnonzero(codes == 0)
+        hosted = placement[ok]
+        caps = np.where(hosted, np.maximum(self.available_cores[ok], 0.0) / cpr[ok], 0.0)
         routing = np.zeros((n_slots, n, n))
-        routing[slots[:, None], np.arange(n), hosts] = 1.0
-        slow = np.flatnonzero((codes == 0) & ~fast)
-        if slow.size:
-            routable, exact = self._route_exactly(rows[slow], placement[slow], caps[slow])
-            codes[slow[~routable]] = _UNROUTABLE
-            # zero-rate sources keep the fast path's lowest-index host
-            routing[slow] = np.where(rows[slow, :, None] > 0, exact, routing[slow])
+        routable, routing[ok] = route_batch(self._delays, self._delay_rows, rows[ok], hosted, caps)
+        codes[ok[~routable]] = _UNROUTABLE
         # the sums total_delay and cost_increment take, one slot per row
         delay = (routing * self._delays * rows[:, :, None]).reshape(n_slots, -1).sum(axis=1)
         cost = (routing * rows[:, :, None] * cpr[:, None, :]).reshape(n_slots, -1).sum(axis=1)
@@ -441,37 +412,6 @@ class LockstepEnv:
         self.position += 1
         done = self.position == self.queues.shape[1]
         return codes, None if done else self._observe()
-
-    def _route_exactly(
-        self, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """route_flows for S slots that missed the fast path, from their (S, N) arrays.
-
-        Returns which slots are routable and their (S, N, N) unit-row
-        routings; rows without traffic and unroutable slots are zero.
-        """
-        n = self.scenario.n_nodes
-        delays = self._delay_rows
-        routable = np.ones(len(rows), dtype=bool)
-        flows = []
-        for s, (rates, hosted, cap) in enumerate(zip(rows.tolist(), placement.tolist(),
-                                                     caps.tolist())):
-            chosen = [j for j in range(n) if hosted[j]]
-            sources = [i for i in range(n) if rates[i] > 0]
-            slot_flows = route_flows(
-                [[delays[i][j] for j in chosen] for i in sources],
-                [rates[i] for i in sources],
-                [cap[j] for j in chosen],
-            )
-            flat = [0.0] * (n * n)
-            if slot_flows is None:
-                routable[s] = False
-            else:
-                for i, source_flows in zip(sources, slot_flows):
-                    for j, flow in zip(chosen, source_flows):
-                        flat[i * n + j] = flow
-            flows.append(flat)
-        return routable, unit_rows(np.array(flows).reshape(-1, n, n), rows)
 
 
 # --------------------------------------------------------------------------

@@ -9,16 +9,14 @@ is solved here with a transportation simplex (deterministic min-cost initial
 basis, Bland's rule). A dummy source with one constant cost absorbs spare
 capacity.
 
-The simplex runs on Python lists: route_flows takes the sources' cost rows,
-their rates and the hosts' capacities as lists, tests demand against
-capacity, and returns the flows as lists. It has two callers.
-solve_routing, the single-problem router of evaluation and the baselines,
-tries the fast path below and hands every other problem to route_flows.
-LockstepEnv.step tries the fast path for all its slots at once and calls
-route_flows itself for the slots that miss it, with lists cut from the
-arrays it already holds. Both turn flows into routing rows with unit_rows,
-so the two paths agree bit for bit. route_flows sums left to right from
-0.0, as numpy does for fewer than 8 terms.
+Two routers share the simplex: solve_routing routes one problem (one per
+evaluation decision, baseline step or PlacementEnv step), route_batch S
+problems on one delay matrix (one call per LockstepEnv training step). Each
+tries its own numpy form of the fast path below and hands every problem that
+misses it to route_row, which cuts the problem's lists, calls route_flows and
+returns the flat flows; both turn those into routing rows with unit_rows, so
+they agree bit for bit. route_flows makes the only capacity test. It sums
+left to right from 0.0, as numpy does for fewer than 8 terms.
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
@@ -101,23 +99,80 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     w = np.asarray(problem.workload_row, dtype=float)
     sources = np.flatnonzero(w > 0).tolist()
     caps = _capacities(problem, chosen)
-    cost = problem.delays[sources][:, chosen].astype(float, copy=False)
-    nearest = cost.argmin(axis=1)  # first minimum: the greedy start's first cell per row
+    # first minimum: the greedy start's first cell per row
+    nearest = problem.delays[sources][:, chosen].argmin(axis=1)
     load = np.bincount(nearest, weights=w[sources], minlength=len(chosen))
-    x = np.zeros((w.shape[0], w.shape[0]))
     if (load <= caps * _FAST_MARGIN).all():
         # the rows unit_rows would build from the simplex's flows: y / w is exactly 1.0
+        x = np.zeros(problem.delays.shape)
         x[sources, np.asarray(chosen)[nearest]] = 1.0
     else:
-        flows = route_flows(cost.tolist(), w[sources].tolist(), caps.tolist())
+        flows = route_row(problem.delays.tolist(), w.tolist(), chosen, caps.tolist())
         if flows is None:
             return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-        x[np.ix_(sources, chosen)] = flows
-        x = unit_rows(x, w)
+        x = unit_rows(np.array(flows).reshape(problem.delays.shape), w)
     x[w <= 0, chosen[0]] = 1.0  # no traffic: route to lowest-index host
     return RoutingSolution(
         status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
     )
+
+
+def route_batch(
+    delays: np.ndarray, delay_rows: list[list[float]], rows: np.ndarray, placement: np.ndarray,
+    caps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """solve_routing for S problems on one delay matrix, one problem per row.
+
+    delay_rows is delays.tolist(); rows holds the (S, N) source rates,
+    placement the (S, N) hosts (at least one per row) and caps what each host
+    can absorb in requests/s, zero off the placement. Returns which rows are
+    routable and their (S, N, N) routings, zero for an unroutable row.
+    """
+    n_rows, n = rows.shape
+    index = np.arange(n_rows)
+    nearest = np.where(placement[:, None, :], delays, np.inf).argmin(axis=2)
+    hosts = np.where(rows > 0, nearest, placement.argmax(axis=1)[:, None])
+    bins = (index[:, None] * n + hosts).ravel()
+    load = np.bincount(bins, weights=rows.ravel(), minlength=n_rows * n).reshape(n_rows, n)
+    routable = np.ones(n_rows, dtype=bool)
+    routings = np.zeros((n_rows, n, n))
+    routings[index[:, None], np.arange(n), hosts] = 1.0
+    slow = np.flatnonzero(~(load <= caps * _FAST_MARGIN).all(axis=1))
+    if slow.size:
+        flows = []
+        for s, rates, hosted, cap in zip(slow.tolist(), rows[slow].tolist(),
+                                         placement[slow].tolist(), caps[slow].tolist()):
+            chosen = [j for j in range(n) if hosted[j]]
+            row_flows = route_row(delay_rows, rates, chosen, [cap[j] for j in chosen])
+            routable[s] = row_flows is not None
+            flows.append(row_flows or [0.0] * (n * n))
+        exact = unit_rows(np.array(flows).reshape(-1, n, n), rows[slow])
+        # sources without traffic keep the fast path's lowest-index host
+        routings[slow] = np.where(rows[slow, :, None] > 0, exact, routings[slow])
+        routings[~routable] = 0.0
+    return routable, routings
+
+
+def route_row(
+    delay_rows: list[list[float]], rates: list[float], chosen: list[int], caps: list[float]
+) -> list[float] | None:
+    """route_flows on one problem's lists: rates[i] from node i, caps[k] into chosen[k].
+
+    Returns the requests/s node i sends to node j at index i * N + j, or None
+    when demand exceeds capacity.
+    """
+    n = len(rates)
+    sources = [i for i in range(n) if rates[i] > 0]
+    flows = route_flows(
+        [[delay_rows[i][j] for j in chosen] for i in sources], [rates[i] for i in sources], caps
+    )
+    if flows is None:
+        return None
+    flat = [0.0] * (n * n)
+    for i, source_flows in zip(sources, flows):
+        for j, flow in zip(chosen, source_flows):
+            flat[i * n + j] = flow
+    return flat
 
 
 def _total(values: list[float]) -> float:

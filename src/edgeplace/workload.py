@@ -47,6 +47,11 @@ def generate_workloads(
         )
     if not 0.0 <= config.concentration <= 1.0:
         raise WorkloadError(f"concentration {config.concentration} outside [0, 1]")
+    for f in range(n_functions):
+        lo, hi = config.range_for(f)
+        if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
+            where = "" if config.per_function_rate_ranges is None else f" of function {f}"
+            raise WorkloadError(f"rate range {[lo, hi]}{where} needs 0 <= low <= high < inf")
     hotspots = list(rng.choice(n_nodes, size=config.hotspot_count, replace=False))
     snapshots = []
     for _ in range(config.n_snapshots):
@@ -55,8 +60,7 @@ def generate_workloads(
             weights[h] += config.concentration / len(hotspots)
         snap = np.empty((n_functions, n_nodes))
         for f in range(n_functions):
-            lo, hi = config.range_for(f)
-            total = rng.uniform(lo, hi)
+            total = rng.uniform(*config.range_for(f))
             snap[f] = total * weights
         snapshots.append(snap)
         for k in range(len(hotspots)):

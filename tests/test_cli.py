@@ -191,6 +191,39 @@ def test_non_positive_count_exits_1(scenario_path, tmp_path, capsys, command, fl
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, workload",
+    [
+        ("train", {"rate_range": [-5, -1]}),
+        ("evaluate", {"rate_range": [5, 1]}),
+        ("gen-workload", {"per_function_rate_ranges": [[9, -7], [1, 2]]}),
+        ("compare", {"rate_range": [-5, -1]}),
+    ],
+    ids=["train-negative", "evaluate-inverted", "gen-workload-per-function", "compare-negative"],
+)
+def test_bad_rate_range_exits_2(scenario_path, tmp_path, capsys, command, workload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"workload": workload}))
+    code = run_cli(
+        command, "--scenario", scenario_path, "--out", str(tmp_path / "o"),
+        *_SMALL_RUN[command], "--config", str(path),
+    )
+    assert code == EXIT_INVALID
+    assert "rate range" in capsys.readouterr().err
+
+
+def test_one_node_generated_scenario_trains(tmp_path):
+    scenario = tmp_path / "one.json"
+    code = run_cli("gen-scenario", "--nodes", "1", "--functions", "1", "--out", str(scenario))
+    assert code == EXIT_OK
+    for command in ("train", "evaluate", "gen-workload"):
+        code = run_cli(
+            command, "--scenario", str(scenario), "--out", str(tmp_path / command),
+            *_SMALL_RUN[command],
+        )
+        assert code == EXIT_OK, command
+
+
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "s.json"
     assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(out)) == EXIT_INTERNAL

@@ -11,8 +11,10 @@ from edgeplace.routing import (
     RoutingProblem,
     _capacities,
     _cycle,
+    _total,
     _transport_simplex,
     chosen_nodes,
+    route_batch,
     route_flows,
     solve_routing,
     total_delay,
@@ -301,9 +303,11 @@ def test_load_equal_to_capacity_takes_simplex(monkeypatch):
 
 def test_simplex_failure_reports_instance(monkeypatch):
     monkeypatch.setattr(routing, "_MAX_PIVOTS", 0)
-    # through the router, and through the list core as LockstepEnv calls it
-    for solve in (lambda: solve_routing(_load_equals_capacity()),
-                  lambda: route_flows([[0.0, 1.0], [2.0, 1.0]], [4.0, 2.0], [4.0, 10.0])):
+    p = _load_equals_capacity()
+    # through the single-problem router, and through route_batch as LockstepEnv calls it
+    for solve in (lambda: solve_routing(p),
+                  lambda: route_batch(p.delays, p.delays.tolist(), p.workload_row[None],
+                                      p.placement[None], (p.available_cores * p.placement)[None])):
         with pytest.raises(RuntimeError) as err:
             solve()
         msg = str(err.value)
@@ -369,3 +373,88 @@ def test_list_core_matches_numpy_reference(monkeypatch):
 
     check()
     assert sum(pivoted) >= len(pivoted) // 5  # the pivot loop is exercised, not just the start
+
+
+@st.composite
+def _routing_batch(draw):
+    """Up to six routing problems on one delay matrix, one per row, in route_batch's form.
+
+    Delays are integer-valued (ties) or random and non-metric (the slow rows
+    pivot). Rates include zero-rate sources. Each row's capacities either
+    put its nearest-host loads at, or within 1e-12 of, capacity; or put its
+    demand within 4 ulps of route_flows' capacity threshold; or share 1 to
+    1.5 times its demand unevenly among its hosts.
+    """
+    n, n_rows = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    delays = np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
+    rate = st.one_of(st.sampled_from([0.0, 0.7, 1.0, 2.0, 3.0]), st.floats(0.01, 20.0))
+    rows, placement, cores, cpr, modes = [], [], [], [], []
+    for _ in range(n_rows):
+        w = np.array([draw(rate) for _ in range(n)])
+        hosted = np.array([draw(st.booleans()) for _ in range(n)])
+        hosted[draw(st.integers(0, n - 1))] = True
+        chosen = np.flatnonzero(hosted)
+        mode = draw(st.sampled_from(["nearest", "threshold", "tight"]))
+        if mode == "nearest":
+            c = np.array([draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(n)])
+            nearest = chosen[np.argmin(delays[:, chosen], axis=1)]
+            load = np.bincount(nearest, weights=w, minlength=n)
+            factor = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-13, 0.5, 2.0])
+            spare = [draw(st.sampled_from([0.0, 1.0, 4.0])) for _ in range(n)]
+            row_cores = np.where(load > 0, load * c * [draw(factor) for _ in range(n)], spare)
+        else:
+            c = np.ones(n)  # capacities equal the cores, so the ulp steps below land exactly
+            shares = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in chosen])
+            demand = _total(w[w > 0].tolist())
+            if mode == "threshold":
+                # route_flows' threshold is caps_total + 1e-9 * max(1, caps_total)
+                total = demand / (1.0 + 1e-9) if demand >= 1.0 + 1e-9 else demand - 1e-9
+            else:
+                total = demand * draw(st.sampled_from([1.0, 1.2, 1.5]))
+            row_cores = np.zeros(n)
+            row_cores[chosen] = np.maximum(total, 0.0) * shares / shares.sum()
+            steps = draw(st.integers(-4, 4))
+            for _ in range(abs(steps)):
+                row_cores[chosen[-1]] = np.nextafter(row_cores[chosen[-1]], steps * np.inf)
+        rows.append(w)
+        placement.append(hosted)
+        cores.append(row_cores)
+        cpr.append(c)
+        modes.append(mode)
+    return delays, np.array(rows), np.array(placement), np.array(cores), np.array(cpr), modes
+
+
+def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
+    """Each row of route_batch is solve_routing on that row's problem, bit for bit."""
+    cycles = []
+
+    def counting(*args):
+        cycles.append(args)
+        return _cycle(*args)
+
+    monkeypatch.setattr(routing, "_cycle", counting)
+    pivoted, threshold_outcomes = [], set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_routing_batch())
+    def check(batch):
+        delays, rows, placement, cores, cpr, modes = batch
+        caps = np.where(placement, np.maximum(cores, 0.0) / cpr, 0.0)  # as LockstepEnv.step
+        before = len(cycles)
+        routable, routings = route_batch(delays, delays.tolist(), rows, placement, caps)
+        pivoted.append(len(cycles) > before)
+        assert routings.shape == (len(rows),) + delays.shape
+        for s, mode in enumerate(modes):
+            sol = solve_routing(RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s]))
+            assert routable[s] == sol.feasible
+            if sol.feasible:
+                assert routings[s].tobytes() == sol.routing.tobytes()
+            else:
+                assert not routings[s].any()
+            if mode == "threshold":
+                threshold_outcomes.add(sol.feasible)
+
+    check()
+    assert sum(pivoted) >= len(pivoted) // 5  # slow rows reach the pivot loop
+    assert threshold_outcomes == {True, False}  # the threshold is met from both sides

@@ -75,6 +75,30 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "ranges, match",
+    [
+        ({"rate_range": (-5.0, -1.0)}, r"rate range \[-5.0, -1.0\] needs"),
+        ({"rate_range": (5.0, 1.0)}, r"rate range \[5.0, 1.0\] needs"),
+        ({"rate_range": (1.0, float("inf"))}, "needs 0 <= low <= high < inf"),
+        ({"rate_range": (float("nan"), 1.0)}, "needs 0 <= low <= high < inf"),
+        ({"per_function_rate_ranges": ((1.0, 2.0), (9.0, -7.0))}, "of function 1 needs"),
+    ],
+    ids=["negative", "inverted", "infinite", "nan", "per-function-inverted"],
+)
+def test_bad_rate_range_raises(ranges, match):
+    with pytest.raises(WorkloadError, match=match):
+        generate_workloads(2, 3, WorkloadGenConfig(1, **ranges), rng_stream(0, "w"))
+
+
+def test_degenerate_rate_range_allowed():
+    zero = WorkloadGenConfig(3, rate_range=(0.0, 0.0))
+    assert all(not s.any() for s in generate_workloads(2, 3, zero, rng_stream(0, "w")))
+    fixed = WorkloadGenConfig(3, rate_range=(6.0, 6.0))
+    totals = [s.sum() for s in generate_workloads(1, 3, fixed, rng_stream(0, "w"))]
+    np.testing.assert_allclose(totals, 6.0)
+
+
 def test_trace_round_trip_bit_exact(tmp_path):
     cfg = WorkloadGenConfig(n_snapshots=7)
     snaps = generate_workloads(3, 4, cfg, rng_stream(11, "w"))
