@@ -170,23 +170,21 @@ def solve_joint_milp(
     workload: np.ndarray | None = None,
     alpha: float = 0.0,
     node_budget: int | None = None,
-    tie_exact: bool | None = None,
+    tie_exact: bool = False,
 ) -> JointSolution:
     """Joint placement with optimality proof (unless the node budget interrupts).
 
     One HiGHS MIP picks the placement; routing is then re-solved exactly as an
     LP over that placement. node_budget caps HiGHS branch-and-bound nodes.
-    tie_exact=True resolves objective ties to the lexicographically smallest
-    placement (row-major over function then node) with a second MIP that keeps
-    the optimum and minimises sum_k 2^-k p_k; by default it turns on when
+    tie_exact (default False) resolves objective ties to the lexicographically
+    smallest placement (row-major over function then node) with a second MIP
+    that keeps the optimum and minimises sum_k 2^-k p_k; use it only while
     F*N <= 9, where those weights stay far above HiGHS's gap tolerance.
-    Without tie_exact, hosts that the routing leaves idle are dropped from the
-    returned placement.
+    Without tie_exact, hosts that no traffic reaches are dropped from the
+    returned placement; a function without traffic keeps its lowest host.
     """
     workload = scenario.workload if workload is None else workload
     f_cnt, n = workload.shape
-    if tie_exact is None:
-        tie_exact = f_cnt * n <= 9
     lam_t, lam_c = joint_objective_weights(scenario, workload, alpha)
     cost, constraints, integrality = _placement_mip(scenario, workload, lam_t, lam_c)
     options = {"mip_rel_gap": 0.0}
@@ -225,8 +223,14 @@ def solve_joint_milp(
     obj, delay, total_cost, routing = routed
     if not tie_exact:
         # placement is free in the objective, so the MIP may keep replicas that
-        # the routing leaves idle; they would only hold memory
-        placements &= (routing != 0.0).any(axis=1)
+        # no traffic reaches; they would only hold memory
+        idle_f, idle_i = np.nonzero(workload <= 0)
+        routing[idle_f, idle_i] = 0.0
+        served = placements & (routing != 0.0).any(axis=1)
+        unserved = ~served.any(axis=1)  # no traffic at all: keep the lowest host
+        served[unserved, placements[unserved].argmax(axis=1)] = True
+        placements = served
+        routing[idle_f, idle_i, placements.argmax(axis=1)[idle_f]] = 1.0
     return JointSolution(
         status=status,
         placements=placements,

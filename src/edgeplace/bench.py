@@ -15,7 +15,6 @@ import csv
 import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +48,6 @@ RESULT_COLUMNS = (
     "valid",
 )
 CANDIDATES = ("agent", "joint-milp", "vsvbp", "cr-eua")
-THREADS_ENV_VAR = "EDGEPLACE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -230,6 +228,21 @@ def _rollout_window(
     return trajectory, codes, bounds
 
 
+def save_training(out_dir: str, result: TrainResult) -> tuple[str, str]:
+    """Write a run's policy checkpoint and train log into out_dir; return their paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    tag = f"alpha{result.alpha:g}-seed{result.seed}"
+    policy_path = os.path.join(out_dir, f"policy-{tag}.json")
+    log_path = os.path.join(out_dir, f"train-log-{tag}.csv")
+    write_train_log(log_path, result.log_rows)
+    save_policy(
+        policy_path,
+        result.agent,
+        extras={"alpha": result.alpha, "seed": result.seed, "reward_bounds": result.bounds_dict},
+    )
+    return policy_path, log_path
+
+
 def write_train_log(path: str, rows: list[dict]) -> None:
     if not rows:
         return
@@ -244,22 +257,6 @@ def write_train_log(path: str, rows: list[dict]) -> None:
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
-
-
-def _decision_doc_from_parts(
-    scenario, workload, placements, routes, delay, cost, candidate, alpha, snapshot
-) -> dict:
-    return verify.decision_to_dict(
-        scenario_name=scenario.name,
-        workload=workload,
-        placements=placements,
-        routes=routes,
-        total_delay=delay,
-        total_cost=cost,
-        candidate=candidate,
-        alpha=alpha,
-        snapshot=snapshot,
-    )
 
 
 def _eval_one(
@@ -303,8 +300,16 @@ def _eval_one(
         routes = sol.routes
     doc = None
     if valid:
-        doc = _decision_doc_from_parts(
-            scenario, workload, placements, routes, delay, cost, candidate, alpha, snapshot_idx
+        doc = verify.decision_to_dict(
+            scenario_name=scenario.name,
+            workload=workload,
+            placements=placements,
+            routes=routes,
+            total_delay=delay,
+            total_cost=cost,
+            candidate=candidate,
+            alpha=alpha,
+            snapshot=snapshot_idx,
         )
         problems = verify.verify_decision(scenario, doc)
         if problems:  # emitting an unverifiable row would poison the benchmark
@@ -338,9 +343,6 @@ def evaluate_candidates(
         snapshots = generate_workloads(
             scenario.n_functions, scenario.n_nodes, cfg, rng_stream(seed, "workload-eval")
         )
-    threads = 1
-    if not plan.timing:  # timing runs stay sequential so measurements don't skew
-        threads = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
     rows: list[ResultRow] = []
     for candidate in plan.candidates:
         for alpha in plan.alphas:
@@ -353,18 +355,10 @@ def evaluate_candidates(
                     _eval_one(
                         scenario, candidate, alpha, -1, snapshots[0], agent, plan.milp_node_budget
                     )
-            def work(item):
-                idx, snap = item
-                return _eval_one(
-                    scenario, candidate, alpha, idx, snap, agent, plan.milp_node_budget
-                )
-
-            items = list(enumerate(snapshots))
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    rows.extend(pool.map(work, items))
-            else:
-                rows.extend(map(work, items))
+            rows.extend(
+                _eval_one(scenario, candidate, alpha, idx, snap, agent, plan.milp_node_budget)
+                for idx, snap in enumerate(snapshots)
+            )
     return rows
 
 
@@ -503,13 +497,7 @@ def run_compare(plan: ExperimentPlan, seed: int, out_dir: str) -> dict:
             plan.scenario, alpha, seed, cfg, plan.ppo, plan.total_timesteps
         )
         agents[alpha] = result.agent
-        tag = f"alpha{alpha:g}-seed{seed}"
-        write_train_log(os.path.join(out_dir, f"train-log-{tag}.csv"), result.log_rows)
-        save_policy(
-            os.path.join(out_dir, f"policy-{tag}.json"),
-            result.agent,
-            extras={"alpha": alpha, "seed": seed, "reward_bounds": result.bounds_dict},
-        )
+        save_training(out_dir, result)
     rows = evaluate_candidates(plan, seed, agents)
     paths, summary = emit_results(out_dir, rows, plan, seed)
     return {"paths": paths, "summary": summary, "rows": rows}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import types
 import typing
@@ -22,7 +21,7 @@ from . import bench
 from .env import state_dim
 from .model import ScenarioError, load_scenario, save_scenario
 from .nn import PolicyArchitectureError
-from .ppo import PPOConfig, load_policy, save_policy
+from .ppo import PPOConfig, load_policy
 from .scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
 from .util import rng_stream
 from .verify import verify_file
@@ -35,6 +34,10 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: compare would otherwise read a removed --alpha as --alphas
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -52,11 +55,17 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = True) -> None:
-    sub.add_argument("--scenario", required=scenario_required, help="scenario JSON path")
-    sub.add_argument("--alpha", type=float, default=0.0, help="cost weight in [0, 1]")
+def _add_seed_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="root seed for all sub-streams")
     sub.add_argument("--out", default=None, help="output file or directory")
+
+
+def _add_common(sub: argparse.ArgumentParser, alpha: bool = False) -> None:
+    """Flags of the commands that read a scenario and a config and write output."""
+    sub.add_argument("--scenario", required=True, help="scenario JSON path")
+    if alpha:
+        sub.add_argument("--alpha", type=float, default=0.0, help="cost weight in [0, 1]")
+    _add_seed_out(sub)
     sub.add_argument("--config", default=None, help="JSON file with config overrides")
 
 
@@ -71,9 +80,10 @@ def _add_evaluation(sub: argparse.ArgumentParser) -> None:
         "--milp-budget", type=positive_int, default=2000,
         help="HiGHS branch-and-bound nodes per joint-milp call",
     )
-    timing = sub.add_mutually_exclusive_group()
-    timing.add_argument("--timing", dest="timing", action="store_true", default=True)
-    timing.add_argument("--no-timing", dest="timing", action="store_false")
+    sub.add_argument(
+        "--no-timing", dest="timing", action="store_false",
+        help="leave wall-clock times out of the outputs",
+    )
 
 
 def build_parser() -> _Parser:
@@ -81,7 +91,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scenario", help="write a preset or randomized scenario")
-    _add_common(p, scenario_required=False)
+    _add_seed_out(p)
     p.add_argument("--preset", choices=PRESETS, default=None)
     p.add_argument("--nodes", type=positive_int, default=5)
     p.add_argument("--functions", type=positive_int, default=4)
@@ -91,11 +101,11 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshots", type=positive_int, default=150)
 
     p = sub.add_parser("train", help="train the placement agent")
-    _add_common(p)
+    _add_common(p, alpha=True)
     _add_training(p)
 
     p = sub.add_parser("evaluate", help="evaluate candidates on fresh or traced snapshots")
-    _add_common(p)
+    _add_common(p, alpha=True)
     p.add_argument("--checkpoint", default=None, help="trained policy for the agent candidate")
     p.add_argument("--candidates", default=",".join(bench.CANDIDATES))
     p.add_argument("--trace", default=None, help="evaluate on snapshots from this trace CSV")
@@ -108,7 +118,7 @@ def build_parser() -> _Parser:
     _add_evaluation(p)
 
     p = sub.add_parser("verify", help="check decision files against a scenario")
-    _add_common(p)
+    p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("decisions", nargs="+", help="decision JSON files")
 
     return parser
@@ -262,16 +272,7 @@ def cmd_train(args) -> int:
     result = bench.train_agent(
         scenario, args.alpha, args.seed, workload_cfg, ppo_cfg, args.timesteps
     )
-    os.makedirs(out_dir, exist_ok=True)
-    tag = f"alpha{args.alpha:g}-seed{args.seed}"
-    log_path = os.path.join(out_dir, f"train-log-{tag}.csv")
-    policy_path = os.path.join(out_dir, f"policy-{tag}.json")
-    bench.write_train_log(log_path, result.log_rows)
-    save_policy(
-        policy_path,
-        result.agent,
-        extras={"alpha": args.alpha, "seed": args.seed, "reward_bounds": result.bounds_dict},
-    )
+    policy_path, log_path = bench.save_training(out_dir, result)
     last = result.log_rows[-1] if result.log_rows else {}
     print(f"trained {last.get('timesteps', 0)} steps over {last.get('episodes', 0)} episodes")
     print(f"wrote {policy_path}")

@@ -108,8 +108,7 @@ class Trajectory:
     log_probs: np.ndarray  # (T,) joint log-prob of each action when it was drawn
     values: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
-    dones: np.ndarray  # (T,) bool, True on an episode's last step
-    last_value: float = 0.0  # bootstrap for a rollout cut mid-episode
+    dones: np.ndarray  # (T,) bool, True on an episode's last step; rollouts end on one
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -128,7 +127,7 @@ def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
     t_len = len(rewards)
     advantages = np.zeros(t_len)
     next_adv = 0.0
-    next_value = float(trajectory.last_value)
+    next_value = 0.0
     for t in range(t_len - 1, -1, -1):
         keep = 0.0 if dones[t] else 1.0
         delta = rewards[t] + gamma * next_value * keep - values[t]
@@ -214,7 +213,6 @@ def ppo_update(
             optimizer.step(net.params, grad)
             diag = stats
     diag["mean_reward"] = float(np.mean(trajectory.rewards))
-    diag["mean_advantage"] = float(adv_raw.mean())
     return diag
 
 

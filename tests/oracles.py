@@ -49,17 +49,15 @@ def finite_difference_grad(loss_fn, params: np.ndarray, step: float = 1e-5) -> n
     return grad
 
 
-def gae_reference(rewards, values, dones, last_value, gamma, lam):
-    """Direct forward-sum GAE: A_t = sum_k (gamma*lam)^k delta_{t+k} within episode."""
+def gae_reference(rewards, values, dones, gamma, lam):
+    """Direct forward-sum GAE: A_t = sum_k (gamma*lam)^k delta_{t+k} within episode.
+
+    The rollout ends an episode, so its last step bootstraps from 0.
+    """
     t_len = len(rewards)
     deltas = np.zeros(t_len)
     for t in range(t_len):
-        if dones[t]:
-            nxt = 0.0
-        elif t + 1 < t_len:
-            nxt = values[t + 1]
-        else:
-            nxt = last_value
+        nxt = values[t + 1] if not dones[t] and t + 1 < t_len else 0.0
         deltas[t] = rewards[t] + gamma * nxt - values[t]
     adv = np.zeros(t_len)
     for t in range(t_len):

@@ -103,6 +103,28 @@ def test_milp_alpha_moves_placement_between_delay_and_cost():
     assert cheap.total_cost == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "workload", [[[10, 0]], [[10, 0], [0, 0]]], ids=["zero-rate-source", "zero-rate-function"]
+)
+def test_milp_keeps_no_replica_that_only_zero_traffic_reaches(workload):
+    scenario = make_scenario(
+        delays=[[0, 5], [5, 0]],
+        cores=[20, 20],
+        memory=[10, 10],
+        fn_memory=[1] * len(workload),
+        workload=workload,
+        cores_per_request=[[1.0, 0.1]] * len(workload),
+    )
+    sol = solve_joint_milp(scenario, alpha=1.0, tie_exact=False)
+    np.testing.assert_array_equal(sol.placements[0], [False, True])
+    for f, route in sol.routes.items():  # one host per function, every source sent to it
+        (host,) = np.flatnonzero(sol.placements[f])
+        np.testing.assert_array_equal(route, np.eye(2)[[host, host]])
+    doc = decision_to_dict("test", scenario.workload, sol.placements, sol.routes,
+                           sol.total_delay, sol.total_cost, "joint-milp", 1.0, 0)
+    assert verify_decision(scenario, doc) == []
+
+
 def test_milp_tie_breaks_lexicographically():
     scenario = make_scenario(
         delays=[[0, 0], [0, 0]],  # every placement scores the same delay

@@ -167,6 +167,39 @@ _SMALL_RUN = {
 }
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("gen-scenario", "--scenario", "s.json"),
+        ("gen-scenario", "--alpha", "0.5"),
+        ("gen-scenario", "--config", "c.json"),
+        ("gen-workload", "--alpha", "0.5"),
+        ("compare", "--alpha", "0.5"),  # not read as an abbreviated --alphas
+        ("verify", "--alpha", "0.5"),
+        ("verify", "--seed", "1"),
+        ("verify", "--out", "o"),
+        ("verify", "--config", "c.json"),
+        ("evaluate", "--timing", None),
+        ("compare", "--timing", None),
+    ],
+)
+def test_flag_a_command_does_not_read_exits_1(scenario_path, tmp_path, capsys, command, flag,
+                                               value):
+    valid = {
+        "gen-scenario": ["--preset", "small-payload", "--out", str(tmp_path / "s.json")],
+        "gen-workload": ["--scenario", scenario_path, "--snapshots", "2",
+                         "--out", str(tmp_path / "t.csv")],
+        "evaluate": ["--scenario", scenario_path, *_SMALL_RUN["evaluate"],
+                     "--out", str(tmp_path / "e")],
+        "compare": ["--scenario", scenario_path, *_SMALL_RUN["compare"],
+                    "--out", str(tmp_path / "c")],
+        "verify": ["--scenario", scenario_path, str(tmp_path / "d.json")],
+    }[command]
+    extra = [flag] if value is None else [flag, value]
+    assert run_cli(command, *valid, *extra) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize(
     "command, flag",

@@ -22,7 +22,7 @@ from edgeplace.ppo import (
 from oracles import finite_difference_grad, gae_reference
 
 
-def _traj(rewards, values, dones, last_value=0.0, n_actions=2):
+def _traj(rewards, values, dones, n_actions=2):
     rng = np.random.default_rng(0)
     t_len = len(rewards)
     return Trajectory(
@@ -32,7 +32,6 @@ def _traj(rewards, values, dones, last_value=0.0, n_actions=2):
         values=np.asarray(values, dtype=float),
         rewards=np.asarray(rewards, dtype=float),
         dones=np.asarray(dones, dtype=bool),
-        last_value=last_value,
     )
 
 
@@ -93,19 +92,9 @@ def test_gae_matches_reference_recursion():
     dones = [False, False, True] * 4
     t = _traj(rewards, values, dones)
     adv, ret = compute_gae(t, gamma=0.9, lam=0.8)
-    expected = gae_reference(rewards, values, dones, 0.0, 0.9, 0.8)
+    expected = gae_reference(rewards, values, dones, 0.9, 0.8)
     np.testing.assert_allclose(adv, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(ret, expected + values, rtol=1e-10, atol=1e-12)
-
-
-def test_gae_bootstrap_mid_episode_cut():
-    rewards = [1.0, 1.0]
-    values = [0.3, 0.4]
-    dones = [False, False]  # rollout cut before the episode ended
-    t = _traj(rewards, values, dones, last_value=2.0)
-    adv, _ = compute_gae(t, gamma=0.5, lam=1.0)
-    expected = gae_reference(rewards, values, dones, 2.0, 0.5, 1.0)
-    np.testing.assert_allclose(adv, expected, rtol=1e-12)
 
 
 def _grad_check_batch(rng, net, b=6, margin=0.3):
