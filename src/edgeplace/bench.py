@@ -15,7 +15,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,10 +56,11 @@ class ExperimentPlan:
     workload_cfg: WorkloadGenConfig
     alphas: tuple[float, ...] = (0.0, 0.5)
     candidates: tuple[str, ...] = CANDIDATES
-    train_snapshots: int = 50
+    # training settings: run_compare reads them, and a plan that trains nothing leaves them None
+    train_snapshots: int | None = None
     eval_snapshots: int = 150
-    total_timesteps: int = 20000
-    ppo: PPOConfig = field(default_factory=PPOConfig)
+    total_timesteps: int | None = None
+    ppo: PPOConfig | None = None
     milp_node_budget: int | None = 2000
     warmup: int = 30
     timing: bool = True
@@ -437,22 +438,23 @@ def emit_results(
             entry["mean_decision_time_ms"] = None
     summary_path = os.path.join(out_dir, "summary.json")
     dump_json(summary_path, summary)
+    meta = {
+        "seed": seed,
+        "scenario": plan.scenario.name,
+        "alphas": list(plan.alphas),
+        "candidates": list(plan.candidates),
+        "eval_snapshots": plan.eval_snapshots,
+        "milp_node_budget": plan.milp_node_budget,
+        "timing": plan.timing,
+    }
+    if plan.ppo is not None:  # the run trained its agents
+        meta.update(
+            train_snapshots=plan.train_snapshots,
+            total_timesteps=plan.total_timesteps,
+            ppo=plan.ppo.to_dict(),
+        )
     meta_path = os.path.join(out_dir, "metadata.json")
-    dump_json(
-        meta_path,
-        {
-            "seed": seed,
-            "scenario": plan.scenario.name,
-            "alphas": list(plan.alphas),
-            "candidates": list(plan.candidates),
-            "eval_snapshots": plan.eval_snapshots,
-            "train_snapshots": plan.train_snapshots,
-            "total_timesteps": plan.total_timesteps,
-            "milp_node_budget": plan.milp_node_budget,
-            "timing": plan.timing,
-            "ppo": plan.ppo.to_dict(),
-        },
-    )
+    dump_json(meta_path, meta)
     return {"results": results_path, "summary": summary_path, "metadata": meta_path}, summary
 
 

@@ -32,6 +32,9 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
+# snapshot count of gen-workload and of evaluate and compare without a trace
+_EVAL_SNAPSHOTS = 150
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
@@ -75,7 +78,7 @@ def _add_training(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_evaluation(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--snapshots", type=positive_int, default=150)
+    sub.add_argument("--snapshots", type=positive_int, default=_EVAL_SNAPSHOTS)
     sub.add_argument(
         "--milp-budget", type=positive_int, default=2000,
         help="HiGHS branch-and-bound nodes per joint-milp call",
@@ -93,12 +96,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-scenario", help="write a preset or randomized scenario")
     _add_seed_out(p)
     p.add_argument("--preset", choices=PRESETS, default=None)
-    p.add_argument("--nodes", type=positive_int, default=5)
-    p.add_argument("--functions", type=positive_int, default=4)
+    p.add_argument("--nodes", type=positive_int, default=None, help="random scenario (default 5)")
+    p.add_argument(
+        "--functions", type=positive_int, default=None, help="random scenario (default 4)"
+    )
+    # None marks a random-scenario flag left unset; --preset refuses the ones that are set
+    p.set_defaults(seed=None)
 
     p = sub.add_parser("gen-workload", help="write workload snapshots as a trace CSV")
     _add_common(p)
-    p.add_argument("--snapshots", type=positive_int, default=150)
+    p.add_argument("--snapshots", type=positive_int, default=_EVAL_SNAPSHOTS)
 
     p = sub.add_parser("train", help="train the placement agent")
     _add_common(p, alpha=True)
@@ -110,6 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", default=",".join(bench.CANDIDATES))
     p.add_argument("--trace", default=None, help="evaluate on snapshots from this trace CSV")
     _add_evaluation(p)
+    p.set_defaults(snapshots=None)  # None marks --snapshots left unset, which --trace needs
 
     p = sub.add_parser("compare", help="train at each alpha, evaluate everything, print table")
     _add_common(p)
@@ -220,6 +228,14 @@ def _require_out(args, what: str) -> str:
     return args.out
 
 
+def _unique(flag: str, values: tuple) -> tuple:
+    """A comma list's values; an entry listed twice is a usage error."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise UsageError(f"{flag} lists {value!r} more than once")
+    return values
+
+
 def _alpha_list(spec: str) -> tuple[float, ...]:
     try:
         alphas = tuple(float(a) for a in spec.split(",") if a.strip() != "")
@@ -227,7 +243,7 @@ def _alpha_list(spec: str) -> tuple[float, ...]:
         raise UsageError(f"bad --alphas value {spec!r}") from exc
     if not alphas or any(not 0.0 <= a <= 1.0 for a in alphas):
         raise UsageError("--alphas entries must lie in [0, 1]")
-    return alphas
+    return _unique("--alphas", alphas)
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +253,18 @@ def _alpha_list(spec: str) -> tuple[float, ...]:
 
 def cmd_gen_scenario(args) -> int:
     out = _require_out(args, "gen-scenario")
+    shape = {"--nodes": args.nodes, "--functions": args.functions, "--seed": args.seed}
     if args.preset:
+        given = [flag for flag, value in shape.items() if value is not None]
+        if given:
+            raise UsageError(f"--preset takes no {', '.join(given)}: they shape a random scenario")
         scenario = build_preset(args.preset)
     else:
         scenario = random_scenario(
-            args.nodes, args.functions, rng_stream(args.seed, "gen-scenario"), name="random"
+            5 if args.nodes is None else args.nodes,
+            4 if args.functions is None else args.functions,
+            rng_stream(0 if args.seed is None else args.seed, "gen-scenario"),
+            name="random",
         )
     save_scenario(out, scenario)
     print(f"wrote scenario {scenario.name!r} to {out}")
@@ -285,16 +308,15 @@ def _candidate_list(spec: str) -> tuple[str, ...]:
     for candidate in candidates:
         if candidate not in bench.CANDIDATES:
             raise UsageError(f"unknown candidate {candidate!r}; choose from {bench.CANDIDATES}")
-    return candidates
+    return _unique("--candidates", candidates)
 
 
-def _build_plan(args, scenario, overrides, **fields) -> bench.ExperimentPlan:
+def _build_plan(args, scenario, overrides, n_snapshots, **fields) -> bench.ExperimentPlan:
     """The plan of an evaluate or compare run; fields are the command's own plan fields."""
     return bench.ExperimentPlan(
         scenario=scenario,
-        workload_cfg=_workload_config(scenario, args.snapshots, overrides),
-        eval_snapshots=args.snapshots,
-        ppo=_ppo_config(overrides),
+        workload_cfg=_workload_config(scenario, n_snapshots, overrides),
+        eval_snapshots=n_snapshots,
         milp_node_budget=args.milp_budget,
         timing=args.timing,
         **fields,
@@ -306,9 +328,15 @@ def cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
     if not 0.0 <= args.alpha <= 1.0:
         raise UsageError("--alpha must lie in [0, 1]")
+    candidates = _candidate_list(args.candidates)
+    if args.trace and args.snapshots is not None:
+        raise UsageError("--trace takes no --snapshots: the trace sets the snapshot count")
+    if args.checkpoint and "agent" not in candidates:
+        raise UsageError("--checkpoint needs the agent among --candidates")
     overrides = _load_overrides(args.config)
     plan = _build_plan(
-        args, scenario, overrides, alphas=(args.alpha,), candidates=_candidate_list(args.candidates)
+        args, scenario, overrides, args.snapshots or _EVAL_SNAPSHOTS,
+        alphas=(args.alpha,), candidates=candidates,
     )
     agents = {}
     if "agent" in plan.candidates:
@@ -343,8 +371,9 @@ def cmd_compare(args) -> int:
     overrides = _load_overrides(args.config)
     alphas = _alpha_list(args.alphas)
     plan = _build_plan(
-        args, scenario, overrides, alphas=alphas,
+        args, scenario, overrides, args.snapshots, alphas=alphas,
         train_snapshots=args.train_snapshots, total_timesteps=args.timesteps,
+        ppo=_ppo_config(overrides),
     )
     outcome = bench.run_compare(plan, args.seed, out_dir)
     print(bench.render_summary_table(outcome["summary"], timing=plan.timing), end="")

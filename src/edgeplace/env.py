@@ -4,7 +4,8 @@ One episode places every function of a workload snapshot, most demanding
 first. Each observation is one float vector of length state_dim(N): the
 flattened delay matrix, interleaved per-node residual (cores, memory), the
 current function's workload row, memory statistics of the functions still
-queued, and the cumulative delay.
+queued (queue_memory), and the cumulative delay. observe() writes that layout
+for both environments and for build_state_scale.
 
 PlacementEnv is the single-decision path that evaluation uses. It keeps one
 DeploymentState per episode; a valid step records its placement and routing
@@ -40,7 +41,6 @@ from .routing import RoutingProblem, route_batch, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
-_QUEUE_STATS_CACHE = 4096  # queue orders whose statistics one environment keeps
 # LockstepEnv's violation codes: 0 is a valid step, k + 1 stands for VIOLATIONS[k]
 VIOLATIONS = ("empty-placement", "memory", "routing-infeasible", "cores")
 _EMPTY, _MEMORY, _UNROUTABLE, _CORES = range(1, len(VIOLATIONS) + 1)
@@ -66,31 +66,54 @@ def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[i
     )
 
 
-def _queue_memory(queued: np.ndarray) -> np.ndarray:
-    """(memory of the first queued function, mean and std of the others)."""
-    rest = queued[1:]
-    if rest.size:
-        return np.array([queued[0], rest.mean(), rest.std()])
-    return np.array([queued[0], 0.0, 0.0])
+def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
+    """Queue-memory statistics at every position of one queue (F,) or a stack (E, F).
+
+    Entry [..., k] is (memory of the function placed at step k, mean and std
+    of the memory of the functions queued after it), zeros when none are;
+    returns (..., F, 3).
+    """
+    queued = memory[np.asarray(queues)]
+    stats = np.zeros(queued.shape + (3,))
+    stats[..., 0] = queued
+    for k in range(1, queued.shape[-1]):
+        rest = queued[..., k:]
+        stats[..., k - 1, 1] = rest.mean(axis=-1)
+        stats[..., k - 1, 2] = rest.std(axis=-1)
+    return stats
+
+
+def observe(delays, cores, memory, rows, queued, total_delay) -> np.ndarray:
+    """The (..., state_dim(N)) observations of one episode or a stack of them.
+
+    delays is the flattened delay matrix, cores, memory and rows are (..., N),
+    queued a (..., 3) queue_memory entry; a scalar fills its whole section.
+    """
+    n = np.shape(cores)[-1]
+    head = n * n
+    obs = np.empty(np.shape(cores)[:-1] + (state_dim(n),))
+    obs[..., :head] = delays
+    obs[..., head : head + 2 * n : 2] = cores
+    obs[..., head + 1 : head + 2 * n : 2] = memory
+    obs[..., head + 2 * n : head + 3 * n] = rows
+    obs[..., head + 3 * n : -1] = queued
+    obs[..., -1] = total_delay
+    return obs
 
 
 def build_state_scale(scenario: Scenario, snapshots: list[np.ndarray]) -> np.ndarray:
     """Fixed positive per-component scale so state entries land near [0, 1]."""
-    n = scenario.n_nodes
-    d = scenario.topology.delays
     rate_max = max((float(s.max()) for s in snapshots if s.size), default=1.0)
-    mem_fn_max = float(scenario.function_memory().max())
     t_max = max((t_max_bound(scenario, s) for s in snapshots), default=1.0)
-    scale = np.empty(state_dim(n))
-    scale[: n * n] = max(float(d.max()), 1.0)
-    res = np.empty(2 * n)
-    res[0::2] = scenario.topology.cores
-    res[1::2] = scenario.topology.memory
-    scale[n * n : n * n + 2 * n] = np.maximum(res, 1.0)
-    scale[n * n + 2 * n : n * n + 3 * n] = max(rate_max, 1.0)
-    scale[n * n + 3 * n : n * n + 3 * n + 3] = max(mem_fn_max, 1.0)
-    scale[-1] = max(t_max, 1.0)
-    return scale
+    topology = scenario.topology
+    return observe(
+        delays=max(float(topology.delays.max()), 1.0),
+        cores=np.maximum(topology.cores, 1.0),
+        memory=np.maximum(topology.memory, 1.0),
+        rows=max(rate_max, 1.0),
+        queued=max(float(scenario.function_memory().max()), 1.0),
+        total_delay=max(t_max, 1.0),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -184,29 +207,6 @@ def cost_increment(routing: np.ndarray, workload_row: np.ndarray, cpr: np.ndarra
 # --------------------------------------------------------------------------
 
 
-class _QueueStats:
-    """Queue-memory statistics at every position of a queue, by queue order.
-
-    They depend only on the order, which is fixed for an episode, so they are
-    computed once per order and shared by every episode with that order.
-    """
-
-    def __init__(self, memory: np.ndarray):
-        self._memory = memory
-        self._cache: dict[tuple[int, ...], list[np.ndarray]] = {}
-
-    def __call__(self, queue: list[int]) -> list[np.ndarray]:
-        key = tuple(queue)
-        stats = self._cache.get(key)
-        if stats is None:
-            if len(self._cache) >= _QUEUE_STATS_CACHE:
-                self._cache.clear()
-            queued = self._memory[list(key)]
-            stats = [_queue_memory(queued[k:]) for k in range(len(key))]
-            self._cache[key] = stats
-        return stats
-
-
 @dataclass
 class StepOutcome:
     function_id: int
@@ -233,8 +233,6 @@ class PlacementEnv:
         self.workload = scenario.workload
         self.deployment = initial_deployment(scenario.topology)
         self.queue: list[int] = []
-        self._queue_memory: list[np.ndarray] = []
-        self._queue_stats = _QueueStats(self._memory)
         self.invalid_steps = 0
 
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
@@ -245,23 +243,19 @@ class PlacementEnv:
         )
         self.deployment = initial_deployment(self.scenario.topology)
         self.queue = make_queue(self.scenario, self.workload)
-        self._queue_memory = self._queue_stats(self.queue)
+        self._queue_memory = queue_memory(self._memory, self.queue)
         self.invalid_steps = 0
         return self._observe()
 
     def _observe(self) -> np.ndarray:
-        n = self.scenario.n_nodes
         dep = self.deployment
-        head = n * n
-        obs = np.empty(state_dim(n))
-        obs[:head] = self._delays_flat
-        obs[head : head + 2 * n : 2] = dep.available_cores
-        obs[head + 1 : head + 2 * n : 2] = dep.available_memory
-        obs[head + 2 * n : head + 3 * n] = self.workload[self.queue[0]]
-        # after k steps len(queue) == F - k, so this is position k's entry
-        obs[head + 3 * n : -1] = self._queue_memory[-len(self.queue)]
-        obs[-1] = dep.total_delay
-        return obs
+        return observe(
+            self._delays_flat, dep.available_cores, dep.available_memory,
+            self.workload[self.queue[0]],
+            # after k steps len(queue) == F - k, so this is position k's entry
+            self._queue_memory[-len(self.queue)],
+            dep.total_delay,
+        )
 
     def step(self, action: np.ndarray) -> StepOutcome:
         if not self.queue:
@@ -343,16 +337,14 @@ class LockstepEnv:
         self._delay_rows = self._delays.tolist()
         self._memory = scenario.function_memory()
         self._cpr = scenario.cores_per_request_matrix()
-        self._queue_stats = _QueueStats(self._memory)
         self.total_cores = float(scenario.topology.cores.sum())
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""
         n_slots, n = len(workloads), self.scenario.n_nodes
         self.workloads = np.stack(workloads)
-        queues = [make_queue(self.scenario, w) for w in workloads]
-        self.queues = np.array(queues)
-        self._queue_memory = np.array([self._queue_stats(q) for q in queues])
+        self.queues = np.array([make_queue(self.scenario, w) for w in workloads])
+        self._queue_memory = queue_memory(self._memory, self.queues)
         self.available_cores = np.tile(self.scenario.topology.cores, (n_slots, 1))
         self.available_memory = np.tile(self.scenario.topology.memory, (n_slots, 1))
         self.total_delay = np.zeros(n_slots)
@@ -363,17 +355,12 @@ class LockstepEnv:
         return self._observe()
 
     def _observe(self) -> np.ndarray:
-        n = self.scenario.n_nodes
         k = self.position
-        head = n * n
-        obs = np.empty((self._slots.size, state_dim(n)))
-        obs[:, :head] = self._delays_flat
-        obs[:, head : head + 2 * n : 2] = self.available_cores
-        obs[:, head + 1 : head + 2 * n : 2] = self.available_memory
-        obs[:, head + 2 * n : head + 3 * n] = self.workloads[self._slots, self.queues[:, k]]
-        obs[:, head + 3 * n : -1] = self._queue_memory[:, k]
-        obs[:, -1] = self.total_delay
-        return obs
+        return observe(
+            self._delays_flat, self.available_cores, self.available_memory,
+            self.workloads[self._slots, self.queues[:, k]], self._queue_memory[:, k],
+            self.total_delay,
+        )
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Place every slot's next function; returns (violation codes, observations or None)."""
@@ -425,7 +412,6 @@ class EpisodeRecord:
     total_cost: float
     rewards: list[float]
     invalid_steps: int
-    violations: list[str]
     placements: dict[int, np.ndarray]
     routes: dict[int, np.ndarray]
     valid: bool
@@ -446,14 +432,11 @@ def run_episode(
         raise ValueError("run_episode runs deterministic episodes only")
     state = env.reset(workload)
     rewards: list[float] = []
-    violations: list[str] = []
     done = False
     while not done:
         probs, _ = forward(agent.net, state / agent.state_scale)
         outcome = env.step(deterministic_action(probs))
         rewards.append(outcome.reward)
-        if outcome.violation:
-            violations.append(f"{outcome.function_id}:{outcome.violation}")
         done = outcome.done
         state = outcome.state
     return EpisodeRecord(
@@ -461,7 +444,6 @@ def run_episode(
         total_cost=env.deployment.total_cost,
         rewards=rewards,
         invalid_steps=env.invalid_steps,
-        violations=violations,
         placements=dict(env.deployment.placements),
         routes=dict(env.deployment.routes),
         valid=env.invalid_steps == 0,

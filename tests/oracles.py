@@ -357,6 +357,30 @@ def build_state(scenario: Scenario, deployment: DeploymentState, workload: np.nd
                            workload[queue[0]], memory, [deployment.total_delay]])
 
 
+def state_scale_reference(scenario: Scenario, snapshots: list[np.ndarray]) -> np.ndarray:
+    """The state scale from its definition: each component's largest value, at least 1.
+
+    Delays scale by the largest pairwise delay, each node's residual cores and
+    memory by its capacity, workload rows by the largest rate of any snapshot,
+    the three queue-memory statistics by the largest function memory, and the
+    cumulative delay by its largest bound: every request of a snapshot sent
+    across every link out of its source. Without snapshots the rate and the
+    delay bound are 1.
+    """
+    n = scenario.n_nodes
+    delays = scenario.topology.delays
+    rates = [float(x) for s in snapshots for x in s.ravel()]
+    bounds = [sum(s[f, i] * sum(delays[i, j] for j in range(n))
+                  for f in range(s.shape[0]) for i in range(n)) for s in snapshots]
+    scale = [max(float(delays.max()), 1.0)] * (n * n)
+    for node in scenario.topology.nodes:
+        scale += [max(node.cores, 1.0), max(node.memory, 1.0)]
+    scale += [max(max(rates, default=1.0), 1.0)] * n
+    scale += [max(max(fn.memory for fn in scenario.functions), 1.0)] * 3
+    scale.append(max(max(bounds, default=1.0), 1.0))
+    return np.array(scale)
+
+
 def commit(deployment: DeploymentState, function: FunctionSpec, placement: np.ndarray,
            routing: np.ndarray, workload_row: np.ndarray, delay: float,
            cost: float) -> DeploymentState:

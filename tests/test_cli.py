@@ -389,3 +389,71 @@ def test_bad_alphas_rejected(scenario_path, tmp_path):
         "--out", str(tmp_path / "x"),
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("compare", "--alphas", "0,0"), ("evaluate", "--candidates", "cr-eua,cr-eua")],
+)
+def test_list_entry_given_twice_exits_1(scenario_path, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "o"
+    code = run_cli(
+        command, "--scenario", scenario_path, "--out", str(out), *_SMALL_RUN[command],
+        flag, value, "--no-timing",
+    )
+    assert code == EXIT_USAGE
+    assert f"{flag} lists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--nodes", "4"), ("--functions", "3"), ("--seed", "1")])
+def test_gen_scenario_preset_refuses_random_scenario_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.json"
+    code = run_cli("gen-scenario", "--preset", "small-payload", flag, value, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _trace(scenario_path, tmp_path):
+    trace = tmp_path / "trace.csv"
+    code = run_cli(
+        "gen-workload", "--scenario", scenario_path, "--snapshots", "2", "--out", str(trace)
+    )
+    assert code == EXIT_OK
+    return str(trace)
+
+
+def test_evaluate_trace_refuses_snapshots(scenario_path, tmp_path, capsys):
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--candidates", "vsvbp", "--trace", _trace(scenario_path, tmp_path), "--snapshots", "5",
+    )
+    assert code == EXIT_USAGE
+    assert "--snapshots" in capsys.readouterr().err
+
+
+def test_evaluate_checkpoint_without_agent_exits_1(scenario_path, tmp_path, capsys):
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--candidates", "vsvbp,cr-eua", "--snapshots", "2",
+        "--checkpoint", str(tmp_path / "policy.json"),
+    )
+    assert code == EXIT_USAGE
+    assert "--checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_metadata_names_only_evaluation_settings(scenario_path, tmp_path):
+    out = tmp_path / "e"
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(out), "--candidates", "cr-eua",
+        "--trace", _trace(scenario_path, tmp_path), "--no-timing",
+    )
+    assert code == EXIT_OK
+    meta = json.loads((out / "metadata.json").read_text())
+    assert sorted(meta) == [
+        "alphas", "candidates", "eval_snapshots", "milp_node_budget", "scenario", "seed", "timing",
+    ]
+    assert meta["eval_snapshots"] == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert [entry["snapshots"] for entry in summary] == [2]

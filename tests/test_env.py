@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.env import (
     _CORE_TOL,
@@ -16,6 +18,7 @@ from edgeplace.env import (
     cost_increment,
     make_queue,
     normalize_and_reward,
+    queue_memory,
     run_episode,
     state_dim,
     t_max_bound,
@@ -24,10 +27,12 @@ from edgeplace.model import initial_deployment
 from edgeplace.nn import MLP
 from edgeplace.ppo import PolicyAgent
 from edgeplace.routing import RoutingProblem, _cycle, solve_routing
-from edgeplace.scenarios import random_scenario
+from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
+from edgeplace.util import rng_stream
+from edgeplace.workload import WorkloadGenConfig, generate_workloads
 
 from conftest import make_scenario
-from oracles import build_state, commit
+from oracles import build_state, commit, state_scale_reference
 
 
 def _agent(scenario, snapshots):
@@ -73,6 +78,63 @@ def test_state_scale_positive_and_sized(tri_scenario):
     assert np.all(scale > 0)
     assert scale[0] == 5.0  # largest pairwise delay
     assert scale[-1] == t_max_bound(tri_scenario, tri_scenario.workload)
+
+
+def _assert_scale_matches_reference(scenario, snapshots):
+    scale = build_state_scale(scenario, snapshots)
+    reference = state_scale_reference(scenario, snapshots)
+    assert scale.shape == reference.shape == (state_dim(scenario.n_nodes),)
+    np.testing.assert_array_equal(scale[:-1], reference[:-1])
+    # the delay bound's sum runs in another order in the reference
+    assert scale[-1] == pytest.approx(reference[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_state_scale_matches_reference_on_presets(preset):
+    scenario = build_preset(preset)
+    snapshots = generate_workloads(
+        scenario.n_functions, scenario.n_nodes, preset_workload_config(preset, 20),
+        rng_stream(3, "workload-train"),
+    )
+    _assert_scale_matches_reference(scenario, snapshots)
+
+
+def test_state_scale_matches_reference_on_random_scenarios():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        scenario = random_scenario(int(rng.integers(1, 8)), int(rng.integers(1, 11)), rng)
+        # rates below 1 half the time, where the scale's floor of 1 applies
+        cfg = WorkloadGenConfig(
+            n_snapshots=int(rng.integers(1, 6)), rate_range=(0.0, float(rng.choice([0.5, 80.0]))),
+            hotspot_count=1,
+        )
+        snapshots = generate_workloads(scenario.n_functions, scenario.n_nodes, cfg, rng)
+        _assert_scale_matches_reference(scenario, snapshots)
+        _assert_scale_matches_reference(scenario, [])  # no snapshots: rate and bound are 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_queue_memory_stack_matches_one_queue_at_a_time(data):
+    """Each row of an (E, F) stack is 1-D mean/std byte for byte; F >= 9 leaves
+    8 or more functions after the head, numpy's pairwise-sum branch."""
+    n_functions = data.draw(st.integers(min_value=1, max_value=12), label="F")
+    memory = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+        min_size=n_functions, max_size=n_functions,
+    ), label="memory"))
+    queues = np.array(data.draw(st.lists(
+        st.permutations(range(n_functions)), min_size=1, max_size=8,
+    ), label="queues"))
+    stack = queue_memory(memory, queues)
+    assert stack.shape == (*queues.shape, 3)
+    for queue, stats in zip(queues, stack):
+        assert queue_memory(memory, queue.tolist()).tobytes() == stats.tobytes()
+        queued = memory[queue]
+        for k, entry in enumerate(stats):
+            rest = queued[k + 1 :]
+            expected = [queued[k], rest.mean(), rest.std()] if rest.size else [queued[k], 0.0, 0.0]
+            assert entry.tobytes() == np.array(expected).tobytes()
 
 
 def test_t_max_bound_hand_value(tri_scenario):
