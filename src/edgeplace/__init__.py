@@ -21,13 +21,11 @@ from .env import (
     window_rewards,
 )
 from .model import (
-    DeploymentState,
     FunctionSpec,
     NodeSpec,
     Scenario,
     ScenarioError,
     Topology,
-    initial_deployment,
     load_scenario,
     save_scenario,
     validate_scenario,

@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.optimize import LinearConstraint, linprog, milp
 
 from .env import cost_increment, make_queue, t_max_bound
-from .model import Scenario, initial_deployment
+from .model import Scenario
 from .routing import RoutingProblem, solve_routing, total_delay
 
 
@@ -250,19 +250,19 @@ def solve_joint_milp(
 
 
 def _greedy_solution(
-    scenario: Scenario, workload: np.ndarray, deployment, violations: list[str], method: str
+    placements: np.ndarray,
+    routes: dict[int, np.ndarray],
+    delay: float,
+    cost: float,
+    violations: list[str],
+    method: str,
 ) -> JointSolution:
-    placements = np.zeros((scenario.n_functions, scenario.n_nodes), dtype=bool)
-    routes: dict[int, np.ndarray] = {}
-    for f, p in deployment.placements.items():
-        placements[f] = p
-    routes.update(deployment.routes)
     return JointSolution(
         status="feasible" if not violations else "infeasible",
         placements=placements if not violations else None,
         routes=routes if not violations else None,
-        total_delay=deployment.total_delay if not violations else None,
-        total_cost=deployment.total_cost if not violations else None,
+        total_delay=delay if not violations else None,
+        total_cost=cost if not violations else None,
         objective=None,
         optimal=False,
         metadata={"method": method, "violations": violations},
@@ -277,14 +277,17 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     core headroom until the traffic fits, then routed optimally on that set.
     """
     workload = scenario.workload if workload is None else workload
-    deployment = initial_deployment(scenario.topology)
-    violations: list[str] = []
     n = scenario.n_nodes
+    cores, memory = scenario.topology.cores, scenario.topology.memory
+    placements = np.zeros((scenario.n_functions, n), dtype=bool)
+    routes: dict[int, np.ndarray] = {}
+    delay = cost = 0.0
+    violations: list[str] = []
     for f in make_queue(scenario, workload):
         fn = scenario.functions[f]
         cpr = fn.cores_per_request_vec(n)
-        fits_mem = deployment.available_memory >= fn.memory - 1e-9
-        headroom = np.maximum(deployment.available_cores, 0.0) / cpr
+        fits_mem = memory >= fn.memory - 1e-9
+        headroom = np.maximum(cores, 0.0) / cpr
         candidates = sorted(
             (int(i) for i in np.flatnonzero(fits_mem)),
             key=lambda i: (-headroom[i], i),
@@ -298,7 +301,7 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
                     delays=scenario.topology.delays,
                     workload_row=workload[f],
                     placement=placement,
-                    available_cores=deployment.available_cores,
+                    available_cores=cores,
                     cores_per_request=cpr,
                 )
             )
@@ -309,13 +312,13 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
             violations.append(f"{f}:unplaceable")
             continue
         routing = solution.routing
-        deployment.place(
-            f, placement, routing,
-            deployment.available_cores - routing.T @ workload[f] * cpr,
-            deployment.available_memory - np.where(placement, fn.memory, 0.0),
-            solution.objective_delay, cost_increment(routing, workload[f], cpr),
-        )
-    return _greedy_solution(scenario, workload, deployment, violations, "vsvbp")
+        placements[f] = placement
+        routes[f] = routing
+        cores = cores - routing.T @ workload[f] * cpr
+        memory = memory - np.where(placement, fn.memory, 0.0)
+        delay += solution.objective_delay
+        cost += cost_increment(routing, workload[f], cpr)
+    return _greedy_solution(placements, routes, delay, cost, violations, "vsvbp")
 
 
 def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> JointSolution:
@@ -330,12 +333,15 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     crit = scenario.criticality or tuple(0 for _ in scenario.functions)
     base = make_queue(scenario, workload)
     order = sorted(base, key=lambda f: (-crit[f], base.index(f)))
-    deployment = initial_deployment(scenario.topology)
+    cores, memory = scenario.topology.cores, scenario.topology.memory
+    placements = np.zeros((scenario.n_functions, n), dtype=bool)
+    routes: dict[int, np.ndarray] = {}
+    delay = cost = 0.0
     violations: list[str] = []
     for f in order:
         fn = scenario.functions[f]
         cpr = fn.cores_per_request_vec(n)
-        cores_left = deployment.available_cores.copy()
+        cores_left = cores.copy()
         placement = np.zeros(n, dtype=bool)
         routing = np.zeros((n, n))
         failed = False
@@ -347,7 +353,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
             for j in sorted(range(n), key=lambda j: (scenario.topology.delays[i, j], j)):
                 if remaining <= 1e-12:
                     break
-                if not placement[j] and deployment.available_memory[j] < fn.memory - 1e-9:
+                if not placement[j] and memory[j] < fn.memory - 1e-9:
                     continue
                 absorb = min(remaining, max(cores_left[j], 0.0) / cpr[j])
                 if absorb <= 0:
@@ -363,7 +369,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
             violations.append(f"{f}:unplaceable")
             continue
         if not placement.any():  # zero traffic: lowest node with memory room
-            hosts = np.flatnonzero(deployment.available_memory >= fn.memory - 1e-9)
+            hosts = np.flatnonzero(memory >= fn.memory - 1e-9)
             if hosts.size == 0:
                 violations.append(f"{f}:unplaceable")
                 continue
@@ -374,11 +380,10 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
                 routing[i, int(np.flatnonzero(placement)[0])] = 1.0
             else:
                 routing[i] /= routing[i].sum()  # absorb split-loop float dust
-        deployment.place(
-            f, placement, routing,
-            deployment.available_cores - routing.T @ workload[f] * cpr,
-            deployment.available_memory - np.where(placement, fn.memory, 0.0),
-            total_delay(routing, workload[f], scenario.topology.delays),
-            cost_increment(routing, workload[f], cpr),
-        )
-    return _greedy_solution(scenario, workload, deployment, violations, "cr-eua")
+        placements[f] = placement
+        routes[f] = routing
+        cores = cores - routing.T @ workload[f] * cpr
+        memory = memory - np.where(placement, fn.memory, 0.0)
+        delay += total_delay(routing, workload[f], scenario.topology.delays)
+        cost += cost_increment(routing, workload[f], cpr)
+    return _greedy_solution(placements, routes, delay, cost, violations, "cr-eua")

@@ -37,6 +37,7 @@ from .ppo import PolicyAgent, PPOConfig, Trajectory, ppo_update, sample_actions,
 from .util import dump_json, rng_stream
 from .workload import WorkloadGenConfig, generate_workloads
 
+# results.csv's columns in order, each one the ResultRow field of that name
 RESULT_COLUMNS = (
     "candidate",
     "alpha",
@@ -383,18 +384,9 @@ def write_results_csv(path: str, rows: list[ResultRow], timing: bool) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.candidate,
-                    _fmt(row.alpha),
-                    row.snapshot,
-                    _fmt(row.delay_ms_per_req),
-                    _fmt(row.total_delay),
-                    _fmt(row.cost),
-                    _fmt(row.decision_time_ms if timing else None),
-                    _fmt(row.valid),
-                ]
-            )
+            if not timing:
+                row = replace(row, decision_time_ms=None)
+            writer.writerow([_fmt(getattr(row, column)) for column in RESULT_COLUMNS])
 
 
 def summarize(rows: list[ResultRow]) -> list[dict]:

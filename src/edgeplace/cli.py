@@ -163,7 +163,9 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
-def _load_overrides(path: str | None) -> dict:
+def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
+    """The config file's overrides; a section outside `sections`, the ones the
+    command reads, is a usage error."""
     if path is None:
         return {}
     try:
@@ -174,9 +176,10 @@ def _load_overrides(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must be a JSON object")
     for section, patch in doc.items():
-        if section not in _CONFIG_KEYS:
+        if section not in sections:
             raise UsageError(
-                f"config {path}: unknown section {section!r}; choose from {sorted(_CONFIG_KEYS)}"
+                f"config {path}: this command reads no {section!r} section; "
+                f"choose from {sorted(sections)}"
             )
         if not isinstance(patch, dict):
             raise UsageError(f"config {path}: section {section!r} must be a JSON object")
@@ -202,7 +205,10 @@ def _load_overrides(path: str | None) -> dict:
 
 
 def _ppo_config(overrides: dict) -> PPOConfig:
-    return PPOConfig.from_dict({**PPOConfig().to_dict(), **overrides.get("ppo", {})})
+    patch = dict(overrides.get("ppo", {}))
+    if "hidden" in patch:
+        patch["hidden"] = tuple(patch["hidden"])
+    return replace(PPOConfig(), **patch)
 
 
 def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGenConfig:
@@ -274,7 +280,7 @@ def cmd_gen_scenario(args) -> int:
 def cmd_gen_workload(args) -> int:
     out = _require_out(args, "gen-workload")
     scenario = load_scenario(args.scenario)
-    overrides = _load_overrides(args.config)
+    overrides = _load_overrides(args.config, ("workload",))
     cfg = _workload_config(scenario, args.snapshots, overrides)
     snapshots = generate_workloads(
         scenario.n_functions, scenario.n_nodes, cfg, rng_stream(args.seed, "workload-eval")
@@ -289,7 +295,7 @@ def cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     if not 0.0 <= args.alpha <= 1.0:
         raise UsageError("--alpha must lie in [0, 1]")
-    overrides = _load_overrides(args.config)
+    overrides = _load_overrides(args.config, ("ppo", "workload"))
     ppo_cfg = _ppo_config(overrides)
     workload_cfg = _workload_config(scenario, args.train_snapshots, overrides)
     result = bench.train_agent(
@@ -333,7 +339,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--trace takes no --snapshots: the trace sets the snapshot count")
     if args.checkpoint and "agent" not in candidates:
         raise UsageError("--checkpoint needs the agent among --candidates")
-    overrides = _load_overrides(args.config)
+    overrides = _load_overrides(args.config, ("workload",))
     plan = _build_plan(
         args, scenario, overrides, args.snapshots or _EVAL_SNAPSHOTS,
         alphas=(args.alpha,), candidates=candidates,
@@ -368,7 +374,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     out_dir = _require_out(args, "compare")
     scenario = load_scenario(args.scenario)
-    overrides = _load_overrides(args.config)
+    overrides = _load_overrides(args.config, ("ppo", "workload"))
     alphas = _alpha_list(args.alphas)
     plan = _build_plan(
         args, scenario, overrides, args.snapshots, alphas=alphas,

@@ -8,9 +8,10 @@ queued (queue_memory), and the cumulative delay. observe() writes that layout
 for both environments and for build_state_scale.
 
 PlacementEnv is the single-decision path that evaluation uses. It keeps one
-DeploymentState per episode; a valid step records its placement and routing
-there in place through DeploymentState.place, and an invalid step leaves it
-untouched. LockstepEnv is the training path: it steps E episodes together,
+episode's state on itself under LockstepEnv's names (available_cores,
+available_memory, total_delay, total_cost), plus the placements and routes
+made so far; a valid step assigns them and an invalid step leaves them as
+they were. LockstepEnv is the training path: it steps E episodes together,
 with residual cores and memory as (E, N) arrays and totals as (E,) arrays.
 Each lockstep step runs the empty-placement and memory checks for all E
 slots at once with array operations, then routes the slots still valid
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, initial_deployment
+from .model import Scenario
 from .ppo import PolicyAgent, deterministic_action, forward
 from .routing import RoutingProblem, route_batch, solve_routing
 
@@ -218,7 +219,13 @@ class StepOutcome:
 
 
 class PlacementEnv:
-    """One placement episode per reset; `deployment` is updated in place by valid steps."""
+    """One placement episode per reset, its state kept on the env.
+
+    reset() sets the residual available_cores and available_memory (N,), the
+    total_delay and total_cost, and empty placements and routes dicts keyed
+    by function id. A valid step assigns all six; an invalid step counts in
+    invalid_steps and assigns none of them.
+    """
 
     def __init__(self, scenario: Scenario, alpha: float):
         self.scenario = scenario
@@ -231,7 +238,6 @@ class PlacementEnv:
         self._total_cores = float(scenario.topology.cores.sum())
         self.bounds = RewardBounds(c_max=self._total_cores)
         self.workload = scenario.workload
-        self.deployment = initial_deployment(scenario.topology)
         self.queue: list[int] = []
         self.invalid_steps = 0
 
@@ -241,20 +247,24 @@ class PlacementEnv:
         self.bounds = self.bounds.widened(
             t_upper=t_max_bound(self.scenario, self.workload), c_upper=self._total_cores
         )
-        self.deployment = initial_deployment(self.scenario.topology)
+        self.available_cores = self.scenario.topology.cores
+        self.available_memory = self.scenario.topology.memory
+        self.total_delay = 0.0
+        self.total_cost = 0.0
+        self.placements: dict[int, np.ndarray] = {}  # f -> bool (N,)
+        self.routes: dict[int, np.ndarray] = {}  # f -> float (N, N)
         self.queue = make_queue(self.scenario, self.workload)
         self._queue_memory = queue_memory(self._memory, self.queue)
         self.invalid_steps = 0
         return self._observe()
 
     def _observe(self) -> np.ndarray:
-        dep = self.deployment
         return observe(
-            self._delays_flat, dep.available_cores, dep.available_memory,
+            self._delays_flat, self.available_cores, self.available_memory,
             self.workload[self.queue[0]],
             # after k steps len(queue) == F - k, so this is position k's entry
             self._queue_memory[-len(self.queue)],
-            dep.total_delay,
+            self.total_delay,
         )
 
     def step(self, action: np.ndarray) -> StepOutcome:
@@ -262,14 +272,13 @@ class PlacementEnv:
             raise RuntimeError("step() after episode end; call reset()")
         fid = self.queue.pop(0)
         fn = self.scenario.functions[fid]
-        placement = np.array(action, dtype=bool)  # a copy: the deployment keeps it
-        dep = self.deployment
+        placement = np.array(action, dtype=bool)  # a copy: self.placements keeps it
         violation = None
 
         if not placement.any():
             violation = "empty-placement"
         else:
-            mem_after = dep.available_memory - np.where(placement, fn.memory, 0.0)
+            mem_after = self.available_memory - np.where(placement, fn.memory, 0.0)
             if (mem_after < -_CORE_TOL).any():
                 violation = "memory"
         if violation is None:
@@ -280,7 +289,7 @@ class PlacementEnv:
                     delays=self._delays,
                     workload_row=row,
                     placement=placement,
-                    available_cores=dep.available_cores,
+                    available_cores=self.available_cores,
                     cores_per_request=cpr,
                 )
             )
@@ -289,17 +298,19 @@ class PlacementEnv:
             else:
                 routing = solution.routing
                 # routing sends nothing to unplaced nodes, so their draw is exactly 0.0
-                cores_after = dep.available_cores - routing.T @ row * cpr
+                cores_after = self.available_cores - routing.T @ row * cpr
                 if (cores_after < -_CORE_TOL).any():
                     violation = "cores"
 
         if violation is None:
-            dep.place(
-                fid, placement, routing, cores_after, mem_after,
-                solution.objective_delay, cost_increment(routing, row, cpr),
-            )
+            self.placements[fid] = placement
+            self.routes[fid] = routing
+            self.available_cores = cores_after
+            self.available_memory = mem_after
+            self.total_delay += solution.objective_delay
+            self.total_cost += cost_increment(routing, row, cpr)
             reward, self.bounds = normalize_and_reward(
-                dep.total_delay, dep.total_cost, self.bounds, self.alpha
+                self.total_delay, self.total_cost, self.bounds, self.alpha
             )
         else:
             self.invalid_steps += 1
@@ -410,8 +421,6 @@ class LockstepEnv:
 class EpisodeRecord:
     total_delay: float
     total_cost: float
-    rewards: list[float]
-    invalid_steps: int
     placements: dict[int, np.ndarray]
     routes: dict[int, np.ndarray]
     valid: bool
@@ -431,20 +440,16 @@ def run_episode(
     if not deterministic:
         raise ValueError("run_episode runs deterministic episodes only")
     state = env.reset(workload)
-    rewards: list[float] = []
     done = False
     while not done:
         probs, _ = forward(agent.net, state / agent.state_scale)
         outcome = env.step(deterministic_action(probs))
-        rewards.append(outcome.reward)
         done = outcome.done
         state = outcome.state
     return EpisodeRecord(
-        total_delay=env.deployment.total_delay,
-        total_cost=env.deployment.total_cost,
-        rewards=rewards,
-        invalid_steps=env.invalid_steps,
-        placements=dict(env.deployment.placements),
-        routes=dict(env.deployment.routes),
+        total_delay=env.total_delay,
+        total_cost=env.total_cost,
+        placements=dict(env.placements),
+        routes=dict(env.routes),
         valid=env.invalid_steps == 0,
     )

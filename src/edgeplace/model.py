@@ -1,4 +1,4 @@
-"""Domain model for edge clusters, serverless functions, and deployments.
+"""Domain model: edge clusters, serverless functions and scenarios, with JSON I/O.
 
 Units used throughout the package:
   * network delay           milliseconds (per request, one hop i -> j)
@@ -11,7 +11,7 @@ Units used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -288,51 +288,3 @@ def save_scenario(path: str, scenario: Scenario) -> None:
         raise ScenarioError("refusing to save invalid scenario: " + "; ".join(problems))
     dump_json(path, scenario_to_dict(scenario))
 
-
-# --------------------------------------------------------------------------
-# deployment bookkeeping
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class DeploymentState:
-    """Residual cluster state while a queue of functions is being placed.
-
-    PlacementEnv keeps one state per episode and each greedy baseline one per
-    solve; place() records every placed function in it, in place. The caller
-    computes the residual arrays it passes: PlacementEnv already holds them
-    from its memory and core checks.
-    """
-
-    available_cores: np.ndarray  # (N,)
-    available_memory: np.ndarray  # (N,)
-    placements: dict[int, np.ndarray] = field(default_factory=dict)  # f -> bool (N,)
-    routes: dict[int, np.ndarray] = field(default_factory=dict)  # f -> float (N, N)
-    total_delay: float = 0.0
-    total_cost: float = 0.0
-
-    def place(
-        self,
-        function_id: int,
-        placement: np.ndarray,
-        routing: np.ndarray,
-        cores: np.ndarray,
-        memory: np.ndarray,
-        delay: float,
-        cost: float,
-    ) -> None:
-        """Record one function's placement and routing (kept, not copied),
-        set the residual core and memory arrays, and add its delay and cost."""
-        self.placements[function_id] = placement
-        self.routes[function_id] = routing
-        self.available_cores = cores
-        self.available_memory = memory
-        self.total_delay += delay
-        self.total_cost += cost
-
-
-def initial_deployment(topology: Topology) -> DeploymentState:
-    return DeploymentState(
-        available_cores=topology.cores.copy(),
-        available_memory=topology.memory.copy(),
-    )

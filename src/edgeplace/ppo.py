@@ -36,13 +36,6 @@ class PPOConfig:
         doc["hidden"] = list(self.hidden)
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PPOConfig":
-        known = {f: doc[f] for f in cls.__dataclass_fields__ if f in doc}
-        if "hidden" in known:
-            known["hidden"] = tuple(int(h) for h in known["hidden"])
-        return cls(**known)
-
 
 # --------------------------------------------------------------------------
 # policy wrapper and action interface

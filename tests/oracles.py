@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
 
 from edgeplace.bench import TrainResult
 from edgeplace.env import VIOLATIONS, PlacementEnv, build_state_scale, state_dim
-from edgeplace.model import DeploymentState, FunctionSpec, Scenario
+from edgeplace.model import FunctionSpec, Scenario, Topology
 from edgeplace.nn import MLP, Adam
 from edgeplace.ppo import PolicyAgent, PPOConfig, Trajectory, forward, ppo_update
 from edgeplace.util import rng_stream
@@ -339,7 +339,24 @@ def _duals_reference(basis: list[tuple[int, int]], cost: list[list[float]], m: i
     return np.array(u), np.array(v)
 
 
-def build_state(scenario: Scenario, deployment: DeploymentState, workload: np.ndarray,
+@dataclass
+class ReferenceState:
+    """One episode's placement state, as the copying commit builds it."""
+
+    available_cores: np.ndarray  # (N,)
+    available_memory: np.ndarray  # (N,)
+    placements: dict[int, np.ndarray] = field(default_factory=dict)  # f -> bool (N,)
+    routes: dict[int, np.ndarray] = field(default_factory=dict)  # f -> float (N, N)
+    total_delay: float = 0.0
+    total_cost: float = 0.0
+
+
+def empty_state(topology: Topology) -> ReferenceState:
+    """The state before any placement: full capacity, nothing placed."""
+    return ReferenceState(available_cores=topology.cores, available_memory=topology.memory)
+
+
+def build_state(scenario: Scenario, state: ReferenceState, workload: np.ndarray,
                 queue: list[int]) -> np.ndarray:
     """The placement observation from its definition.
 
@@ -348,13 +365,13 @@ def build_state(scenario: Scenario, deployment: DeploymentState, workload: np.nd
     memory) and the cumulative delay.
     """
     resources = np.empty(2 * scenario.n_nodes)
-    resources[0::2] = deployment.available_cores
-    resources[1::2] = deployment.available_memory
+    resources[0::2] = state.available_cores
+    resources[1::2] = state.available_memory
     queued = scenario.function_memory()[queue]
     rest = queued[1:]
     memory = [queued[0], rest.mean(), rest.std()] if rest.size else [queued[0], 0.0, 0.0]
     return np.concatenate([scenario.topology.delays.ravel(), resources,
-                           workload[queue[0]], memory, [deployment.total_delay]])
+                           workload[queue[0]], memory, [state.total_delay]])
 
 
 def state_scale_reference(scenario: Scenario, snapshots: list[np.ndarray]) -> np.ndarray:
@@ -381,24 +398,24 @@ def state_scale_reference(scenario: Scenario, snapshots: list[np.ndarray]) -> np
     return np.array(scale)
 
 
-def commit(deployment: DeploymentState, function: FunctionSpec, placement: np.ndarray,
+def commit(state: ReferenceState, function: FunctionSpec, placement: np.ndarray,
            routing: np.ndarray, workload_row: np.ndarray, delay: float,
-           cost: float) -> DeploymentState:
+           cost: float) -> ReferenceState:
     """The successor state after one placement, built by copying; the input is unchanged.
 
     Only placed nodes are charged the routed core draw and the memory.
     """
     placement = np.asarray(placement, dtype=bool)
-    cpr = function.cores_per_request_vec(deployment.available_cores.shape[0])
+    cpr = function.cores_per_request_vec(state.available_cores.shape[0])
     core_use = routing.T @ workload_row * cpr
     return replace(
-        deployment,
-        available_cores=deployment.available_cores - np.where(placement, core_use, 0.0),
-        available_memory=deployment.available_memory - np.where(placement, function.memory, 0.0),
-        placements={**deployment.placements, function.id: placement.copy()},
-        routes={**deployment.routes, function.id: routing.copy()},
-        total_delay=deployment.total_delay + delay,
-        total_cost=deployment.total_cost + cost,
+        state,
+        available_cores=state.available_cores - np.where(placement, core_use, 0.0),
+        available_memory=state.available_memory - np.where(placement, function.memory, 0.0),
+        placements={**state.placements, function.id: placement.copy()},
+        routes={**state.routes, function.id: routing.copy()},
+        total_delay=state.total_delay + delay,
+        total_cost=state.total_cost + cost,
     )
 
 

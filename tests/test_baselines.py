@@ -195,6 +195,24 @@ def _check_valid_greedy(scenario, workload, sol):
         assert np.abs(off).max() <= 1e-9
         core_use += route.T @ workload[f] * cpr[f]
     assert np.all(core_use <= scenario.topology.cores + 1e-6)
+    doc = decision_to_dict(scenario.name, workload, sol.placements, sol.routes,
+                           sol.total_delay, sol.total_cost, sol.metadata["method"], 0.0, 0)
+    assert verify_decision(scenario, doc) == []  # includes the declared totals
+
+
+@pytest.mark.parametrize("solver", [solve_vsvbp, solve_creua])
+def test_greedy_solutions_verify_on_random_scenarios(solver):
+    rng = np.random.default_rng(4242)
+    feasible = 0
+    for _ in range(100):
+        scenario = _random_joint_scenario(rng)
+        sol = solver(scenario)
+        if sol.feasible:
+            feasible += 1
+            _check_valid_greedy(scenario, scenario.workload, sol)
+        else:
+            assert sol.metadata["violations"]
+    assert feasible >= 40  # 50 and 44 of the 100 at this seed
 
 
 def test_vsvbp_produces_valid_deployment(tri_scenario):

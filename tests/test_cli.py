@@ -167,6 +167,19 @@ _SMALL_RUN = {
 }
 
 
+@pytest.mark.parametrize("command", ["gen-workload", "evaluate"])
+def test_config_section_the_command_does_not_read_exits_1(scenario_path, tmp_path, capsys,
+                                                          command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ppo": {"epochs": 1, "hidden": [8]}}))
+    code = run_cli(
+        command, "--scenario", scenario_path, "--out", str(tmp_path / "o"),
+        *_SMALL_RUN[command], "--config", str(path),
+    )
+    assert code == EXIT_USAGE
+    assert "'ppo'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -274,10 +287,12 @@ def test_train_then_evaluate_pipeline(scenario_path, fast_config, tmp_path, caps
     assert policy.exists() and (train_dir / "train-log-alpha0-seed1.csv").exists()
 
     eval_dir = tmp_path / "eval"
+    eval_config = tmp_path / "eval-config.json"  # evaluate reads the workload section only
+    eval_config.write_text(json.dumps({"workload": {"rate_range": [4, 12]}}))
     code = run_cli(
         "evaluate", "--scenario", scenario_path, "--alpha", "0", "--seed", "1",
         "--checkpoint", str(policy), "--snapshots", "3", "--milp-budget", "200",
-        "--config", fast_config, "--no-timing", "--out", str(eval_dir),
+        "--config", str(eval_config), "--no-timing", "--out", str(eval_dir),
     )
     assert code == EXIT_OK
     table = capsys.readouterr().out

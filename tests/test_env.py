@@ -23,7 +23,6 @@ from edgeplace.env import (
     state_dim,
     t_max_bound,
 )
-from edgeplace.model import initial_deployment
 from edgeplace.nn import MLP
 from edgeplace.ppo import PolicyAgent
 from edgeplace.routing import RoutingProblem, _cycle, solve_routing
@@ -32,7 +31,7 @@ from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 
 from conftest import make_scenario
-from oracles import build_state, commit, state_scale_reference
+from oracles import build_state, commit, empty_state, state_scale_reference
 
 
 def _agent(scenario, snapshots):
@@ -47,8 +46,8 @@ def test_state_dim_formula():
 
 def test_build_state_layout(tri_scenario):
     v = PlacementEnv(tri_scenario, alpha=0.0).reset()
-    dep = initial_deployment(tri_scenario.topology)
-    reference = build_state(tri_scenario, dep, tri_scenario.workload, make_queue(tri_scenario))
+    reference = build_state(tri_scenario, empty_state(tri_scenario.topology),
+                            tri_scenario.workload, make_queue(tri_scenario))
     np.testing.assert_array_equal(v, reference)
     assert v.shape == (state_dim(3),)
     np.testing.assert_array_equal(v[:9], tri_scenario.topology.delays.ravel())
@@ -193,10 +192,10 @@ def test_valid_step_commits_and_scores(tri_scenario):
     # queue head is f1 (heaviest); send all of its traffic to node 0
     out = env.step(np.array([True, False, False]))
     assert out.valid and out.violation is None and out.function_id == 1
-    assert env.deployment.total_delay == pytest.approx(2 * 0 + 6 * 2 + 8 * 5)
-    assert env.deployment.total_cost == pytest.approx(16.0)
-    assert env.deployment.available_cores[0] == pytest.approx(30 - 16)
-    assert env.deployment.available_memory[0] == pytest.approx(64 - 4)
+    assert env.total_delay == pytest.approx(2 * 0 + 6 * 2 + 8 * 5)
+    assert env.total_cost == pytest.approx(16.0)
+    assert env.available_cores[0] == pytest.approx(30 - 16)
+    assert env.available_memory[0] == pytest.approx(64 - 4)
     # t window is [0, 198] from the reset-time bound, alpha=0 ignores cost
     assert out.reward == pytest.approx(1 - 2 * 52 / 198)
     assert not out.done and out.state is not None
@@ -206,13 +205,13 @@ def test_valid_step_commits_and_scores(tri_scenario):
 def test_empty_placement_penalized_without_commit(tri_scenario):
     env = PlacementEnv(tri_scenario, alpha=0.5)
     env.reset()
-    before = env.deployment
+    before = _snapshot(env)
     out = env.step(np.zeros(3, dtype=bool))
     assert not out.valid and out.violation == "empty-placement"
     assert out.reward == PENALTY_REWARD
-    assert env.deployment is before  # nothing committed
+    _assert_snapshot(env, before)  # nothing committed
     assert env.invalid_steps == 1
-    assert 1 not in env.deployment.placements
+    assert 1 not in env.placements
 
 
 def test_memory_violation():
@@ -241,7 +240,7 @@ def test_routing_infeasible_violation():
     env.reset()
     out = env.step(np.array([True, False]))  # 12 requests into 5 cores
     assert out.violation == "routing-infeasible"
-    assert env.deployment.total_cost == 0.0
+    assert env.total_cost == 0.0
 
 
 def test_step_after_end_raises(tri_scenario):
@@ -267,12 +266,11 @@ def test_run_episode_deterministic_cold_start(tri_scenario):
     agent = _agent(tri_scenario, [tri_scenario.workload])
     env = PlacementEnv(tri_scenario, alpha=0.0)
     record = run_episode(agent, env, tri_scenario.workload, deterministic=True)
-    assert record.valid and record.invalid_steps == 0
+    assert record.valid and env.invalid_steps == 0
     assert record.total_delay == pytest.approx(0.0)
     assert record.total_cost == pytest.approx(30.0)
     assert sorted(record.placements) == [0, 1]
     assert all(p.all() for p in record.placements.values())
-    assert len(record.rewards) == 2
 
 
 class _ReferenceEnv:
@@ -289,44 +287,44 @@ class _ReferenceEnv:
             t_upper=t_max_bound(self.scenario, workload),
             c_upper=float(self.scenario.topology.cores.sum()),
         )
-        self.deployment = initial_deployment(self.scenario.topology)
+        self.state = empty_state(self.scenario.topology)
         self.queue = make_queue(self.scenario, workload)
-        return build_state(self.scenario, self.deployment, workload, self.queue)
+        return build_state(self.scenario, self.state, workload, self.queue)
 
     def step(self, action):
         fid = self.queue.pop(0)
         fn = self.scenario.functions[fid]
         placement = np.asarray(action, dtype=bool)
         row = self.workload[fid]
-        dep = self.deployment
+        state = self.state
         violation = None
         if not placement.any():
             violation = "empty-placement"
-        elif np.any(dep.available_memory - np.where(placement, fn.memory, 0.0) < -_CORE_TOL):
+        elif np.any(state.available_memory - np.where(placement, fn.memory, 0.0) < -_CORE_TOL):
             violation = "memory"
         else:
             cpr = fn.cores_per_request_vec(self.scenario.n_nodes)
             sol = solve_routing(
                 RoutingProblem(self.scenario.topology.delays, row, placement,
-                               dep.available_cores, cpr)
+                               state.available_cores, cpr)
             )
             if not sol.feasible:
                 violation = "routing-infeasible"
             else:
                 cost = cost_increment(sol.routing, row, cpr)
-                dep = commit(dep, fn, placement, sol.routing, row, sol.objective_delay, cost)
-                if np.any(dep.available_cores < -_CORE_TOL):
+                state = commit(state, fn, placement, sol.routing, row, sol.objective_delay, cost)
+                if np.any(state.available_cores < -_CORE_TOL):
                     violation = "cores"
         if violation is None:
-            self.deployment = dep
+            self.state = state
             reward, self.bounds = normalize_and_reward(
-                dep.total_delay, dep.total_cost, self.bounds, self.alpha
+                state.total_delay, state.total_cost, self.bounds, self.alpha
             )
         else:
             reward = PENALTY_REWARD
-        state = build_state(self.scenario, self.deployment, self.workload, self.queue) \
+        observation = build_state(self.scenario, self.state, self.workload, self.queue) \
             if self.queue else None
-        return reward, violation, state
+        return reward, violation, observation
 
 
 def _equivalence_cases(tri_scenario):
@@ -358,19 +356,20 @@ def _pivoting_scenario(n_nodes, n_functions, rng):
     return replace(scenario, topology=replace(scenario.topology, nodes=nodes, delays=delays))
 
 
-def _snapshot(dep):
-    return (dep.available_cores.copy(), dep.available_memory.copy(),
-            {f: p.copy() for f, p in dep.placements.items()},
-            {f: r.copy() for f, r in dep.routes.items()}, dep.total_delay, dep.total_cost)
+def _snapshot(state):
+    """A copy of the episode state a PlacementEnv or oracles.ReferenceState holds."""
+    return (state.available_cores.copy(), state.available_memory.copy(),
+            {f: p.copy() for f, p in state.placements.items()},
+            {f: r.copy() for f, r in state.routes.items()}, state.total_delay, state.total_cost)
 
 
-def _assert_snapshot(dep, snap):
+def _assert_snapshot(state, snap):
     cores, memory, placements, routes, delay, cost = snap
-    np.testing.assert_array_equal(dep.available_cores, cores)
-    np.testing.assert_array_equal(dep.available_memory, memory)
-    _assert_dicts_equal(dep.placements, placements)
-    _assert_dicts_equal(dep.routes, routes)
-    assert (dep.total_delay, dep.total_cost) == (delay, cost)
+    np.testing.assert_array_equal(state.available_cores, cores)
+    np.testing.assert_array_equal(state.available_memory, memory)
+    _assert_dicts_equal(state.placements, placements)
+    _assert_dicts_equal(state.routes, routes)
+    assert (state.total_delay, state.total_cost) == (delay, cost)
 
 
 def _assert_dicts_equal(actual, expected):
@@ -405,25 +404,23 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch
             while not done:
                 action = rng.random(scenario.n_nodes) < rng.choice([0.0, 0.3, 0.7, 1.0])
                 reward, violation, ref_state = ref.step(action)
-                before = env.deployment
-                snap = _snapshot(before)
+                before = _snapshot(env)
                 out = env.step(action)
                 assert (out.reward, out.violation, out.valid) == (
                     reward, violation, violation is None
                 )
                 if violation is not None:
                     seen.add(violation)
-                    assert env.deployment is before
-                    _assert_snapshot(before, snap)  # an invalid step changes nothing
-                _assert_snapshot(env.deployment, _snapshot(ref.deployment))
+                    _assert_snapshot(env, before)  # an invalid step changes nothing
+                _assert_snapshot(env, _snapshot(ref.state))
                 assert env.bounds == ref.bounds
                 done = out.done
                 if done:
                     assert ref_state is None and out.state is None
                 else:
                     np.testing.assert_array_equal(out.state, ref_state)
-                routing = None if violation else env.deployment.routes[out.function_id]
-                episodes[-1][2].append((action, out.violation, _snapshot(env.deployment),
+                routing = None if violation else env.routes[out.function_id]
+                episodes[-1][2].append((action, out.violation, _snapshot(env),
                                         routing, out.state))
         before = len(cycles)
         _assert_lockstep_matches(scenario, episodes)

@@ -9,7 +9,6 @@ from edgeplace.model import (
     Scenario,
     ScenarioError,
     Topology,
-    initial_deployment,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -120,22 +119,3 @@ def test_cores_per_request_vector_length_checked():
     fn = FunctionSpec(id=0, memory=1.0, cores_per_request=np.array([1.0, 2.0]))
     with pytest.raises(ScenarioError):
         fn.cores_per_request_vec(3)
-
-
-def test_commit_updates_resources(tri_scenario):
-    dep = initial_deployment(tri_scenario.topology)
-    placement = np.array([True, False, True])
-    routing = np.array(
-        [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-    cores = dep.available_cores - [9.0, 0.0, 5.0]
-    memory = dep.available_memory - [8.0, 0.0, 8.0]
-    dep.place(0, placement, routing, cores, memory, delay=25.0, cost=9.0)
-    np.testing.assert_array_equal(dep.available_cores, [30 - 9.0, 20.0, 40 - 5.0])
-    np.testing.assert_array_equal(dep.available_memory, [64 - 8, 32, 128 - 8])
-    assert dep.placements[0] is placement and dep.routes[0] is routing
-    dep.place(1, np.array([False, True, False]), np.eye(3)[[1, 1, 1]], cores - [0, 6, 0],
-              memory - [0, 4, 0], delay=5.0, cost=6.0)
-    assert dep.total_delay == 30.0 and dep.total_cost == 15.0  # totals add up
-    assert sorted(dep.placements) == [0, 1] and sorted(dep.routes) == [0, 1]
-    np.testing.assert_array_equal(dep.available_cores, [21.0, 14.0, 35.0])
