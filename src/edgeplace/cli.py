@@ -179,7 +179,7 @@ def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
         if section not in sections:
             raise UsageError(
                 f"config {path}: this command reads no {section!r} section; "
-                f"choose from {sorted(sections)}"
+                + (f"choose from {sorted(sections)}" if sections else "it reads no section")
             )
         if not isinstance(patch, dict):
             raise UsageError(f"config {path}: section {section!r} must be a JSON object")
@@ -339,7 +339,8 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--trace takes no --snapshots: the trace sets the snapshot count")
     if args.checkpoint and "agent" not in candidates:
         raise UsageError("--checkpoint needs the agent among --candidates")
-    overrides = _load_overrides(args.config, ("workload",))
+    # the trace holds the snapshots, so no workload section has anything to set
+    overrides = _load_overrides(args.config, () if args.trace else ("workload",))
     plan = _build_plan(
         args, scenario, overrides, args.snapshots or _EVAL_SNAPSHOTS,
         alphas=(args.alpha,), candidates=candidates,

@@ -156,14 +156,21 @@ def _normalize(value: float, lo: float, hi: float) -> float:
     return 2.0 * (value - lo) / (hi - lo) - 1.0
 
 
+def _blend(t_total: float, c_total: float, t_min: float, t_max: float, c_min: float,
+           c_max: float, alpha: float) -> float:
+    """The reward: minus the alpha-blend of delay and cost normalized to their windows."""
+    t_norm = _normalize(t_total, t_min, t_max)
+    c_norm = _normalize(c_total, c_min, c_max)
+    return -(alpha * c_norm + (1.0 - alpha) * t_norm)
+
+
 def normalize_and_reward(
     t_total: float, c_total: float, bounds: RewardBounds, alpha: float
 ) -> tuple[float, RewardBounds]:
     """Blend normalized cumulative delay and cost into a reward in [-1, 1]."""
     bounds = bounds.observe(t_total, c_total)
-    t_norm = _normalize(t_total, bounds.t_min, bounds.t_max)
-    c_norm = _normalize(c_total, bounds.c_min, bounds.c_max)
-    reward = -(alpha * c_norm + (1.0 - alpha) * t_norm)
+    reward = _blend(t_total, c_total, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max,
+                    alpha)
     return reward, bounds
 
 
@@ -180,17 +187,23 @@ def window_rewards(
 
     Episodes are taken in order: episode e first widens the bounds to
     t_uppers[e] and c_upper, as PlacementEnv.reset does; then each valid step
-    scores its cumulative delays[e, k] and costs[e, k] through
-    normalize_and_reward, and each invalid step scores PENALTY_REWARD.
-    Returns the (E, F) rewards and the bounds after the window.
+    scores its cumulative delays[e, k] and costs[e, k] as
+    normalize_and_reward does, and each invalid step scores PENALTY_REWARD.
+    The scan keeps the four bounds as floats, widened and observed with
+    RewardBounds' own min/max calls. Returns the (E, F) rewards and the
+    bounds after the window.
     """
     rewards = np.full(valid.shape, PENALTY_REWARD)
-    rows = zip(t_uppers, delays.tolist(), costs.tolist())
-    for e, (t_upper, delay_row, cost_row) in enumerate(rows):
-        bounds = bounds.widened(t_upper=t_upper, c_upper=c_upper)
-        for k in np.flatnonzero(valid[e]).tolist():
-            rewards[e, k], bounds = normalize_and_reward(delay_row[k], cost_row[k], bounds, alpha)
-    return rewards, bounds
+    t_min, t_max, c_min, c_max = bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max
+    rows = zip(t_uppers, delays.tolist(), costs.tolist(), valid.tolist())
+    for e, (t_upper, delay_row, cost_row, valid_row) in enumerate(rows):
+        t_max, c_max = max(t_max, t_upper), max(c_max, c_upper)
+        for k, (t, c, ok) in enumerate(zip(delay_row, cost_row, valid_row)):
+            if ok:
+                t_min, t_max = min(t_min, t), max(t_max, t)
+                c_min, c_max = min(c_min, c), max(c_max, c)
+                rewards[e, k] = _blend(t, c, t_min, t_max, c_min, c_max, alpha)
+    return rewards, RewardBounds(t_min=t_min, t_max=t_max, c_min=c_min, c_max=c_max)
 
 
 def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float:

@@ -115,7 +115,12 @@ class MLP:
 
 @dataclass
 class Adam:
-    """Plain Adam that updates a flat parameter vector in place."""
+    """Plain Adam that updates a flat parameter vector in place.
+
+    m, v and the parameters are updated in place through one scratch buffer,
+    with the textbook update's operations in its order, so each step gives
+    the out-of-place formula's bits.
+    """
 
     lr: float = 3e-4
     beta1: float = 0.9
@@ -124,14 +129,31 @@ class Adam:
     t: int = field(default=0, init=False)
     m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
     v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    _scratch: np.ndarray = field(
+        default_factory=lambda: np.zeros((2, 0)), init=False, repr=False, compare=False
+    )
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m.size != params.size:
             self.m = np.zeros(params.size)
             self.v = np.zeros(params.size)
+            self._scratch = np.empty((2, params.size))
         self.t += 1
-        self.m[:] = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v[:] = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        num, den = self._scratch
+        # m = beta1 * m + (1 - beta1) * g
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        self.m += num
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        self.v += num
+        # params -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=num)
+        num *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num

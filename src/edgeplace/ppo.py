@@ -135,11 +135,13 @@ def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
 # --------------------------------------------------------------------------
 
 
-def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
+def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool = True):
     """Analytic loss and flat parameter gradient for one minibatch.
 
     batch: states (B,D), actions (B,N), old_log_probs (B,), advantages (B,)
-    (already normalized), returns (B,). Returns (stats dict, grad vector).
+    (already normalized), returns (B,). Returns (stats dict, grad vector);
+    with_stats=False skips the loss and its diagnostics and returns None for
+    the stats, with the same gradient.
     """
     states = batch["states"]
     actions = batch["actions"].astype(float)
@@ -154,23 +156,26 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
         probs = _sigmoid(logits)
         new_lp = log_prob_from_logits(logits, actions)
         ratio = np.exp(new_lp - old_lp)
-        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
-        surr = np.minimum(ratio * adv, clipped * adv)
         # gradient flows only where the unclipped branch attains the min
         active = np.where(adv >= 0.0, ratio <= 1.0 + eps, ratio >= 1.0 - eps)
         d_logits = -(active * ratio * adv)[:, None] * (actions - probs) / b
-        ent = _softplus(logits) - probs * logits
         d_logits += config.entropy_coef * (logits * probs * (1.0 - probs)) / b
         v_err = values - rets
         d_values = config.value_coef * 2.0 * v_err / b
-        stats["policy_loss"] = float(-np.mean(surr))
-        stats["value_loss"] = float(np.mean(v_err**2))
-        stats["entropy"] = float(np.mean(np.sum(ent, axis=1)))
-        stats["clip_fraction"] = float(np.mean(np.abs(ratio - 1.0) > eps))
-        stats["approx_kl"] = float(np.mean(old_lp - new_lp))
+        if with_stats:
+            clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+            surr = np.minimum(ratio * adv, clipped * adv)
+            ent = _softplus(logits) - probs * logits
+            stats["policy_loss"] = float(-np.mean(surr))
+            stats["value_loss"] = float(np.mean(v_err**2))
+            stats["entropy"] = float(np.mean(np.sum(ent, axis=1)))
+            stats["clip_fraction"] = float(np.mean(np.abs(ratio - 1.0) > eps))
+            stats["approx_kl"] = float(np.mean(old_lp - new_lp))
         return np.concatenate([d_logits, d_values[:, None]], axis=1)
 
     _, _, grad = net.forward_backward(states, d_out)
+    if not with_stats:
+        return None, grad
     stats["loss"] = (
         stats["policy_loss"]
         + config.value_coef * stats["value_loss"]
@@ -186,25 +191,35 @@ def ppo_update(
     optimizer: Adam,
     rng: np.random.Generator,
 ) -> dict:
-    """Multi-epoch minibatch PPO update in place. Returns diagnostics."""
+    """Multi-epoch minibatch PPO update in place.
+
+    Each epoch gathers the trajectory's columns once in a fresh shuffled
+    order and cuts its minibatches from them. Returns the loss diagnostics of
+    the last minibatch of the last epoch, the only one they are computed
+    for, plus the window's mean reward.
+    """
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
     t_len = len(trajectory)
+    size = config.minibatch_size
+    columns = {
+        "states": trajectory.states,
+        "actions": trajectory.actions,
+        "old_log_probs": trajectory.log_probs,
+        "advantages": adv,
+        "returns": returns,
+    }
     diag: dict = {}
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         perm = rng.permutation(t_len)
-        for start in range(0, t_len, config.minibatch_size):
-            idx = perm[start : start + config.minibatch_size]
-            batch = {
-                "states": trajectory.states[idx],
-                "actions": trajectory.actions[idx],
-                "old_log_probs": trajectory.log_probs[idx],
-                "advantages": adv[idx],
-                "returns": returns[idx],
-            }
-            stats, grad = ppo_loss_and_grad(net, batch, config)
+        shuffled = {key: column[perm] for key, column in columns.items()}
+        for start in range(0, t_len, size):
+            batch = {key: column[start : start + size] for key, column in shuffled.items()}
+            last = epoch == config.epochs - 1 and start + size >= t_len
+            stats, grad = ppo_loss_and_grad(net, batch, config, with_stats=last)
             optimizer.step(net.params, grad)
-            diag = stats
+            if last:
+                diag = stats
     diag["mean_reward"] = float(np.mean(trajectory.rewards))
     return diag
 

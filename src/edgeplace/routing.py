@@ -28,10 +28,25 @@ delay is optimal, so no pivot moves flow. The margin covers the float dust
 of the greedy's one-at-a-time capacity updates; a host loaded to equality,
 or within the margin of it, takes the simplex path. When every load fits,
 demand is within capacity, so the fast path needs no capacity test.
+
+Memos: every slot of a training run routes on one delay matrix, so the
+simplex meets the same few cost matrices (the dummy row included) over and
+over. Two least-recently-used tables keep what depends on that matrix
+alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the cost
+matrix as a tuple of tuples, holds the cells in the greedy start's visiting
+order, which the basis repair walks too. _certificate (at most
+_CERTIFICATE_ENTRIES), keyed on that matrix and the basis as a tuple, holds
+the pivot loop's entering cell for the basis, or None when the basis is
+optimal: the potentials and reduced costs follow from the costs and the
+basis, never from supply or capacity. A hit returns what a miss
+computes from equal keys, and the greedy allocation and every pivot still
+run on each problem's own rates and capacities with unchanged arithmetic,
+so memoised flows are the flows of a cold call, byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +55,10 @@ _EPS_REDUCED = 1e-10  # reduced-cost threshold for entering variable
 _EPS_FEAS = 1e-9
 _MAX_PIVOTS = 20000
 _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
+# memo sizes; a training run meets about 30 cost matrices and 300 (cost, basis) pairs
+_ORDER_ENTRIES = 256
+_CERTIFICATE_ENTRIES = 1024
+_NO_SPAN = "no-span"  # _certificate's answer for a basis that is not a spanning tree
 
 
 @dataclass(frozen=True)
@@ -211,7 +230,14 @@ def route_flows(
 # --------------------------------------------------------------------------
 
 
-def _initial_basis(cost: list[list[float]], supply: list[float], caps: list[float]):
+@functools.lru_cache(maxsize=_ORDER_ENTRIES)
+def _greedy_order(cost: tuple[tuple[float, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """Every cell (i, j) by (cost, column, row): the order the greedy start visits them in."""
+    cells = sorted((c, j, i) for i, row in enumerate(cost) for j, c in enumerate(row))
+    return tuple((i, j) for _, j, i in cells)
+
+
+def _initial_basis(cost: tuple[tuple[float, ...], ...], supply: list[float], caps: list[float]):
     """Minimum-cost greedy start; ties go to (lower cost, lower column, lower row)."""
     m, n = len(cost), len(caps)
     y = [[0.0] * n for _ in range(m)]
@@ -221,8 +247,8 @@ def _initial_basis(cost: list[list[float]], supply: list[float], caps: list[floa
     col_active = [True] * n
     rows_left, cols_left = m, n
     basis: list[tuple[int, int]] = []
-    order = sorted([(c, j, i) for i, row in enumerate(cost) for j, c in enumerate(row)])
-    for _, j, i in order:
+    order = _greedy_order(cost)
+    for i, j in order:
         if rows_left == 0 or cols_left == 0:
             break
         if not (row_active[i] and col_active[j]):
@@ -252,16 +278,19 @@ def _initial_basis(cost: list[list[float]], supply: list[float], caps: list[floa
         else:
             col_active[j] = False
             cols_left -= 1
-    _repair_basis(basis, cost, m, n)
+    _repair_basis(basis, order, m, n)
     return y, basis
 
 
-def _repair_basis(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int) -> None:
+def _repair_basis(
+    basis: list[tuple[int, int]], order: tuple[tuple[int, int], ...], m: int, n: int
+) -> None:
     """Pad the basis with zero cells until it spans all rows and columns.
 
     Float dust in the greedy can leave the basis one short of the m+n-1
     spanning tree the dual computation needs; connect components with the
-    cheapest admissible cells (never creating a cycle).
+    cheapest admissible cells, taken in the greedy order (never creating a
+    cycle).
     """
     if len(basis) == m + n - 1:
         return
@@ -275,8 +304,7 @@ def _repair_basis(basis: list[tuple[int, int]], cost: list[list[float]], m: int,
 
     for i, j in basis:
         parent[find(i)] = find(m + j)
-    order = sorted((cost[i][j], j, i) for i in range(m) for j in range(n))
-    for _, j, i in order:
+    for i, j in order:
         if len(basis) == m + n - 1:
             break
         ri, rj = find(i), find(m + j)
@@ -367,23 +395,35 @@ def _entering(cost: list[list[float]], basic: list[list[bool]], u: list[float], 
     return None
 
 
+@functools.lru_cache(maxsize=_CERTIFICATE_ENTRIES)
+def _certificate(cost: tuple[tuple[float, ...], ...], basis: tuple[tuple[int, int], ...]):
+    """Bland's entering cell for this basis, None when the basis is optimal, or
+    _NO_SPAN when it does not span the transportation graph."""
+    m, n = len(cost), len(cost[0])
+    duals = _duals(basis, cost, m, n)
+    if duals is None:
+        return _NO_SPAN
+    basic = [[False] * n for _ in range(m)]
+    for i, j in basis:
+        basic[i][j] = True
+    return _entering(cost, basic, *duals)
+
+
 def _transport_simplex(
     cost: list[list[float]], supply: list[float], caps: list[float]
 ) -> list[list[float]]:
     """Balanced transportation solve; returns the flow rows y."""
     m, n = len(cost), len(caps)
-    y, basis = _initial_basis(cost, supply, caps)
-    basic = [[False] * n for _ in range(m)]
-    for i, j in basis:
-        basic[i][j] = True
+    key = tuple(map(tuple, cost))
+    y, basis = _initial_basis(key, supply, caps)
     for _ in range(_MAX_PIVOTS):
-        duals = _duals(basis, cost, m, n)
-        if duals is None:
+        # the first lookup certifies the greedy start, or names its first pivot
+        enter = _certificate(key, tuple(basis))
+        if enter is _NO_SPAN:
             raise RuntimeError(_failure("basis does not span the transportation graph",
                                         cost, supply, caps))
-        enter = _entering(cost, basic, *duals)
         if enter is None:
-            return [[max(flow, 0.0) for flow in row] for row in y]
+            return [[0.0 if flow < 0.0 else flow for flow in row] for row in y]  # max(flow, 0.0)
         plus, minus = _cycle(basis, enter, m, n)
         theta = min(y[i][j] for i, j in minus)
         leave = min(c for c in minus if y[c[0]][c[1]] <= theta)
@@ -395,8 +435,6 @@ def _transport_simplex(
         y[leave[0]][leave[1]] = 0.0
         basis.remove(leave)
         basis.append(enter)
-        basic[leave[0]][leave[1]] = False
-        basic[enter[0]][enter[1]] = True
     raise RuntimeError(_failure("transportation simplex exceeded pivot limit", cost, supply, caps))
 
 

@@ -17,7 +17,15 @@ from edgeplace.bench import TrainResult
 from edgeplace.env import VIOLATIONS, PlacementEnv, build_state_scale, state_dim
 from edgeplace.model import FunctionSpec, Scenario, Topology
 from edgeplace.nn import MLP, Adam
-from edgeplace.ppo import PolicyAgent, PPOConfig, Trajectory, forward, ppo_update
+from edgeplace.ppo import (
+    PolicyAgent,
+    PPOConfig,
+    Trajectory,
+    compute_gae,
+    forward,
+    ppo_loss_and_grad,
+    ppo_update,
+)
 from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 from edgeplace.routing import (
@@ -72,20 +80,66 @@ def gae_reference(rewards, values, dones, gamma, lam):
     return adv
 
 
+@dataclass
+class AdamReference:
+    """Out-of-place Adam (Kingma & Ba, Algorithm 1): its moments and step count."""
+
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Write the next iterate into params; m and v are rebound to new arrays."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        params[:] = params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def adam_reference(params: np.ndarray, grads, lr: float, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> list[np.ndarray]:
-    """Out-of-place Adam (Kingma & Ba, Algorithm 1); returns the iterate after each gradient."""
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    """AdamReference from params over each gradient; returns the iterate after each."""
+    optimizer = AdamReference(lr, beta1, beta2, eps)
+    params = params.copy()
     iterates = []
-    for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-        iterates.append(params)
+    for g in grads:
+        optimizer.step(params, g)
+        iterates.append(params.copy())
     return iterates
+
+
+def ppo_update_reference(net: MLP, trajectory: Trajectory, config: PPOConfig,
+                         optimizer: AdamReference, rng: np.random.Generator) -> dict:
+    """ppo_update written plainly: each minibatch gathers its own rows from the
+    trajectory and computes its loss diagnostics, the last minibatch's are kept,
+    and the optimizer is AdamReference."""
+    adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
+    adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
+    t_len = len(trajectory)
+    diag: dict = {}
+    for _ in range(config.epochs):
+        perm = rng.permutation(t_len)
+        for start in range(0, t_len, config.minibatch_size):
+            idx = perm[start : start + config.minibatch_size]
+            batch = {
+                "states": trajectory.states[idx],
+                "actions": trajectory.actions[idx],
+                "old_log_probs": trajectory.log_probs[idx],
+                "advantages": adv[idx],
+                "returns": returns[idx],
+            }
+            diag, grad = ppo_loss_and_grad(net, batch, config)
+            optimizer.step(net.params, grad)
+    diag["mean_reward"] = float(np.mean(trajectory.rewards))
+    return diag
 
 
 def joint_lp_reference(scenario: Scenario, workload: np.ndarray, placements: np.ndarray,
@@ -304,7 +358,7 @@ def _initial_basis_reference(cost: list[list[float]], supply: np.ndarray, caps: 
         else:
             col_active[j] = False
             cols_left -= 1
-    _repair_basis(basis, cost, m, n)
+    _repair_basis(basis, [(i, j) for _, j, i in order], m, n)
     return y, basis
 
 

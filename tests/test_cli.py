@@ -448,6 +448,20 @@ def test_evaluate_trace_refuses_snapshots(scenario_path, tmp_path, capsys):
     assert "--snapshots" in capsys.readouterr().err
 
 
+def test_evaluate_trace_refuses_workload_section(scenario_path, tmp_path, capsys):
+    # the trace holds the snapshots, so even an inverted rate range would go unread
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workload": {"rate_range": [5, 1]}}))
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--candidates", "cr-eua", "--trace", _trace(scenario_path, tmp_path), "--no-timing",
+        "--config", str(config),
+    )
+    assert code == EXIT_USAGE
+    assert "'workload'" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_evaluate_checkpoint_without_agent_exits_1(scenario_path, tmp_path, capsys):
     code = run_cli(
         "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),

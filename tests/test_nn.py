@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.nn import MLP, Adam, PolicyArchitectureError
 
-from oracles import adam_reference, finite_difference_grad
+from oracles import AdamReference, adam_reference, finite_difference_grad
 
 
 def test_cold_start_outputs_zero():
@@ -101,3 +103,36 @@ def test_adam_in_place_matches_out_of_place_reference():
         opt.step(live, grad)
         np.testing.assert_array_equal(live, expected)
     assert opt.t == 50
+
+
+@st.composite
+def _adam_run(draw):
+    """Hyperparameters, a start point and a few gradients, with zeros, tiny and huge entries."""
+    n, steps = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1.0]),
+                      st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False))
+    params = np.array([draw(value) for _ in range(n)])
+    grads = [np.array([draw(value) for _ in range(n)]) for _ in range(steps)]
+    hyper = {
+        "lr": draw(st.sampled_from([3e-4, 1e-2, 0.5])),
+        "beta1": draw(st.sampled_from([0.9, 0.5, 0.0])),
+        "beta2": draw(st.sampled_from([0.999, 0.9])),
+        "eps": draw(st.sampled_from([1e-8, 1e-3])),
+    }
+    return params, grads, hyper
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_adam_run())
+def test_adam_step_is_the_textbook_formula_bit_for_bit(run):
+    params, grads, hyper = run
+    opt, reference = Adam(**hyper), AdamReference(**hyper)
+    live, expected = params.copy(), params.copy()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for grad in grads:
+            opt.step(live, grad)
+            reference.step(expected, grad)
+            assert live.tobytes() == expected.tobytes()
+            assert opt.m.tobytes() == reference.m.tobytes()
+            assert opt.v.tobytes() == reference.v.tobytes()
+    assert opt.t == reference.t == len(grads)

@@ -19,7 +19,13 @@ from edgeplace.ppo import (
     save_policy,
 )
 
-from oracles import finite_difference_grad, gae_reference
+from edgeplace import bench
+from edgeplace.env import LockstepEnv, RewardBounds, build_state_scale, state_dim, t_max_bound
+from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
+from edgeplace.util import rng_stream
+from edgeplace.workload import generate_workloads
+
+from oracles import AdamReference, finite_difference_grad, gae_reference, ppo_update_reference
 
 
 def _traj(rewards, values, dones, n_actions=2):
@@ -183,6 +189,50 @@ def test_ppo_update_improves_simple_preference():
         ppo_update(net, t, cfg, opt, rng)
     probs, _ = forward(net, state)
     assert probs[0] > 0.9 and probs[1] < 0.1
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_ppo_update_matches_per_minibatch_reference(preset):
+    """Two updates on rollouts of the preset equal the plain reference bit for bit.
+
+    The default config cuts small-payload's 256-step window into even
+    minibatches and large-payload's 260-step window into a ragged last one.
+    """
+    scenario = build_preset(preset)
+    cfg = PPOConfig()
+    snapshots = generate_workloads(scenario.n_functions, scenario.n_nodes,
+                                   preset_workload_config(preset, 4), rng_stream(1, "workload"))
+    net = MLP(state_dim(scenario.n_nodes), scenario.n_nodes, hidden=cfg.hidden,
+              rng=np.random.default_rng(3))
+    agent = PolicyAgent(net=net, state_scale=build_state_scale(scenario, snapshots))
+    env = LockstepEnv(scenario)
+    bounds = RewardBounds(c_max=env.total_cores)
+    window = -(-cfg.update_interval // scenario.n_functions)
+    rollout_rng = np.random.default_rng(4)
+    trajectories = []
+    for offset in range(2):
+        workloads = [snapshots[(offset + e) % len(snapshots)] for e in range(window)]
+        trajectory, _, bounds = bench._rollout_window(
+            agent, env, workloads, [t_max_bound(scenario, w) for w in workloads], bounds, 0.0,
+            rollout_rng,
+        )
+        trajectories.append(trajectory)
+    reference_net = MLP(net.input_dim, net.n_actions, hidden=cfg.hidden)
+    reference_net.set_params(net.params)
+    opt, reference_opt = Adam(lr=cfg.learning_rate), AdamReference(lr=cfg.learning_rate)
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for trajectory in trajectories:
+        diag = ppo_update(net, trajectory, cfg, opt, rng)
+        expected = ppo_update_reference(reference_net, trajectory, cfg, reference_opt,
+                                        reference_rng)
+        assert diag == expected
+        assert net.params.tobytes() == reference_net.params.tobytes()
+        assert opt.m.tobytes() == reference_opt.m.tobytes()
+        assert opt.v.tobytes() == reference_opt.v.tobytes()
+        assert opt.t == reference_opt.t
+    assert opt.t == 2 * cfg.epochs * -(-len(trajectories[0]) // cfg.minibatch_size)
+    assert set(diag) == {"policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
+                         "loss", "mean_reward"}
 
 
 def test_checkpoint_round_trip(tmp_path):

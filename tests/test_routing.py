@@ -328,13 +328,18 @@ def _transport_instance(draw):
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     delay = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 10.0))
     cost = [[draw(delay) for _ in range(n)] for _ in range(m)]
+    return (cost, *_supply_and_caps(draw, m, n))
+
+
+def _supply_and_caps(draw, m: int, n: int) -> tuple[list[float], list[float]]:
+    """Rates of m sources, and capacities of n hosts that 1 to 3 times cover them."""
     rate = st.one_of(st.sampled_from([0.7, 1.0, 2.0, 3.0]), st.floats(0.01, 20.0))
     supply = [draw(rate) for _ in range(m)]
     shares = [draw(st.sampled_from([0.0, 1.0, 2.0, 0.5])) for _ in range(n)]
     shares[draw(st.integers(0, n - 1))] = 1.0
     total = float(np.sum(supply)) * draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.3, 3.0]))
     caps = [total * share / float(np.sum(shares)) for share in shares]
-    return cost, supply, caps
+    return supply, caps
 
 
 def test_list_core_matches_numpy_reference(monkeypatch):
@@ -373,6 +378,69 @@ def test_list_core_matches_numpy_reference(monkeypatch):
 
     check()
     assert sum(pivoted) >= len(pivoted) // 5  # the pivot loop is exercised, not just the start
+
+
+@st.composite
+def _shared_cost_problems(draw):
+    """Two transportation problems on one cost matrix: _transport_instance's,
+    and one with other rates and capacities, which often start from another
+    greedy basis."""
+    cost, supply, caps = draw(_transport_instance())
+    return cost, [(supply, caps), _supply_and_caps(draw, len(cost), len(caps))]
+
+
+def _flow_bytes(flows: list[list[float]] | None) -> bytes | None:
+    return None if flows is None else np.array(flows).tobytes()
+
+
+def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
+    """route_flows through warm memos returns, byte for byte, the flows of a
+    call made after clearing them.
+
+    Each problem is solved cold; then, from cleared memos, both problems are
+    solved twice in a row, so the second problem meets the first's greedy
+    order, and its certificates wherever their bases agree, and each replay
+    meets its own entries.
+    """
+    cycles, bases = [], []
+
+    def counting(*args):
+        cycles.append(args)
+        return _cycle(*args)
+
+    certificate = routing._certificate
+
+    def recording(cost, basis):
+        bases.append(basis)
+        return certificate(cost, basis)
+
+    monkeypatch.setattr(routing, "_cycle", counting)
+    monkeypatch.setattr(routing, "_certificate", recording)
+    pivoted, other_basis = [], []
+
+    def clear_memos():
+        routing._greedy_order.cache_clear()
+        certificate.cache_clear()
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_shared_cost_problems())
+    def check(instance):
+        cost, problems = instance
+        cold, starts = [], []
+        for supply, caps in problems:
+            clear_memos()
+            before, first = len(cycles), len(bases)
+            cold.append(_flow_bytes(route_flows(cost, supply, caps)))
+            pivoted.append(len(cycles) > before)
+            starts.append(bases[first] if len(bases) > first else None)
+        clear_memos()
+        warm = [_flow_bytes(route_flows(cost, supply, caps)) for supply, caps in problems * 2]
+        assert warm == cold * 2
+        other_basis.append(None not in starts and starts[0] != starts[1])
+
+    check()
+    assert sum(pivoted) >= len(pivoted) // 5  # pivots run from memoised certificates
+    assert sum(other_basis) >= len(other_basis) // 5  # one cost key, different bases
 
 
 @st.composite
