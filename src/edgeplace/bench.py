@@ -3,8 +3,8 @@
 Reproducibility rules honored here:
   * every random draw comes from a named sub-stream of the one user seed;
   * evaluation snapshots are generated once and shared by all candidates;
-  * emitted CSV/JSON contain no wall-clock values unless timing is enabled,
-    so fixed-seed runs are byte-identical;
+  * an untimed run records no wall-clock value (its rows' decision_time_ms
+    is None), so its emitted CSV/JSON are byte-identical across fixed-seed runs;
   * every result row is re-checked by the independent verifier before it is
     written; a row that fails verification is a bug, not a warning.
 """
@@ -49,6 +49,9 @@ RESULT_COLUMNS = (
     "valid",
 )
 CANDIDATES = ("agent", "joint-milp", "vsvbp", "cr-eua")
+# per-function placement decisions a timed run makes, per candidate and alpha, before
+# its measured rows to warm caches and the allocator; one snapshot run makes F of them
+WARMUP_DECISIONS = 30
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class ExperimentPlan:
     total_timesteps: int | None = None
     ppo: PPOConfig | None = None
     milp_node_budget: int | None = 2000
-    warmup: int = 30
     timing: bool = True
 
 
@@ -72,10 +74,10 @@ class ResultRow:
     candidate: str
     alpha: float
     snapshot: int
-    delay_ms_per_req: float
+    delay_ms_per_req: float | None  # None on a snapshot without traffic
     total_delay: float
     cost: float
-    decision_time_ms: float | None
+    decision_time_ms: float | None  # None in an untimed run
     valid: bool
     decision_doc: dict | None = None  # verified then dropped before CSV
 
@@ -214,18 +216,14 @@ def _rollout_window(
         codes[:, k], obs = env.step(actions[:, k])
         delays[:, k] = env.total_delay
         costs[:, k] = env.total_cost
-    rewards, bounds = window_rewards(
-        bounds, t_uppers, env.total_cores, codes == 0, delays, costs, alpha
-    )
-    dones = np.zeros((n_eps, n_steps), dtype=bool)
-    dones[:, -1] = True  # episodes always end at the queue tail
+    rewards, bounds = window_rewards(bounds, t_uppers, codes == 0, delays, costs, alpha)
     trajectory = Trajectory(
         states=states.reshape(n_eps * n_steps, -1),
         actions=actions.reshape(n_eps * n_steps, n),
         log_probs=log_probs.ravel(),
         values=values.ravel(),
         rewards=rewards.ravel(),
-        dones=dones.ravel(),
+        episode_steps=n_steps,
     )
     return trajectory, codes, bounds
 
@@ -269,6 +267,7 @@ def _eval_one(
     workload: np.ndarray,
     agent: PolicyAgent | None,
     milp_budget: int | None,
+    timed: bool,
 ) -> ResultRow:
     total_rate = float(workload.sum())
     started = time.perf_counter()  # every candidate: wall time of the whole decision call
@@ -319,14 +318,17 @@ def _eval_one(
                 f"{candidate} produced an invalid decision on snapshot {snapshot_idx}: "
                 + "; ".join(problems)
             )
+    per_request = float("nan")
+    if valid:  # a snapshot without traffic has no per-request delay
+        per_request = delay / total_rate if total_rate > 0 else None
     return ResultRow(
         candidate=candidate,
         alpha=alpha,
         snapshot=snapshot_idx,
-        delay_ms_per_req=(delay / total_rate) if valid and total_rate > 0 else float("nan"),
+        delay_ms_per_req=per_request,
         total_delay=delay,
         cost=cost,
-        decision_time_ms=decision_s * 1000.0,
+        decision_time_ms=decision_s * 1000.0 if timed else None,
         valid=valid,
         decision_doc=doc,
     )
@@ -345,20 +347,16 @@ def evaluate_candidates(
         snapshots = generate_workloads(
             scenario.n_functions, scenario.n_nodes, cfg, rng_stream(seed, "workload-eval")
         )
+    budget, timed = plan.milp_node_budget, plan.timing
+    warmup = -(-WARMUP_DECISIONS // max(1, scenario.n_functions)) if timed else 0
     rows: list[ResultRow] = []
     for candidate in plan.candidates:
         for alpha in plan.alphas:
             agent = agents.get(alpha)
-            if plan.timing and plan.warmup > 0:
-                # plan.warmup counts per-function placement decisions; one
-                # snapshot run makes n_functions of them
-                repeats = -(-plan.warmup // max(1, scenario.n_functions))
-                for _ in range(repeats):  # warm caches and allocator
-                    _eval_one(
-                        scenario, candidate, alpha, -1, snapshots[0], agent, plan.milp_node_budget
-                    )
+            for _ in range(warmup):
+                _eval_one(scenario, candidate, alpha, -1, snapshots[0], agent, budget, timed)
             rows.extend(
-                _eval_one(scenario, candidate, alpha, idx, snap, agent, plan.milp_node_budget)
+                _eval_one(scenario, candidate, alpha, idx, snap, agent, budget, timed)
                 for idx, snap in enumerate(snapshots)
             )
     return rows
@@ -379,14 +377,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(path: str, rows: list[ResultRow], timing: bool) -> None:
+def write_results_csv(path: str, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
-            if not timing:
-                row = replace(row, decision_time_ms=None)
             writer.writerow([_fmt(getattr(row, column)) for column in RESULT_COLUMNS])
+
+
+def _mean(values: list) -> float | None:
+    """Mean of the values that are not None; None when no value is left."""
+    kept = [v for v in values if v is not None]
+    return float(np.mean(kept)) if kept else None
 
 
 def summarize(rows: list[ResultRow]) -> list[dict]:
@@ -402,16 +404,10 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
                 "alpha": alpha,
                 "snapshots": len(group),
                 "valid_fraction": len(valid) / len(group) if group else 0.0,
-                "mean_delay_ms_per_req": (
-                    float(np.mean([r.delay_ms_per_req for r in valid])) if valid else None
-                ),
-                "mean_total_delay": (
-                    float(np.mean([r.total_delay for r in valid])) if valid else None
-                ),
-                "mean_cost": float(np.mean([r.cost for r in valid])) if valid else None,
-                "mean_decision_time_ms": (
-                    float(np.mean([r.decision_time_ms for r in valid])) if valid else None
-                ),
+                "mean_delay_ms_per_req": _mean([r.delay_ms_per_req for r in valid]),
+                "mean_total_delay": _mean([r.total_delay for r in valid]),
+                "mean_cost": _mean([r.cost for r in valid]),
+                "mean_decision_time_ms": _mean([r.decision_time_ms for r in valid]),
             }
         )
     return out
@@ -423,11 +419,8 @@ def emit_results(
     """Write results.csv, summary.json and metadata.json; return their paths and the summary."""
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
-    write_results_csv(results_path, rows, timing=plan.timing)
+    write_results_csv(results_path, rows)
     summary = summarize(rows)
-    if not plan.timing:
-        for entry in summary:
-            entry["mean_decision_time_ms"] = None
     summary_path = os.path.join(out_dir, "summary.json")
     dump_json(summary_path, summary)
     meta = {
@@ -450,7 +443,7 @@ def emit_results(
     return {"results": results_path, "summary": summary_path, "metadata": meta_path}, summary
 
 
-def render_summary_table(summary: list[dict], timing: bool) -> str:
+def render_summary_table(summary: list[dict]) -> str:
     headers = ["candidate", "alpha", "valid%", "delay ms/req", "cost", "decision ms"]
     rows = []
     for entry in summary:
@@ -461,7 +454,7 @@ def render_summary_table(summary: list[dict], timing: bool) -> str:
                 f"{100.0 * entry['valid_fraction']:.1f}",
                 _num(entry["mean_delay_ms_per_req"]),
                 _num(entry["mean_cost"]),
-                _num(entry["mean_decision_time_ms"]) if timing else "-",
+                _num(entry["mean_decision_time_ms"]),
             ]
         )
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]

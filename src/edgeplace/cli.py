@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import types
 import typing
@@ -143,8 +144,20 @@ _CONFIG_KEYS = {
     "workload": typing.get_type_hints(WorkloadGenConfig),
 }
 del _CONFIG_KEYS["workload"]["n_snapshots"]
-# counts that must be at least 1; update_interval also sets the training window's episodes
-_POSITIVE_KEYS = {"ppo": ("epochs", "minibatch_size", "update_interval", "hidden")}
+# what a numeric key accepts beyond its type, as (wording, test); a list's every entry
+# must pass, and NaN passes no test. update_interval also sets a training window's episodes
+_COUNT = ("positive", lambda v: v >= 1)
+_POSITIVE = ("finite and > 0", lambda v: 0.0 < v < math.inf)
+_UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+_RANGES = {
+    "ppo": {
+        "epochs": _COUNT, "minibatch_size": _COUNT, "update_interval": _COUNT, "hidden": _COUNT,
+        "learning_rate": _POSITIVE, "clip_ratio": _POSITIVE,
+        "gamma": _UNIT, "gae_lambda": _UNIT,
+        "entropy_coef": _NON_NEGATIVE, "value_coef": _NON_NEGATIVE,
+    },
+}
 
 
 def _fits(value, hint) -> bool:
@@ -196,10 +209,11 @@ def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
                 raise UsageError(
                     f"config {path}: '{section}.{key}' must be {expected}, got {value!r}"
                 )
-            counts = value if isinstance(value, list) else [value]
-            if key in _POSITIVE_KEYS.get(section, ()) and any(c < 1 for c in counts):
+            wording, test = _RANGES.get(section, {}).get(key, (None, None))
+            entries = value if isinstance(value, list) else [value]
+            if test is not None and not all(test(v) for v in entries):
                 raise UsageError(
-                    f"config {path}: '{section}.{key}' must be positive, got {value!r}"
+                    f"config {path}: '{section}.{key}' must be {wording}, got {value!r}"
                 )
     return doc
 
@@ -367,7 +381,7 @@ def cmd_evaluate(args) -> int:
         plan = replace(plan, eval_snapshots=len(snapshots))
     rows = bench.evaluate_candidates(plan, args.seed, agents, snapshots=snapshots)
     paths, summary = bench.emit_results(out_dir, rows, plan, args.seed)
-    print(bench.render_summary_table(summary, timing=plan.timing), end="")
+    print(bench.render_summary_table(summary), end="")
     print(f"wrote {paths['results']}")
     return EXIT_OK
 
@@ -383,7 +397,7 @@ def cmd_compare(args) -> int:
         ppo=_ppo_config(overrides),
     )
     outcome = bench.run_compare(plan, args.seed, out_dir)
-    print(bench.render_summary_table(outcome["summary"], timing=plan.timing), end="")
+    print(bench.render_summary_table(outcome["summary"]), end="")
     print(f"wrote {outcome['paths']['results']}")
     return EXIT_OK
 

@@ -127,7 +127,9 @@ class RewardBounds:
     """Normalization window for cumulative delay and cumulative core cost.
 
     Bounds only ever widen (within and across episodes of a run) so the
-    reward scale cannot oscillate while training.
+    reward scale cannot oscillate while training. A run starts c_max at the
+    cluster's total cores, which no episode's cost can exceed, so each new
+    episode widens only t_max, to that episode's t_max_bound.
     """
 
     t_min: float = 0.0
@@ -135,8 +137,8 @@ class RewardBounds:
     c_min: float = 0.0
     c_max: float = 0.0
 
-    def widened(self, t_upper: float, c_upper: float) -> "RewardBounds":
-        return replace(self, t_max=max(self.t_max, t_upper), c_max=max(self.c_max, c_upper))
+    def widened(self, t_upper: float) -> "RewardBounds":
+        return replace(self, t_max=max(self.t_max, t_upper))
 
     def observe(self, t: float, c: float) -> "RewardBounds":
         return RewardBounds(
@@ -177,7 +179,6 @@ def normalize_and_reward(
 def window_rewards(
     bounds: RewardBounds,
     t_uppers: list[float],
-    c_upper: float,
     valid: np.ndarray,
     delays: np.ndarray,
     costs: np.ndarray,
@@ -186,7 +187,7 @@ def window_rewards(
     """Rewards of a window of E episodes of F steps, scored as PlacementEnv scores them.
 
     Episodes are taken in order: episode e first widens the bounds to
-    t_uppers[e] and c_upper, as PlacementEnv.reset does; then each valid step
+    t_uppers[e], as PlacementEnv.reset does; then each valid step
     scores its cumulative delays[e, k] and costs[e, k] as
     normalize_and_reward does, and each invalid step scores PENALTY_REWARD.
     The scan keeps the four bounds as floats, widened and observed with
@@ -197,7 +198,7 @@ def window_rewards(
     t_min, t_max, c_min, c_max = bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max
     rows = zip(t_uppers, delays.tolist(), costs.tolist(), valid.tolist())
     for e, (t_upper, delay_row, cost_row, valid_row) in enumerate(rows):
-        t_max, c_max = max(t_max, t_upper), max(c_max, c_upper)
+        t_max = max(t_max, t_upper)
         for k, (t, c, ok) in enumerate(zip(delay_row, cost_row, valid_row)):
             if ok:
                 t_min, t_max = min(t_min, t), max(t_max, t)
@@ -248,8 +249,7 @@ class PlacementEnv:
         self._delays_flat = self._delays.ravel()
         self._memory = scenario.function_memory()
         self._cpr = [fn.cores_per_request_vec(scenario.n_nodes) for fn in scenario.functions]
-        self._total_cores = float(scenario.topology.cores.sum())
-        self.bounds = RewardBounds(c_max=self._total_cores)
+        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
         self.workload = scenario.workload
         self.queue: list[int] = []
         self.invalid_steps = 0
@@ -257,9 +257,7 @@ class PlacementEnv:
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
         if workload is not None:
             self.workload = workload
-        self.bounds = self.bounds.widened(
-            t_upper=t_max_bound(self.scenario, self.workload), c_upper=self._total_cores
-        )
+        self.bounds = self.bounds.widened(t_max_bound(self.scenario, self.workload))
         self.available_cores = self.scenario.topology.cores
         self.available_memory = self.scenario.topology.memory
         self.total_delay = 0.0
@@ -358,7 +356,6 @@ class LockstepEnv:
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._delay_rows = self._delays.tolist()
         self._memory = scenario.function_memory()
         self._cpr = scenario.cores_per_request_matrix()
         self.total_cores = float(scenario.topology.cores.sum())
@@ -404,7 +401,7 @@ class LockstepEnv:
         hosted = placement[ok]
         caps = np.where(hosted, np.maximum(self.available_cores[ok], 0.0) / cpr[ok], 0.0)
         routing = np.zeros((n_slots, n, n))
-        routable, routing[ok] = route_batch(self._delays, self._delay_rows, rows[ok], hosted, caps)
+        routable, routing[ok] = route_batch(self._delays, rows[ok], hosted, caps)
         codes[ok[~routable]] = _UNROUTABLE
         # the sums total_delay and cost_increment take, one slot per row
         delay = (routing * self._delays * rows[:, :, None]).reshape(n_slots, -1).sum(axis=1)

@@ -101,33 +101,32 @@ class Trajectory:
     log_probs: np.ndarray  # (T,) joint log-prob of each action when it was drawn
     values: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
-    dones: np.ndarray  # (T,) bool, True on an episode's last step; rollouts end on one
+    episode_steps: int  # F: the T rows are T / F whole episodes, each ending at its last row
 
     def __len__(self) -> int:
         return len(self.rewards)
 
 
 def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
-    """Generalized advantage estimation over a (possibly multi-episode) rollout.
+    """Generalized advantage estimation over whole episodes of F steps each.
 
-    Returns raw advantages and value targets (advantage + value); batch
-    normalization is the updater's job so a single transition keeps the
-    textbook identity advantage = reward - value (when done).
+    The recursion runs backwards over the F steps of all T / F episodes at
+    once, and each episode's last step bootstraps from 0. Returns raw
+    advantages and value targets (advantage + value); batch normalization is
+    the updater's job so a single transition keeps the textbook identity
+    advantage = reward - value.
     """
-    rewards = trajectory.rewards
-    values = trajectory.values
-    dones = trajectory.dones
-    t_len = len(rewards)
-    advantages = np.zeros(t_len)
-    next_adv = 0.0
-    next_value = 0.0
-    for t in range(t_len - 1, -1, -1):
-        keep = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + gamma * next_value * keep - values[t]
-        next_adv = delta + gamma * lam * keep * next_adv
-        advantages[t] = next_adv
-        next_value = values[t]
-    return advantages, advantages + values
+    steps = trajectory.episode_steps
+    rewards = trajectory.rewards.reshape(-1, steps)
+    values = trajectory.values.reshape(-1, steps)
+    advantages = np.empty_like(rewards)
+    next_adv = next_value = 0.0
+    for t in range(steps - 1, -1, -1):
+        delta = rewards[:, t] + gamma * next_value - values[:, t]
+        next_adv = delta + gamma * lam * next_adv
+        advantages[:, t] = next_adv
+        next_value = values[:, t]
+    return advantages.ravel(), (advantages + values).ravel()
 
 
 # --------------------------------------------------------------------------

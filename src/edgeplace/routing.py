@@ -137,15 +137,14 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
 
 
 def route_batch(
-    delays: np.ndarray, delay_rows: list[list[float]], rows: np.ndarray, placement: np.ndarray,
-    caps: np.ndarray,
+    delays: np.ndarray, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """solve_routing for S problems on one delay matrix, one problem per row.
 
-    delay_rows is delays.tolist(); rows holds the (S, N) source rates,
-    placement the (S, N) hosts (at least one per row) and caps what each host
-    can absorb in requests/s, zero off the placement. Returns which rows are
-    routable and their (S, N, N) routings, zero for an unroutable row.
+    rows holds the (S, N) source rates, placement the (S, N) hosts (at least
+    one per row) and caps what each host can absorb in requests/s, zero off
+    the placement. Returns which rows are routable and their (S, N, N)
+    routings, zero for an unroutable row.
     """
     n_rows, n = rows.shape
     index = np.arange(n_rows)
@@ -158,6 +157,7 @@ def route_batch(
     routings[index[:, None], np.arange(n), hosts] = 1.0
     slow = np.flatnonzero(~(load <= caps * _FAST_MARGIN).all(axis=1))
     if slow.size:
+        delay_rows = delays.tolist()
         flows = []
         for s, rates, hosted, cap in zip(slow.tolist(), rows[slow].tolist(),
                                          placement[slow].tolist(), caps[slow].tolist()):

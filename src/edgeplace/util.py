@@ -27,9 +27,10 @@ def canonical_json(obj: Any) -> str:
 
 
 def dump_json(path: str, obj: Any) -> None:
+    """Write obj as canonical JSON; a value it refuses leaves the file as it was."""
+    text = canonical_json(obj) + "\n"  # serialized before the open truncates the file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path: str) -> Any:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, validate_workload
 from .util import dump_json, load_json
 
 DECISION_SCHEMA_VERSION = 1
@@ -82,8 +82,9 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
         return [f"malformed document: {exc}"]
     n = scenario.n_nodes
     f_cnt = scenario.n_functions
-    if workload.shape != (f_cnt, n):
-        return [f"workload shape {workload.shape}, expected ({f_cnt}, {n})"]
+    problems = validate_workload(workload, f_cnt, n)
+    if problems:  # every check below reads the workload
+        return problems
     if placements.shape != (f_cnt, n):
         return [f"placements shape {placements.shape}, expected ({f_cnt}, {n})"]
     if routes.shape != (f_cnt, n, n):
@@ -132,11 +133,12 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
     actual_cost = float(
         sum(np.sum(routes[f] * workload[f][:, None] * cpr[f][None, :]) for f in range(f_cnt))
     )
-    if abs(actual_delay - declared_delay) > _TOTAL_RTOL * max(1.0, abs(actual_delay)):
+    # "not <=" so that a NaN declared total, for which every comparison is false, fails
+    if not abs(actual_delay - declared_delay) <= _TOTAL_RTOL * max(1.0, abs(actual_delay)):
         out.append(
             f"delay-mismatch: declared {declared_delay:.12g}, recomputed {actual_delay:.12g}"
         )
-    if abs(actual_cost - declared_cost) > _TOTAL_RTOL * max(1.0, abs(actual_cost)):
+    if not abs(actual_cost - declared_cost) <= _TOTAL_RTOL * max(1.0, abs(actual_cost)):
         out.append(
             f"cost-mismatch: declared {declared_cost:.12g}, recomputed {actual_cost:.12g}"
         )

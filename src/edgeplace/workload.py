@@ -47,6 +47,8 @@ def generate_workloads(
         )
     if not 0.0 <= config.concentration <= 1.0:
         raise WorkloadError(f"concentration {config.concentration} outside [0, 1]")
+    if not 0.0 <= config.drift_prob <= 1.0:
+        raise WorkloadError(f"drift_prob {config.drift_prob} outside [0, 1]")
     for f in range(n_functions):
         lo, hi = config.range_for(f)
         if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
@@ -85,8 +87,11 @@ def write_trace(path: str, snapshots: list[np.ndarray]) -> None:
 
 
 def ingest_trace(path: str) -> list[np.ndarray]:
-    """Read a trace CSV back into dense snapshots; missing cells are zero."""
-    entries: list[tuple[int, int, int, float]] = []
+    """Read a trace CSV back into dense snapshots; missing cells are zero.
+
+    A (snapshot, function, node) cell given on two lines is refused.
+    """
+    cells: dict[tuple[int, int, int], tuple[int, float]] = {}  # cell -> (line, rate)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -109,15 +114,18 @@ def ingest_trace(path: str) -> list[np.ndarray]:
                     raise WorkloadError(f"line {lineno}: negative index")
                 if not np.isfinite(rate) or rate < 0:
                     raise WorkloadError(f"line {lineno}: bad rate {row[3]}")
-                entries.append((s, f, n, rate))
+                first, _ = cells.setdefault((s, f, n), (lineno, rate))
+                if first != lineno:
+                    raise WorkloadError(
+                        f"line {lineno}: snapshot {s}, function {f}, node {n} "
+                        f"was already given on line {first}"
+                    )
     except OSError as exc:
         raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
-    if not entries:
+    if not cells:
         raise WorkloadError(f"trace {path} holds no samples")
-    n_snapshots = max(e[0] for e in entries) + 1
-    n_functions = max(e[1] for e in entries) + 1
-    n_nodes = max(e[2] for e in entries) + 1
+    n_snapshots, n_functions, n_nodes = (max(axis) + 1 for axis in zip(*cells))
     snapshots = [np.zeros((n_functions, n_nodes)) for _ in range(n_snapshots)]
-    for s, f, n, rate in entries:
+    for (s, f, n), (_, rate) in cells.items():
         snapshots[s][f, n] = rate
     return snapshots

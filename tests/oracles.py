@@ -503,7 +503,7 @@ def train_agent_reference(scenario: Scenario, alpha: float, seed: int,
     log_rows = []
     timesteps = episodes = cumulative_invalid = cumulative_valid = 0
     while timesteps < total_timesteps:
-        steps = []  # (net input, action, log-prob, value, reward, done)
+        steps = []  # (net input, action, log-prob, value, reward)
         kinds = Counter()
         window_episodes = 0
         while len(steps) < ppo_cfg.update_interval:
@@ -515,14 +515,15 @@ def train_agent_reference(scenario: Scenario, alpha: float, seed: int,
                 action, log_prob = sample_action(probs, sample_rng)
                 outcome = env.step(action)
                 kinds[outcome.violation] += 1
-                steps.append((net_input, action, log_prob, value, outcome.reward, outcome.done))
+                steps.append((net_input, action, log_prob, value, outcome.reward))
                 done, state = outcome.done, outcome.state
             episodes += 1
             window_episodes += 1
-        states, actions, log_probs, values, rewards, dones = zip(*steps)
+        states, actions, log_probs, values, rewards = zip(*steps)
         trajectory = Trajectory(
             states=np.stack(states), actions=np.stack(actions), log_probs=np.array(log_probs),
-            values=np.array(values), rewards=np.array(rewards), dones=np.array(dones),
+            values=np.array(values), rewards=np.array(rewards),
+            episode_steps=scenario.n_functions,
         )
         window_invalid = len(steps) - kinds[None]
         cumulative_invalid += window_invalid

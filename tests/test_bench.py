@@ -53,7 +53,6 @@ def small_plan(tri_scenario):
         total_timesteps=128,
         ppo=_FAST_PPO,
         milp_node_budget=200,
-        warmup=2,
         timing=True,
     )
 
@@ -138,7 +137,7 @@ def test_rollout_window_holds_net_inputs(tri_scenario):
     probe = PlacementEnv(tri_scenario, alpha=0.0)
     for e, workload in enumerate(workloads):  # episode order: each episode's steps together
         np.testing.assert_array_equal(traj.states[2 * e], probe.reset(workload) / agent.state_scale)
-    np.testing.assert_array_equal(traj.dones, [False, True] * 3)
+    assert traj.episode_steps == 2
     assert bounds.t_max == max(t_max_bound(tri_scenario, w) for w in workloads)
 
 
@@ -186,10 +185,12 @@ def test_agent_decision_time_covers_the_whole_episode(small_plan, tri_scenario, 
         return record
 
     monkeypatch.setattr(bench, "run_episode", timed_episode)
-    plan = ExperimentPlan(**{**small_plan.__dict__, "candidates": ("agent",), "warmup": 0})
+    plan = ExperimentPlan(**{**small_plan.__dict__, "candidates": ("agent",)})
     rows = evaluate_candidates(plan, seed=3, agents={0.0: agent})
-    assert len(rows) == len(episode_ms) == plan.eval_snapshots
-    for row, ms in zip(rows, episode_ms):  # one run_episode per snapshot, in row order
+    warmup = len(episode_ms) - len(rows)  # the warm-up episodes run first
+    assert warmup == -(-bench.WARMUP_DECISIONS // tri_scenario.n_functions)
+    assert len(rows) == plan.eval_snapshots
+    for row, ms in zip(rows, episode_ms[warmup:]):  # one run_episode per snapshot, in row order
         assert row.decision_time_ms >= ms
 
 
@@ -208,7 +209,7 @@ def test_results_csv_format(small_plan, tri_scenario, tmp_path):
     agent = _train(tri_scenario).agent
     rows = evaluate_candidates(small_plan, seed=3, agents={0.0: agent})
     path = tmp_path / "results.csv"
-    write_results_csv(str(path), rows, timing=True)
+    write_results_csv(str(path), rows)
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert tuple(parsed[0]) == RESULT_COLUMNS
@@ -216,8 +217,9 @@ def test_results_csv_format(small_plan, tri_scenario, tmp_path):
     first = parsed[1]
     assert first[0] == rows[0].candidate
     assert float(first[3]) == rows[0].delay_ms_per_req  # repr round-trips exactly
-    # timing off blanks the measurement column but keeps the schema
-    write_results_csv(str(path), rows, timing=False)
+    # an untimed run blanks the measurement column but keeps the schema
+    untimed = ExperimentPlan(**{**small_plan.__dict__, "timing": False})
+    write_results_csv(str(path), evaluate_candidates(untimed, seed=3, agents={0.0: agent}))
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert all(line[6] == "" for line in parsed[1:])
@@ -269,9 +271,11 @@ def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
 def test_render_summary_table_layout(small_plan, tri_scenario):
     agent = _train(tri_scenario).agent
     rows = evaluate_candidates(small_plan, seed=3, agents={0.0: agent})
-    text = render_summary_table(summarize(rows), timing=True)
+    text = render_summary_table(summarize(rows))
     lines = text.splitlines()
     assert lines[0].startswith("candidate")
     assert len(lines) == 1 + len(CANDIDATES)
-    untimed = render_summary_table(summarize(rows), timing=False)
+    plan = ExperimentPlan(**{**small_plan.__dict__, "timing": False})
+    untimed_rows = evaluate_candidates(plan, seed=3, agents={0.0: agent})
+    untimed = render_summary_table(summarize(untimed_rows))
     assert untimed.splitlines()[1].rstrip().endswith("-")

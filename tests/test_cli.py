@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -141,10 +142,19 @@ def test_malformed_checkpoint_numbers_exit_2(scenario_path, tmp_path, capsys, fi
         ({"ppo": {"hidden": [0, 64]}}, "ppo.hidden"),
         ({"workload": {"per_function_rate_ranges": [[1, 2], [3, 4], [5, 6]]}},
          "workload.per_function_rate_ranges"),
+        ({"ppo": {"learning_rate": float("nan")}}, "ppo.learning_rate"),
+        ({"ppo": {"learning_rate": 0.0}}, "ppo.learning_rate"),
+        ({"ppo": {"clip_ratio": -1.0}}, "ppo.clip_ratio"),
+        ({"ppo": {"gamma": -3.0}}, "ppo.gamma"),
+        ({"ppo": {"gae_lambda": 1.5}}, "ppo.gae_lambda"),
+        ({"ppo": {"entropy_coef": -0.01}}, "ppo.entropy_coef"),
+        ({"ppo": {"value_coef": float("inf")}}, "ppo.value_coef"),
     ],
     ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section",
          "string-for-int", "number-for-pair", "zero-epochs", "zero-minibatch",
-         "zero-update-interval", "zero-width-layer", "rate-ranges-per-function-count"],
+         "zero-update-interval", "zero-width-layer", "rate-ranges-per-function-count",
+         "nan-learning-rate", "zero-learning-rate", "negative-clip-ratio", "negative-gamma",
+         "gae-lambda-above-1", "negative-entropy-coef", "infinite-value-coef"],
 )
 def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
@@ -486,3 +496,61 @@ def test_evaluate_metadata_names_only_evaluation_settings(scenario_path, tmp_pat
     assert meta["eval_snapshots"] == 2
     summary = json.loads((out / "summary.json").read_text())
     assert [entry["snapshots"] for entry in summary] == [2]
+
+
+def test_bad_drift_prob_exits_2(scenario_path, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"workload": {"drift_prob": 7.5}}))
+    code = run_cli(
+        "gen-workload", "--scenario", scenario_path, "--out", str(tmp_path / "t.csv"),
+        *_SMALL_RUN["gen-workload"], "--config", str(path),
+    )
+    assert code == EXIT_INVALID
+    assert "drift_prob" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_nan_total(scenario_path, tri_scenario, tmp_path, capsys):
+    from edgeplace.baselines import solve_vsvbp
+    from edgeplace.verify import decision_to_dict
+
+    sol = solve_vsvbp(tri_scenario)
+    doc = decision_to_dict(
+        tri_scenario.name, tri_scenario.workload, sol.placements, sol.routes,
+        sol.total_delay, sol.total_cost, "vsvbp", 0.0, 0,
+    )
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(doc, total_delay=float("nan"))))  # a NaN literal
+    assert np.isnan(load_decision(str(path))["total_delay"])
+    assert run_cli("verify", "--scenario", scenario_path, str(path)) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "delay-mismatch" in out
+
+
+def test_evaluate_trace_with_a_zero_traffic_snapshot(tmp_path):
+    """A skipped snapshot index is an all-zero snapshot; its per-request delay is blank."""
+    scenario = tmp_path / "small.json"
+    assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(scenario)) == EXIT_OK
+    full = tmp_path / "full.csv"
+    code = run_cli("gen-workload", "--scenario", str(scenario), "--snapshots", "3",
+                   "--out", str(full))
+    assert code == EXIT_OK
+    lines = full.read_text().splitlines()
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(line for line in lines if not line.startswith("1,")) + "\n")
+    out = tmp_path / "e"
+    code = run_cli(
+        "evaluate", "--scenario", str(scenario), "--out", str(out), "--trace", str(trace),
+        "--candidates", "joint-milp,vsvbp,cr-eua", "--milp-budget", "50", "--no-timing",
+    )
+    assert code == EXIT_OK
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    for row in rows:
+        assert row["valid"] == "true"
+        assert (row["delay_ms_per_req"] == "") == (row["snapshot"] == "1")
+    summary = json.loads((out / "summary.json").read_text())
+    for entry in summary:
+        per_request = [float(r["delay_ms_per_req"]) for r in rows
+                       if r["candidate"] == entry["candidate"] and r["snapshot"] != "1"]
+        assert entry["mean_delay_ms_per_req"] == pytest.approx(sum(per_request) / 2)

@@ -153,11 +153,11 @@ def test_cost_increment_hand_value():
 
 def test_reward_bounds_only_widen():
     b = RewardBounds(t_max=10.0, c_max=5.0)
-    assert b.widened(t_upper=3.0, c_upper=2.0) == b
-    wide = b.widened(t_upper=20.0, c_upper=9.0)
-    assert wide.t_max == 20.0 and wide.c_max == 9.0
+    assert b.widened(t_upper=3.0) == b
+    wide = b.widened(t_upper=20.0)
+    assert wide.t_max == 20.0 and wide.c_max == 5.0
     seen = wide.observe(25.0, -1.0)
-    assert seen.t_max == 25.0 and seen.c_min == -1.0 and seen.c_max == 9.0
+    assert seen.t_max == 25.0 and seen.c_min == -1.0 and seen.c_max == 5.0
 
 
 def test_degenerate_window_scores_best():
@@ -283,10 +283,7 @@ class _ReferenceEnv:
 
     def reset(self, workload):
         self.workload = workload
-        self.bounds = self.bounds.widened(
-            t_upper=t_max_bound(self.scenario, workload),
-            c_upper=float(self.scenario.topology.cores.sum()),
-        )
+        self.bounds = self.bounds.widened(t_upper=t_max_bound(self.scenario, workload))
         self.state = empty_state(self.scenario.topology)
         self.queue = make_queue(self.scenario, workload)
         return build_state(self.scenario, self.state, workload, self.queue)

@@ -28,7 +28,7 @@ from edgeplace.workload import generate_workloads
 from oracles import AdamReference, finite_difference_grad, gae_reference, ppo_update_reference
 
 
-def _traj(rewards, values, dones, n_actions=2):
+def _traj(rewards, values, episode_steps, n_actions=2):
     rng = np.random.default_rng(0)
     t_len = len(rewards)
     return Trajectory(
@@ -37,7 +37,7 @@ def _traj(rewards, values, dones, n_actions=2):
         log_probs=np.full(t_len, -1.0),
         values=np.asarray(values, dtype=float),
         rewards=np.asarray(rewards, dtype=float),
-        dones=np.asarray(dones, dtype=bool),
+        episode_steps=episode_steps,
     )
 
 
@@ -85,7 +85,7 @@ def test_log_prob_from_logits_matches_direct():
 
 
 def test_gae_single_step_episode():
-    t = _traj([2.5], [0.7], [True])
+    t = _traj([2.5], [0.7], 1)
     adv, ret = compute_gae(t, gamma=0.99, lam=0.95)
     assert adv[0] == pytest.approx(2.5 - 0.7)  # advantage = reward - value
     assert ret[0] == pytest.approx(2.5)
@@ -96,7 +96,7 @@ def test_gae_matches_reference_recursion():
     rewards = rng.normal(size=12)
     values = rng.normal(size=12)
     dones = [False, False, True] * 4
-    t = _traj(rewards, values, dones)
+    t = _traj(rewards, values, 3)
     adv, ret = compute_gae(t, gamma=0.9, lam=0.8)
     expected = gae_reference(rewards, values, dones, 0.9, 0.8)
     np.testing.assert_allclose(adv, expected, rtol=1e-10, atol=1e-12)
@@ -185,7 +185,7 @@ def test_ppo_update_improves_simple_preference():
         a, lp = sample_actions(logits, rng.random(logits.shape))
         r = np.where(a[:, 0], 1.0, -1.0) + np.where(a[:, 1], -1.0, 1.0)
         t = Trajectory(states=states, actions=a, log_probs=lp, values=values, rewards=r,
-                       dones=np.ones(cfg.update_interval, dtype=bool))
+                       episode_steps=1)
         ppo_update(net, t, cfg, opt, rng)
     probs, _ = forward(net, state)
     assert probs[0] > 0.9 and probs[1] < 0.1

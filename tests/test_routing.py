@@ -306,8 +306,8 @@ def test_simplex_failure_reports_instance(monkeypatch):
     p = _load_equals_capacity()
     # through the single-problem router, and through route_batch as LockstepEnv calls it
     for solve in (lambda: solve_routing(p),
-                  lambda: route_batch(p.delays, p.delays.tolist(), p.workload_row[None],
-                                      p.placement[None], (p.available_cores * p.placement)[None])):
+                  lambda: route_batch(p.delays, p.workload_row[None], p.placement[None],
+                                      (p.available_cores * p.placement)[None])):
         with pytest.raises(RuntimeError) as err:
             solve()
         msg = str(err.value)
@@ -510,7 +510,7 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
         delays, rows, placement, cores, cpr, modes = batch
         caps = np.where(placement, np.maximum(cores, 0.0) / cpr, 0.0)  # as LockstepEnv.step
         before = len(cycles)
-        routable, routings = route_batch(delays, delays.tolist(), rows, placement, caps)
+        routable, routings = route_batch(delays, rows, placement, caps)
         pivoted.append(len(cycles) > before)
         assert routings.shape == (len(rows),) + delays.shape
         for s, mode in enumerate(modes):

@@ -68,6 +68,12 @@ def _corrupt(doc, mutate):
         (lambda d: d.update(total_cost=d["total_cost"] * 2 + 1.0), "cost-mismatch"),
         (lambda d: d.update(schema_version=42), "schema_version"),
         (lambda d: d["placements"][0].__setitem__(1, 0.5), "placements must be 0/1"),
+        # json.load reads a NaN literal, and NaN passes every ">" test
+        (lambda d: d.update(total_delay=float("nan")), "delay-mismatch: declared nan"),
+        (lambda d: d.update(total_cost=float("nan")), "cost-mismatch: declared nan"),
+        (lambda d: d.update(workload=[[float("nan")] * len(r) for r in d["workload"]]),
+         "non-finite workload"),
+        (lambda d: d["workload"][1].__setitem__(2, -1.0), "negative workload"),
     ],
 )
 def test_corruptions_are_caught(tri_scenario, good_doc, mutate, needle):
@@ -154,3 +160,4 @@ def test_unreadable_file_reported(tri_scenario, tmp_path):
         load_decision(str(path))
     violations = verify_file(tri_scenario, str(path))
     assert violations and "cannot read" in violations[0]
+

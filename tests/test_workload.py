@@ -73,6 +73,9 @@ def test_config_validation():
         generate_workloads(
             1, 2, WorkloadGenConfig(1, concentration=1.5), rng_stream(0, "w")
         )
+    for drift in (7.5, -0.1, float("nan")):
+        with pytest.raises(WorkloadError, match="drift_prob"):
+            generate_workloads(1, 2, WorkloadGenConfig(1, drift_prob=drift), rng_stream(0, "w"))
 
 
 @pytest.mark.parametrize(
@@ -123,4 +126,11 @@ def test_ingest_rejects_bad_files(tmp_path):
         ingest_trace(str(path))
     path.write_text("snapshot,function_id,node_id,rate\n")
     with pytest.raises(WorkloadError, match="no samples"):
+        ingest_trace(str(path))
+
+
+def test_ingest_refuses_a_cell_given_twice(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n0,0,1,2.0\n0,0,0,999.0\n")
+    with pytest.raises(WorkloadError, match="line 4: snapshot 0, function 0, node 0 .* line 2"):
         ingest_trace(str(path))
