@@ -57,14 +57,20 @@ def state_dim(n_nodes: int) -> int:
 
 
 def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[int]:
-    """Placement order: heaviest total workload first, then larger memory,
-    then smaller id."""
+    """queue_order of one snapshot, the scenario's own by default, as a list."""
     w = scenario.workload if workload is None else workload
-    totals = w.sum(axis=1)
-    mem = scenario.function_memory()
-    return sorted(
-        range(scenario.n_functions), key=lambda f: (-totals[f], -mem[f], f)
-    )
+    return queue_order(scenario.function_memory(), w).tolist()
+
+
+def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
+    """Placement order of one (F, N) snapshot or of each of an (E, F, N) stack:
+    heaviest total workload first, then larger memory, then smaller id.
+
+    Returns the (F,) or (E, F) function ids.
+    """
+    totals = workloads.sum(axis=-1)
+    # lexsort sorts by its last key first and is stable, so ties keep id order
+    return np.lexsort((np.zeros_like(totals) - memory, -totals))
 
 
 def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
@@ -264,7 +270,7 @@ class PlacementEnv:
         self.total_cost = 0.0
         self.placements: dict[int, np.ndarray] = {}  # f -> bool (N,)
         self.routes: dict[int, np.ndarray] = {}  # f -> float (N, N)
-        self.queue = make_queue(self.scenario, self.workload)
+        self.queue = queue_order(self._memory, self.workload).tolist()
         self._queue_memory = queue_memory(self._memory, self.queue)
         self.invalid_steps = 0
         return self._observe()
@@ -364,7 +370,7 @@ class LockstepEnv:
         """Start one episode per workload; returns the (E, state_dim) observations."""
         n_slots, n = len(workloads), self.scenario.n_nodes
         self.workloads = np.stack(workloads)
-        self.queues = np.array([make_queue(self.scenario, w) for w in workloads])
+        self.queues = queue_order(self._memory, self.workloads)
         self._queue_memory = queue_memory(self._memory, self.queues)
         self.available_cores = np.tile(self.scenario.topology.cores, (n_slots, 1))
         self.available_memory = np.tile(self.scenario.topology.memory, (n_slots, 1))

@@ -82,9 +82,12 @@ class MLP:
         h = np.atleast_2d(np.asarray(x, dtype=float))
         activations = [h]
         for layer in range(len(self.weights) - 1):
-            h = np.tanh(h @ self.weights[layer] + self.biases[layer])
+            h = h @ self.weights[layer]
+            h += self.biases[layer]
+            np.tanh(h, out=h)
             activations.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
         return out[:, : self.n_actions], out[:, self.n_actions], activations
 
     def forward_backward(self, x: np.ndarray, d_out_fn):

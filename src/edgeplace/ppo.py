@@ -82,9 +82,11 @@ def deterministic_action(probs: np.ndarray) -> np.ndarray:
 
 
 def log_prob_from_logits(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Joint log-prob per row; log p(a) = sum_i a_i z_i - softplus(z_i)."""
-    a = actions.astype(float)
-    return np.sum(a * logits - _softplus(logits), axis=1)
+    """Joint log-prob per row; log p(a) = sum_i a_i z_i - softplus(z_i).
+
+    actions are 0/1 floats, or bools, which the product casts to them.
+    """
+    return np.sum(actions * logits - _softplus(logits), axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -137,13 +139,13 @@ def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
 def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool = True):
     """Analytic loss and flat parameter gradient for one minibatch.
 
-    batch: states (B,D), actions (B,N), old_log_probs (B,), advantages (B,)
-    (already normalized), returns (B,). Returns (stats dict, grad vector);
-    with_stats=False skips the loss and its diagnostics and returns None for
-    the stats, with the same gradient.
+    batch: states (B,D), actions (B,N) as 0/1 floats, old_log_probs (B,),
+    advantages (B,) (already normalized), returns (B,). Returns (stats dict,
+    grad vector); with_stats=False skips the loss and its diagnostics and
+    returns None for the stats, with the same gradient.
     """
     states = batch["states"]
-    actions = batch["actions"].astype(float)
+    actions = batch["actions"]
     old_lp = batch["old_log_probs"]
     adv = batch["advantages"]
     rets = batch["returns"]
@@ -157,10 +159,13 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool
         ratio = np.exp(new_lp - old_lp)
         # gradient flows only where the unclipped branch attains the min
         active = np.where(adv >= 0.0, ratio <= 1.0 + eps, ratio >= 1.0 - eps)
-        d_logits = -(active * ratio * adv)[:, None] * (actions - probs) / b
+        d_head = np.empty((b, logits.shape[1] + 1))
+        d_logits = d_head[:, :-1]
+        np.multiply(-(active * ratio * adv)[:, None], actions - probs, out=d_logits)
+        d_logits /= b
         d_logits += config.entropy_coef * (logits * probs * (1.0 - probs)) / b
         v_err = values - rets
-        d_values = config.value_coef * 2.0 * v_err / b
+        d_head[:, -1] = config.value_coef * 2.0 * v_err / b
         if with_stats:
             clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
             surr = np.minimum(ratio * adv, clipped * adv)
@@ -170,7 +175,7 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool
             stats["entropy"] = float(np.mean(np.sum(ent, axis=1)))
             stats["clip_fraction"] = float(np.mean(np.abs(ratio - 1.0) > eps))
             stats["approx_kl"] = float(np.mean(old_lp - new_lp))
-        return np.concatenate([d_logits, d_values[:, None]], axis=1)
+        return d_head
 
     _, _, grad = net.forward_backward(states, d_out)
     if not with_stats:
@@ -203,7 +208,7 @@ def ppo_update(
     size = config.minibatch_size
     columns = {
         "states": trajectory.states,
-        "actions": trajectory.actions,
+        "actions": trajectory.actions.astype(float),
         "old_log_probs": trajectory.log_probs,
         "advantages": adv,
         "returns": returns,
@@ -283,9 +288,13 @@ def _checkpoint_from_doc(
         )
     net = MLP(arch["input_dim"], arch["n_actions"], hidden=tuple(arch["hidden"]))
     net.set_params(np.array(doc["params"], dtype=float))
+    if not np.isfinite(net.params).all():
+        raise PolicyArchitectureError("params are not all finite")
     scale = np.array(doc["state_scale"], dtype=float)
     if scale.shape != (net.input_dim,):
         raise PolicyArchitectureError("state_scale length does not match input_dim")
+    if not (np.isfinite(scale) & (scale > 0.0)).all():
+        raise PolicyArchitectureError("state_scale entries are not all finite and positive")
     return PolicyCheckpoint(
         agent=PolicyAgent(net=net, state_scale=scale), extras=doc.get("extras", {})
     )

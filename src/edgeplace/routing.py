@@ -12,11 +12,17 @@ capacity.
 Two routers share the simplex: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
 problems on one delay matrix (one call per LockstepEnv training step). Each
-tries its own numpy form of the fast path below and hands every problem that
-misses it to route_row, which cuts the problem's lists, calls route_flows and
-returns the flat flows; both turn those into routing rows with unit_rows, so
-they agree bit for bit. route_flows makes the only capacity test. It sums
-left to right from 0.0, as numpy does for fewer than 8 terms.
+tries its own numpy form of the fast path below. solve_routing hands a
+problem that misses it to route_row, which cuts the problem's lists, calls
+route_flows and returns the flat flows. route_batch hands its slow rows to
+_route_rounds, which runs route_row's greedy start for all of them at once
+and certifies the rows whose start the simplex would return, and only the
+rest go to route_row; with fewer slow rows than the delay matrix's greedy
+rounds it calls route_row on each, the cheaper way for a few rows. Both
+routers turn the flows into routing rows with unit_rows, so they agree bit
+for bit. The capacity test is _over_capacity, which route_flows and
+_route_rounds both call on sums taken left to right from 0.0 (numpy's
+order for fewer than 8 terms, and cumsum's for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
@@ -31,17 +37,21 @@ demand is within capacity, so the fast path needs no capacity test.
 
 Memos: every slot of a training run routes on one delay matrix, so the
 simplex meets the same few cost matrices (the dummy row included) over and
-over. Two least-recently-used tables keep what depends on that matrix
+over. Three least-recently-used tables keep what depends on that matrix
 alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the cost
 matrix as a tuple of tuples, holds the cells in the greedy start's visiting
 order, which the basis repair walks too. _certificate (at most
 _CERTIFICATE_ENTRIES), keyed on that matrix and the basis as a tuple, holds
 the pivot loop's entering cell for the basis, or None when the basis is
 optimal: the potentials and reduced costs follow from the costs and the
-basis, never from supply or capacity. A hit returns what a miss
-computes from equal keys, and the greedy allocation and every pivot still
-run on each problem's own rates and capacities with unchanged arithmetic,
-so memoised flows are the flows of a cold call, byte for byte.
+basis, never from supply or capacity. _schedule (at most
+_SCHEDULE_ENTRIES), keyed on the delay matrix's bytes, holds the full
+matrix's greedy order cut into rounds of cells that share no row or
+column, and the cost of moving a request between two hosts through each
+source, for _route_rounds. A hit returns what a miss computes from equal
+keys, and the greedy allocation and every pivot still run on each
+problem's own rates and capacities with unchanged arithmetic, so memoised
+flows are the flows of a cold call, byte for byte.
 """
 
 from __future__ import annotations
@@ -58,6 +68,9 @@ _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * t
 # memo sizes; a training run meets about 30 cost matrices and 300 (cost, basis) pairs
 _ORDER_ENTRIES = 256
 _CERTIFICATE_ENTRIES = 1024
+_SCHEDULE_ENTRIES = 16
+# _route_rounds certifies a greedy start when no cycle costs below -_EPS_CERTIFY
+_EPS_CERTIFY = _EPS_REDUCED / 2
 _NO_SPAN = "no-span"  # _certificate's answer for a basis that is not a spanning tree
 
 
@@ -157,19 +170,136 @@ def route_batch(
     routings[index[:, None], np.arange(n), hosts] = 1.0
     slow = np.flatnonzero(~(load <= caps * _FAST_MARGIN).all(axis=1))
     if slow.size:
-        delay_rows = delays.tolist()
-        flows = []
-        for s, rates, hosted, cap in zip(slow.tolist(), rows[slow].tolist(),
-                                         placement[slow].tolist(), caps[slow].tolist()):
-            chosen = [j for j in range(n) if hosted[j]]
-            row_flows = route_row(delay_rows, rates, chosen, [cap[j] for j in chosen])
-            routable[s] = row_flows is not None
-            flows.append(row_flows or [0.0] * (n * n))
-        exact = unit_rows(np.array(flows).reshape(-1, n, n), rows[slow])
+        routable[slow], flows = _slow_flows(delays, rows[slow], placement[slow], caps[slow])
+        exact = unit_rows(flows, rows[slow])
         # sources without traffic keep the fast path's lowest-index host
         routings[slow] = np.where(rows[slow, :, None] > 0, exact, routings[slow])
         routings[~routable] = 0.0
     return routable, routings
+
+
+def _slow_flows(
+    delays: np.ndarray, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """route_row's routability and (S, N, N) flows for route_batch's slow rows.
+
+    With at least as many rows as the delay matrix's greedy rounds, the rows
+    go through _route_rounds together and only the ones it cannot certify
+    through route_row; fewer rows go through route_row one by one, which is
+    then the cheaper way.
+    """
+    n_rows, n = rows.shape
+    routable, flows = np.ones(n_rows, dtype=bool), np.zeros((n_rows, n, n))
+    pending = np.arange(n_rows)
+    if n_rows >= n:  # fewer rows never suffice: a row of the matrix spans n rounds
+        schedule = _schedule(n, np.ascontiguousarray(delays, dtype=float).tobytes())
+        if n_rows >= len(schedule.rounds):
+            routable, certified, flows = _route_rounds(schedule, rows, placement, caps)
+            pending = np.flatnonzero(routable & ~certified)
+    if pending.size:
+        delay_rows = delays.tolist()
+        exact = []
+        for s, rates, hosted, cap in zip(pending.tolist(), rows[pending].tolist(),
+                                         placement[pending].tolist(), caps[pending].tolist()):
+            chosen = [j for j in range(n) if hosted[j]]
+            row_flows = route_row(delay_rows, rates, chosen, [cap[j] for j in chosen])
+            routable[s] = row_flows is not None
+            exact.append(row_flows or [0.0] * (n * n))
+        flows[pending] = np.reshape(exact, (-1, n, n))
+    return routable, flows
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """What _route_rounds needs of one (N, N) delay matrix."""
+
+    # the greedy start's cells in rounds, no row or column twice in one: each round's
+    # first and stop position in the visit order, and its lines, the rows then N + the columns
+    rounds: tuple[tuple[int, int, np.ndarray], ...]
+    cells: np.ndarray  # (N * N,) the visit position of cell (i, j) at i * N + j
+    # moves[i, j, k] = delays[i, k] - delays[i, j]: the cost of row i shifting a request
+    # from host j to host k; zero on the dummy row N, whose cost is one constant
+    moves: np.ndarray
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_ENTRIES)
+def _schedule(n: int, delays_key: bytes) -> _Schedule:
+    """The greedy rounds and move costs of the (n, n) float64 delay matrix in delays_key.
+
+    A problem's greedy start visits its cells in _greedy_order, which is the
+    order of the full matrix's cells restricted to its sources and hosts. A
+    cell goes in the first round after every earlier cell on its row or
+    column, so each cell of a round meets the residuals the one-at-a-time
+    visit leaves it, and the full matrix's other cells allocate nothing.
+    route_flows prices its dummy row 1.0 above the problem's dearest cell, so
+    for delays below 2**53 the dummy's cells come after every real one and
+    are left out of the rounds.
+    """
+    delays = np.frombuffer(delays_key).reshape(n, n)
+    row_round, col_round = [0] * n, [0] * n
+    cells: list[list[tuple[int, int]]] = []
+    for i, j in _greedy_order(tuple(map(tuple, delays.tolist()))):
+        r = max(row_round[i], col_round[j])
+        row_round[i] = col_round[j] = r + 1
+        if r == len(cells):
+            cells.append([])
+        cells[r].append((i, j))
+    rounds, visits = [], []
+    for round_cells in cells:
+        rows, cols = np.array(round_cells).T
+        rounds.append((len(visits), len(visits) + len(rows), np.concatenate([rows, n + cols])))
+        visits.extend(rows * n + cols)
+    moves = np.zeros((n + 1, n, n))
+    moves[:n] = delays[:, None, :] - delays[:, :, None]
+    return _Schedule(tuple(rounds), np.argsort(visits), moves)
+
+
+def _route_rounds(
+    schedule: _Schedule, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """route_row on S problems at once, for the rows it can certify.
+
+    Arguments are route_batch's. Returns fits (S,), whether each row passes
+    route_flows' capacity test; certified (S,), the rows whose greedy start
+    leaves no cycle that lowers the delay by _EPS_CERTIFY or more; and the
+    (S, N, N) greedy flows, which on a fitting, certified row are route_row's
+    flows byte for byte.
+
+    Certificate: a simplex pivot that moves flow (theta > 0) shifts it round
+    a cycle of the transportation graph on which every cell that loses flow
+    carries some, at a delay change equal to the entering cell's reduced
+    cost, below -_EPS_REDUCED. Here the dummy source holds all the capacity
+    the real ones leave, so it has flow on every host where the simplex's
+    dummy has some. W[j, k], the cheapest shift of one request from host j
+    to host k through a source with flow on j, is at most the cost of any
+    such step, and one Floyd-Warshall pass over W finds the cheapest cycle
+    through every host. When none costs below -_EPS_CERTIFY, half of
+    _EPS_REDUCED, the simplex pivots only without moving flow and returns
+    the greedy start; the other half covers the rounding of the duals and of
+    the path sums.
+    """
+    n_rows, n = rows.shape
+    supply = np.where(rows > 0, rows, 0.0)
+    room = np.where(placement, caps, 0.0)
+    # cumsum adds left to right, as _total does; the zeros it meets change no sum
+    fits = ~_over_capacity(supply.cumsum(axis=1)[:, -1], room.cumsum(axis=1)[:, -1])
+    # what each source, then each host, has left: one problem per column
+    left = np.concatenate([supply.T, room.T])
+    visits = np.empty((n * n, n_rows))
+    for first, stop, lines in schedule.rounds:
+        pair = left[lines].reshape(2, stop - first, n_rows)
+        # min(rs, rc) as Python takes it: rc only when rc < rs
+        alloc = np.minimum(pair[1], pair[0], out=visits[first:stop])
+        pair -= alloc
+        left[lines] = pair.reshape(-1, n_rows)
+    # (N + 1, N, S) flows, the dummy source's row last
+    flows = np.concatenate([visits[schedule.cells], left[n:]]).reshape(n + 1, n, n_rows)
+    cheapest = np.where(flows[:, :, None] > 0.0, schedule.moves[..., None], np.inf).min(axis=0)
+    for k in range(n):
+        np.minimum(cheapest, cheapest[:, k, None] + cheapest[k], out=cheapest)
+    hosts = np.arange(n)
+    certified = (cheapest[hosts, hosts] >= -_EPS_CERTIFY).all(axis=0)
+    return fits, certified, np.ascontiguousarray(flows[:n].transpose(2, 0, 1))
 
 
 def route_row(
@@ -205,6 +335,14 @@ def _total(values: list[float]) -> float:
     return total
 
 
+def _over_capacity(supply_total, caps_total):
+    """The capacity test: demand above capacity by more than a relative _EPS_FEAS.
+
+    Takes floats or arrays of them.
+    """
+    return supply_total > caps_total + _EPS_FEAS * np.maximum(1.0, caps_total)
+
+
 def route_flows(
     cost: list[list[float]], supply: list[float], caps: list[float]
 ) -> list[list[float]] | None:
@@ -215,7 +353,7 @@ def route_flows(
     flows[i][j], the requests/s source i sends to host j.
     """
     supply_total, caps_total = _total(supply), _total(caps)
-    if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
+    if _over_capacity(supply_total, caps_total):
         return None
     # dummy source soaks up spare capacity; its cost is one constant for the
     # whole row (so the optimum is unchanged) and higher than any real cell

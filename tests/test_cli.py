@@ -128,6 +128,35 @@ def test_malformed_checkpoint_numbers_exit_2(scenario_path, tmp_path, capsys, fi
 
 
 @pytest.mark.parametrize(
+    "field, value, cause",
+    [
+        ("params", float("nan"), "params"),
+        ("params", float("inf"), "params"),
+        ("state_scale", float("nan"), "state_scale"),
+        ("state_scale", float("inf"), "state_scale"),
+        ("state_scale", 0.0, "state_scale"),
+        ("state_scale", -1.0, "state_scale"),
+    ],
+    ids=["nan-params", "inf-params", "nan-scale", "inf-scale", "zero-scale", "negative-scale"],
+)
+def test_non_finite_or_non_positive_checkpoint_exits_2(
+    scenario_path, tmp_path, capsys, field, value, cause
+):
+    checkpoint = tmp_path / "policy.json"
+    net = MLP(state_dim(3), 3, hidden=(4,), rng=np.random.default_rng(0))
+    save_policy(str(checkpoint), PolicyAgent(net=net, state_scale=np.ones(state_dim(3))))
+    doc = json.loads(checkpoint.read_text())
+    doc[field] = [value] * len(doc[field])  # json writes NaN and Infinity, and reads them back
+    checkpoint.write_text(json.dumps(doc))
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--checkpoint", str(checkpoint), "--snapshots", "2",
+    )
+    assert code == EXIT_INVALID
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "config, key",
     [
         ({"plan": {"ppo": {"epochs": 1}}}, "plan"),

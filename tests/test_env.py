@@ -19,6 +19,7 @@ from edgeplace.env import (
     make_queue,
     normalize_and_reward,
     queue_memory,
+    queue_order,
     run_episode,
     state_dim,
     t_max_bound,
@@ -69,6 +70,19 @@ def test_queue_orders_by_load_then_memory_then_id():
         workload=[[5, 5], [8, 8], [10, 8], [10, 8]],
     )
     assert make_queue(scenario) == [2, 3, 1, 0]
+
+
+def test_queue_order_pins_ties_for_one_snapshot_and_a_stack():
+    """Equal totals go larger memory first; equal totals and memory go smaller id first."""
+    memory = np.array([4.0, 8.0, 8.0, 4.0, 8.0])
+    workloads = np.array([
+        [[1, 1], [2, 0], [1, 1], [2, 0], [0, 2]],  # every total is 2
+        [[3, 0], [0, 0], [1, 2], [0, 3], [0, 0]],  # totals 3, 0, 3, 3, 0
+    ], dtype=float)
+    expected = [[1, 2, 4, 0, 3], [2, 0, 3, 1, 4]]
+    assert queue_order(memory, workloads).tolist() == expected
+    for snapshot, order in zip(workloads, expected):
+        assert queue_order(memory, snapshot).tolist() == order
 
 
 def test_state_scale_positive_and_sized(tri_scenario):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplace import routing
+from edgeplace.bench import train_agent
+from edgeplace.ppo import PPOConfig
 from edgeplace.routing import (
     _EPS_FEAS,
     RoutingProblem,
@@ -16,9 +18,11 @@ from edgeplace.routing import (
     chosen_nodes,
     route_batch,
     route_flows,
+    route_row,
     solve_routing,
     total_delay,
 )
+from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
 
 from conftest import random_routing_case
 from oracles import brute_force_routing, transport_simplex_reference
@@ -443,54 +447,76 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
     assert sum(other_basis) >= len(other_basis) // 5  # one cost key, different bases
 
 
+def _delay_matrix(draw, n: int) -> np.ndarray:
+    """Integer-valued delays (ties) or random, non-metric ones (the slow rows pivot)."""
+    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    return np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
+
+
+def _routing_row(draw, delays: np.ndarray):
+    """One routing problem on delays in route_batch's form: (rates, hosts, cores, cpr, mode).
+
+    Rates include zero-rate sources. The capacities either put the nearest-host
+    loads at, or within 1e-12 of, capacity; or put the demand within 4 ulps of
+    route_flows' capacity threshold; or share 1 to 1.5 times the demand
+    unevenly among the hosts.
+    """
+    n = len(delays)
+    rate = st.one_of(st.sampled_from([0.0, 0.7, 1.0, 2.0, 3.0]), st.floats(0.01, 20.0))
+    w = np.array([draw(rate) for _ in range(n)])
+    hosted = np.array([draw(st.booleans()) for _ in range(n)])
+    hosted[draw(st.integers(0, n - 1))] = True
+    chosen = np.flatnonzero(hosted)
+    mode = draw(st.sampled_from(["nearest", "threshold", "tight"]))
+    if mode == "nearest":
+        c = np.array([draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(n)])
+        nearest = chosen[np.argmin(delays[:, chosen], axis=1)]
+        load = np.bincount(nearest, weights=w, minlength=n)
+        factor = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-13, 0.5, 2.0])
+        spare = [draw(st.sampled_from([0.0, 1.0, 4.0])) for _ in range(n)]
+        cores = np.where(load > 0, load * c * [draw(factor) for _ in range(n)], spare)
+    else:
+        c = np.ones(n)  # capacities equal the cores, so the ulp steps below land exactly
+        shares = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in chosen])
+        demand = _total(w[w > 0].tolist())
+        if mode == "threshold":
+            # route_flows' threshold is caps_total + 1e-9 * max(1, caps_total)
+            total = demand / (1.0 + 1e-9) if demand >= 1.0 + 1e-9 else demand - 1e-9
+        else:
+            total = demand * draw(st.sampled_from([1.0, 1.2, 1.5]))
+        cores = np.zeros(n)
+        cores[chosen] = np.maximum(total, 0.0) * shares / shares.sum()
+        steps = draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            cores[chosen[-1]] = np.nextafter(cores[chosen[-1]], steps * np.inf)
+    return w, hosted, cores, c, mode
+
+
+def _stack(delays: np.ndarray, problems: list):
+    """delays and the problems' (rates, hosts, cores, cpr) stacked in rows, plus their modes."""
+    rows, placement, cores, cpr, modes = zip(*problems)
+    return delays, np.array(rows), np.array(placement), np.array(cores), np.array(cpr), modes
+
+
 @st.composite
 def _routing_batch(draw):
-    """Up to six routing problems on one delay matrix, one per row, in route_batch's form.
-
-    Delays are integer-valued (ties) or random and non-metric (the slow rows
-    pivot). Rates include zero-rate sources. Each row's capacities either
-    put its nearest-host loads at, or within 1e-12 of, capacity; or put its
-    demand within 4 ulps of route_flows' capacity threshold; or share 1 to
-    1.5 times its demand unevenly among its hosts.
-    """
+    """Up to six _routing_row problems on one delay matrix of 2 to 6 nodes."""
     n, n_rows = draw(st.integers(2, 6)), draw(st.integers(1, 6))
-    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
-    delays = np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
-    rate = st.one_of(st.sampled_from([0.0, 0.7, 1.0, 2.0, 3.0]), st.floats(0.01, 20.0))
-    rows, placement, cores, cpr, modes = [], [], [], [], []
-    for _ in range(n_rows):
-        w = np.array([draw(rate) for _ in range(n)])
-        hosted = np.array([draw(st.booleans()) for _ in range(n)])
-        hosted[draw(st.integers(0, n - 1))] = True
-        chosen = np.flatnonzero(hosted)
-        mode = draw(st.sampled_from(["nearest", "threshold", "tight"]))
-        if mode == "nearest":
-            c = np.array([draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(n)])
-            nearest = chosen[np.argmin(delays[:, chosen], axis=1)]
-            load = np.bincount(nearest, weights=w, minlength=n)
-            factor = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-13, 0.5, 2.0])
-            spare = [draw(st.sampled_from([0.0, 1.0, 4.0])) for _ in range(n)]
-            row_cores = np.where(load > 0, load * c * [draw(factor) for _ in range(n)], spare)
-        else:
-            c = np.ones(n)  # capacities equal the cores, so the ulp steps below land exactly
-            shares = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in chosen])
-            demand = _total(w[w > 0].tolist())
-            if mode == "threshold":
-                # route_flows' threshold is caps_total + 1e-9 * max(1, caps_total)
-                total = demand / (1.0 + 1e-9) if demand >= 1.0 + 1e-9 else demand - 1e-9
-            else:
-                total = demand * draw(st.sampled_from([1.0, 1.2, 1.5]))
-            row_cores = np.zeros(n)
-            row_cores[chosen] = np.maximum(total, 0.0) * shares / shares.sum()
-            steps = draw(st.integers(-4, 4))
-            for _ in range(abs(steps)):
-                row_cores[chosen[-1]] = np.nextafter(row_cores[chosen[-1]], steps * np.inf)
-        rows.append(w)
-        placement.append(hosted)
-        cores.append(row_cores)
-        cpr.append(c)
-        modes.append(mode)
-    return delays, np.array(rows), np.array(placement), np.array(cores), np.array(cpr), modes
+    delays = _delay_matrix(draw, n)
+    return _stack(delays, [_routing_row(draw, delays) for _ in range(n_rows)])
+
+
+@st.composite
+def _rounds_batch(draw):
+    """_routing_row problems on one delay matrix, at least as many as its greedy rounds."""
+    n = draw(st.integers(2, 6))
+    delays = _delay_matrix(draw, n)
+    n_rows = len(routing._schedule(n, delays.tobytes()).rounds) + draw(st.integers(0, 2))
+    return _stack(delays, [_routing_row(draw, delays) for _ in range(n_rows)])
+
+
+def _caps(placement, cores, cpr) -> np.ndarray:
+    return np.where(placement, np.maximum(cores, 0.0) / cpr, 0.0)  # as LockstepEnv.step
 
 
 def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
@@ -508,7 +534,7 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     @given(batch=_routing_batch())
     def check(batch):
         delays, rows, placement, cores, cpr, modes = batch
-        caps = np.where(placement, np.maximum(cores, 0.0) / cpr, 0.0)  # as LockstepEnv.step
+        caps = _caps(placement, cores, cpr)
         before = len(cycles)
         routable, routings = route_batch(delays, rows, placement, caps)
         pivoted.append(len(cycles) > before)
@@ -526,3 +552,66 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     check()
     assert sum(pivoted) >= len(pivoted) // 5  # slow rows reach the pivot loop
     assert threshold_outcomes == {True, False}  # the threshold is met from both sides
+
+
+def test_route_rounds_certifies_only_route_row_flows():
+    """_route_rounds' capacity test is route_row's, and each row it certifies
+    carries route_row's flows byte for byte."""
+    outcomes = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_rounds_batch())
+    def check(batch):
+        delays, rows, placement, cores, cpr, _ = batch
+        n = len(delays)
+        caps = _caps(placement, cores, cpr)
+        schedule = routing._schedule(n, delays.tobytes())
+        fits, certified, flows = routing._route_rounds(schedule, rows, placement, caps)
+        for s in np.flatnonzero((rows > 0).any(axis=1)):  # a row without traffic is never slow
+            chosen = np.flatnonzero(placement[s]).tolist()
+            expected = route_row(delays.tolist(), rows[s].tolist(), chosen,
+                                 caps[s, chosen].tolist())
+            assert fits[s] == (expected is not None)
+            if fits[s] and certified[s]:
+                assert flows[s].tobytes() == np.array(expected).tobytes()
+            if fits[s]:
+                outcomes.append(bool(certified[s]))
+
+    check()
+    assert True in outcomes and False in outcomes  # both certified and uncertified rows occur
+
+
+@pytest.mark.parametrize("gap, certified", [(1e-11, True), (1e-9, False)])
+def test_route_rounds_certifies_above_half_the_pivot_threshold(gap, certified):
+    """A greedy start that one cycle improves by gap: the simplex pivots when
+    gap exceeds _EPS_REDUCED, and _route_rounds certifies only while it stays
+    below _EPS_CERTIFY, half of that."""
+    # the start ships 0 -> 0 and 1 -> 1; shipping 0 -> 1 and 1 -> 0 costs gap less
+    delays = np.array([[1.0, 2.0], [1.5, 2.5 + gap]])
+    ones = np.ones((1, 2))
+    schedule = routing._schedule(2, delays.tobytes())
+    fits, certificate, flows = routing._route_rounds(schedule, ones, ones > 0, ones)
+    simplex = np.reshape(route_row(delays.tolist(), [1.0, 1.0], [0, 1], [1.0, 1.0]), (2, 2))
+    assert fits[0] and certificate[0] == certified
+    assert (flows[0] == np.eye(2)).all()
+    assert (simplex == np.eye(2)).all() == certified
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_training_sends_no_batched_row_to_route_row(preset, monkeypatch):
+    """A seed-1 training certifies every routable row of its batched passes."""
+    passes = []
+    route_rounds = routing._route_rounds
+
+    def recording(*args):
+        fits, certified, flows = route_rounds(*args)
+        passes.append(certified | ~fits)
+        return fits, certified, flows
+
+    monkeypatch.setattr(routing, "_route_rounds", recording)
+    scenario = build_preset(preset)
+    n = scenario.n_nodes
+    assert len(routing._schedule(n, scenario.topology.delays.tobytes()).rounds) == 10
+    train_agent(scenario, 0.0, 1, preset_workload_config(preset, 50), PPOConfig(), 2048)
+    assert passes
+    assert all(done.all() for done in passes)
