@@ -295,12 +295,13 @@ def _eval_one(
             raise ValueError(f"unknown candidate {candidate!r}")
         decision_s = time.perf_counter() - started
         valid = sol.feasible
-        delay = sol.total_delay if valid else float("nan")
-        cost = sol.total_cost if valid else float("nan")
+        delay, cost = sol.total_delay, sol.total_cost
         placements = sol.placements
         routes = sol.routes
-    doc = None
-    if valid:
+    doc, per_request = None, float("nan")
+    if not valid:  # an invalid decision has no totals, whichever candidate made it
+        delay = cost = float("nan")
+    else:
         doc = verify.decision_to_dict(
             scenario_name=scenario.name,
             workload=workload,
@@ -318,8 +319,7 @@ def _eval_one(
                 f"{candidate} produced an invalid decision on snapshot {snapshot_idx}: "
                 + "; ".join(problems)
             )
-    per_request = float("nan")
-    if valid:  # a snapshot without traffic has no per-request delay
+        # a snapshot without traffic has no per-request delay
         per_request = delay / total_rate if total_rate > 0 else None
     return ResultRow(
         candidate=candidate,

@@ -4,54 +4,58 @@ Each node i emits workload_row[i] requests/s for the function; requests may
 be served on any hosting node j at delay cost delays[i, j] per request, and
 node j can absorb at most available_cores[j] / cores_per_request[j]
 requests/s. Minimizing total delay under those constraints is a capacitated
-transportation problem in the shipped rates y[i, j] = x[i, j] * w[i], which
-is solved here with a transportation simplex (deterministic min-cost initial
-basis, Bland's rule). A dummy source with one constant cost absorbs spare
-capacity.
+transportation problem in the shipped rates y[i, j] = x[i, j] * w[i]. A
+dummy source with one constant cost, dearer than every real cell, absorbs
+spare capacity, so the problem is balanced.
 
-Two routers share the simplex: solve_routing routes one problem (one per
+Each problem first gets the greedy start: the cells in (cost, column, row)
+order, each shipping what its row and its column both have left. The
+certificate (_certified) then looks for a cycle of request moves between
+hosts that would lower the delay; a start without one is optimal and is
+returned as it is. Any other problem is solved as a linear program by
+HiGHS (scipy.optimize.linprog), which is the rare case: no preset problem
+needs it.
+
+Two routers share this: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
 problems on one delay matrix (one call per LockstepEnv training step). Each
 tries its own numpy form of the fast path below. solve_routing hands a
 problem that misses it to route_row, which cuts the problem's lists, calls
 route_flows and returns the flat flows. route_batch hands its slow rows to
 _route_rounds, which runs route_row's greedy start for all of them at once
-and certifies the rows whose start the simplex would return, and only the
-rest go to route_row; with fewer slow rows than the delay matrix's greedy
-rounds it calls route_row on each, the cheaper way for a few rows. Both
-routers turn the flows into routing rows with unit_rows, so they agree bit
-for bit. The capacity test is _over_capacity, which route_flows and
-_route_rounds both call on sums taken left to right from 0.0 (numpy's
-order for fewer than 8 terms, and cumsum's for any number).
+and certifies them; only the rows it cannot certify go to route_row. With
+fewer slow rows than the delay matrix's greedy rounds it calls route_row on
+each, the cheaper way for a few rows. Both routers turn the flows into
+routing rows with unit_rows, so they agree bit for bit. The capacity test
+is _over_capacity, which route_flows and _route_rounds both call on sums
+taken left to right from 0.0 (numpy's order for fewer than 8 terms, and
+cumsum's for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
-1e-12, that one-hot routing is returned without running the simplex. It is
-the routing the simplex returns: the greedy start visits each source's cells
-in (cost, column) order, so it ships the whole source to that host while the
-host still has room, and a start in which every request pays its minimum
-delay is optimal, so no pivot moves flow. The margin covers the float dust
-of the greedy's one-at-a-time capacity updates; a host loaded to equality,
-or within the margin of it, takes the simplex path. When every load fits,
-demand is within capacity, so the fast path needs no capacity test.
+1e-12, that one-hot routing is returned without building the lists. It is
+the routing route_flows returns: the greedy start visits each source's
+cells in (cost, column) order, so it ships the whole source to that host
+while the host still has room, and a start in which every request pays its
+minimum delay passes the certificate. The margin covers the float dust of
+the greedy's one-at-a-time capacity updates; a host loaded to equality, or
+within the margin of it, takes the slow path. When every load fits, demand
+is within capacity, so the fast path needs no capacity test.
 
 Memos: every slot of a training run routes on one delay matrix, so the
-simplex meets the same few cost matrices (the dummy row included) over and
-over. Three least-recently-used tables keep what depends on that matrix
+slow path meets the same few cost matrices (the dummy row included) over
+and over. Three least-recently-used tables keep what depends on that matrix
 alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the cost
 matrix as a tuple of tuples, holds the cells in the greedy start's visiting
-order, which the basis repair walks too. _certificate (at most
-_CERTIFICATE_ENTRIES), keyed on that matrix and the basis as a tuple, holds
-the pivot loop's entering cell for the basis, or None when the basis is
-optimal: the potentials and reduced costs follow from the costs and the
-basis, never from supply or capacity. _schedule (at most
+order. _certificate (at most _CERTIFICATE_ENTRIES), keyed on that matrix and
+the cells that carry flow, holds the certificate's verdict, which follows
+from the costs and those cells, never from the amounts. _schedule (at most
 _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes, holds the full
-matrix's greedy order cut into rounds of cells that share no row or
-column, and the cost of moving a request between two hosts through each
-source, for _route_rounds. A hit returns what a miss computes from equal
-keys, and the greedy allocation and every pivot still run on each
-problem's own rates and capacities with unchanged arithmetic, so memoised
-flows are the flows of a cold call, byte for byte.
+matrix's greedy order cut into rounds of cells that share no row or column,
+and the cost of moving a request between two hosts through each source, for
+_route_rounds. A hit returns what a miss computes from equal keys, and the
+greedy allocation still runs on each problem's own rates and capacities, so
+memoised flows are the flows of a cold call, byte for byte.
 """
 
 from __future__ import annotations
@@ -60,18 +64,16 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-_EPS_REDUCED = 1e-10  # reduced-cost threshold for entering variable
 _EPS_FEAS = 1e-9
-_MAX_PIVOTS = 20000
 _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
-# memo sizes; a training run meets about 30 cost matrices and 300 (cost, basis) pairs
+# memo sizes; a training run meets about 30 cost matrices and 300 (cost, flow cells) pairs
 _ORDER_ENTRIES = 256
 _CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
-# _route_rounds certifies a greedy start when no cycle costs below -_EPS_CERTIFY
-_EPS_CERTIFY = _EPS_REDUCED / 2
-_NO_SPAN = "no-span"  # _certificate's answer for a basis that is not a spanning tree
+# a greedy start is certified when no cycle of request moves costs below -_EPS_CERTIFY
+_EPS_CERTIFY = 5e-11
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def unit_rows(flows: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Routing fractions from (..., N, N) flows and the (..., N) source rates.
 
     Each row with traffic is its flows over its rate, rescaled so it sums to
-    exactly 1 despite simplex dust; a row without traffic stays zero.
+    exactly 1 despite float dust; a row without traffic stays zero.
     """
     rates = rates[..., None]
     x = np.divide(flows, rates, out=np.zeros_like(flows), where=rates > 0)
@@ -135,7 +137,7 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     nearest = problem.delays[sources][:, chosen].argmin(axis=1)
     load = np.bincount(nearest, weights=w[sources], minlength=len(chosen))
     if (load <= caps * _FAST_MARGIN).all():
-        # the rows unit_rows would build from the simplex's flows: y / w is exactly 1.0
+        # the rows unit_rows would build from route_flows' flows: y / w is exactly 1.0
         x = np.zeros(problem.delays.shape)
         x[sources, np.asarray(chosen)[nearest]] = 1.0
     else:
@@ -261,22 +263,13 @@ def _route_rounds(
 
     Arguments are route_batch's. Returns fits (S,), whether each row passes
     route_flows' capacity test; certified (S,), the rows whose greedy start
-    leaves no cycle that lowers the delay by _EPS_CERTIFY or more; and the
-    (S, N, N) greedy flows, which on a fitting, certified row are route_row's
-    flows byte for byte.
+    _certified accepts; and the (S, N, N) greedy flows, which on a fitting,
+    certified row are route_row's flows byte for byte.
 
-    Certificate: a simplex pivot that moves flow (theta > 0) shifts it round
-    a cycle of the transportation graph on which every cell that loses flow
-    carries some, at a delay change equal to the entering cell's reduced
-    cost, below -_EPS_REDUCED. Here the dummy source holds all the capacity
-    the real ones leave, so it has flow on every host where the simplex's
-    dummy has some. W[j, k], the cheapest shift of one request from host j
-    to host k through a source with flow on j, is at most the cost of any
-    such step, and one Floyd-Warshall pass over W finds the cheapest cycle
-    through every host. When none costs below -_EPS_CERTIFY, half of
-    _EPS_REDUCED, the simplex pivots only without moving flow and returns
-    the greedy start; the other half covers the rounding of the duals and of
-    the path sums.
+    The dummy source here holds all the capacity the real ones leave, so it
+    has flow on every host where route_flows' dummy has some: route_flows
+    meets a subset of these cells, and so certifies every row certified
+    here.
     """
     n_rows, n = rows.shape
     supply = np.where(rows > 0, rows, 0.0)
@@ -294,12 +287,33 @@ def _route_rounds(
         left[lines] = pair.reshape(-1, n_rows)
     # (N + 1, N, S) flows, the dummy source's row last
     flows = np.concatenate([visits[schedule.cells], left[n:]]).reshape(n + 1, n, n_rows)
-    cheapest = np.where(flows[:, :, None] > 0.0, schedule.moves[..., None], np.inf).min(axis=0)
-    for k in range(n):
-        np.minimum(cheapest, cheapest[:, k, None] + cheapest[k], out=cheapest)
-    hosts = np.arange(n)
-    certified = (cheapest[hosts, hosts] >= -_EPS_CERTIFY).all(axis=0)
+    certified = _certified(schedule.moves, flows > 0.0)
     return fits, certified, np.ascontiguousarray(flows[:n].transpose(2, 0, 1))
+
+
+def _certified(moves: np.ndarray, flowing: np.ndarray) -> np.ndarray:
+    """Whether S problems' flows leave no cycle that lowers the delay by _EPS_CERTIFY or more.
+
+    moves[i, j, k] (R, K, K) is the cost of source i shifting one request
+    from host j to host k, zero on the dummy source, whose cost is one
+    constant; flowing (R, K, S) marks the cells that carry flow in each
+    problem. Returns (S,) bools.
+
+    Flows that meet every row's supply and every host's capacity, as a
+    balanced problem's do, are optimal when no cycle of such shifts, each
+    through a source with flow on the host it leaves, lowers the delay
+    (Klein's cycle-cancelling condition): any other feasible flow differs
+    from them by such cycles. W[j, k], the cheapest shift from host j to
+    host k, is the minimum over the sources with flow on j, and one
+    Floyd-Warshall pass over W finds the cheapest cycle through every host.
+    A cycle above -_EPS_CERTIFY lowers the delay by less than 5e-11 per
+    request moved, which covers the rounding of the path sums.
+    """
+    cheapest = np.where(flowing[:, :, None], moves[..., None], np.inf).min(axis=0)
+    hosts = np.arange(len(cheapest))
+    for k in hosts:
+        np.minimum(cheapest, cheapest[:, k, None] + cheapest[k], out=cheapest)
+    return (cheapest[hosts, hosts] >= -_EPS_CERTIFY).all(axis=0)
 
 
 def route_row(
@@ -360,12 +374,7 @@ def route_flows(
     # (so real traffic claims equally-cheap columns in index order first)
     dummy = [max(map(max, cost)) + 1.0] * len(caps)
     spare = max(caps_total - supply_total, 0.0)
-    return _transport_simplex(cost + [dummy], supply + [spare], caps)[:-1]
-
-
-# --------------------------------------------------------------------------
-# transportation simplex internals
-# --------------------------------------------------------------------------
+    return _transport(cost + [dummy], supply + [spare], caps)[:-1]
 
 
 @functools.lru_cache(maxsize=_ORDER_ENTRIES)
@@ -375,205 +384,45 @@ def _greedy_order(cost: tuple[tuple[float, ...], ...]) -> tuple[tuple[int, int],
     return tuple((i, j) for _, j, i in cells)
 
 
-def _initial_basis(cost: tuple[tuple[float, ...], ...], supply: list[float], caps: list[float]):
-    """Minimum-cost greedy start; ties go to (lower cost, lower column, lower row)."""
-    m, n = len(cost), len(caps)
-    y = [[0.0] * n for _ in range(m)]
-    rs = list(supply)
-    rc = list(caps)
-    row_active = [True] * m
-    col_active = [True] * n
-    rows_left, cols_left = m, n
-    basis: list[tuple[int, int]] = []
-    order = _greedy_order(cost)
-    for i, j in order:
-        if rows_left == 0 or cols_left == 0:
-            break
-        if not (row_active[i] and col_active[j]):
-            continue
-        alloc = min(rs[i], rc[j])
-        y[i][j] = alloc
-        basis.append((i, j))
-        rs[i] -= alloc
-        rc[j] -= alloc
-        row_done = rs[i] <= 0.0
-        col_done = rc[j] <= 0.0
-        if row_done and col_done:
-            if rows_left == 1 and cols_left == 1:
-                row_active[i] = False
-                col_active[j] = False
-                rows_left -= 1
-                cols_left -= 1
-            elif rows_left > 1:
-                row_active[i] = False
-                rows_left -= 1
-            else:
-                col_active[j] = False
-                cols_left -= 1
-        elif row_done:
-            row_active[i] = False
-            rows_left -= 1
-        else:
-            col_active[j] = False
-            cols_left -= 1
-    _repair_basis(basis, order, m, n)
-    return y, basis
-
-
-def _repair_basis(
-    basis: list[tuple[int, int]], order: tuple[tuple[int, int], ...], m: int, n: int
-) -> None:
-    """Pad the basis with zero cells until it spans all rows and columns.
-
-    Float dust in the greedy can leave the basis one short of the m+n-1
-    spanning tree the dual computation needs; connect components with the
-    cheapest admissible cells, taken in the greedy order (never creating a
-    cycle).
-    """
-    if len(basis) == m + n - 1:
-        return
-    parent = list(range(m + n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in basis:
-        parent[find(i)] = find(m + j)
-    for i, j in order:
-        if len(basis) == m + n - 1:
-            break
-        ri, rj = find(i), find(m + j)
-        if ri != rj:
-            parent[ri] = rj
-            basis.append((i, j))
-
-
-def _duals(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int):
-    """Potentials u, v with u[i] + v[j] = cost[i][j] on every basic cell.
-
-    Returns None when the basis does not span the transportation graph.
-    """
-    u: list[float | None] = [None] * m
-    v: list[float | None] = [None] * n
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    u[0] = 0.0
-    stack: list[tuple[bool, int]] = [(True, 0)]
-    while stack:
-        is_row, a = stack.pop()
-        if is_row:
-            for j in rows_adj[a]:
-                if v[j] is None:
-                    v[j] = cost[a][j] - u[a]
-                    stack.append((False, j))
-        else:
-            for i in cols_adj[a]:
-                if u[i] is None:
-                    u[i] = cost[i][a] - v[a]
-                    stack.append((True, i))
-    if None in u or None in v:
-        return None
-    return u, v
-
-
-def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
-    """Cells of the unique basis cycle closed by `enter`, with alternating signs."""
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    start, goal = enter
-    # BFS from row node `start` to column node `goal` through basic cells
-    prev: dict[tuple[bool, int], tuple[bool, int]] = {}
-    seen = {(True, start)}
-    frontier = [(True, start)]
-    while frontier:
-        nxt = []
-        for is_row, a in frontier:
-            neigh = (
-                [(False, j) for j in rows_adj[a]]
-                if is_row
-                else [(True, i) for i in cols_adj[a]]
-            )
-            for node in neigh:
-                if node not in seen:
-                    seen.add(node)
-                    prev[node] = (is_row, a)
-                    nxt.append(node)
-        if (False, goal) in seen:
-            break
-        frontier = nxt
-    node = (False, goal)
-    path = [node]
-    while node != (True, start):
-        node = prev[node]
-        path.append(node)
-    path.reverse()  # row start ... col goal
-    minus, plus = [], []
-    for k in range(len(path) - 1):
-        a, b = path[k], path[k + 1]
-        cell = (a[1], b[1]) if a[0] else (b[1], a[1])
-        (minus if k % 2 == 0 else plus).append(cell)
-    return plus, minus
-
-
-def _entering(cost: list[list[float]], basic: list[list[bool]], u: list[float], v: list[float]):
-    """First non-basic cell in row-major order whose reduced cost is negative (Bland)."""
-    for i, (row, basic_row, ui) in enumerate(zip(cost, basic, u)):
-        for j, (c, vj) in enumerate(zip(row, v)):
-            if c - ui - vj < -_EPS_REDUCED and not basic_row[j]:
-                return i, j
-    return None
-
-
 @functools.lru_cache(maxsize=_CERTIFICATE_ENTRIES)
-def _certificate(cost: tuple[tuple[float, ...], ...], basis: tuple[tuple[int, int], ...]):
-    """Bland's entering cell for this basis, None when the basis is optimal, or
-    _NO_SPAN when it does not span the transportation graph."""
-    m, n = len(cost), len(cost[0])
-    duals = _duals(basis, cost, m, n)
-    if duals is None:
-        return _NO_SPAN
-    basic = [[False] * n for _ in range(m)]
-    for i, j in basis:
-        basic[i][j] = True
-    return _entering(cost, basic, *duals)
+def _certificate(cost: tuple[tuple[float, ...], ...], support: tuple[int, ...]) -> bool:
+    """_certified for one problem: flow on the cells i * K + j in support."""
+    costs = np.array(cost)
+    flowing = np.zeros(costs.size, dtype=bool)
+    flowing[list(support)] = True
+    moves = costs[:, None, :] - costs[:, :, None]
+    return bool(_certified(moves, flowing.reshape(costs.shape + (1,)))[0])
 
 
-def _transport_simplex(
+def _transport(
     cost: list[list[float]], supply: list[float], caps: list[float]
 ) -> list[list[float]]:
-    """Balanced transportation solve; returns the flow rows y."""
-    m, n = len(cost), len(caps)
+    """Least-cost flows of a balanced problem: its greedy start if certified, else HiGHS's."""
     key = tuple(map(tuple, cost))
-    y, basis = _initial_basis(key, supply, caps)
-    for _ in range(_MAX_PIVOTS):
-        # the first lookup certifies the greedy start, or names its first pivot
-        enter = _certificate(key, tuple(basis))
-        if enter is _NO_SPAN:
-            raise RuntimeError(_failure("basis does not span the transportation graph",
-                                        cost, supply, caps))
-        if enter is None:
-            return [[0.0 if flow < 0.0 else flow for flow in row] for row in y]  # max(flow, 0.0)
-        plus, minus = _cycle(basis, enter, m, n)
-        theta = min(y[i][j] for i, j in minus)
-        leave = min(c for c in minus if y[c[0]][c[1]] <= theta)
-        for i, j in plus:
-            y[i][j] += theta
-        for i, j in minus:
-            y[i][j] -= theta
-        y[enter[0]][enter[1]] += theta
-        y[leave[0]][leave[1]] = 0.0
-        basis.remove(leave)
-        basis.append(enter)
-    raise RuntimeError(_failure("transportation simplex exceeded pivot limit", cost, supply, caps))
+    k = len(caps)
+    y = [[0.0] * k for _ in supply]
+    rs, rc = list(supply), list(caps)
+    support = []
+    for i, j in _greedy_order(key):
+        alloc = min(rs[i], rc[j])
+        if alloc > 0.0:
+            y[i][j] = alloc
+            support.append(i * k + j)
+            rs[i] -= alloc
+            rc[j] -= alloc
+    if _certificate(key, tuple(support)):
+        return y
+    # rows ship at most their supply and hosts take exactly their capacity, which
+    # balances up to rounding; supply above capacity by up to _EPS_FEAS stays feasible.
+    # HiGHS's smallest reduced-cost tolerance keeps its optimum within 1e-10 per request
+    m = len(supply)
+    res = linprog(np.ravel(cost), A_ub=np.kron(np.eye(m), np.ones(k)), b_ub=supply,
+                  A_eq=np.tile(np.eye(k), m), b_eq=caps, method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(_failure(f"HiGHS status {res.status} ({res.message})",
+                                    cost, supply, caps))
+    return np.where(res.x > 0.0, res.x, 0.0).reshape(m, k).tolist()  # no -0.0 or dust below 0
 
 
 def _failure(cause: str, cost: list[list[float]], supply: list[float], caps: list[float]) -> str:

@@ -89,7 +89,8 @@ def write_trace(path: str, snapshots: list[np.ndarray]) -> None:
 def ingest_trace(path: str) -> list[np.ndarray]:
     """Read a trace CSV back into dense snapshots; missing cells are zero.
 
-    A (snapshot, function, node) cell given on two lines is refused.
+    A (snapshot, function, node) cell given on two lines is refused, and so
+    is a snapshot index below the largest that no line gives.
     """
     cells: dict[tuple[int, int, int], tuple[int, float]] = {}  # cell -> (line, rate)
     try:
@@ -124,6 +125,12 @@ def ingest_trace(path: str) -> list[np.ndarray]:
         raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
     if not cells:
         raise WorkloadError(f"trace {path} holds no samples")
+    given = {s for s, _, _ in cells}
+    missing = next(s for s in range(len(given) + 1) if s not in given)
+    if missing < len(given):  # an index is skipped, so the largest is past len(given) - 1
+        raise WorkloadError(
+            f"trace {path} has no line for snapshot {missing} but gives snapshot {max(given)}"
+        )
     n_snapshots, n_functions, n_nodes = (max(axis) + 1 for axis in zip(*cells))
     snapshots = [np.zeros((n_functions, n_nodes)) for _ in range(n_snapshots)]
     for (s, f, n), (_, rate) in cells.items():

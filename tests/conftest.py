@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from edgeplace import routing
 from edgeplace.model import FunctionSpec, NodeSpec, Scenario, Topology
 
 
@@ -66,3 +68,15 @@ def random_routing_case(rng: np.random.Generator, n_max: int = 4, hosts_max: int
     if rng.random() < 0.5:
         cores = cores * rng.uniform(0.05, 0.6)
     return delays, workload, placement, cores, cpr
+
+
+def count_highs_fallbacks(monkeypatch) -> list:
+    """Record every HiGHS solve routing falls back to; returns the growing record."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "linprog", counting)
+    return calls

@@ -30,18 +30,16 @@ from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 from edgeplace.routing import (
     _EPS_FEAS,
-    _EPS_REDUCED,
-    _MAX_PIVOTS,
     RoutingProblem,
     RoutingSolution,
     _capacities,
-    _cycle,
-    _repair_basis,
     chosen_nodes,
     total_delay,
 )
 
 _TIE_TOL = 1e-12
+_EPS_REDUCED = 1e-10  # transport_simplex_reference's reduced-cost threshold for entering
+_MAX_PIVOTS = 20000
 
 
 def finite_difference_grad(loss_fn, params: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -278,11 +276,12 @@ def _routing_solution(problem: RoutingProblem, chosen: list[int], sources: list[
 
 def transport_simplex_reference(cost: np.ndarray, supply: np.ndarray,
                                 caps: np.ndarray) -> np.ndarray:
-    """The transportation simplex on numpy arrays: same start, duals and Bland pivots.
+    """The transportation simplex on numpy arrays: greedy start, duals and Bland pivots.
 
-    This is the array form the package's list-based routing.route_flows
-    replaced, kept to check that the list form returns the same flows bit for
-    bit. Returns the flow matrix y.
+    Its greedy start is routing.route_flows', so where route_flows certifies
+    that start, this returns the same flows bit for bit; elsewhere it gives
+    the optimum that route_flows' HiGHS fallback must match. Returns the
+    flow matrix y.
     """
     m, n = cost.shape
     cost_rows = cost.tolist()
@@ -360,6 +359,79 @@ def _initial_basis_reference(cost: list[list[float]], supply: np.ndarray, caps: 
             cols_left -= 1
     _repair_basis(basis, [(i, j) for _, j, i in order], m, n)
     return y, basis
+
+
+def _repair_basis(
+    basis: list[tuple[int, int]], order: list[tuple[int, int]], m: int, n: int
+) -> None:
+    """Pad the basis with zero cells until it spans all rows and columns.
+
+    Float dust in the greedy can leave the basis one short of the m+n-1
+    spanning tree the dual computation needs; connect components with the
+    cheapest admissible cells, taken in the greedy order (never creating a
+    cycle).
+    """
+    if len(basis) == m + n - 1:
+        return
+    parent = list(range(m + n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in basis:
+        parent[find(i)] = find(m + j)
+    for i, j in order:
+        if len(basis) == m + n - 1:
+            break
+        ri, rj = find(i), find(m + j)
+        if ri != rj:
+            parent[ri] = rj
+            basis.append((i, j))
+
+
+def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
+    """Cells of the unique basis cycle closed by `enter`, with alternating signs."""
+    rows_adj: list[list[int]] = [[] for _ in range(m)]
+    cols_adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in basis:
+        rows_adj[i].append(j)
+        cols_adj[j].append(i)
+    start, goal = enter
+    # BFS from row node `start` to column node `goal` through basic cells
+    prev: dict[tuple[bool, int], tuple[bool, int]] = {}
+    seen = {(True, start)}
+    frontier = [(True, start)]
+    while frontier:
+        nxt = []
+        for is_row, a in frontier:
+            neigh = (
+                [(False, j) for j in rows_adj[a]]
+                if is_row
+                else [(True, i) for i in cols_adj[a]]
+            )
+            for node in neigh:
+                if node not in seen:
+                    seen.add(node)
+                    prev[node] = (is_row, a)
+                    nxt.append(node)
+        if (False, goal) in seen:
+            break
+        frontier = nxt
+    node = (False, goal)
+    path = [node]
+    while node != (True, start):
+        node = prev[node]
+        path.append(node)
+    path.reverse()  # row start ... col goal
+    minus, plus = [], []
+    for k in range(len(path) - 1):
+        a, b = path[k], path[k + 1]
+        cell = (a[1], b[1]) if a[0] else (b[1], a[1])
+        (minus if k % 2 == 0 else plus).append(cell)
+    return plus, minus
 
 
 def _duals_reference(basis: list[tuple[int, int]], cost: list[list[float]], m: int, n: int):

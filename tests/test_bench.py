@@ -37,6 +37,7 @@ from edgeplace.ppo import PolicyAgent, PPOConfig
 from edgeplace.scenarios import build_preset, preset_workload_config
 from edgeplace.workload import WorkloadGenConfig
 
+from conftest import make_scenario
 from oracles import train_agent_reference
 
 _FAST_PPO = PPOConfig(update_interval=64, minibatch_size=32, epochs=2, hidden=(16,))
@@ -172,6 +173,24 @@ def test_evaluate_produces_verified_grid(small_plan, tri_scenario):
         assert row.delay_ms_per_req == pytest.approx(
             row.total_delay / snapshots[row.snapshot].sum()
         )
+
+
+def test_invalid_agent_row_carries_nan_totals():
+    """An agent whose episode places one function and fails the next writes
+    nan totals, as an invalid baseline row does, not the valid step's."""
+    # the untrained head puts every function on every node: f0 (8 MB) fits,
+    # f1 (4 MB) then overflows each node's 10 MB
+    scenario = make_scenario(delays=[[0, 2, 5], [2, 0, 3], [5, 3, 0]], cores=[30, 20, 40],
+                             memory=[10, 10, 10], fn_memory=[8, 4],
+                             workload=[[10, 4, 0], [2, 6, 8]])
+    agent = PolicyAgent(MLP(state_dim(3), 3, hidden=(4,)), np.ones(state_dim(3)))
+    record = run_episode(agent, PlacementEnv(scenario, 0.0), scenario.workload, deterministic=True)
+    assert not record.valid and record.total_cost > 0.0  # the valid step's partial totals
+    plan = ExperimentPlan(scenario=scenario, workload_cfg=WorkloadGenConfig(n_snapshots=1),
+                          alphas=(0.0,), candidates=("agent",), timing=False)
+    [row] = evaluate_candidates(plan, 1, {0.0: agent}, snapshots=[scenario.workload])
+    assert not row.valid
+    assert np.isnan(row.total_delay) and np.isnan(row.cost) and np.isnan(row.delay_ms_per_req)
 
 
 def test_agent_decision_time_covers_the_whole_episode(small_plan, tri_scenario, monkeypatch):

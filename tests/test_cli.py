@@ -478,6 +478,15 @@ def _trace(scenario_path, tmp_path):
     return str(trace)
 
 
+def test_evaluate_trace_with_a_skipped_snapshot_exits_2(scenario_path, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.0\n200000,0,0,1.0\n")
+    code = run_cli("evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+                   "--candidates", "vsvbp", "--trace", str(trace))
+    assert code == EXIT_INVALID
+    assert "no line for snapshot 1" in capsys.readouterr().err
+
+
 def test_evaluate_trace_refuses_snapshots(scenario_path, tmp_path, capsys):
     code = run_cli(
         "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
@@ -556,7 +565,7 @@ def test_verify_refuses_a_nan_total(scenario_path, tri_scenario, tmp_path, capsy
 
 
 def test_evaluate_trace_with_a_zero_traffic_snapshot(tmp_path):
-    """A skipped snapshot index is an all-zero snapshot; its per-request delay is blank."""
+    """A snapshot whose lines all give rate 0 has no traffic; its per-request delay is blank."""
     scenario = tmp_path / "small.json"
     assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(scenario)) == EXIT_OK
     full = tmp_path / "full.csv"
@@ -565,7 +574,9 @@ def test_evaluate_trace_with_a_zero_traffic_snapshot(tmp_path):
     assert code == EXIT_OK
     lines = full.read_text().splitlines()
     trace = tmp_path / "trace.csv"
-    trace.write_text("\n".join(line for line in lines if not line.startswith("1,")) + "\n")
+    zeroed = [line.rsplit(",", 1)[0] + ",0.0" if line.startswith("1,") else line
+              for line in lines]
+    trace.write_text("\n".join(zeroed) + "\n")
     out = tmp_path / "e"
     code = run_cli(
         "evaluate", "--scenario", str(scenario), "--out", str(out), "--trace", str(trace),

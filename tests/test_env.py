@@ -26,12 +26,12 @@ from edgeplace.env import (
 )
 from edgeplace.nn import MLP
 from edgeplace.ppo import PolicyAgent
-from edgeplace.routing import RoutingProblem, _cycle, solve_routing
+from edgeplace.routing import RoutingProblem, solve_routing
 from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
 from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 
-from conftest import make_scenario
+from conftest import count_highs_fallbacks, make_scenario
 from oracles import build_state, commit, empty_state, state_scale_reference
 
 
@@ -350,17 +350,18 @@ def _equivalence_cases(tri_scenario):
         random_scenario(int(rng.integers(2, 6)), int(rng.integers(3, 13)), rng)
         for _ in range(8)
     ] + [random_scenario(int(rng.integers(8, 13)), int(rng.integers(3, 9)), rng) for _ in range(2)]
-    pivoting = np.random.default_rng(20261019)
-    return scenarios + [_pivoting_scenario(n, 7, pivoting) for n in (5, 6, 9)], rng
+    contested = np.random.default_rng(20261019)
+    return scenarios + [_contested_scenario(n, 7, contested) for n in (5, 6, 9)], rng
 
 
-def _pivoting_scenario(n_nodes, n_functions, rng):
+def _contested_scenario(n_nodes, n_functions, rng):
     """random_scenario with random non-metric delays and 15% of its cores.
 
-    Routing problems that miss the nearest-host fast path then often need
-    simplex pivots, which the metric, roomy presets never do.
+    Routing problems that miss the nearest-host fast path then often fail
+    the greedy start's certificate and go to HiGHS, which the metric, roomy
+    presets never do.
     """
-    scenario = random_scenario(n_nodes, n_functions, rng, name="pivoting")
+    scenario = random_scenario(n_nodes, n_functions, rng, name="contested")
     delays = rng.uniform(0.0, 10.0, (n_nodes, n_nodes))
     np.fill_diagonal(delays, 0.0)
     nodes = tuple(replace(node, cores=0.15 * node.cores) for node in scenario.topology.nodes)
@@ -392,13 +393,7 @@ def _assert_dicts_equal(actual, expected):
 def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch):
     """PlacementEnv.step against the copying reference, then LockstepEnv.step
     on all of a scenario's episodes at once against PlacementEnv.step."""
-    cycles = []  # one entry per simplex pivot
-
-    def counting(*args):
-        cycles.append(args)
-        return _cycle(*args)
-
-    monkeypatch.setattr("edgeplace.routing._cycle", counting)
+    fallbacks = count_highs_fallbacks(monkeypatch)
     scenarios, rng = _equivalence_cases(tri_scenario)
     seen = set()
     for scenario in scenarios:
@@ -433,10 +428,10 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch
                 routing = None if violation else env.routes[out.function_id]
                 episodes[-1][2].append((action, out.violation, _snapshot(env),
                                         routing, out.state))
-        before = len(cycles)
+        before = len(fallbacks)
         _assert_lockstep_matches(scenario, episodes)
-        if scenario.name == "pivoting":
-            assert len(cycles) > before  # LockstepEnv's own slow slots pivoted
+        if scenario.name == "contested":
+            assert len(fallbacks) > before  # LockstepEnv's own slow slots went to HiGHS
     assert seen == {"empty-placement", "memory", "cores", "routing-infeasible"}
 
 

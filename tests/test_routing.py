@@ -1,20 +1,21 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplace import routing
-from edgeplace.bench import train_agent
+from edgeplace.bench import ExperimentPlan, evaluate_candidates, train_agent
 from edgeplace.ppo import PPOConfig
 from edgeplace.routing import (
     _EPS_FEAS,
     RoutingProblem,
     _capacities,
-    _cycle,
     _total,
-    _transport_simplex,
+    _transport,
     chosen_nodes,
     route_batch,
     route_flows,
@@ -24,7 +25,7 @@ from edgeplace.routing import (
 )
 from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
 
-from conftest import random_routing_case
+from conftest import count_highs_fallbacks, random_routing_case
 from oracles import brute_force_routing, transport_simplex_reference
 
 
@@ -134,8 +135,8 @@ def _contested_hub_problem(rng: np.random.Generator) -> RoutingProblem:
     """Sources compete for one cheap host that cannot take them all.
 
     The source nearest to that hub loses the least by going elsewhere, but
-    the min-cost greedy start serves it at the hub first, so reaching the
-    optimum takes simplex pivots.
+    the min-cost greedy start serves it at the hub first, so the start fails
+    the certificate and the optimum comes from HiGHS.
     """
     n = int(rng.integers(3, 5))
     hosts = rng.choice(n, size=int(rng.integers(2, 4)), replace=False)
@@ -155,26 +156,20 @@ def _contested_hub_problem(rng: np.random.Generator) -> RoutingProblem:
     return _problem(delays, w, placement, caps * cpr, cpr)
 
 
-def test_contested_hub_pivots_and_matches_oracle(monkeypatch):
-    cycles = []
-
-    def counting(*args):
-        cycles.append(args)
-        return _cycle(*args)
-
-    monkeypatch.setattr(routing, "_cycle", counting)
+def test_contested_hub_falls_back_and_matches_oracle(monkeypatch):
+    fallbacks = count_highs_fallbacks(monkeypatch)
     rng = np.random.default_rng(20261018)
-    pivoted = 0
+    fell_back = 0
     for _ in range(200):
         p = _contested_hub_problem(rng)
-        before = len(cycles)
+        before = len(fallbacks)
         fast = solve_routing(p)
         slow = brute_force_routing(p)
         assert fast.status == slow.status == "optimal"
         assert fast.objective_delay == pytest.approx(slow.objective_delay, rel=1e-9, abs=1e-9)
         _assert_solution_feasible(p, fast.routing)
-        pivoted += len(cycles) > before
-    assert pivoted >= 150  # the greedy start is rarely optimal here
+        fell_back += len(fallbacks) > before
+    assert fell_back >= 150  # the greedy start is rarely optimal here
 
 
 def _assert_solution_feasible(p: RoutingProblem, x: np.ndarray, tol: float = 1e-9):
@@ -268,15 +263,28 @@ def _tie_heavy_problem(draw) -> RoutingProblem:
     return _problem(delays, w, placement, cores, cpr)
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=_tie_heavy_problem())
-def test_nearest_host_fast_path_matches_simplex(p):
-    sol = solve_routing(p)
-    if sol.status == "infeasible":
-        return
-    x, objective = _simplex_reference(p)
-    assert np.array_equal(sol.routing, x)
-    assert sol.objective_delay == objective
+def test_nearest_host_fast_path_matches_simplex(monkeypatch):
+    """solve_routing returns the reference simplex's routing bit for bit, fast
+    path or certified greedy start; a problem that falls back to HiGHS, whose
+    flows may differ on ties, matches its delay."""
+    fallbacks = count_highs_fallbacks(monkeypatch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=_tie_heavy_problem())
+    def check(p):
+        before = len(fallbacks)
+        sol = solve_routing(p)
+        if sol.status == "infeasible":
+            return
+        x, objective = _simplex_reference(p)
+        if len(fallbacks) == before:
+            assert np.array_equal(sol.routing, x)
+            assert sol.objective_delay == objective
+        else:
+            _assert_solution_feasible(p, sol.routing)
+            assert sol.objective_delay == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+    check()
 
 
 def _load_equals_capacity() -> RoutingProblem:
@@ -285,14 +293,14 @@ def _load_equals_capacity() -> RoutingProblem:
                     [4, 10, 0], [1, 1, 1])
 
 
-def test_load_equal_to_capacity_takes_simplex(monkeypatch):
+def test_load_equal_to_capacity_leaves_the_fast_path(monkeypatch):
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return _transport_simplex(*args)
+        return _transport(*args)
 
-    monkeypatch.setattr(routing, "_transport_simplex", counting)
+    monkeypatch.setattr(routing, "_transport", counting)
     p = _load_equals_capacity()
     sol = solve_routing(p)
     assert len(calls) == 1
@@ -306,8 +314,14 @@ def test_load_equal_to_capacity_takes_simplex(monkeypatch):
 
 
 def test_simplex_failure_reports_instance(monkeypatch):
-    monkeypatch.setattr(routing, "_MAX_PIVOTS", 0)
-    p = _load_equals_capacity()
+    """A HiGHS fallback that ends without an optimum raises with the balanced instance."""
+    def iteration_limit(*args, **kwargs):
+        return SimpleNamespace(status=1, message="Iteration limit reached.")
+
+    monkeypatch.setattr(routing, "linprog", iteration_limit)
+    # both sources want host 0; the greedy start gives it to source 0, which loses
+    # 1 by moving, where source 1 loses 9.5, so the certificate refuses the start
+    p = _problem([[0.0, 1.0], [0.5, 10.0]], [4, 4], [True, True], [4, 4], [1, 1])
     # through the single-problem router, and through route_batch as LockstepEnv calls it
     for solve in (lambda: solve_routing(p),
                   lambda: route_batch(p.delays, p.workload_row[None], p.placement[None],
@@ -315,21 +329,22 @@ def test_simplex_failure_reports_instance(monkeypatch):
         with pytest.raises(RuntimeError) as err:
             solve()
         msg = str(err.value)
-        assert "pivot limit" in msg
-        assert "cost=[[0.0, 1.0], [2.0, 1.0], [3.0, 3.0]]" in msg
-        assert "supply=[4.0, 2.0, 8.0]" in msg
-        assert "caps=[4.0, 10.0]" in msg
+        assert "HiGHS status 1 (Iteration limit reached.)" in msg
+        assert "cost=[[0.0, 1.0], [0.5, 10.0], [11.0, 11.0]]" in msg
+        assert "supply=[4.0, 4.0, 0.0]" in msg
+        assert "caps=[4.0, 4.0]" in msg
 
 
 @st.composite
 def _transport_instance(draw):
-    """Sources, hosts and random non-metric delays: about half of the solves pivot.
+    """Two to five sources and hosts with random non-metric delays: about a
+    third of the greedy starts fail the certificate.
 
     Integer-valued delays, repeated rates and capacities cut in equal shares
-    give tied cells and degenerate bases; total capacity is 1 to 3 times the
+    give tied cells and degenerate starts; total capacity is 1 to 3 times the
     demand, sometimes exactly equal to it.
     """
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     delay = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 10.0))
     cost = [[draw(delay) for _ in range(n)] for _ in range(m)]
     return (cost, *_supply_and_caps(draw, m, n))
@@ -347,27 +362,24 @@ def _supply_and_caps(draw, m: int, n: int) -> tuple[list[float], list[float]]:
 
 
 def test_list_core_matches_numpy_reference(monkeypatch):
-    """route_flows returns the numpy reference simplex's flows bit for bit.
+    """route_flows against the numpy reference simplex.
 
-    The reference gets the dummy row and spare supply as solve_routing built
-    them before the core took lists.
+    Where the greedy start is certified, route_flows returns the reference's
+    flows bit for bit; where HiGHS solves the problem, its flows meet supply
+    and capacity within _EPS_FEAS and their delay is the reference's within
+    1e-9 relative. The reference gets the dummy row and spare supply as
+    route_flows builds them.
     """
-    cycles = []
-
-    def counting(*args):
-        cycles.append(args)
-        return _cycle(*args)
-
-    monkeypatch.setattr(routing, "_cycle", counting)
-    pivoted = []
+    fallbacks = count_highs_fallbacks(monkeypatch)
+    fell_back = []
 
     @settings(max_examples=400, deadline=None)
     @given(instance=_transport_instance())
     def check(instance):
         cost, supply, caps = instance
-        before = len(cycles)
+        before = len(fallbacks)
         flows = route_flows(cost, supply, caps)
-        pivoted.append(len(cycles) > before)
+        fell_back.append(len(fallbacks) > before)
         cost_np, supply_np, caps_np = np.array(cost), np.array(supply), np.array(caps)
         supply_total, caps_total = float(supply_np.sum()), float(caps_np.sum())
         if supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total):
@@ -377,11 +389,20 @@ def test_list_core_matches_numpy_reference(monkeypatch):
             np.vstack([cost_np, np.full(len(caps), cost_np.max() + 1.0)]),
             np.append(supply_np, max(caps_total - supply_total, 0.0)),
             caps_np,
-        )
-        assert flows == y[:-1].tolist()
+        )[:-1]
+        if not fell_back[-1]:
+            assert flows == y.tolist()
+            return
+        flows_np = np.array(flows)
+        assert (flows_np >= 0.0).all()
+        tol = _EPS_FEAS * max(1.0, supply_total)
+        np.testing.assert_allclose(flows_np.sum(axis=1), supply_np, rtol=0.0, atol=tol)
+        assert (flows_np.sum(axis=0) <= caps_np + tol).all()
+        reference = float((y * cost_np).sum())
+        assert float((flows_np * cost_np).sum()) == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
     check()
-    assert sum(pivoted) >= len(pivoted) // 5  # the pivot loop is exercised, not just the start
+    assert sum(fell_back) >= len(fell_back) // 5  # HiGHS is exercised, not just the start
 
 
 @st.composite
@@ -403,24 +424,18 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
 
     Each problem is solved cold; then, from cleared memos, both problems are
     solved twice in a row, so the second problem meets the first's greedy
-    order, and its certificates wherever their bases agree, and each replay
-    meets its own entries.
+    order, and its certificate wherever their flows cover the same cells,
+    and each replay meets its own entries.
     """
-    cycles, bases = [], []
-
-    def counting(*args):
-        cycles.append(args)
-        return _cycle(*args)
-
+    fallbacks, supports = count_highs_fallbacks(monkeypatch), []
     certificate = routing._certificate
 
-    def recording(cost, basis):
-        bases.append(basis)
-        return certificate(cost, basis)
+    def recording(cost, support):
+        supports.append(support)
+        return certificate(cost, support)
 
-    monkeypatch.setattr(routing, "_cycle", counting)
     monkeypatch.setattr(routing, "_certificate", recording)
-    pivoted, other_basis = [], []
+    fell_back, other_support = [], []
 
     def clear_memos():
         routing._greedy_order.cache_clear()
@@ -433,22 +448,22 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
         cold, starts = [], []
         for supply, caps in problems:
             clear_memos()
-            before, first = len(cycles), len(bases)
+            before, first = len(fallbacks), len(supports)
             cold.append(_flow_bytes(route_flows(cost, supply, caps)))
-            pivoted.append(len(cycles) > before)
-            starts.append(bases[first] if len(bases) > first else None)
+            fell_back.append(len(fallbacks) > before)
+            starts.append(supports[first] if len(supports) > first else None)
         clear_memos()
         warm = [_flow_bytes(route_flows(cost, supply, caps)) for supply, caps in problems * 2]
         assert warm == cold * 2
-        other_basis.append(None not in starts and starts[0] != starts[1])
+        other_support.append(None not in starts and starts[0] != starts[1])
 
     check()
-    assert sum(pivoted) >= len(pivoted) // 5  # pivots run from memoised certificates
-    assert sum(other_basis) >= len(other_basis) // 5  # one cost key, different bases
+    assert sum(fell_back) >= len(fell_back) // 5  # memoised refusals send problems to HiGHS
+    assert sum(other_support) >= len(other_support) // 5  # one cost key, other flow cells
 
 
 def _delay_matrix(draw, n: int) -> np.ndarray:
-    """Integer-valued delays (ties) or random, non-metric ones (the slow rows pivot)."""
+    """Integer-valued delays (ties) or random, non-metric ones (slow rows go to HiGHS)."""
     cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
     return np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
 
@@ -521,23 +536,17 @@ def _caps(placement, cores, cpr) -> np.ndarray:
 
 def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     """Each row of route_batch is solve_routing on that row's problem, bit for bit."""
-    cycles = []
-
-    def counting(*args):
-        cycles.append(args)
-        return _cycle(*args)
-
-    monkeypatch.setattr(routing, "_cycle", counting)
-    pivoted, threshold_outcomes = [], set()
+    fallbacks = count_highs_fallbacks(monkeypatch)
+    fell_back, threshold_outcomes = [], set()
 
     @settings(max_examples=300, deadline=None)
     @given(batch=_routing_batch())
     def check(batch):
         delays, rows, placement, cores, cpr, modes = batch
         caps = _caps(placement, cores, cpr)
-        before = len(cycles)
+        before = len(fallbacks)
         routable, routings = route_batch(delays, rows, placement, caps)
-        pivoted.append(len(cycles) > before)
+        fell_back.append(len(fallbacks) > before)
         assert routings.shape == (len(rows),) + delays.shape
         for s, mode in enumerate(modes):
             sol = solve_routing(RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s]))
@@ -550,7 +559,7 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
                 threshold_outcomes.add(sol.feasible)
 
     check()
-    assert sum(pivoted) >= len(pivoted) // 5  # slow rows reach the pivot loop
+    assert sum(fell_back) >= len(fell_back) // 5  # slow rows reach HiGHS
     assert threshold_outcomes == {True, False}  # the threshold is met from both sides
 
 
@@ -583,23 +592,26 @@ def test_route_rounds_certifies_only_route_row_flows():
 
 @pytest.mark.parametrize("gap, certified", [(1e-11, True), (1e-9, False)])
 def test_route_rounds_certifies_above_half_the_pivot_threshold(gap, certified):
-    """A greedy start that one cycle improves by gap: the simplex pivots when
-    gap exceeds _EPS_REDUCED, and _route_rounds certifies only while it stays
-    below _EPS_CERTIFY, half of that."""
+    """A greedy start that one cycle improves by gap: the reference simplex
+    pivots when gap exceeds its 1e-10 threshold, and both routers certify the
+    start only while gap stays below _EPS_CERTIFY, half of that; route_row
+    otherwise returns HiGHS's optimum."""
     # the start ships 0 -> 0 and 1 -> 1; shipping 0 -> 1 and 1 -> 0 costs gap less
     delays = np.array([[1.0, 2.0], [1.5, 2.5 + gap]])
     ones = np.ones((1, 2))
     schedule = routing._schedule(2, delays.tobytes())
     fits, certificate, flows = routing._route_rounds(schedule, ones, ones > 0, ones)
-    simplex = np.reshape(route_row(delays.tolist(), [1.0, 1.0], [0, 1], [1.0, 1.0]), (2, 2))
+    routed = np.reshape(route_row(delays.tolist(), [1.0, 1.0], [0, 1], [1.0, 1.0]), (2, 2))
     assert fits[0] and certificate[0] == certified
     assert (flows[0] == np.eye(2)).all()
-    assert (simplex == np.eye(2)).all() == certified
+    assert (routed == np.eye(2)).all() == certified
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_training_sends_no_batched_row_to_route_row(preset, monkeypatch):
-    """A seed-1 training certifies every routable row of its batched passes."""
+    """A seed-1 training certifies every routable row of its batched passes,
+    and neither it nor a 50-snapshot agent, vsvbp and cr-eua evaluation
+    meets a greedy start that routing has to hand to HiGHS."""
     passes = []
     route_rounds = routing._route_rounds
 
@@ -609,9 +621,16 @@ def test_training_sends_no_batched_row_to_route_row(preset, monkeypatch):
         return fits, certified, flows
 
     monkeypatch.setattr(routing, "_route_rounds", recording)
+    fallbacks = count_highs_fallbacks(monkeypatch)
     scenario = build_preset(preset)
     n = scenario.n_nodes
     assert len(routing._schedule(n, scenario.topology.delays.tobytes()).rounds) == 10
-    train_agent(scenario, 0.0, 1, preset_workload_config(preset, 50), PPOConfig(), 2048)
+    workload_cfg = preset_workload_config(preset, 50)
+    trained = train_agent(scenario, 0.0, 1, workload_cfg, PPOConfig(), 2048)
     assert passes
     assert all(done.all() for done in passes)
+    plan = ExperimentPlan(scenario=scenario, workload_cfg=workload_cfg, alphas=(0.0,),
+                          candidates=("agent", "vsvbp", "cr-eua"), eval_snapshots=50,
+                          timing=False)
+    assert len(evaluate_candidates(plan, 3, {0.0: trained.agent})) == 150
+    assert fallbacks == []

@@ -129,6 +129,16 @@ def test_ingest_rejects_bad_files(tmp_path):
         ingest_trace(str(path))
 
 
+def test_ingest_refuses_a_skipped_snapshot_index(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n3,0,0,2.0\n200000,0,0,1.0\n")
+    with pytest.raises(WorkloadError, match="no line for snapshot 1 but gives snapshot 200000"):
+        ingest_trace(str(path))
+    # a snapshot whose lines all give rate 0 is there, with no traffic
+    path.write_text("snapshot,function_id,node_id,rate\n1,0,1,1.5\n0,0,0,0.0\n")
+    assert [s.tolist() for s in ingest_trace(str(path))] == [[[0.0, 0.0]], [[0.0, 1.5]]]
+
+
 def test_ingest_refuses_a_cell_given_twice(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n0,0,1,2.0\n0,0,0,999.0\n")
