@@ -68,7 +68,7 @@ def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
 
     Returns the (F,) or (E, F) function ids.
     """
-    totals = workloads.sum(axis=-1)
+    totals = np.add.reduce(workloads, axis=-1)
     # lexsort sorts by its last key first and is stable, so ties keep id order
     return np.lexsort((np.zeros_like(totals) - memory, -totals))
 
@@ -81,12 +81,24 @@ def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
     returns (..., F, 3).
     """
     queued = memory[np.asarray(queues)]
+    n_functions = queued.shape[-1]
     stats = np.zeros(queued.shape + (3,))
     stats[..., 0] = queued
-    for k in range(1, queued.shape[-1]):
-        rest = queued[..., k:]
-        stats[..., k - 1, 1] = rest.mean(axis=-1)
-        stats[..., k - 1, 2] = rest.std(axis=-1)
+    if n_functions < 2:
+        return stats
+    # np.mean's and np.std's own ufunc calls, so the bits are theirs: each suffix summed
+    # on its own, then the squared deviations from its mean, taken for all suffixes at once
+    counts = np.arange(n_functions - 1, 0, -1)
+    sums = np.empty(queued.shape[:-1] + (n_functions - 1,))
+    for k in range(1, n_functions):
+        np.add.reduce(queued[..., k:], axis=-1, out=sums[..., k - 1])
+    means = sums / counts
+    spread = queued[..., None, :] - means[..., None]
+    spread *= spread
+    for k in range(1, n_functions):
+        np.add.reduce(spread[..., k - 1, k:], axis=-1, out=sums[..., k - 1])
+    stats[..., :-1, 1] = means
+    stats[..., :-1, 2] = np.sqrt(sums / counts)
     return stats
 
 
@@ -215,12 +227,13 @@ def window_rewards(
 
 def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float:
     """Upper bound on cumulative delay: every request crossing every link."""
-    return float(np.sum(workload * scenario.topology.delays.sum(axis=1)[None, :]))
+    row_sums = np.add.reduce(scenario.topology.delays, axis=1)
+    return float(np.add.reduce(workload * row_sums[None, :], axis=None))
 
 
 def cost_increment(routing: np.ndarray, workload_row: np.ndarray, cpr: np.ndarray) -> float:
     """Core-units consumed by one function's routed traffic."""
-    return float(np.sum(routing * workload_row[:, None] * cpr[None, :]))
+    return float(np.add.reduce(routing * workload_row[:, None] * cpr[None, :], axis=None))
 
 
 # --------------------------------------------------------------------------
@@ -238,32 +251,42 @@ class StepOutcome:
     state: np.ndarray | None  # next observation vector, None when done
 
 
+def _overdrawn(residual: np.ndarray) -> bool:
+    """Whether a residual (N,) falls below -_CORE_TOL, scanned as Python floats:
+    at a few nodes cheaper than numpy's comparison and any()."""
+    return any(value < -_CORE_TOL for value in residual.tolist())
+
+
 class PlacementEnv:
     """One placement episode per reset, its state kept on the env.
 
     reset() sets the residual available_cores and available_memory (N,), the
     total_delay and total_cost, and empty placements and routes dicts keyed
     by function id. A valid step assigns all six; an invalid step counts in
-    invalid_steps and assigns none of them.
+    invalid_steps and assigns none of them. The reward bounds are four
+    floats, widened as RewardBounds widens them; `bounds` reads them.
     """
 
     def __init__(self, scenario: Scenario, alpha: float):
         self.scenario = scenario
         self.alpha = float(alpha)
-        # scenario constants that every step and reset reads
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
         self._memory = scenario.function_memory()
-        self._cpr = [fn.cores_per_request_vec(scenario.n_nodes) for fn in scenario.functions]
-        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
+        self._t_min = self._t_max = self._c_min = 0.0
+        self._c_max = float(scenario.topology.cores.sum())
         self.workload = scenario.workload
         self.queue: list[int] = []
         self.invalid_steps = 0
 
+    @property
+    def bounds(self) -> RewardBounds:
+        return RewardBounds(self._t_min, self._t_max, self._c_min, self._c_max)
+
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
         if workload is not None:
             self.workload = workload
-        self.bounds = self.bounds.widened(t_max_bound(self.scenario, self.workload))
+        self._t_max = max(self._t_max, t_max_bound(self.scenario, self.workload))
         self.available_cores = self.scenario.topology.cores
         self.available_memory = self.scenario.topology.memory
         self.total_delay = 0.0
@@ -287,20 +310,23 @@ class PlacementEnv:
     def step(self, action: np.ndarray) -> StepOutcome:
         if not self.queue:
             raise RuntimeError("step() after episode end; call reset()")
+        placement = np.array(action, dtype=bool)  # a copy: self.placements keeps it
+        n = len(self._delays)
+        if placement.shape != (n,):
+            raise ValueError(f"action has shape {placement.shape}, expected ({n},)")
         fid = self.queue.pop(0)
         fn = self.scenario.functions[fid]
-        placement = np.array(action, dtype=bool)  # a copy: self.placements keeps it
         violation = None
 
-        if not placement.any():
+        if not any(placement.tolist()):
             violation = "empty-placement"
         else:
             mem_after = self.available_memory - np.where(placement, fn.memory, 0.0)
-            if (mem_after < -_CORE_TOL).any():
+            if _overdrawn(mem_after):
                 violation = "memory"
         if violation is None:
             row = self.workload[fid]
-            cpr = self._cpr[fid]
+            cpr = fn.cores_per_request_vec(n)
             solution = solve_routing(
                 RoutingProblem(
                     delays=self._delays,
@@ -316,7 +342,7 @@ class PlacementEnv:
                 routing = solution.routing
                 # routing sends nothing to unplaced nodes, so their draw is exactly 0.0
                 cores_after = self.available_cores - routing.T @ row * cpr
-                if (cores_after < -_CORE_TOL).any():
+                if _overdrawn(cores_after):
                     violation = "cores"
 
         if violation is None:
@@ -326,9 +352,11 @@ class PlacementEnv:
             self.available_memory = mem_after
             self.total_delay += solution.objective_delay
             self.total_cost += cost_increment(routing, row, cpr)
-            reward, self.bounds = normalize_and_reward(
-                self.total_delay, self.total_cost, self.bounds, self.alpha
-            )
+            # normalize_and_reward on the four floats
+            t, c = self.total_delay, self.total_cost
+            self._t_min, self._t_max = min(self._t_min, t), max(self._t_max, t)
+            self._c_min, self._c_max = min(self._c_min, c), max(self._c_max, c)
+            reward = _blend(t, c, self._t_min, self._t_max, self._c_min, self._c_max, self.alpha)
         else:
             self.invalid_steps += 1
             reward = PENALTY_REWARD
@@ -396,6 +424,8 @@ class LockstepEnv:
         slots = self._slots
         n_slots, n = slots.size, self.scenario.n_nodes
         placement = np.asarray(actions, dtype=bool)
+        if placement.shape != (n_slots, n):
+            raise ValueError(f"actions have shape {placement.shape}, expected ({n_slots}, {n})")
         fids = self.queues[:, self.position]
         rows = self.workloads[slots, fids]
         cpr = self._cpr[fids]

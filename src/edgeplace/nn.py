@@ -79,7 +79,9 @@ class MLP:
         return logits, values
 
     def _forward_cached(self, x: np.ndarray):
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.asarray(x, dtype=float)
+        if h.ndim == 1:
+            h = h[None]  # one state as a (1, D) batch, multiplied as a batch row is
         activations = [h]
         for layer in range(len(self.weights) - 1):
             h = h @ self.weights[layer]

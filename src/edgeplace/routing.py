@@ -19,28 +19,33 @@ needs it.
 Two routers share this: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
 problems on one delay matrix (one call per LockstepEnv training step). Each
-tries its own numpy form of the fast path below. solve_routing hands a
-problem that misses it to route_row, which cuts the problem's lists, calls
-route_flows and returns the flat flows. route_batch hands its slow rows to
-_route_rounds, which runs route_row's greedy start for all of them at once
-and certifies them; only the rows it cannot certify go to route_row. With
-fewer slow rows than the delay matrix's greedy rounds it calls route_row on
-each, the cheaper way for a few rows. Both routers turn the flows into
-routing rows with unit_rows, so they agree bit for bit. The capacity test
-is _over_capacity, which route_flows and _route_rounds both call on sums
-taken left to right from 0.0 (numpy's order for fewer than 8 terms, and
-cumsum's for any number).
+tries the fast path below in its own form. solve_routing cuts the problem
+into Python lists once (each source's delays to the hosts, the hosts'
+capacities), runs the fast path's test on those floats and hands a problem
+that misses it to route_flows with the same lists. route_batch runs the
+test on (S, N) arrays and hands its slow rows to _route_rounds, which runs
+the greedy start for all of them at once and certifies them; only the rows
+it cannot certify go to route_row, which cuts one problem's lists, calls
+route_flows and returns the flat flows. With fewer slow rows than the delay
+matrix's greedy rounds it calls route_row on each, the cheaper way for a
+few rows. Both routers turn the flows into routing rows with unit_rows, so
+they agree bit for bit. The capacity test is _over_capacity, which
+route_flows and _route_rounds both call on sums taken left to right from
+0.0 (numpy's order for fewer than 8 terms, and cumsum's for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
-1e-12, that one-hot routing is returned without building the lists. It is
-the routing route_flows returns: the greedy start visits each source's
-cells in (cost, column) order, so it ships the whole source to that host
-while the host still has room, and a start in which every request pays its
-minimum delay passes the certificate. The margin covers the float dust of
-the greedy's one-at-a-time capacity updates; a host loaded to equality, or
-within the margin of it, takes the slow path. When every load fits, demand
-is within capacity, so the fast path needs no capacity test.
+1e-12, that one-hot routing is returned without calling route_flows. Both
+routers add each host's load from 0.0 in source order, as bincount adds,
+and take the path when every load <= capacity * _FAST_MARGIN, so they take
+it on the same problems. It is the routing route_flows returns: the greedy
+start visits each source's cells in (cost, column) order, so it ships the
+whole source to that host while the host still has room, and a start in
+which every request pays its minimum delay passes the certificate. The
+margin covers the float dust of the greedy's one-at-a-time capacity
+updates; a host loaded to equality, or within the margin of it, takes the
+slow path. When every load fits, demand is within capacity, so the fast
+path needs no capacity test.
 
 Memos: every slot of a training run routes on one delay matrix, so the
 slow path meets the same few cost matrices (the dummy row included) over
@@ -98,18 +103,14 @@ class RoutingSolution:
 
 def chosen_nodes(placement: np.ndarray) -> list[int]:
     """Indices selected by a boolean placement vector, ascending."""
-    return np.flatnonzero(np.asarray(placement, dtype=bool)).tolist()
+    return [j for j, hosted in enumerate(np.asarray(placement, dtype=bool).tolist()) if hosted]
 
 
 def total_delay(routing: np.ndarray, workload_row: np.ndarray, delays: np.ndarray) -> float:
     """Aggregate delay of a routing split: sum_ij x[i,j] * w[i] * delta[i,j]."""
-    return float(np.sum(routing * delays * np.asarray(workload_row, dtype=float)[:, None]))
-
-
-def _capacities(problem: RoutingProblem, chosen: list[int]) -> np.ndarray:
-    cores = np.maximum(problem.available_cores[chosen], 0.0)
-    cpr = problem.cores_per_request[chosen]
-    return cores / cpr
+    # np.add.reduce over all axes is the call np.sum makes, without its wrapper
+    weighted = routing * delays * np.asarray(workload_row, dtype=float)[:, None]
+    return float(np.add.reduce(weighted, axis=None))
 
 
 def unit_rows(flows: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -120,7 +121,7 @@ def unit_rows(flows: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """
     rates = rates[..., None]
     x = np.divide(flows, rates, out=np.zeros_like(flows), where=rates > 0)
-    sums = x.sum(axis=-1, keepdims=True)
+    sums = np.add.reduce(x, axis=-1, keepdims=True)
     np.divide(x, sums, out=x, where=sums > 0)
     return x
 
@@ -131,21 +132,34 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     if not chosen:
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     w = np.asarray(problem.workload_row, dtype=float)
-    sources = np.flatnonzero(w > 0).tolist()
-    caps = _capacities(problem, chosen)
-    # first minimum: the greedy start's first cell per row
-    nearest = problem.delays[sources][:, chosen].argmin(axis=1)
-    load = np.bincount(nearest, weights=w[sources], minlength=len(chosen))
-    if (load <= caps * _FAST_MARGIN).all():
-        # the rows unit_rows would build from route_flows' flows: y / w is exactly 1.0
-        x = np.zeros(problem.delays.shape)
-        x[sources, np.asarray(chosen)[nearest]] = 1.0
+    rates = w.tolist()
+    n = len(rates)
+    sources = [i for i in range(n) if rates[i] > 0]
+    delay_rows = problem.delays.tolist()
+    cost = [[delay_rows[i][j] for j in chosen] for i in sources]
+    cores, cpr = problem.available_cores.tolist(), problem.cores_per_request.tolist()
+    caps = [max(cores[j], 0.0) / cpr[j] for j in chosen]
+    # the first minimum of each source's row, the greedy start's first cell on it, and
+    # the hosts' loads summed from 0.0 in source order
+    nearest = [row.index(min(row)) for row in cost]
+    load = [0.0] * len(chosen)
+    for i, k in zip(sources, nearest):
+        load[k] += rates[i]
+    if all(host_load <= cap * _FAST_MARGIN for host_load, cap in zip(load, caps)):
+        # the rows unit_rows would build from route_flows' flows, y / w exactly 1.0; a
+        # source without traffic goes to the lowest-index host
+        hosts = [chosen[0]] * n
+        for i, k in zip(sources, nearest):
+            hosts[i] = chosen[k]
+        x = np.zeros(n * n)
+        x[[i * n + j for i, j in enumerate(hosts)]] = 1.0
+        x = x.reshape(n, n)
     else:
-        flows = route_row(problem.delays.tolist(), w.tolist(), chosen, caps.tolist())
+        flows = route_flows(cost, [rates[i] for i in sources], caps)
         if flows is None:
             return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-        x = unit_rows(np.array(flows).reshape(problem.delays.shape), w)
-    x[w <= 0, chosen[0]] = 1.0  # no traffic: route to lowest-index host
+        x = unit_rows(np.array(_scatter(flows, sources, chosen, n)).reshape(n, n), w)
+        x[w <= 0, chosen[0]] = 1.0
     return RoutingSolution(
         status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
     )
@@ -324,13 +338,17 @@ def route_row(
     Returns the requests/s node i sends to node j at index i * N + j, or None
     when demand exceeds capacity.
     """
-    n = len(rates)
-    sources = [i for i in range(n) if rates[i] > 0]
+    sources = [i for i in range(len(rates)) if rates[i] > 0]
     flows = route_flows(
         [[delay_rows[i][j] for j in chosen] for i in sources], [rates[i] for i in sources], caps
     )
-    if flows is None:
-        return None
+    return None if flows is None else _scatter(flows, sources, chosen, len(rates))
+
+
+def _scatter(
+    flows: list[list[float]], sources: list[int], chosen: list[int], n: int
+) -> list[float]:
+    """route_flows' flows[s][k], from sources[s] to chosen[k], at index i * N + j of N * N."""
     flat = [0.0] * (n * n)
     for i, source_flows in zip(sources, flows):
         for j, flow in zip(chosen, source_flows):

@@ -30,11 +30,13 @@ from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 from edgeplace.routing import (
     _EPS_FEAS,
+    _FAST_MARGIN,
     RoutingProblem,
     RoutingSolution,
-    _capacities,
     chosen_nodes,
+    route_row,
     total_delay,
+    unit_rows,
 )
 
 _TIE_TOL = 1e-12
@@ -207,20 +209,58 @@ def exhaustive_joint_enumeration(scenario: Scenario, workload: np.ndarray,
     return best
 
 
+def capacities_reference(problem: RoutingProblem, chosen: list[int]) -> np.ndarray:
+    """Requests/s each chosen host can absorb: its residual cores, floored at 0,
+    over its cores per request."""
+    cores = np.maximum(problem.available_cores[chosen], 0.0)
+    return cores / problem.cores_per_request[chosen]
+
+
+def solve_routing_reference(problem: RoutingProblem) -> tuple[RoutingSolution, bool]:
+    """solve_routing with its nearest-host test written in numpy arrays.
+
+    Every source goes to its first-minimum host (argmin), the hosts' loads
+    are a bincount of the source rates, and the one-hot routing is taken when
+    every load <= capacity * _FAST_MARGIN; the objective is np.sum's. Any
+    other problem goes to the package's route_row and unit_rows. Returns the
+    solution and whether the nearest-host test passed.
+    """
+    chosen = np.flatnonzero(np.asarray(problem.placement, dtype=bool)).tolist()
+    if not chosen:
+        return RoutingSolution(status="infeasible", routing=None, objective_delay=None), False
+    w = np.asarray(problem.workload_row, dtype=float)
+    sources = np.flatnonzero(w > 0).tolist()
+    caps = capacities_reference(problem, chosen)
+    nearest = problem.delays[sources][:, chosen].argmin(axis=1)
+    load = np.bincount(nearest, weights=w[sources], minlength=len(chosen))
+    fits = bool((load <= caps * _FAST_MARGIN).all())
+    if fits:
+        x = np.zeros(problem.delays.shape)
+        x[sources, np.asarray(chosen)[nearest]] = 1.0
+    else:
+        flows = route_row(problem.delays.tolist(), w.tolist(), chosen, caps.tolist())
+        if flows is None:
+            return RoutingSolution(status="infeasible", routing=None, objective_delay=None), False
+        x = unit_rows(np.array(flows).reshape(problem.delays.shape), w)
+    x[w <= 0, chosen[0]] = 1.0
+    objective = float(np.sum(x * problem.delays * w[:, None]))
+    return RoutingSolution(status="optimal", routing=x, objective_delay=objective), fits
+
+
 def brute_force_routing(problem: RoutingProblem, max_bases: int = 500_000) -> RoutingSolution:
     """Optimal routing by enumerating all basic solutions of the flow polytope.
 
     Intended for small instances only (the optimum of a linear program lies
     at a vertex, and every vertex is a basic solution, so this search is
     complete). Raises ValueError when the combination count exceeds
-    max_bases. It reuses the package's capacity helper but no solver code.
+    max_bases. It uses no solver code of the package.
     """
     chosen = chosen_nodes(problem.placement)
     if not chosen:
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     w = np.asarray(problem.workload_row, dtype=float)
     sources = [int(i) for i in np.flatnonzero(w > 0)]
-    caps = _capacities(problem, chosen)
+    caps = capacities_reference(problem, chosen)
     if float(w[sources].sum()) > float(caps.sum()) + _EPS_FEAS * max(1.0, float(caps.sum())):
         return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
     if not sources:

@@ -266,6 +266,29 @@ def test_step_after_end_raises(tri_scenario):
         env.step(np.ones(3, dtype=bool))
 
 
+def test_wrong_shape_actions_raise():
+    """An action that is not one entry per node (per episode, in lockstep) is
+    refused before anything steps, not broadcast into a decision."""
+    scenario = build_preset("small-payload")
+    n = scenario.n_nodes
+    env = PlacementEnv(scenario, alpha=0.0)
+    env.reset()
+    for action in (np.array([True]), np.ones(n + 1, dtype=bool), np.ones((1, n), dtype=bool)):
+        with pytest.raises(ValueError, match=rf"expected \({n},\)"):
+            env.step(action)
+    assert len(env.queue) == scenario.n_functions and env.invalid_steps == 0
+    assert env.step(np.ones(n, dtype=bool)).valid
+    lockstep = LockstepEnv(scenario)
+    lockstep.reset([scenario.workload] * 3)
+    for actions in (np.ones((3, 1), dtype=bool), np.ones((2, n), dtype=bool),
+                    np.ones(n, dtype=bool)):
+        with pytest.raises(ValueError, match=rf"expected \(3, {n}\)"):
+            lockstep.step(actions)
+    assert lockstep.position == 0
+    codes, _ = lockstep.step(np.ones((3, n), dtype=bool))
+    assert not codes.any()
+
+
 def test_bounds_survive_reset(tri_scenario):
     env = PlacementEnv(tri_scenario, alpha=0.0)
     env.reset()

@@ -12,8 +12,8 @@ from edgeplace.bench import ExperimentPlan, evaluate_candidates, train_agent
 from edgeplace.ppo import PPOConfig
 from edgeplace.routing import (
     _EPS_FEAS,
+    _FAST_MARGIN,
     RoutingProblem,
-    _capacities,
     _total,
     _transport,
     chosen_nodes,
@@ -26,7 +26,12 @@ from edgeplace.routing import (
 from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
 
 from conftest import count_highs_fallbacks, random_routing_case
-from oracles import brute_force_routing, transport_simplex_reference
+from oracles import (
+    brute_force_routing,
+    capacities_reference,
+    solve_routing_reference,
+    transport_simplex_reference,
+)
 
 
 def _problem(delays, w, placement, cores, cpr) -> RoutingProblem:
@@ -227,7 +232,7 @@ def _simplex_reference(p: RoutingProblem) -> tuple[np.ndarray, float]:
     chosen = chosen_nodes(p.placement)
     w = p.workload_row
     sources = [int(i) for i in np.flatnonzero(w > 0)]
-    caps = _capacities(p, chosen)
+    caps = capacities_reference(p, chosen)
     x = np.zeros(p.delays.shape)
     if sources:
         cost = p.delays[np.ix_(sources, chosen)]
@@ -311,6 +316,74 @@ def test_load_equal_to_capacity_leaves_the_fast_path(monkeypatch):
     assert np.array_equal(sol.routing, x)
     assert sol.objective_delay == objective
     np.testing.assert_array_equal(sol.routing, [[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+@st.composite
+def _fast_margin_problem(draw) -> tuple[RoutingProblem, bool]:
+    """A problem whose nearest-host loads sit at the fast path's margin.
+
+    Delays are small integers (tied nearest hosts) or random floats, and
+    rates include zero. Each loaded host gets the smallest capacity with
+    load <= capacity * _FAST_MARGIN, one ulp less or more than that, twice
+    its load, or negative residual cores; an idle host gets -1, -0.0, 0 or 4
+    cores. Returns the problem and whether some host's load equals its
+    capacity * _FAST_MARGIN exactly.
+    """
+    n = draw(st.integers(1, 6))
+    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    delays = np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
+    rate = st.one_of(st.sampled_from([0.0, 0.7, 1.0, 3.0]), st.floats(1e-3, 50.0))
+    w = np.array([draw(rate) for _ in range(n)])
+    placement = np.array([draw(st.booleans()) for _ in range(n)])
+    placement[draw(st.integers(0, n - 1))] = True
+    cpr = np.array([draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(n)])
+    cores = np.array([draw(st.sampled_from([-1.0, -0.0, 0.0, 4.0])) for _ in range(n)])
+    chosen = np.flatnonzero(placement)
+    nearest = chosen[np.argmin(delays[w > 0][:, chosen], axis=1)]
+    load = np.bincount(nearest, weights=w[w > 0], minlength=n)
+    exact = False
+    for j in np.flatnonzero(load > 0):
+        place = draw(st.sampled_from(["at", "below", "above", "roomy", "negative"]))
+        if place == "roomy":
+            cores[j] = 2.0 * load[j] * cpr[j]
+        elif place == "negative":
+            cores[j] = -load[j]
+        else:
+            cpr[j] = 1.0  # the capacity is the cores, so each ulp step lands exactly
+            cap = load[j] / _FAST_MARGIN
+            while cap * _FAST_MARGIN < load[j]:
+                cap = np.nextafter(cap, np.inf)
+            while np.nextafter(cap, 0.0) * _FAST_MARGIN >= load[j]:
+                cap = np.nextafter(cap, 0.0)
+            exact |= place == "at" and cap * _FAST_MARGIN == load[j]
+            cores[j] = {"at": cap, "below": np.nextafter(cap, 0.0),
+                        "above": np.nextafter(cap, np.inf)}[place]
+    return _problem(delays, w, placement, cores, cpr), exact
+
+
+def test_nearest_host_test_matches_numpy_reference():
+    """solve_routing's nearest-host test on Python floats decides as the numpy
+    argmin/bincount test did, and the routing bytes and objective bits that
+    follow are the reference's, on both sides of the margin."""
+    outcomes, exact_hits = set(), []
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance=_fast_margin_problem())
+    def check(instance):
+        p, exact = instance
+        expected, fits = solve_routing_reference(p)
+        sol = solve_routing(p)
+        assert sol.status == expected.status
+        if sol.feasible:
+            assert sol.routing.tobytes() == expected.routing.tobytes()
+            assert np.float64(sol.objective_delay).tobytes() == \
+                np.float64(expected.objective_delay).tobytes()
+        outcomes.add((fits, sol.status))
+        exact_hits.append(exact)
+
+    check()
+    assert outcomes == {(True, "optimal"), (False, "optimal"), (False, "infeasible")}
+    assert any(exact_hits)  # some load sits exactly on capacity * _FAST_MARGIN
 
 
 def test_simplex_failure_reports_instance(monkeypatch):
