@@ -19,19 +19,21 @@ needs it.
 Two routers share this: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
 problems on one delay matrix (one call per LockstepEnv training step). Each
-tries the fast path below in its own form. solve_routing cuts the problem
-into Python lists once (each source's delays to the hosts, the hosts'
-capacities), runs the fast path's test on those floats and hands a problem
-that misses it to route_flows with the same lists. route_batch runs the
-test on (S, N) arrays and hands its slow rows to _route_rounds, which runs
-the greedy start for all of them at once and certifies them; only the rows
-it cannot certify go to route_row, which cuts one problem's lists, calls
-route_flows and returns the flat flows. With fewer slow rows than the delay
-matrix's greedy rounds it calls route_row on each, the cheaper way for a
-few rows. Both routers turn the flows into routing rows with unit_rows, so
-they agree bit for bit. The capacity test is _over_capacity, which
-route_flows and _route_rounds both call on sums taken left to right from
-0.0 (numpy's order for fewer than 8 terms, and cumsum's for any number).
+tries the fast path below in its own form. solve_routing takes each
+source's delays to the hosts as Python lists from its plan (see Memos), runs
+the fast path's test on Python floats and hands a problem that misses it to
+route_flows with the same lists. route_batch runs the test on (S, N) arrays
+and hands its slow rows to _route_rounds, which runs the greedy start for
+all of them at once and certifies them; only the rows it cannot certify go
+to route_row, which cuts one problem's lists, calls route_flows and returns
+the flat flows. With fewer slow rows than the delay matrix's greedy rounds
+it calls route_row on each, the cheaper way for a few rows. Both routers
+divide each source's flows by its rate, solve_routing on Python floats and
+route_batch in unit_rows, and rescale the rows by their numpy sums in
+_rescale_rows, so they agree bit for bit. The capacity test is
+_over_capacity, which route_flows and _route_rounds both call on sums taken
+left to right from 0.0 (numpy's order for fewer than 8 terms, and cumsum's
+for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
@@ -49,18 +51,24 @@ path needs no capacity test.
 
 Memos: every slot of a training run routes on one delay matrix, so the
 slow path meets the same few cost matrices (the dummy row included) over
-and over. Three least-recently-used tables keep what depends on that matrix
-alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the cost
-matrix as a tuple of tuples, holds the cells in the greedy start's visiting
-order. _certificate (at most _CERTIFICATE_ENTRIES), keyed on that matrix and
-the cells that carry flow, holds the certificate's verdict, which follows
-from the costs and those cells, never from the amounts. _schedule (at most
-_SCHEDULE_ENTRIES), keyed on the delay matrix's bytes, holds the full
-matrix's greedy order cut into rounds of cells that share no row or column,
-and the cost of moving a request between two hosts through each source, for
-_route_rounds. A hit returns what a miss computes from equal keys, and the
-greedy allocation still runs on each problem's own rates and capacities, so
-memoised flows are the flows of a cold call, byte for byte.
+and over, and an evaluation routes the same few (sources, hosts) problems on
+one matrix. Four least-recently-used tables keep what depends on the
+matrices alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the
+cost matrix as a tuple of tuples, holds the cells in the greedy start's
+visiting order. _certificate (at most _CERTIFICATE_ENTRIES), keyed on that
+matrix and the cells that carry flow, holds the certificate's verdict, which
+follows from the costs and those cells, never from the amounts. _schedule
+(at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes, holds the
+full matrix's greedy order cut into rounds of cells that share no row or
+column, and the cost of moving a request between two hosts through each
+source, for _route_rounds. _plan (at most _PLAN_ENTRIES), keyed on the delay
+matrix's float64 bytes, N, the sources and the hosts, holds solve_routing's
+cost lists, each source's first-minimum host and the fast path's routing;
+on the problem's first miss of the fast path it adds the cost matrix with
+its dummy row, that matrix's tuple key and its greedy order (_balanced). A
+hit returns what a miss computes from equal keys, and the greedy allocation
+still runs on each problem's own rates and capacities, so memoised flows are
+the flows of a cold call, byte for byte.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * t
 _ORDER_ENTRIES = 256
 _CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
+_PLAN_ENTRIES = 256  # a preset evaluation meets 3 (sources, hosts) pairs, a 20-node one tens
 # a greedy start is certified when no cycle of request moves costs below -_EPS_CERTIFY
 _EPS_CERTIFY = 5e-11
 
@@ -116,11 +125,19 @@ def total_delay(routing: np.ndarray, workload_row: np.ndarray, delays: np.ndarra
 def unit_rows(flows: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Routing fractions from (..., N, N) flows and the (..., N) source rates.
 
-    Each row with traffic is its flows over its rate, rescaled so it sums to
-    exactly 1 despite float dust; a row without traffic stays zero.
+    Each row with traffic is its flows over its rate, rescaled by
+    _rescale_rows; a row without traffic stays zero.
     """
     rates = rates[..., None]
-    x = np.divide(flows, rates, out=np.zeros_like(flows), where=rates > 0)
+    return _rescale_rows(np.divide(flows, rates, out=np.zeros_like(flows), where=rates > 0))
+
+
+def _rescale_rows(x: np.ndarray) -> np.ndarray:
+    """x with each row of positive sum divided, in place, by its np.add.reduce sum.
+
+    A row of fractions then sums to exactly 1 despite float dust. numpy sums
+    rows of 8 or more entries pairwise, so no Python sum may stand in here.
+    """
     sums = np.add.reduce(x, axis=-1, keepdims=True)
     np.divide(x, sums, out=x, where=sums > 0)
     return x
@@ -134,35 +151,64 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     w = np.asarray(problem.workload_row, dtype=float)
     rates = w.tolist()
     n = len(rates)
-    sources = [i for i in range(n) if rates[i] > 0]
-    delay_rows = problem.delays.tolist()
-    cost = [[delay_rows[i][j] for j in chosen] for i in sources]
+    sources = tuple([i for i in range(n) if rates[i] > 0])
+    plan = _plan(np.ascontiguousarray(problem.delays, dtype=float).tobytes(), n, sources,
+                 tuple(chosen))
     cores, cpr = problem.available_cores.tolist(), problem.cores_per_request.tolist()
     caps = [max(cores[j], 0.0) / cpr[j] for j in chosen]
-    # the first minimum of each source's row, the greedy start's first cell on it, and
     # the hosts' loads summed from 0.0 in source order
-    nearest = [row.index(min(row)) for row in cost]
     load = [0.0] * len(chosen)
-    for i, k in zip(sources, nearest):
+    for i, k in zip(sources, plan.nearest):
         load[k] += rates[i]
     if all(host_load <= cap * _FAST_MARGIN for host_load, cap in zip(load, caps)):
-        # the rows unit_rows would build from route_flows' flows, y / w exactly 1.0; a
-        # source without traffic goes to the lowest-index host
-        hosts = [chosen[0]] * n
-        for i, k in zip(sources, nearest):
-            hosts[i] = chosen[k]
-        x = np.zeros(n * n)
-        x[[i * n + j for i, j in enumerate(hosts)]] = 1.0
-        x = x.reshape(n, n)
+        x = plan.one_hot.copy()
     else:
-        flows = route_flows(cost, [rates[i] for i in sources], caps)
+        if plan.balanced is None:
+            plan.balanced = _balanced(plan.cost)
+        flows = route_flows(plan.cost, [rates[i] for i in sources], caps, plan.balanced)
         if flows is None:
             return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-        x = unit_rows(np.array(_scatter(flows, sources, chosen, n)).reshape(n, n), w)
-        x[w <= 0, chosen[0]] = 1.0
+        # unit_rows' fractions, and the lowest-index host for a source without traffic
+        flat = [0.0] * (n * n)
+        for i, rate in enumerate(rates):
+            if rate <= 0.0:
+                flat[i * n + chosen[0]] = 1.0
+        for i, source_flows in zip(sources, flows):
+            rate = rates[i]
+            for j, flow in zip(chosen, source_flows):
+                flat[i * n + j] = flow / rate
+        x = _rescale_rows(np.array(flat).reshape(n, n))
     return RoutingSolution(
         status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
     )
+
+
+@dataclass
+class _Plan:
+    """What solve_routing needs of one (delay matrix, sources, hosts) problem's topology."""
+
+    cost: list[list[float]]  # cost[s][k], the delay from sources[s] to hosts[k]
+    # the first minimum of each cost row: the greedy start's first cell on it
+    nearest: list[int]
+    # (N, N) read-only, the fast path's routing: each source to its nearest host, a
+    # source without traffic to the lowest-index host; unit_rows would build it
+    # from route_flows' flows, y / w exactly 1.0
+    one_hot: np.ndarray
+    balanced: tuple | None = None  # _balanced(cost), built on the first slow-path call
+
+
+@functools.lru_cache(maxsize=_PLAN_ENTRIES)
+def _plan(delays_key: bytes, n: int, sources: tuple[int, ...], hosts: tuple[int, ...]) -> _Plan:
+    """The plan of routing sources to hosts on the (n, n) float64 delay matrix in delays_key."""
+    cost = np.frombuffer(delays_key).reshape(n, n)[np.ix_(sources, hosts)].tolist()
+    nearest = [row.index(min(row)) for row in cost]
+    targets = [hosts[0]] * n
+    for i, k in zip(sources, nearest):
+        targets[i] = hosts[k]
+    one_hot = np.zeros((n, n))
+    one_hot[range(n), targets] = 1.0
+    one_hot.flags.writeable = False
+    return _Plan(cost, nearest, one_hot)
 
 
 def route_batch(
@@ -376,23 +422,33 @@ def _over_capacity(supply_total, caps_total):
 
 
 def route_flows(
-    cost: list[list[float]], supply: list[float], caps: list[float]
+    cost: list[list[float]], supply: list[float], caps: list[float], balanced: tuple | None = None
 ) -> list[list[float]] | None:
     """Least-delay flows from sources to hosts, or None when demand exceeds capacity.
 
     cost[i][j] is the delay from source i to host j, supply[i] > 0 the
     source's requests/s and caps[j] the requests/s host j can absorb. Returns
-    flows[i][j], the requests/s source i sends to host j.
+    flows[i][j], the requests/s source i sends to host j. balanced, when
+    given, is _balanced(cost).
     """
     supply_total, caps_total = _total(supply), _total(caps)
     if _over_capacity(supply_total, caps_total):
         return None
-    # dummy source soaks up spare capacity; its cost is one constant for the
-    # whole row (so the optimum is unchanged) and higher than any real cell
-    # (so real traffic claims equally-cheap columns in index order first)
-    dummy = [max(map(max, cost)) + 1.0] * len(caps)
+    cost, key, order = balanced or _balanced(cost)
     spare = max(caps_total - supply_total, 0.0)
-    return _transport(cost + [dummy], supply + [spare], caps)[:-1]
+    return _transport(cost, supply + [spare], caps, key=key, order=order)[:-1]
+
+
+def _balanced(cost: list[list[float]]) -> tuple:
+    """cost with the dummy source's row appended, its tuple key and the key's _greedy_order.
+
+    The dummy source soaks up spare capacity. Its cost is one constant for
+    the whole row (so the optimum is unchanged) and higher than any real cell
+    (so real traffic claims equally-cheap columns in index order first).
+    """
+    balanced = cost + [[max(map(max, cost)) + 1.0] * len(cost[0])]
+    key = tuple(map(tuple, balanced))
+    return balanced, key, _greedy_order(key)
 
 
 @functools.lru_cache(maxsize=_ORDER_ENTRIES)
@@ -413,15 +469,18 @@ def _certificate(cost: tuple[tuple[float, ...], ...], support: tuple[int, ...]) 
 
 
 def _transport(
-    cost: list[list[float]], supply: list[float], caps: list[float]
+    cost: list[list[float]], supply: list[float], caps: list[float], *,
+    key: tuple[tuple[float, ...], ...], order: tuple[tuple[int, int], ...]
 ) -> list[list[float]]:
-    """Least-cost flows of a balanced problem: its greedy start if certified, else HiGHS's."""
-    key = tuple(map(tuple, cost))
+    """Least-cost flows of a balanced problem: its greedy start if certified, else HiGHS's.
+
+    key is the cost as a tuple of tuples and order its _greedy_order.
+    """
     k = len(caps)
     y = [[0.0] * k for _ in supply]
     rs, rc = list(supply), list(caps)
     support = []
-    for i, j in _greedy_order(key):
+    for i, j in order:
         alloc = min(rs[i], rc[j])
         if alloc > 0.0:
             y[i][j] = alloc

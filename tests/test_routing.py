@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeplace import routing
@@ -301,9 +302,9 @@ def _load_equals_capacity() -> RoutingProblem:
 def test_load_equal_to_capacity_leaves_the_fast_path(monkeypatch):
     calls = []
 
-    def counting(*args):
+    def counting(*args, **memos):
         calls.append(args)
-        return _transport(*args)
+        return _transport(*args, **memos)
 
     monkeypatch.setattr(routing, "_transport", counting)
     p = _load_equals_capacity()
@@ -322,14 +323,15 @@ def test_load_equal_to_capacity_leaves_the_fast_path(monkeypatch):
 def _fast_margin_problem(draw) -> tuple[RoutingProblem, bool]:
     """A problem whose nearest-host loads sit at the fast path's margin.
 
-    Delays are small integers (tied nearest hosts) or random floats, and
-    rates include zero. Each loaded host gets the smallest capacity with
+    Up to 12 nodes, so numpy sums some routing rows pairwise. Delays are
+    small integers (tied nearest hosts) or random floats, and rates include
+    zero. Each loaded host gets the smallest capacity with
     load <= capacity * _FAST_MARGIN, one ulp less or more than that, twice
     its load, or negative residual cores; an idle host gets -1, -0.0, 0 or 4
     cores. Returns the problem and whether some host's load equals its
     capacity * _FAST_MARGIN exactly.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
     delays = np.array([[draw(cell) for _ in range(n)] for _ in range(n)])
     rate = st.one_of(st.sampled_from([0.0, 0.7, 1.0, 3.0]), st.floats(1e-3, 50.0))
@@ -361,14 +363,29 @@ def _fast_margin_problem(draw) -> tuple[RoutingProblem, bool]:
     return _problem(delays, w, placement, cores, cpr), exact
 
 
+def _pairwise_row_problem() -> RoutingProblem:
+    """Eight nodes; node 0 sends 10 to hosts 0, 2 and 3, which take 1, 2 and 7.
+
+    Its routing row 0.1, 0, 0.2, 0.7, 0, ... sums to 0.9999999999999999 in
+    numpy's pairwise order, 0.1 + (0.2 + 0.7), and to 1.0 left to right.
+    """
+    delays = np.full((8, 8), 9.0)
+    np.fill_diagonal(delays, 0.0)
+    delays[0, 2:4] = [1.0, 2.0]
+    return _problem(delays, [10.0] + [0.0] * 7, [True, False, True, True] + [False] * 4,
+                    [1.0, 0.0, 2.0, 7.0] + [0.0] * 4, np.ones(8))
+
+
 def test_nearest_host_test_matches_numpy_reference():
     """solve_routing's nearest-host test on Python floats decides as the numpy
     argmin/bincount test did, and the routing bytes and objective bits that
-    follow are the reference's, on both sides of the margin."""
+    follow are the reference's, on both sides of the margin. The rows are
+    rescaled by numpy's sums, pairwise from 8 entries on."""
     outcomes, exact_hits = set(), []
 
     @settings(max_examples=400, deadline=None)
     @given(instance=_fast_margin_problem())
+    @example(instance=(_pairwise_row_problem(), False))
     def check(instance):
         p, exact = instance
         expected, fits = solve_routing_reference(p)
@@ -491,14 +508,36 @@ def _flow_bytes(flows: list[list[float]] | None) -> bytes | None:
     return None if flows is None else np.array(flows).tobytes()
 
 
+def _embedded_problem(cost: list[list[float]], supply: list[float],
+                      caps: list[float]) -> RoutingProblem:
+    """route_flows' problem as solve_routing's: node i < m sends supply[i], and node
+    m + j hosts caps[j] requests/s at delay cost[i][j] from node i."""
+    m, k = len(cost), len(caps)
+    delays = np.zeros((m + k, m + k))
+    delays[:m, m:] = cost
+    return _problem(delays, supply + [0.0] * k, [False] * m + [True] * k,
+                    [0.0] * m + caps, np.ones(m + k))
+
+
+def _outcome(problem: RoutingProblem) -> tuple:
+    sol = solve_routing(problem)
+    if not sol.feasible:
+        return sol.status, None, None
+    return sol.status, sol.routing.tobytes(), np.float64(sol.objective_delay).tobytes()
+
+
 def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
-    """route_flows through warm memos returns, byte for byte, the flows of a
-    call made after clearing them.
+    """route_flows and solve_routing through warm memos return, byte for byte,
+    what a call made after clearing them returns.
 
     Each problem is solved cold; then, from cleared memos, both problems are
     solved twice in a row, so the second problem meets the first's greedy
     order, and its certificate wherever their flows cover the same cells,
-    and each replay meets its own entries.
+    and each replay meets its own entries. solve_routing gets each problem on
+    m + k nodes, so the two share one plan but not their rates or
+    capacities. A transposed view of a contiguous copy, and integer-typed
+    delays, hit the plan of their float64 contiguous copy and route as it
+    does.
     """
     fallbacks, supports = count_highs_fallbacks(monkeypatch), []
     certificate = routing._certificate
@@ -511,8 +550,13 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
     fell_back, other_support = [], []
 
     def clear_memos():
+        routing._plan.cache_clear()
         routing._greedy_order.cache_clear()
         certificate.cache_clear()
+
+    def solve(cost, supply, caps):
+        return (_flow_bytes(route_flows(cost, supply, caps)),
+                _outcome(_embedded_problem(cost, supply, caps)))
 
     @settings(max_examples=300, deadline=None)
     @given(instance=_shared_cost_problems())
@@ -522,13 +566,21 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
         for supply, caps in problems:
             clear_memos()
             before, first = len(fallbacks), len(supports)
-            cold.append(_flow_bytes(route_flows(cost, supply, caps)))
+            cold.append(solve(cost, supply, caps))
             fell_back.append(len(fallbacks) > before)
             starts.append(supports[first] if len(supports) > first else None)
         clear_memos()
-        warm = [_flow_bytes(route_flows(cost, supply, caps)) for supply, caps in problems * 2]
+        warm = [solve(cost, supply, caps) for supply, caps in problems * 2]
         assert warm == cold * 2
         other_support.append(None not in starts and starts[0] != starts[1])
+        embedded = _embedded_problem(cost, *problems[0])
+        transposed = np.ascontiguousarray(embedded.delays.T).T
+        assert _outcome(replace(embedded, delays=transposed)) == cold[0][1]
+        assert routing._plan.cache_info().misses == 1  # one plan for every call
+        rounded = replace(embedded, delays=embedded.delays.round())
+        expected, misses = _outcome(rounded), routing._plan.cache_info().misses
+        assert _outcome(replace(rounded, delays=rounded.delays.astype(int))) == expected
+        assert routing._plan.cache_info().misses == misses  # the float64 copy's plan
 
     check()
     assert sum(fell_back) >= len(fell_back) // 5  # memoised refusals send problems to HiGHS
