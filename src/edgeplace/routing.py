@@ -18,22 +18,21 @@ needs it.
 
 Two routers share this: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
-problems on one delay matrix (one call per LockstepEnv training step). Each
-tries the fast path below in its own form. solve_routing takes each
-source's delays to the hosts as Python lists from its plan (see Memos), runs
-the fast path's test on Python floats and hands a problem that misses it to
-route_flows with the same lists. route_batch runs the test on (S, N) arrays
-and hands its slow rows to _route_rounds, which runs the greedy start for
-all of them at once and certifies them; only the rows it cannot certify go
-to route_row, which cuts one problem's lists, calls route_flows and returns
-the flat flows. With fewer slow rows than the delay matrix's greedy rounds
-it calls route_row on each, the cheaper way for a few rows. Both routers
-divide each source's flows by its rate, solve_routing on Python floats and
-route_batch in unit_rows, and rescale the rows by their numpy sums in
-_rescale_rows, so they agree bit for bit. The capacity test is
-_over_capacity, which route_flows and _route_rounds both call on sums taken
-left to right from 0.0 (numpy's order for fewer than 8 terms, and cumsum's
-for any number).
+problems on one delay matrix (one call per LockstepEnv training step). One
+function, _route, routes a single problem for both: it reads each source's
+delays to the hosts as Python lists from its plan (see Memos), runs the
+fast path's test on Python floats, hands a problem that misses it to
+route_flows with the same lists and divides each source's flows by its
+rate. route_batch runs the fast path's test on (S, N) arrays first. When
+its slow rows are at least as many as the delay matrix's greedy rounds,
+_route_rounds runs the greedy start for all of them at once and certifies
+them, and unit_rows divides their flows; only the routable rows it does
+not certify go to _route. Fewer slow rows each go to _route, the cheaper
+way for a few rows. Both ways rescale the rows by their numpy sums in
+_rescale_rows, so the routers agree bit for bit. The capacity test is
+_over_capacity, which route_flows and _route_rounds both call on sums
+taken left to right from 0.0 (numpy's order for fewer than 8 terms, and
+cumsum's for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
 ties) has room for all the traffic sent to it with a relative margin of
@@ -52,23 +51,24 @@ path needs no capacity test.
 Memos: every slot of a training run routes on one delay matrix, so the
 slow path meets the same few cost matrices (the dummy row included) over
 and over, and an evaluation routes the same few (sources, hosts) problems on
-one matrix. Four least-recently-used tables keep what depends on the
-matrices alone. _greedy_order (at most _ORDER_ENTRIES entries), keyed on the
-cost matrix as a tuple of tuples, holds the cells in the greedy start's
-visiting order. _certificate (at most _CERTIFICATE_ENTRIES), keyed on that
-matrix and the cells that carry flow, holds the certificate's verdict, which
-follows from the costs and those cells, never from the amounts. _schedule
-(at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes, holds the
-full matrix's greedy order cut into rounds of cells that share no row or
-column, and the cost of moving a request between two hosts through each
-source, for _route_rounds. _plan (at most _PLAN_ENTRIES), keyed on the delay
-matrix's float64 bytes, N, the sources and the hosts, holds solve_routing's
-cost lists, each source's first-minimum host and the fast path's routing;
-on the problem's first miss of the fast path it adds the cost matrix with
-its dummy row, that matrix's tuple key and its greedy order (_balanced). A
-hit returns what a miss computes from equal keys, and the greedy allocation
-still runs on each problem's own rates and capacities, so memoised flows are
-the flows of a cold call, byte for byte.
+one matrix. Three least-recently-used tables keep what depends on the
+matrices alone. _plan (at most _PLAN_ENTRIES), keyed on the delay matrix's
+float64 bytes, N, the sources and the hosts, holds _route's cost lists,
+each source's first-minimum host and the fast path's routing; on the
+problem's first miss of the fast path it adds the cost matrix with its
+dummy row, that matrix's tuple key and its greedy order (_balanced).
+_schedule (at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes,
+holds the full matrix's greedy order cut into rounds of cells that share no
+row or column, and the cost of moving a request between two hosts through
+each source, for _route_rounds. _certificate (at most
+_CERTIFICATE_ENTRIES), keyed on a cost matrix with its dummy row and the
+cells that carry flow, holds the certificate's verdict, which follows from
+the costs and those cells, never from the amounts. _greedy_order has no
+table: it runs only when a _plan entry gets its balanced matrix or a
+_schedule entry is built, and both are memoised. A hit returns what a miss
+computes from equal keys, and the greedy allocation still runs on each
+problem's own rates and capacities, so memoised flows are the flows of a
+cold call, byte for byte.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ from scipy.optimize import linprog
 
 _EPS_FEAS = 1e-9
 _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
-# memo sizes; a training run meets about 30 cost matrices and 300 (cost, flow cells) pairs
-_ORDER_ENTRIES = 256
+# memo sizes; a training run meets about 300 (cost, flow cells) pairs
 _CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
 _PLAN_ENTRIES = 256  # a preset evaluation meets 3 (sources, hosts) pairs, a 20-node one tens
@@ -146,46 +145,55 @@ def _rescale_rows(x: np.ndarray) -> np.ndarray:
 def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     """Minimum-delay routing, or infeasible if demand exceeds capacity."""
     chosen = chosen_nodes(problem.placement)
-    if not chosen:
-        return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-    w = np.asarray(problem.workload_row, dtype=float)
-    rates = w.tolist()
+    if chosen:
+        w = np.asarray(problem.workload_row, dtype=float)
+        cores, cpr = problem.available_cores.tolist(), problem.cores_per_request.tolist()
+        x = _route(np.ascontiguousarray(problem.delays, dtype=float).tobytes(), w.tolist(),
+                   chosen, [max(cores[j], 0.0) / cpr[j] for j in chosen])
+        if x is not None:
+            return RoutingSolution(status="optimal", routing=x,
+                                   objective_delay=total_delay(x, w, problem.delays))
+    return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+
+
+def _route(
+    delays_key: bytes, rates: list[float], chosen: list[int], caps: list[float]
+) -> np.ndarray | None:
+    """The (N, N) routing of one problem, or None when demand exceeds capacity.
+
+    delays_key holds the (N, N) float64 delay matrix, rates[i] is what node i
+    sends, chosen the hosts in ascending order and caps[k] what chosen[k] can
+    absorb, in requests/s.
+    """
     n = len(rates)
     sources = tuple([i for i in range(n) if rates[i] > 0])
-    plan = _plan(np.ascontiguousarray(problem.delays, dtype=float).tobytes(), n, sources,
-                 tuple(chosen))
-    cores, cpr = problem.available_cores.tolist(), problem.cores_per_request.tolist()
-    caps = [max(cores[j], 0.0) / cpr[j] for j in chosen]
+    plan = _plan(delays_key, n, sources, tuple(chosen))
     # the hosts' loads summed from 0.0 in source order
     load = [0.0] * len(chosen)
     for i, k in zip(sources, plan.nearest):
         load[k] += rates[i]
     if all(host_load <= cap * _FAST_MARGIN for host_load, cap in zip(load, caps)):
-        x = plan.one_hot.copy()
-    else:
-        if plan.balanced is None:
-            plan.balanced = _balanced(plan.cost)
-        flows = route_flows(plan.cost, [rates[i] for i in sources], caps, plan.balanced)
-        if flows is None:
-            return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
-        # unit_rows' fractions, and the lowest-index host for a source without traffic
-        flat = [0.0] * (n * n)
-        for i, rate in enumerate(rates):
-            if rate <= 0.0:
-                flat[i * n + chosen[0]] = 1.0
-        for i, source_flows in zip(sources, flows):
-            rate = rates[i]
-            for j, flow in zip(chosen, source_flows):
-                flat[i * n + j] = flow / rate
-        x = _rescale_rows(np.array(flat).reshape(n, n))
-    return RoutingSolution(
-        status="optimal", routing=x, objective_delay=total_delay(x, w, problem.delays)
-    )
+        return plan.one_hot.copy()
+    if plan.balanced is None:
+        plan.balanced = _balanced(plan.cost)
+    flows = route_flows(plan.cost, [rates[i] for i in sources], caps, plan.balanced)
+    if flows is None:
+        return None
+    # unit_rows' fractions, and the lowest-index host for a source without traffic
+    flat = [0.0] * (n * n)
+    for i, rate in enumerate(rates):
+        if rate <= 0.0:
+            flat[i * n + chosen[0]] = 1.0
+    for i, source_flows in zip(sources, flows):
+        rate = rates[i]
+        for j, flow in zip(chosen, source_flows):
+            flat[i * n + j] = flow / rate
+    return _rescale_rows(np.array(flat).reshape(n, n))
 
 
 @dataclass
 class _Plan:
-    """What solve_routing needs of one (delay matrix, sources, hosts) problem's topology."""
+    """What _route needs of one (delay matrix, sources, hosts) problem's topology."""
 
     cost: list[list[float]]  # cost[s][k], the delay from sources[s] to hosts[k]
     # the first minimum of each cost row: the greedy start's first cell on it
@@ -220,6 +228,11 @@ def route_batch(
     one per row) and caps what each host can absorb in requests/s, zero off
     the placement. Returns which rows are routable and their (S, N, N)
     routings, zero for an unroutable row.
+
+    Rows that miss the fast path go through _route_rounds together when
+    there are at least as many as the delay matrix's greedy rounds; the rows
+    it finds routable but cannot certify, and every slow row of a smaller
+    set, go through _route, the cheaper way for a few rows.
     """
     n_rows, n = rows.shape
     index = np.arange(n_rows)
@@ -231,44 +244,28 @@ def route_batch(
     routings = np.zeros((n_rows, n, n))
     routings[index[:, None], np.arange(n), hosts] = 1.0
     slow = np.flatnonzero(~(load <= caps * _FAST_MARGIN).all(axis=1))
-    if slow.size:
-        routable[slow], flows = _slow_flows(delays, rows[slow], placement[slow], caps[slow])
-        exact = unit_rows(flows, rows[slow])
-        # sources without traffic keep the fast path's lowest-index host
-        routings[slow] = np.where(rows[slow, :, None] > 0, exact, routings[slow])
-        routings[~routable] = 0.0
+    if not slow.size:
+        return routable, routings
+    key = np.ascontiguousarray(delays, dtype=float).tobytes()
+    leftover = slow
+    if slow.size >= n:  # fewer rows never suffice: a row of the matrix spans n rounds
+        schedule = _schedule(n, key)
+        if slow.size >= len(schedule.rounds):
+            fits, certified, flows = _route_rounds(schedule, rows[slow], placement[slow], caps[slow])
+            routable[slow], accepted = fits, fits & certified
+            done, leftover = slow[accepted], slow[fits & ~certified]
+            exact = unit_rows(flows[accepted], rows[done])
+            # sources without traffic keep the fast path's lowest-index host
+            routings[done] = np.where(rows[done, :, None] > 0, exact, routings[done])
+    for s, rates, hosted, cap in zip(leftover.tolist(), rows[leftover].tolist(),
+                                     placement[leftover].tolist(), caps[leftover].tolist()):
+        chosen = [j for j in range(n) if hosted[j]]
+        x = _route(key, rates, chosen, [cap[j] for j in chosen])
+        routable[s] = x is not None
+        if x is not None:
+            routings[s] = x
+    routings[~routable] = 0.0
     return routable, routings
-
-
-def _slow_flows(
-    delays: np.ndarray, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """route_row's routability and (S, N, N) flows for route_batch's slow rows.
-
-    With at least as many rows as the delay matrix's greedy rounds, the rows
-    go through _route_rounds together and only the ones it cannot certify
-    through route_row; fewer rows go through route_row one by one, which is
-    then the cheaper way.
-    """
-    n_rows, n = rows.shape
-    routable, flows = np.ones(n_rows, dtype=bool), np.zeros((n_rows, n, n))
-    pending = np.arange(n_rows)
-    if n_rows >= n:  # fewer rows never suffice: a row of the matrix spans n rounds
-        schedule = _schedule(n, np.ascontiguousarray(delays, dtype=float).tobytes())
-        if n_rows >= len(schedule.rounds):
-            routable, certified, flows = _route_rounds(schedule, rows, placement, caps)
-            pending = np.flatnonzero(routable & ~certified)
-    if pending.size:
-        delay_rows = delays.tolist()
-        exact = []
-        for s, rates, hosted, cap in zip(pending.tolist(), rows[pending].tolist(),
-                                         placement[pending].tolist(), caps[pending].tolist()):
-            chosen = [j for j in range(n) if hosted[j]]
-            row_flows = route_row(delay_rows, rates, chosen, [cap[j] for j in chosen])
-            routable[s] = row_flows is not None
-            exact.append(row_flows or [0.0] * (n * n))
-        flows[pending] = np.reshape(exact, (-1, n, n))
-    return routable, flows
 
 
 @dataclass(frozen=True)
@@ -319,12 +316,13 @@ def _schedule(n: int, delays_key: bytes) -> _Schedule:
 def _route_rounds(
     schedule: _Schedule, rows: np.ndarray, placement: np.ndarray, caps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """route_row on S problems at once, for the rows it can certify.
+    """route_flows on S problems at once, for the rows it can certify.
 
     Arguments are route_batch's. Returns fits (S,), whether each row passes
     route_flows' capacity test; certified (S,), the rows whose greedy start
     _certified accepts; and the (S, N, N) greedy flows, which on a fitting,
-    certified row are route_row's flows byte for byte.
+    certified row are route_flows' flows byte for byte, from source i to
+    host j at [i, j].
 
     The dummy source here holds all the capacity the real ones leave, so it
     has flow on every host where route_flows' dummy has some: route_flows
@@ -376,32 +374,6 @@ def _certified(moves: np.ndarray, flowing: np.ndarray) -> np.ndarray:
     return (cheapest[hosts, hosts] >= -_EPS_CERTIFY).all(axis=0)
 
 
-def route_row(
-    delay_rows: list[list[float]], rates: list[float], chosen: list[int], caps: list[float]
-) -> list[float] | None:
-    """route_flows on one problem's lists: rates[i] from node i, caps[k] into chosen[k].
-
-    Returns the requests/s node i sends to node j at index i * N + j, or None
-    when demand exceeds capacity.
-    """
-    sources = [i for i in range(len(rates)) if rates[i] > 0]
-    flows = route_flows(
-        [[delay_rows[i][j] for j in chosen] for i in sources], [rates[i] for i in sources], caps
-    )
-    return None if flows is None else _scatter(flows, sources, chosen, len(rates))
-
-
-def _scatter(
-    flows: list[list[float]], sources: list[int], chosen: list[int], n: int
-) -> list[float]:
-    """route_flows' flows[s][k], from sources[s] to chosen[k], at index i * N + j of N * N."""
-    flat = [0.0] * (n * n)
-    for i, source_flows in zip(sources, flows):
-        for j, flow in zip(chosen, source_flows):
-            flat[i * n + j] = flow
-    return flat
-
-
 def _total(values: list[float]) -> float:
     """Left-to-right sum from 0.0, numpy's order for fewer than 8 terms.
 
@@ -451,7 +423,6 @@ def _balanced(cost: list[list[float]]) -> tuple:
     return balanced, key, _greedy_order(key)
 
 
-@functools.lru_cache(maxsize=_ORDER_ENTRIES)
 def _greedy_order(cost: tuple[tuple[float, ...], ...]) -> tuple[tuple[int, int], ...]:
     """Every cell (i, j) by (cost, column, row): the order the greedy start visits them in."""
     cells = sorted((c, j, i) for i, row in enumerate(cost) for j, c in enumerate(row))

@@ -34,7 +34,7 @@ from edgeplace.routing import (
     RoutingProblem,
     RoutingSolution,
     chosen_nodes,
-    route_row,
+    route_flows,
     total_delay,
     unit_rows,
 )
@@ -216,13 +216,31 @@ def capacities_reference(problem: RoutingProblem, chosen: list[int]) -> np.ndarr
     return cores / problem.cores_per_request[chosen]
 
 
+def _row_flows(delays: np.ndarray, w, chosen: list[int], caps) -> np.ndarray | None:
+    """route_flows on the problem of sources w > 0 and hosts chosen cut from delays.
+
+    caps[k] is what chosen[k] can absorb. Returns the (N, N) requests/s node
+    i sends to node j, or None when demand exceeds capacity.
+    """
+    w = np.asarray(w, dtype=float)
+    sources = np.flatnonzero(w > 0)
+    cells = np.ix_(sources, chosen)
+    flows = route_flows(delays[cells].tolist(), w[sources].tolist(),
+                        np.asarray(caps, dtype=float).tolist())
+    if flows is None:
+        return None
+    x = np.zeros(delays.shape)
+    x[cells] = flows
+    return x
+
+
 def solve_routing_reference(problem: RoutingProblem) -> tuple[RoutingSolution, bool]:
     """solve_routing with its nearest-host test written in numpy arrays.
 
     Every source goes to its first-minimum host (argmin), the hosts' loads
     are a bincount of the source rates, and the one-hot routing is taken when
     every load <= capacity * _FAST_MARGIN; the objective is np.sum's. Any
-    other problem goes to the package's route_row and unit_rows. Returns the
+    other problem goes to _row_flows and the package's unit_rows. Returns the
     solution and whether the nearest-host test passed.
     """
     chosen = np.flatnonzero(np.asarray(problem.placement, dtype=bool)).tolist()
@@ -238,10 +256,10 @@ def solve_routing_reference(problem: RoutingProblem) -> tuple[RoutingSolution, b
         x = np.zeros(problem.delays.shape)
         x[sources, np.asarray(chosen)[nearest]] = 1.0
     else:
-        flows = route_row(problem.delays.tolist(), w.tolist(), chosen, caps.tolist())
+        flows = _row_flows(problem.delays, w, chosen, caps)
         if flows is None:
             return RoutingSolution(status="infeasible", routing=None, objective_delay=None), False
-        x = unit_rows(np.array(flows).reshape(problem.delays.shape), w)
+        x = unit_rows(flows, w)
     x[w <= 0, chosen[0]] = 1.0
     objective = float(np.sum(x * problem.delays * w[:, None]))
     return RoutingSolution(status="optimal", routing=x, objective_delay=objective), fits

@@ -20,7 +20,6 @@ from edgeplace.routing import (
     chosen_nodes,
     route_batch,
     route_flows,
-    route_row,
     solve_routing,
     total_delay,
 )
@@ -28,6 +27,7 @@ from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
 
 from conftest import count_highs_fallbacks, random_routing_case
 from oracles import (
+    _row_flows,
     brute_force_routing,
     capacities_reference,
     solve_routing_reference,
@@ -531,9 +531,9 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
     what a call made after clearing them returns.
 
     Each problem is solved cold; then, from cleared memos, both problems are
-    solved twice in a row, so the second problem meets the first's greedy
-    order, and its certificate wherever their flows cover the same cells,
-    and each replay meets its own entries. solve_routing gets each problem on
+    solved twice in a row, so the second problem meets the first's plan, and
+    its certificate wherever their flows cover the same cells, and each
+    replay meets its own entries. solve_routing gets each problem on
     m + k nodes, so the two share one plan but not their rates or
     capacities. A transposed view of a contiguous copy, and integer-typed
     delays, hit the plan of their float64 contiguous copy and route as it
@@ -551,7 +551,6 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
 
     def clear_memos():
         routing._plan.cache_clear()
-        routing._greedy_order.cache_clear()
         certificate.cache_clear()
 
     def solve(cost, supply, caps):
@@ -660,21 +659,51 @@ def _caps(placement, cores, cpr) -> np.ndarray:
 
 
 def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
-    """Each row of route_batch is solve_routing on that row's problem, bit for bit."""
+    """Each row of route_batch is solve_routing on that row's problem, bit for bit.
+
+    Batches of at least as many rows as their greedy rounds also take the
+    array pass, so one call mixes rows it certifies with rows left to _route.
+    A leftover row's plan is solve_routing's: each distinct leftover problem
+    costs one _plan miss in route_batch, and solve_routing then hits it.
+    """
     fallbacks = count_highs_fallbacks(monkeypatch)
-    fell_back, threshold_outcomes = [], set()
+    fell_back, threshold_outcomes, mixed, passes = [], set(), [], []
+    route_rounds = routing._route_rounds
+
+    def recording(*args):
+        fits, certified, flows = route_rounds(*args)
+        passes.append((fits, certified))
+        return fits, certified, flows
+
+    monkeypatch.setattr(routing, "_route_rounds", recording)
 
     @settings(max_examples=300, deadline=None)
-    @given(batch=_routing_batch())
+    @given(batch=st.one_of(_routing_batch(), _rounds_batch()))
     def check(batch):
         delays, rows, placement, cores, cpr, modes = batch
         caps = _caps(placement, cores, cpr)
-        before = len(fallbacks)
+        problems = [RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s])
+                    for s in range(len(rows))]
+        slow = np.flatnonzero([not solve_routing_reference(p)[1] for p in problems])
+        before, first_pass = len(fallbacks), len(passes)
+        routing._plan.cache_clear()
         routable, routings = route_batch(delays, rows, placement, caps)
         fell_back.append(len(fallbacks) > before)
+        leftover = slow
+        if len(passes) > first_pass:  # the array pass settles the rows that do not fit
+            fits, certified = passes[first_pass]
+            leftover = slow[fits & ~certified]
+            mixed.append(bool(leftover.size) and (fits & certified).any())
+        misses = routing._plan.cache_info().misses
+        topologies = {(tuple(np.flatnonzero(rows[s] > 0)), tuple(np.flatnonzero(placement[s])))
+                      for s in leftover}
+        assert misses == len(topologies)
+        for s in leftover:
+            solve_routing(problems[s])
+        assert routing._plan.cache_info().misses == misses
         assert routings.shape == (len(rows),) + delays.shape
         for s, mode in enumerate(modes):
-            sol = solve_routing(RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s]))
+            sol = solve_routing(problems[s])
             assert routable[s] == sol.feasible
             if sol.feasible:
                 assert routings[s].tobytes() == sol.routing.tobytes()
@@ -686,11 +715,12 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     check()
     assert sum(fell_back) >= len(fell_back) // 5  # slow rows reach HiGHS
     assert threshold_outcomes == {True, False}  # the threshold is met from both sides
+    assert sum(mixed) >= len(fell_back) // 10  # certified array-pass rows beside leftovers
 
 
 def test_route_rounds_certifies_only_route_row_flows():
-    """_route_rounds' capacity test is route_row's, and each row it certifies
-    carries route_row's flows byte for byte."""
+    """_route_rounds' capacity test is route_flows', and each row it certifies
+    carries route_flows' flows (_row_flows) byte for byte."""
     outcomes = []
 
     @settings(max_examples=150, deadline=None)
@@ -703,11 +733,10 @@ def test_route_rounds_certifies_only_route_row_flows():
         fits, certified, flows = routing._route_rounds(schedule, rows, placement, caps)
         for s in np.flatnonzero((rows > 0).any(axis=1)):  # a row without traffic is never slow
             chosen = np.flatnonzero(placement[s]).tolist()
-            expected = route_row(delays.tolist(), rows[s].tolist(), chosen,
-                                 caps[s, chosen].tolist())
+            expected = _row_flows(delays, rows[s], chosen, caps[s, chosen])
             assert fits[s] == (expected is not None)
             if fits[s] and certified[s]:
-                assert flows[s].tobytes() == np.array(expected).tobytes()
+                assert flows[s].tobytes() == expected.tobytes()
             if fits[s]:
                 outcomes.append(bool(certified[s]))
 
@@ -719,21 +748,21 @@ def test_route_rounds_certifies_only_route_row_flows():
 def test_route_rounds_certifies_above_half_the_pivot_threshold(gap, certified):
     """A greedy start that one cycle improves by gap: the reference simplex
     pivots when gap exceeds its 1e-10 threshold, and both routers certify the
-    start only while gap stays below _EPS_CERTIFY, half of that; route_row
+    start only while gap stays below _EPS_CERTIFY, half of that; route_flows
     otherwise returns HiGHS's optimum."""
     # the start ships 0 -> 0 and 1 -> 1; shipping 0 -> 1 and 1 -> 0 costs gap less
     delays = np.array([[1.0, 2.0], [1.5, 2.5 + gap]])
     ones = np.ones((1, 2))
     schedule = routing._schedule(2, delays.tobytes())
     fits, certificate, flows = routing._route_rounds(schedule, ones, ones > 0, ones)
-    routed = np.reshape(route_row(delays.tolist(), [1.0, 1.0], [0, 1], [1.0, 1.0]), (2, 2))
+    routed = _row_flows(delays, [1.0, 1.0], [0, 1], [1.0, 1.0])
     assert fits[0] and certificate[0] == certified
     assert (flows[0] == np.eye(2)).all()
     assert (routed == np.eye(2)).all() == certified
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-def test_training_sends_no_batched_row_to_route_row(preset, monkeypatch):
+def test_training_certifies_every_routable_batched_row(preset, monkeypatch):
     """A seed-1 training certifies every routable row of its batched passes,
     and neither it nor a 50-snapshot agent, vsvbp and cr-eua evaluation
     meets a greedy start that routing has to hand to HiGHS."""
