@@ -21,8 +21,6 @@ from .env import (
     window_rewards,
 )
 from .model import (
-    FunctionSpec,
-    NodeSpec,
     Scenario,
     ScenarioError,
     Topology,

@@ -70,7 +70,7 @@ def _joint_routing_lp(
     """
     f_cnt, n = workload.shape
     delays = scenario.topology.delays
-    cpr = scenario.cores_per_request_matrix()
+    cpr = scenario.cores_per_request
     if not allowed.any(axis=1).all():
         return None
     x = np.zeros((f_cnt, n, n))
@@ -127,7 +127,7 @@ def _placement_mip(scenario: Scenario, workload: np.ndarray, lam_t: float, lam_c
     fs, srcs = np.nonzero(workload > 0)
     k, n_p = fs.size, f_cnt * n
     rate = workload[fs, srcs][:, None]
-    load = rate * scenario.cores_per_request_matrix()[fs]  # cores per unit split, (k, n)
+    load = rate * scenario.cores_per_request[fs]  # cores per unit split, (k, n)
     cost = np.concatenate(
         [np.zeros(n_p), (lam_t * rate * scenario.topology.delays[srcs] + lam_c * load).ravel()]
     )
@@ -139,7 +139,7 @@ def _placement_mip(scenario: Scenario, workload: np.ndarray, lam_t: float, lam_c
         [
             [None, sparse.kron(sparse.eye_array(k), np.ones((1, n)))],  # split sums to 1
             [-pick, sparse.eye_array(k * n)],  # x[s, j] <= p[f(s), j]
-            [sparse.kron(scenario.function_memory()[None, :], sparse.eye_array(n)), None],  # memory
+            [sparse.kron(scenario.function_memory[None, :], sparse.eye_array(n)), None],  # memory
             [sparse.kron(sparse.eye_array(f_cnt), np.ones((1, n))), None],  # some host
             [None, sparse.kron(np.ones((1, k)), sparse.eye_array(n)) * load.ravel()],  # cores
         ],
@@ -284,9 +284,8 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     delay = cost = 0.0
     violations: list[str] = []
     for f in make_queue(scenario, workload):
-        fn = scenario.functions[f]
-        cpr = fn.cores_per_request_vec(n)
-        fits_mem = memory >= fn.memory - 1e-9
+        cpr, fn_memory = scenario.cores_per_request[f], scenario.function_memory[f]
+        fits_mem = memory >= fn_memory - 1e-9
         headroom = np.maximum(cores, 0.0) / cpr
         candidates = sorted(
             (int(i) for i in np.flatnonzero(fits_mem)),
@@ -315,7 +314,7 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
         placements[f] = placement
         routes[f] = routing
         cores = cores - routing.T @ workload[f] * cpr
-        memory = memory - np.where(placement, fn.memory, 0.0)
+        memory = memory - np.where(placement, fn_memory, 0.0)
         delay += solution.objective_delay
         cost += cost_increment(routing, workload[f], cpr)
     return _greedy_solution(placements, routes, delay, cost, violations, "vsvbp")
@@ -330,7 +329,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     """
     workload = scenario.workload if workload is None else workload
     n = scenario.n_nodes
-    crit = scenario.criticality or tuple(0 for _ in scenario.functions)
+    crit = scenario.criticality or (0,) * scenario.n_functions
     base = make_queue(scenario, workload)
     order = sorted(base, key=lambda f: (-crit[f], base.index(f)))
     cores, memory = scenario.topology.cores, scenario.topology.memory
@@ -339,8 +338,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     delay = cost = 0.0
     violations: list[str] = []
     for f in order:
-        fn = scenario.functions[f]
-        cpr = fn.cores_per_request_vec(n)
+        cpr, fn_memory = scenario.cores_per_request[f], scenario.function_memory[f]
         cores_left = cores.copy()
         placement = np.zeros(n, dtype=bool)
         routing = np.zeros((n, n))
@@ -353,7 +351,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
             for j in sorted(range(n), key=lambda j: (scenario.topology.delays[i, j], j)):
                 if remaining <= 1e-12:
                     break
-                if not placement[j] and memory[j] < fn.memory - 1e-9:
+                if not placement[j] and memory[j] < fn_memory - 1e-9:
                     continue
                 absorb = min(remaining, max(cores_left[j], 0.0) / cpr[j])
                 if absorb <= 0:
@@ -369,7 +367,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
             violations.append(f"{f}:unplaceable")
             continue
         if not placement.any():  # zero traffic: lowest node with memory room
-            hosts = np.flatnonzero(memory >= fn.memory - 1e-9)
+            hosts = np.flatnonzero(memory >= fn_memory - 1e-9)
             if hosts.size == 0:
                 violations.append(f"{f}:unplaceable")
                 continue
@@ -383,7 +381,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
         placements[f] = placement
         routes[f] = routing
         cores = cores - routing.T @ workload[f] * cpr
-        memory = memory - np.where(placement, fn.memory, 0.0)
+        memory = memory - np.where(placement, fn_memory, 0.0)
         delay += total_delay(routing, workload[f], scenario.topology.delays)
         cost += cost_increment(routing, workload[f], cpr)
     return _greedy_solution(placements, routes, delay, cost, violations, "cr-eua")

@@ -59,7 +59,7 @@ def state_dim(n_nodes: int) -> int:
 def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[int]:
     """queue_order of one snapshot, the scenario's own by default, as a list."""
     w = scenario.workload if workload is None else workload
-    return queue_order(scenario.function_memory(), w).tolist()
+    return queue_order(scenario.function_memory, w).tolist()
 
 
 def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def build_state_scale(scenario: Scenario, snapshots: list[np.ndarray]) -> np.nda
         cores=np.maximum(topology.cores, 1.0),
         memory=np.maximum(topology.memory, 1.0),
         rows=max(rate_max, 1.0),
-        queued=max(float(scenario.function_memory().max()), 1.0),
+        queued=max(float(scenario.function_memory.max()), 1.0),
         total_delay=max(t_max, 1.0),
     )
 
@@ -261,6 +261,7 @@ class PlacementEnv:
     """One placement episode per reset, its state kept on the env.
 
     reset() sets the residual available_cores and available_memory (N,), the
+    topology's own read-only arrays until a valid step replaces them, the
     total_delay and total_cost, and empty placements and routes dicts keyed
     by function id. A valid step assigns all six; an invalid step counts in
     invalid_steps and assigns none of them. The reward bounds are four
@@ -272,7 +273,6 @@ class PlacementEnv:
         self.alpha = float(alpha)
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._memory = scenario.function_memory()
         self._t_min = self._t_max = self._c_min = 0.0
         self._c_max = float(scenario.topology.cores.sum())
         self.workload = scenario.workload
@@ -293,8 +293,9 @@ class PlacementEnv:
         self.total_cost = 0.0
         self.placements: dict[int, np.ndarray] = {}  # f -> bool (N,)
         self.routes: dict[int, np.ndarray] = {}  # f -> float (N, N)
-        self.queue = queue_order(self._memory, self.workload).tolist()
-        self._queue_memory = queue_memory(self._memory, self.queue)
+        memory = self.scenario.function_memory
+        self.queue = queue_order(memory, self.workload).tolist()
+        self._queue_memory = queue_memory(memory, self.queue)
         self.invalid_steps = 0
         return self._observe()
 
@@ -315,18 +316,18 @@ class PlacementEnv:
         if placement.shape != (n,):
             raise ValueError(f"action has shape {placement.shape}, expected ({n},)")
         fid = self.queue.pop(0)
-        fn = self.scenario.functions[fid]
         violation = None
 
         if not any(placement.tolist()):
             violation = "empty-placement"
         else:
-            mem_after = self.available_memory - np.where(placement, fn.memory, 0.0)
+            memory = self.scenario.function_memory[fid]
+            mem_after = self.available_memory - np.where(placement, memory, 0.0)
             if _overdrawn(mem_after):
                 violation = "memory"
         if violation is None:
             row = self.workload[fid]
-            cpr = fn.cores_per_request_vec(n)
+            cpr = self.scenario.cores_per_request[fid]
             solution = solve_routing(
                 RoutingProblem(
                     delays=self._delays,
@@ -390,16 +391,15 @@ class LockstepEnv:
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._memory = scenario.function_memory()
-        self._cpr = scenario.cores_per_request_matrix()
         self.total_cores = float(scenario.topology.cores.sum())
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""
         n_slots, n = len(workloads), self.scenario.n_nodes
+        memory = self.scenario.function_memory
         self.workloads = np.stack(workloads)
-        self.queues = queue_order(self._memory, self.workloads)
-        self._queue_memory = queue_memory(self._memory, self.queues)
+        self.queues = queue_order(memory, self.workloads)
+        self._queue_memory = queue_memory(memory, self.queues)
         self.available_cores = np.tile(self.scenario.topology.cores, (n_slots, 1))
         self.available_memory = np.tile(self.scenario.topology.memory, (n_slots, 1))
         self.total_delay = np.zeros(n_slots)
@@ -428,9 +428,10 @@ class LockstepEnv:
             raise ValueError(f"actions have shape {placement.shape}, expected ({n_slots}, {n})")
         fids = self.queues[:, self.position]
         rows = self.workloads[slots, fids]
-        cpr = self._cpr[fids]
+        cpr = self.scenario.cores_per_request[fids]
         codes = np.where(placement.any(axis=1), 0, _EMPTY).astype(np.int8)
-        mem_after = self.available_memory - np.where(placement, self._memory[fids, None], 0.0)
+        memory = self.scenario.function_memory[fids, None]
+        mem_after = self.available_memory - np.where(placement, memory, 0.0)
         codes[(codes == 0) & (mem_after < -_CORE_TOL).any(axis=1)] = _MEMORY
 
         ok = np.flatnonzero(codes == 0)

@@ -7,12 +7,16 @@ Units used throughout the package:
   * compute capacity        core-units; a function consumes
                             rate * cores_per_request core-units on the
                             node that serves the request
+
+A scenario is its arrays: node j and function f sit at index j and f of
+read-only float64 arrays, Topology's cores (N,), memory (N,) and delays
+(N, N), and Scenario's function_memory (F,) and cores_per_request (F, N).
+Every reader shares them; a write raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,38 +29,34 @@ class ScenarioError(ValueError):
     """Raised when a scenario file cannot be parsed or fails validation."""
 
 
+def _freeze(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a read-only float64 copy."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 # --------------------------------------------------------------------------
 # cluster side
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    """A single edge node: compute capacity in core-units, memory in GB."""
-
-    id: int
-    cores: float
-    memory: float
-
-
-@dataclass(frozen=True)
 class Topology:
-    """Edge cluster: node specs plus a dense inter-node delay matrix (ms)."""
+    """Edge cluster: node j has cores[j] core-units and memory[j] GB, and
+    delays[i, j] is the delay (ms) of one hop from node i to node j."""
 
-    nodes: tuple[NodeSpec, ...]
-    delays: np.ndarray  # (N, N) float64
+    cores: np.ndarray  # (N,)
+    memory: np.ndarray  # (N,)
+    delays: np.ndarray  # (N, N)
+
+    def __post_init__(self) -> None:
+        _freeze(self, "cores", "memory", "delays")
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def cores(self) -> np.ndarray:
-        return np.array([n.cores for n in self.nodes], dtype=float)
-
-    @property
-    def memory(self) -> np.ndarray:
-        return np.array([n.memory for n in self.nodes], dtype=float)
+        return len(self.cores)
 
 
 def validate_topology(topology: Topology) -> list[str]:
@@ -65,12 +65,12 @@ def validate_topology(topology: Topology) -> list[str]:
     n = topology.n_nodes
     if n == 0:
         return ["topology has no nodes"]
-    for idx, node in enumerate(topology.nodes):
-        if node.id != idx:
-            out.append(f"node ids must be dense 0..N-1, position {idx} holds id {node.id}")
-        if not np.isfinite(node.cores) or node.cores <= 0:
+    if topology.memory.shape != (n,):
+        return [f"memory shape {topology.memory.shape} does not match node count {n}"]
+    for idx, (cores, memory) in enumerate(zip(topology.cores.tolist(), topology.memory.tolist())):
+        if not np.isfinite(cores) or cores <= 0:
             out.append(f"non-positive cores at node {idx}")
-        if not np.isfinite(node.memory) or node.memory <= 0:
+        if not np.isfinite(memory) or memory <= 0:
             out.append(f"non-positive memory at node {idx}")
     d = topology.delays
     if d.shape != (n, n):
@@ -92,53 +92,6 @@ def validate_topology(topology: Topology) -> list[str]:
         if key not in seen:
             seen.add(key)
             out.append(f"asymmetric at ({key[0]},{key[1]})")
-    return out
-
-
-# --------------------------------------------------------------------------
-# function side
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A serverless function.
-
-    cores_per_request is either a scalar (same cost everywhere) or a
-    length-N per-node vector for heterogeneous hardware.
-    """
-
-    id: int
-    memory: float  # GB reserved on every hosting node
-    cores_per_request: float | np.ndarray = 1.0
-
-    def cores_per_request_vec(self, n_nodes: int) -> np.ndarray:
-        cpr = self.cores_per_request
-        if np.isscalar(cpr):
-            return np.full(n_nodes, float(cpr))
-        arr = np.asarray(cpr, dtype=float)
-        if arr.shape != (n_nodes,):
-            raise ScenarioError(
-                f"function {self.id}: cores_per_request vector has shape "
-                f"{arr.shape}, expected ({n_nodes},)"
-            )
-        return arr
-
-
-def validate_functions(functions: Sequence[FunctionSpec], n_nodes: int) -> list[str]:
-    out: list[str] = []
-    for idx, fn in enumerate(functions):
-        if fn.id != idx:
-            out.append(f"function ids must be dense 0..F-1, position {idx} holds id {fn.id}")
-        if not np.isfinite(fn.memory) or fn.memory <= 0:
-            out.append(f"non-positive memory requirement at function {idx}")
-        try:
-            vec = fn.cores_per_request_vec(n_nodes)
-        except ScenarioError as exc:
-            out.append(str(exc))
-            continue
-        if not np.all(np.isfinite(vec)) or np.any(vec <= 0):
-            out.append(f"non-positive cores_per_request at function {idx}")
     return out
 
 
@@ -166,15 +119,21 @@ def validate_workload(workload: np.ndarray, n_functions: int, n_nodes: int) -> l
 class Scenario:
     """Everything the solvers need: cluster, functions, one workload snapshot.
 
-    criticality (optional, one int per function, higher = more critical)
-    is only consumed by the criticality-aware baseline.
+    Function f reserves function_memory[f] GB on every node that hosts it
+    and draws cores_per_request[f, j] core-units per request/s served at
+    node j. criticality (optional, one int per function, higher = more
+    critical) is only consumed by the criticality-aware baseline.
     """
 
     topology: Topology
-    functions: tuple[FunctionSpec, ...]
+    function_memory: np.ndarray  # (F,)
+    cores_per_request: np.ndarray  # (F, N)
     workload: np.ndarray  # (F, N) requests/s
     criticality: tuple[int, ...] | None = None
     name: str = "scenario"
+
+    def __post_init__(self) -> None:
+        _freeze(self, "function_memory", "cores_per_request")
 
     @property
     def n_nodes(self) -> int:
@@ -182,19 +141,23 @@ class Scenario:
 
     @property
     def n_functions(self) -> int:
-        return len(self.functions)
-
-    def cores_per_request_matrix(self) -> np.ndarray:
-        """(F, N) matrix of per-node request costs in core-units."""
-        return np.stack([f.cores_per_request_vec(self.n_nodes) for f in self.functions])
-
-    def function_memory(self) -> np.ndarray:
-        return np.array([f.memory for f in self.functions], dtype=float)
+        return len(self.function_memory)
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     out = validate_topology(scenario.topology)
-    out += validate_functions(scenario.functions, scenario.n_nodes)
+    for idx, memory in enumerate(scenario.function_memory.tolist()):
+        if not np.isfinite(memory) or memory <= 0:
+            out.append(f"non-positive memory requirement at function {idx}")
+    cpr = scenario.cores_per_request
+    if cpr.shape != (scenario.n_functions, scenario.n_nodes):
+        out.append(
+            f"cores_per_request shape {cpr.shape} does not match "
+            f"(functions, nodes) = ({scenario.n_functions}, {scenario.n_nodes})"
+        )
+    else:
+        for idx in np.flatnonzero(~(np.isfinite(cpr) & (cpr > 0)).all(axis=1)):
+            out.append(f"non-positive cores_per_request at function {idx}")
     out += validate_workload(scenario.workload, scenario.n_functions, scenario.n_nodes)
     if scenario.criticality is not None and len(scenario.criticality) != scenario.n_functions:
         out.append(
@@ -205,59 +168,78 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    topology = scenario.topology
     doc: dict = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "name": scenario.name,
         "nodes": [
-            {"id": n.id, "cores": float(n.cores), "memory": float(n.memory)}
-            for n in scenario.topology.nodes
+            {"id": j, "cores": cores, "memory": memory}
+            for j, (cores, memory) in enumerate(
+                zip(topology.cores.tolist(), topology.memory.tolist())
+            )
         ],
-        "delays": [[float(v) for v in row] for row in scenario.topology.delays],
-        "functions": [],
-        "workload": [[float(v) for v in row] for row in scenario.workload],
+        "delays": topology.delays.tolist(),
+        "functions": [
+            {"id": f, "memory": memory, "cores_per_request": cpr}
+            for f, (memory, cpr) in enumerate(
+                zip(scenario.function_memory.tolist(), scenario.cores_per_request.tolist())
+            )
+        ],
+        "workload": np.asarray(scenario.workload, dtype=float).tolist(),
     }
-    for fn in scenario.functions:
-        entry: dict = {"id": fn.id, "memory": float(fn.memory)}
-        if np.isscalar(fn.cores_per_request):
-            entry["cores_per_request"] = float(fn.cores_per_request)
-        else:
-            entry["cores_per_request"] = [float(v) for v in np.asarray(fn.cores_per_request)]
-        doc["functions"].append(entry)
     if scenario.criticality is not None:
         doc["criticality"] = [int(c) for c in scenario.criticality]
     return doc
 
 
+def _sparse_ids(entries: list, kind: str, count: str) -> list[str]:
+    return [
+        f"{kind} ids must be dense 0..{count}-1, position {idx} holds id {int(entry['id'])}"
+        for idx, entry in enumerate(entries)
+        if int(entry["id"]) != idx
+    ]
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a JSON document.
+
+    Node and function ids must be dense. A function's cores_per_request is
+    one number for every node (1.0 when missing) or a list of one per node.
+    """
     try:
         version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
         if version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioError(f"unsupported scenario schema_version {version}")
-        nodes = tuple(
-            NodeSpec(id=int(n["id"]), cores=float(n["cores"]), memory=float(n["memory"]))
-            for n in doc["nodes"]
-        )
+        nodes, functions = doc["nodes"], doc["functions"]
+        problems = _sparse_ids(nodes, "node", "N") + _sparse_ids(functions, "function", "F")
         delays = np.array(doc["delays"], dtype=float)
         if delays.ndim != 2:
             raise ScenarioError("delays must be a 2-d matrix")
-        functions = []
-        for f in doc["functions"]:
+        n = len(nodes)
+        cores_per_request = []
+        for idx, f in enumerate(functions):
             cpr = f.get("cores_per_request", 1.0)
-            if isinstance(cpr, list):
-                cpr = np.array(cpr, dtype=float)
-            else:
-                cpr = float(cpr)
-            functions.append(
-                FunctionSpec(id=int(f["id"]), memory=float(f["memory"]), cores_per_request=cpr)
-            )
+            if not isinstance(cpr, list):
+                cpr = [float(cpr)] * n
+            elif len(cpr) != n:
+                raise ScenarioError(
+                    f"invalid scenario: function {idx}: cores_per_request has {len(cpr)} "
+                    f"entries, expected one per node ({n})"
+                )
+            cores_per_request.append(cpr)
         workload = np.array(doc["workload"], dtype=float)
         if workload.ndim != 2:
             raise ScenarioError("workload must be a 2-d matrix")
         crit = doc.get("criticality")
         criticality = tuple(int(c) for c in crit) if crit is not None else None
         scenario = Scenario(
-            topology=Topology(nodes=nodes, delays=delays),
-            functions=tuple(functions),
+            topology=Topology(
+                cores=[float(node["cores"]) for node in nodes],
+                memory=[float(node["memory"]) for node in nodes],
+                delays=delays,
+            ),
+            function_memory=[float(f["memory"]) for f in functions],
+            cores_per_request=cores_per_request,
             workload=workload,
             criticality=criticality,
             name=str(doc.get("name", "scenario")),
@@ -266,7 +248,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    problems = validate_scenario(scenario)
+    problems += validate_scenario(scenario)
     if problems:
         raise ScenarioError("invalid scenario: " + "; ".join(problems))
     return scenario
@@ -287,4 +269,3 @@ def save_scenario(path: str, scenario: Scenario) -> None:
     if problems:
         raise ScenarioError("refusing to save invalid scenario: " + "; ".join(problems))
     dump_json(path, scenario_to_dict(scenario))
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FunctionSpec, NodeSpec, Scenario, Topology
+from .model import Scenario, Topology
 from .util import rng_stream
 from .workload import WorkloadGenConfig, generate_workloads
 
@@ -31,13 +31,6 @@ _DELAYS = (
 _CORES_PER_REQUEST = (1.0, 1.0, 1.0, 1.2, 0.1)
 
 
-def _preset_topology() -> Topology:
-    nodes = tuple(
-        NodeSpec(id=i, cores=_NODE_CORES[i], memory=_NODE_MEMORY[i]) for i in range(5)
-    )
-    return Topology(nodes=nodes, delays=np.array(_DELAYS))
-
-
 def preset_workload_config(name: str, n_snapshots: int) -> WorkloadGenConfig:
     if name == "small-payload":
         return WorkloadGenConfig(n_snapshots=n_snapshots, rate_range=(24.0, 56.0))
@@ -47,7 +40,6 @@ def preset_workload_config(name: str, n_snapshots: int) -> WorkloadGenConfig:
 
 
 def build_preset(name: str) -> Scenario:
-    topology = _preset_topology()
     if name == "small-payload":
         memories = (50.0, 10.0, 10.0, 10.0)
         criticality = (2, 1, 1, 0)
@@ -56,19 +48,14 @@ def build_preset(name: str) -> Scenario:
         criticality = tuple(f % 3 for f in range(10))
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-    functions = tuple(
-        FunctionSpec(
-            id=f, memory=memories[f], cores_per_request=np.array(_CORES_PER_REQUEST)
-        )
-        for f in range(len(memories))
-    )
     cfg = preset_workload_config(name, n_snapshots=1)
     snapshot = generate_workloads(
-        len(functions), topology.n_nodes, cfg, rng_stream(0, f"preset:{name}")
+        len(memories), len(_NODE_CORES), cfg, rng_stream(0, f"preset:{name}")
     )[0]
     return Scenario(
-        topology=topology,
-        functions=functions,
+        topology=Topology(cores=_NODE_CORES, memory=_NODE_MEMORY, delays=_DELAYS),
+        function_memory=memories,
+        cores_per_request=np.tile(_CORES_PER_REQUEST, (len(memories), 1)),
         workload=snapshot,
         criticality=criticality,
         name=name,
@@ -83,27 +70,24 @@ def random_scenario(
     delays = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     delays = (delays + delays.T) / 2.0
     np.fill_diagonal(delays, 0.0)
-    nodes = tuple(
-        NodeSpec(
-            id=i,
-            cores=float(rng.uniform(20.0, 100.0)),
-            memory=float(rng.uniform(50.0, 500.0)),
-        )
-        for i in range(n_nodes)
-    )
-    functions = tuple(
-        FunctionSpec(
-            id=f,
-            memory=float(rng.uniform(5.0, 40.0)),
-            cores_per_request=rng.uniform(0.2, 1.2, size=n_nodes),
-        )
-        for f in range(n_functions)
-    )
-    topology = Topology(nodes=nodes, delays=delays)
+    cores, memory = np.empty(n_nodes), np.empty(n_nodes)
+    for j in range(n_nodes):
+        cores[j] = rng.uniform(20.0, 100.0)
+        memory[j] = rng.uniform(50.0, 500.0)
+    function_memory, cores_per_request = np.empty(n_functions), np.empty((n_functions, n_nodes))
+    for f in range(n_functions):
+        function_memory[f] = rng.uniform(5.0, 40.0)
+        cores_per_request[f] = rng.uniform(0.2, 1.2, size=n_nodes)
     cfg = WorkloadGenConfig(
         n_snapshots=1,
         rate_range=(4.0, 20.0),
         hotspot_count=min(2, n_nodes),
     )
     snapshot = generate_workloads(n_functions, n_nodes, cfg, rng)[0]
-    return Scenario(topology=topology, functions=functions, workload=snapshot, name=name)
+    return Scenario(
+        topology=Topology(cores=cores, memory=memory, delays=delays),
+        function_memory=function_memory,
+        cores_per_request=cores_per_request,
+        workload=snapshot,
+        name=name,
+    )

@@ -112,7 +112,7 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
     for f, i, j in np.argwhere(outside)[:5]:
         out.append(f"route-outside-placement: x[{f},{i},{j}] targets an unchosen node")
 
-    cpr = scenario.cores_per_request_matrix()
+    cpr = scenario.cores_per_request
     draw = np.zeros(n)
     for f in range(f_cnt):
         draw += (routes[f] * workload[f][:, None]).sum(axis=0) * cpr[f]
@@ -121,7 +121,7 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
         out.append(
             f"core-capacity: node {j} draws {draw[j]:.12g} of {cores[j]:.12g} core-units"
         )
-    mem_used = placed.astype(float).T @ scenario.function_memory()
+    mem_used = placed.astype(float).T @ scenario.function_memory
     memory = scenario.topology.memory
     for j in np.flatnonzero(mem_used > memory * (1.0 + _CAPACITY_RTOL) + _CAPACITY_RTOL):
         out.append(f"memory-capacity: node {j} holds {mem_used[j]:.12g} of {memory[j]:.12g} GB")

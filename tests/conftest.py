@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from edgeplace import routing
-from edgeplace.model import FunctionSpec, NodeSpec, Scenario, Topology
+from edgeplace.model import Scenario, Topology
 
 
 def make_scenario(
@@ -18,20 +18,14 @@ def make_scenario(
     criticality=None,
     name="test",
 ) -> Scenario:
-    delays = np.array(delays, dtype=float)
-    nodes = tuple(
-        NodeSpec(id=i, cores=float(cores[i]), memory=float(memory[i]))
-        for i in range(len(cores))
-    )
-    functions = []
-    for f, mem in enumerate(fn_memory):
-        cpr = 1.0 if cores_per_request is None else cores_per_request[f]
-        if isinstance(cpr, (list, tuple, np.ndarray)):
-            cpr = np.array(cpr, dtype=float)
-        functions.append(FunctionSpec(id=f, memory=float(mem), cores_per_request=cpr))
+    """A scenario from plain lists; each function's cores_per_request entry is one
+    number for every node or one per node, and 1.0 everywhere by default."""
+    n = len(cores)
+    cpr = [1.0] * len(fn_memory) if cores_per_request is None else cores_per_request
     return Scenario(
-        topology=Topology(nodes=nodes, delays=delays),
-        functions=tuple(functions),
+        topology=Topology(cores=cores, memory=memory, delays=delays),
+        function_memory=fn_memory,
+        cores_per_request=[np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in cpr],
         workload=np.array(workload, dtype=float),
         criticality=tuple(criticality) if criticality is not None else None,
         name=name,

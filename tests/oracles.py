@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from edgeplace.bench import TrainResult
 from edgeplace.env import VIOLATIONS, PlacementEnv, build_state_scale, state_dim
-from edgeplace.model import FunctionSpec, Scenario, Topology
+from edgeplace.model import Scenario, Topology
 from edgeplace.nn import MLP, Adam
 from edgeplace.ppo import (
     PolicyAgent,
@@ -152,8 +152,8 @@ def joint_lp_reference(scenario: Scenario, workload: np.ndarray, placements: np.
     """
     f_cnt, n = workload.shape
     delays = scenario.topology.delays
-    cpr = scenario.cores_per_request_matrix()
-    mem_use = placements.astype(float).T @ scenario.function_memory()
+    cpr = scenario.cores_per_request
+    mem_use = placements.astype(float).T @ scenario.function_memory
     if np.any(mem_use > scenario.topology.memory + 1e-9):
         return None
     if np.any(~placements.any(axis=1)):
@@ -551,7 +551,7 @@ def build_state(scenario: Scenario, state: ReferenceState, workload: np.ndarray,
     resources = np.empty(2 * scenario.n_nodes)
     resources[0::2] = state.available_cores
     resources[1::2] = state.available_memory
-    queued = scenario.function_memory()[queue]
+    queued = scenario.function_memory[queue]
     rest = queued[1:]
     memory = [queued[0], rest.mean(), rest.std()] if rest.size else [queued[0], 0.0, 0.0]
     return np.concatenate([scenario.topology.delays.ravel(), resources,
@@ -574,30 +574,31 @@ def state_scale_reference(scenario: Scenario, snapshots: list[np.ndarray]) -> np
     bounds = [sum(s[f, i] * sum(delays[i, j] for j in range(n))
                   for f in range(s.shape[0]) for i in range(n)) for s in snapshots]
     scale = [max(float(delays.max()), 1.0)] * (n * n)
-    for node in scenario.topology.nodes:
-        scale += [max(node.cores, 1.0), max(node.memory, 1.0)]
+    for cores, memory in zip(scenario.topology.cores, scenario.topology.memory):
+        scale += [max(cores, 1.0), max(memory, 1.0)]
     scale += [max(max(rates, default=1.0), 1.0)] * n
-    scale += [max(max(fn.memory for fn in scenario.functions), 1.0)] * 3
+    scale += [max(max(scenario.function_memory), 1.0)] * 3
     scale.append(max(max(bounds, default=1.0), 1.0))
     return np.array(scale)
 
 
-def commit(state: ReferenceState, function: FunctionSpec, placement: np.ndarray,
+def commit(state: ReferenceState, scenario: Scenario, fid: int, placement: np.ndarray,
            routing: np.ndarray, workload_row: np.ndarray, delay: float,
            cost: float) -> ReferenceState:
-    """The successor state after one placement, built by copying; the input is unchanged.
+    """The successor state after placing function fid, built by copying; the input
+    is unchanged.
 
     Only placed nodes are charged the routed core draw and the memory.
     """
     placement = np.asarray(placement, dtype=bool)
-    cpr = function.cores_per_request_vec(state.available_cores.shape[0])
-    core_use = routing.T @ workload_row * cpr
+    core_use = routing.T @ workload_row * scenario.cores_per_request[fid]
+    memory = scenario.function_memory[fid]
     return replace(
         state,
         available_cores=state.available_cores - np.where(placement, core_use, 0.0),
-        available_memory=state.available_memory - np.where(placement, function.memory, 0.0),
-        placements={**state.placements, function.id: placement.copy()},
-        routes={**state.routes, function.id: routing.copy()},
+        available_memory=state.available_memory - np.where(placement, memory, 0.0),
+        placements={**state.placements, fid: placement.copy()},
+        routes={**state.routes, fid: routing.copy()},
         total_delay=state.total_delay + delay,
         total_cost=state.total_cost + cost,
     )

@@ -183,9 +183,9 @@ def test_milp_places_no_idle_replicas(alpha):
 
 def _check_valid_greedy(scenario, workload, sol):
     assert sol.feasible
-    mem_use = sol.placements.astype(float).T @ scenario.function_memory()
+    mem_use = sol.placements.astype(float).T @ scenario.function_memory
     assert np.all(mem_use <= scenario.topology.memory + 1e-9)
-    cpr = scenario.cores_per_request_matrix()
+    cpr = scenario.cores_per_request
     core_use = np.zeros(scenario.n_nodes)
     for f, route in sol.routes.items():
         np.testing.assert_allclose(route.sum(axis=1), 1.0, atol=1e-8)

@@ -5,6 +5,7 @@ import json
 import os
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
         rows = evaluate_candidates(plan, seed=3, agents={0.0: agent})
         out = tmp_path / f"run{attempt}"
         paths, _ = emit_results(str(out), rows, plan, seed=3)
-        blob = b"".join(open(paths[k], "rb").read() for k in ("results", "summary", "metadata"))
+        blob = b"".join(Path(paths[k]).read_bytes() for k in ("results", "summary", "metadata"))
         blobs.append(blob)
     assert blobs[0] == blobs[1]
 

@@ -327,17 +327,16 @@ class _ReferenceEnv:
 
     def step(self, action):
         fid = self.queue.pop(0)
-        fn = self.scenario.functions[fid]
         placement = np.asarray(action, dtype=bool)
         row = self.workload[fid]
+        memory, cpr = self.scenario.function_memory[fid], self.scenario.cores_per_request[fid]
         state = self.state
         violation = None
         if not placement.any():
             violation = "empty-placement"
-        elif np.any(state.available_memory - np.where(placement, fn.memory, 0.0) < -_CORE_TOL):
+        elif np.any(state.available_memory - np.where(placement, memory, 0.0) < -_CORE_TOL):
             violation = "memory"
         else:
-            cpr = fn.cores_per_request_vec(self.scenario.n_nodes)
             sol = solve_routing(
                 RoutingProblem(self.scenario.topology.delays, row, placement,
                                state.available_cores, cpr)
@@ -346,7 +345,8 @@ class _ReferenceEnv:
                 violation = "routing-infeasible"
             else:
                 cost = cost_increment(sol.routing, row, cpr)
-                state = commit(state, fn, placement, sol.routing, row, sol.objective_delay, cost)
+                state = commit(state, self.scenario, fid, placement, sol.routing, row,
+                               sol.objective_delay, cost)
                 if np.any(state.available_cores < -_CORE_TOL):
                     violation = "cores"
         if violation is None:
@@ -387,8 +387,8 @@ def _contested_scenario(n_nodes, n_functions, rng):
     scenario = random_scenario(n_nodes, n_functions, rng, name="contested")
     delays = rng.uniform(0.0, 10.0, (n_nodes, n_nodes))
     np.fill_diagonal(delays, 0.0)
-    nodes = tuple(replace(node, cores=0.15 * node.cores) for node in scenario.topology.nodes)
-    return replace(scenario, topology=replace(scenario.topology, nodes=nodes, delays=delays))
+    topology = replace(scenario.topology, cores=0.15 * scenario.topology.cores, delays=delays)
+    return replace(scenario, topology=topology)
 
 
 def _snapshot(state):

@@ -3,11 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from edgeplace.model import (
-    validate_functions,
-    validate_topology,
-    validate_workload,
-)
+from edgeplace.model import validate_scenario
 from edgeplace.scenarios import (
     PRESETS,
     build_preset,
@@ -20,9 +16,7 @@ from edgeplace.util import rng_stream
 @pytest.mark.parametrize("name", PRESETS)
 def test_presets_are_valid_scenarios(name):
     scenario = build_preset(name)
-    assert validate_topology(scenario.topology) == []
-    assert validate_functions(scenario.functions, scenario.n_nodes) == []
-    assert validate_workload(scenario.workload, scenario.n_functions, scenario.n_nodes) == []
+    assert validate_scenario(scenario) == []
     assert scenario.name == name
     assert scenario.n_nodes == 5
     assert scenario.criticality is not None
@@ -48,7 +42,7 @@ def test_preset_hub_is_remote_but_cheap():
     hub = scenario.n_nodes - 1
     others = range(hub)
     assert all(scenario.topology.delays[i, hub] >= 6.0 for i in others)
-    cpr = scenario.cores_per_request_matrix()
+    cpr = scenario.cores_per_request
     assert np.all(cpr[:, hub] < cpr[:, list(others)].min())
 
 
@@ -67,9 +61,7 @@ def test_unknown_preset_rejected():
 
 def test_random_scenario_valid_and_seeded():
     a = random_scenario(4, 3, rng_stream(11, "gen-scenario"))
-    assert validate_topology(a.topology) == []
-    assert validate_functions(a.functions, a.n_nodes) == []
-    assert validate_workload(a.workload, a.n_functions, a.n_nodes) == []
+    assert validate_scenario(a) == []
     assert a.n_nodes == 4 and a.n_functions == 3
     b = random_scenario(4, 3, rng_stream(11, "gen-scenario"))
     np.testing.assert_array_equal(a.topology.delays, b.topology.delays)

@@ -125,11 +125,10 @@ def test_memory_capacity_caught(tri_scenario):
     # copy shrinks its memory to force the overdraft
     import dataclasses
 
-    nodes = list(tri_scenario.topology.nodes)
-    nodes[1] = dataclasses.replace(nodes[1], memory=10.0)
+    memory = tri_scenario.topology.memory.copy()
+    memory[1] = 10.0
     small = dataclasses.replace(
-        tri_scenario,
-        topology=dataclasses.replace(tri_scenario.topology, nodes=tuple(nodes)),
+        tri_scenario, topology=dataclasses.replace(tri_scenario.topology, memory=memory)
     )
     placements = np.array([[0, 1, 0], [0, 1, 0]], dtype=float)
     routes = {f: np.tile([0.0, 1.0, 0.0], (3, 1)) for f in range(2)}
