@@ -70,14 +70,12 @@ def random_scenario(
     delays = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     delays = (delays + delays.T) / 2.0
     np.fill_diagonal(delays, 0.0)
-    cores, memory = np.empty(n_nodes), np.empty(n_nodes)
-    for j in range(n_nodes):
-        cores[j] = rng.uniform(20.0, 100.0)
-        memory[j] = rng.uniform(50.0, 500.0)
-    function_memory, cores_per_request = np.empty(n_functions), np.empty((n_functions, n_nodes))
-    for f in range(n_functions):
-        function_memory[f] = rng.uniform(5.0, 40.0)
-        cores_per_request[f] = rng.uniform(0.2, 1.2, size=n_nodes)
+    # Generator.uniform's draws, in order: node cores, memory; function memory, cores_per_request
+    node_u, function_u = rng.random((n_nodes, 2)), rng.random((n_functions, n_nodes + 1))
+    cores = 20.0 + (100.0 - 20.0) * node_u[:, 0]
+    memory = 50.0 + (500.0 - 50.0) * node_u[:, 1]
+    function_memory = 5.0 + (40.0 - 5.0) * function_u[:, 0]
+    cores_per_request = 0.2 + (1.2 - 0.2) * function_u[:, 1:]
     cfg = WorkloadGenConfig(
         n_snapshots=1,
         rate_range=(4.0, 20.0),

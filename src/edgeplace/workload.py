@@ -2,7 +2,9 @@
 
 Real request traces concentrate around a few busy locations that move over
 time; the generator mimics that with a small set of hotspot nodes shared by
-all functions, drifting between snapshots. A trace CSV with columns
+all functions, drifting between snapshots. The draw order is fixed: the
+hotspots, then per snapshot each function's total in function order, then
+each hotspot's drift. A trace CSV with columns
 (snapshot, function_id, node_id, rate) can substitute real data anywhere a
 generated snapshot list is accepted.
 """
@@ -31,11 +33,6 @@ class WorkloadGenConfig:
     drift_prob: float = 0.3  # chance a hotspot relocates between snapshots
     per_function_rate_ranges: tuple[tuple[float, float], ...] | None = None
 
-    def range_for(self, f: int) -> tuple[float, float]:
-        if self.per_function_rate_ranges is not None:
-            return self.per_function_rate_ranges[f]
-        return self.rate_range
-
 
 def generate_workloads(
     n_functions: int, n_nodes: int, config: WorkloadGenConfig, rng: np.random.Generator
@@ -49,22 +46,27 @@ def generate_workloads(
         raise WorkloadError(f"concentration {config.concentration} outside [0, 1]")
     if not 0.0 <= config.drift_prob <= 1.0:
         raise WorkloadError(f"drift_prob {config.drift_prob} outside [0, 1]")
-    for f in range(n_functions):
-        lo, hi = config.range_for(f)
+    ranges = config.per_function_rate_ranges
+    if ranges is not None and len(ranges) != n_functions:
+        raise WorkloadError(
+            f"per_function_rate_ranges has {len(ranges)} entries for {n_functions} functions"
+        )
+    bounds = [config.rate_range] * n_functions if ranges is None else ranges
+    for f, (lo, hi) in enumerate(bounds):
         if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
-            where = "" if config.per_function_rate_ranges is None else f" of function {f}"
+            where = "" if ranges is None else f" of function {f}"
             raise WorkloadError(f"rate range {[lo, hi]}{where} needs 0 <= low <= high < inf")
+    # as Generator.uniform(lo, hi) draws: float64 bounds, then lo + (hi - lo) * next_double
+    lows, highs = np.array(bounds, dtype=float).reshape(n_functions, 2).T
+    spans = highs - lows
     hotspots = list(rng.choice(n_nodes, size=config.hotspot_count, replace=False))
     snapshots = []
     for _ in range(config.n_snapshots):
-        weights = np.full(n_nodes, (1.0 - config.concentration) / n_nodes)
+        weights = [(1.0 - config.concentration) / n_nodes] * n_nodes
         for h in hotspots:
             weights[h] += config.concentration / len(hotspots)
-        snap = np.empty((n_functions, n_nodes))
-        for f in range(n_functions):
-            total = rng.uniform(*config.range_for(f))
-            snap[f] = total * weights
-        snapshots.append(snap)
+        totals = lows + spans * rng.random(n_functions)
+        snapshots.append(np.multiply.outer(totals, weights))
         for k in range(len(hotspots)):
             if rng.random() < config.drift_prob:
                 hotspots[k] = int(rng.integers(n_nodes))

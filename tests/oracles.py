@@ -676,3 +676,52 @@ def train_agent_reference(scenario: Scenario, alpha: float, seed: int,
         })
     return TrainResult(agent=PolicyAgent(net=net, state_scale=scale), seed=seed, alpha=alpha,
                        log_rows=log_rows, bounds_dict=env.bounds.to_dict())
+
+
+def generate_workloads_reference(n_functions: int, n_nodes: int, config: WorkloadGenConfig,
+                                 rng: np.random.Generator) -> list[np.ndarray]:
+    """workload.generate_workloads one function at a time: per snapshot, the hotspot
+    weights, then one Generator.uniform total per function, then each hotspot's drift."""
+    hotspots = list(rng.choice(n_nodes, size=config.hotspot_count, replace=False))
+    snapshots = []
+    for _ in range(config.n_snapshots):
+        weights = np.full(n_nodes, (1.0 - config.concentration) / n_nodes)
+        for h in hotspots:
+            weights[h] += config.concentration / len(hotspots)
+        snap = np.empty((n_functions, n_nodes))
+        for f in range(n_functions):
+            ranges = config.per_function_rate_ranges
+            total = rng.uniform(*(config.rate_range if ranges is None else ranges[f]))
+            snap[f] = total * weights
+        snapshots.append(snap)
+        for k in range(len(hotspots)):
+            if rng.random() < config.drift_prob:
+                hotspots[k] = int(rng.integers(n_nodes))
+    return snapshots
+
+
+def random_scenario_reference(n_nodes: int, n_functions: int, rng: np.random.Generator,
+                              name: str = "random") -> Scenario:
+    """scenarios.random_scenario one node and one function at a time, each value one
+    Generator.uniform call, its workload from generate_workloads_reference."""
+    points = rng.uniform(0.0, 10.0, size=(n_nodes, 2))
+    delays = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    delays = (delays + delays.T) / 2.0
+    np.fill_diagonal(delays, 0.0)
+    cores, memory = np.empty(n_nodes), np.empty(n_nodes)
+    for j in range(n_nodes):
+        cores[j] = rng.uniform(20.0, 100.0)
+        memory[j] = rng.uniform(50.0, 500.0)
+    function_memory, cores_per_request = np.empty(n_functions), np.empty((n_functions, n_nodes))
+    for f in range(n_functions):
+        function_memory[f] = rng.uniform(5.0, 40.0)
+        cores_per_request[f] = rng.uniform(0.2, 1.2, size=n_nodes)
+    cfg = WorkloadGenConfig(n_snapshots=1, rate_range=(4.0, 20.0), hotspot_count=min(2, n_nodes))
+    snapshot = generate_workloads_reference(n_functions, n_nodes, cfg, rng)[0]
+    return Scenario(
+        topology=Topology(cores=cores, memory=memory, delays=delays),
+        function_memory=function_memory,
+        cores_per_request=cores_per_request,
+        workload=snapshot,
+        name=name,
+    )

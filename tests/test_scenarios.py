@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.model import validate_scenario
 from edgeplace.scenarios import (
@@ -11,6 +13,7 @@ from edgeplace.scenarios import (
     random_scenario,
 )
 from edgeplace.util import rng_stream
+from oracles import random_scenario_reference
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -68,3 +71,21 @@ def test_random_scenario_valid_and_seeded():
     np.testing.assert_array_equal(a.workload, b.workload)
     c = random_scenario(4, 3, rng_stream(12, "gen-scenario"))
     assert not np.array_equal(a.workload, c.workload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_nodes=st.integers(1, 12), n_functions=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_scenario_matches_reference_bit_for_bit(n_nodes, n_functions, seed):
+    """Every array is the one-node-and-function-at-a-time reference's, byte for
+    byte, and the generator is left where the reference leaves it."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    scenario = random_scenario(n_nodes, n_functions, rng)
+    expected = random_scenario_reference(n_nodes, n_functions, reference_rng)
+    for name in ("cores", "memory", "delays"):
+        assert getattr(scenario.topology, name).tobytes() == \
+            getattr(expected.topology, name).tobytes()
+    for name in ("function_memory", "cores_per_request", "workload"):
+        assert getattr(scenario, name).shape == getattr(expected, name).shape
+        assert getattr(scenario, name).tobytes() == getattr(expected, name).tobytes()
+    assert rng.random() == reference_rng.random()

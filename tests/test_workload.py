@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.util import rng_stream
 from edgeplace.workload import (
@@ -11,6 +13,7 @@ from edgeplace.workload import (
     ingest_trace,
     write_trace,
 )
+from oracles import generate_workloads_reference
 
 
 def test_shapes_and_nonnegativity():
@@ -92,6 +95,54 @@ def test_config_validation():
 def test_bad_rate_range_raises(ranges, match):
     with pytest.raises(WorkloadError, match=match):
         generate_workloads(2, 3, WorkloadGenConfig(1, **ranges), rng_stream(0, "w"))
+
+
+@pytest.mark.parametrize("n_ranges", [1, 3], ids=["short", "long"])
+def test_per_function_rate_ranges_of_the_wrong_length_raise(n_ranges):
+    cfg = WorkloadGenConfig(1, per_function_rate_ranges=((1.0, 2.0),) * n_ranges)
+    with pytest.raises(WorkloadError, match=f"has {n_ranges} entries for 2 functions"):
+        generate_workloads(2, 3, cfg, rng_stream(0, "w"))
+
+
+_share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_rate_range = st.one_of(
+    st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2).map(sorted),
+    st.lists(st.integers(0, 100), min_size=2, max_size=2).map(sorted),  # as a JSON config gives
+    st.one_of(st.floats(0.0, 1e6), st.integers(0, 100)).map(lambda x: [x, x]),
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_functions=st.integers(0, 12),
+    n_nodes=st.integers(1, 12),
+    concentration=_share,
+    drift_prob=_share,
+    n_snapshots=st.integers(0, 20),
+    per_function=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_snapshots_match_reference_bit_for_bit(n_functions, n_nodes, concentration, drift_prob,
+                                               n_snapshots, per_function, seed, data):
+    """Every snapshot's bytes are the one-function-at-a-time reference's, at every
+    hotspot_count, and the generator is left where the reference leaves it."""
+    if per_function:
+        ranges = {"per_function_rate_ranges": tuple(data.draw(_rate_range)
+                                                    for _ in range(n_functions))}
+    else:
+        ranges = {"rate_range": data.draw(_rate_range)}
+    for hotspot_count in range(1, n_nodes + 1):
+        cfg = WorkloadGenConfig(n_snapshots, hotspot_count=hotspot_count,
+                                concentration=concentration, drift_prob=drift_prob, **ranges)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        snaps = generate_workloads(n_functions, n_nodes, cfg, rng)
+        expected = generate_workloads_reference(n_functions, n_nodes, cfg, reference_rng)
+        assert len(snaps) == n_snapshots
+        for snap, ref in zip(snaps, expected):
+            assert snap.dtype == ref.dtype and snap.shape == ref.shape
+            assert snap.tobytes() == ref.tobytes()
+        assert rng.random() == reference_rng.random()
 
 
 def test_degenerate_rate_range_allowed():
