@@ -18,7 +18,6 @@ from .env import (
     run_episode,
     state_dim,
     t_max_bound,
-    window_rewards,
 )
 from .model import (
     Scenario,

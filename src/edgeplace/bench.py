@@ -24,12 +24,9 @@ from .env import (
     VIOLATIONS,
     LockstepEnv,
     PlacementEnv,
-    RewardBounds,
     build_state_scale,
     run_episode,
     state_dim,
-    t_max_bound,
-    window_rewards,
 )
 from .model import Scenario
 from .nn import MLP, Adam
@@ -124,9 +121,7 @@ def train_agent(
     )
     agent = PolicyAgent(net=net, state_scale=scale)
     optimizer = Adam(lr=ppo_cfg.learning_rate)
-    env = LockstepEnv(scenario)
-    bounds = RewardBounds(c_max=env.total_cores)
-    t_uppers = [t_max_bound(scenario, s) for s in snapshots]
+    env = LockstepEnv(scenario, alpha)
     window_episodes = -(-ppo_cfg.update_interval // scenario.n_functions)
     sample_rng = rng_stream(seed, "action-sample")
     shuffle_rng = rng_stream(seed, "minibatch-shuffle")
@@ -138,12 +133,9 @@ def train_agent(
     cumulative_valid = 0
     iteration = 0
     while timesteps < total_timesteps:
-        picks = [(episodes + e) % len(snapshots) for e in range(window_episodes)]
-        trajectory, codes, bounds = _rollout_window(
-            agent, env, [snapshots[i] for i in picks], [t_uppers[i] for i in picks],
-            bounds, alpha, sample_rng,
-        )
-        kinds = np.bincount(codes.ravel(), minlength=len(VIOLATIONS) + 1).tolist()
+        workloads = [snapshots[(episodes + e) % len(snapshots)] for e in range(window_episodes)]
+        trajectory = _rollout_window(agent, env, workloads, sample_rng)
+        kinds = np.bincount(env.codes.ravel(), minlength=len(VIOLATIONS) + 1).tolist()
         window_invalid = len(trajectory) - kinds[0]
         episodes += window_episodes
         cumulative_invalid += window_invalid
@@ -178,25 +170,18 @@ def train_agent(
         seed=seed,
         alpha=alpha,
         log_rows=log_rows,
-        bounds_dict=bounds.to_dict(),
+        bounds_dict=env.bounds.to_dict(),
     )
 
 
 def _rollout_window(
-    agent: PolicyAgent,
-    env: LockstepEnv,
-    workloads: list[np.ndarray],
-    t_uppers: list[float],
-    bounds: RewardBounds,
-    alpha: float,
-    rng: np.random.Generator,
-) -> tuple[Trajectory, np.ndarray, RewardBounds]:
-    """Sample one episode per workload, all in lockstep, and score them in order.
+    agent: PolicyAgent, env: LockstepEnv, workloads: list[np.ndarray], rng: np.random.Generator
+) -> Trajectory:
+    """Sample one episode per workload, all in lockstep, and let env score them in order.
 
     The uniforms are drawn up front in (episode, step, node) order, which
     are the draws of sampling the episodes one after another. Returns the
-    window's trajectory in episode order, the (E, F) violation codes and the
-    reward bounds after the window.
+    window's trajectory in episode order; env keeps its violation codes.
     """
     n_eps, n_steps, n = len(workloads), env.scenario.n_functions, env.scenario.n_nodes
     uniforms = rng.random((n_eps, n_steps, n))
@@ -204,28 +189,21 @@ def _rollout_window(
     actions = np.empty((n_eps, n_steps, n), dtype=bool)
     log_probs = np.empty((n_eps, n_steps))
     values = np.empty((n_eps, n_steps))
-    codes = np.empty((n_eps, n_steps), dtype=np.int8)
-    delays = np.empty((n_eps, n_steps))
-    costs = np.empty((n_eps, n_steps))
     obs = env.reset(workloads)
     for k in range(n_steps):
         net_input = obs / agent.state_scale
         logits, values[:, k] = agent.net.forward(net_input)
         actions[:, k], log_probs[:, k] = sample_actions(logits, uniforms[:, k])
         states[:, k] = net_input
-        codes[:, k], obs = env.step(actions[:, k])
-        delays[:, k] = env.total_delay
-        costs[:, k] = env.total_cost
-    rewards, bounds = window_rewards(bounds, t_uppers, codes == 0, delays, costs, alpha)
-    trajectory = Trajectory(
+        _, obs = env.step(actions[:, k])
+    return Trajectory(
         states=states.reshape(n_eps * n_steps, -1),
         actions=actions.reshape(n_eps * n_steps, n),
         log_probs=log_probs.ravel(),
         values=values.ravel(),
-        rewards=rewards.ravel(),
+        rewards=env.rewards().ravel(),
         episode_steps=n_steps,
     )
-    return trajectory, codes, bounds
 
 
 def save_training(out_dir: str, result: TrainResult) -> tuple[str, str]:

@@ -26,13 +26,14 @@ core cost into [-1, 1] against run-level bounds and returns their negated
 alpha-blend, so 0-cost/0-delay scores +1 and worst-case scores -1. Invalid
 steps (no node chosen, memory or core overdraft, unroutable traffic) score
 a flat penalty below that range and commit nothing. The bounds widen in
-episode order across a run, so LockstepEnv leaves the rewards to
-window_rewards, which scans a finished window in that order.
+episode order across a run. One scorer holds them and computes every
+reward: PlacementEnv's at each step, and LockstepEnv's in rewards(), which
+scans a finished window in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,17 +156,6 @@ class RewardBounds:
     c_min: float = 0.0
     c_max: float = 0.0
 
-    def widened(self, t_upper: float) -> "RewardBounds":
-        return replace(self, t_max=max(self.t_max, t_upper))
-
-    def observe(self, t: float, c: float) -> "RewardBounds":
-        return RewardBounds(
-            t_min=min(self.t_min, t),
-            t_max=max(self.t_max, t),
-            c_min=min(self.c_min, c),
-            c_max=max(self.c_max, c),
-        )
-
     def to_dict(self) -> dict:
         return {"t_min": self.t_min, "t_max": self.t_max, "c_min": self.c_min, "c_max": self.c_max}
 
@@ -176,59 +166,50 @@ def _normalize(value: float, lo: float, hi: float) -> float:
     return 2.0 * (value - lo) / (hi - lo) - 1.0
 
 
-def _blend(t_total: float, c_total: float, t_min: float, t_max: float, c_min: float,
-           c_max: float, alpha: float) -> float:
-    """The reward: minus the alpha-blend of delay and cost normalized to their windows."""
-    t_norm = _normalize(t_total, t_min, t_max)
-    c_norm = _normalize(c_total, c_min, c_max)
-    return -(alpha * c_norm + (1.0 - alpha) * t_norm)
+class _RewardScorer:
+    """A run's reward bounds as four floats, widened in place, and the reward.
+
+    score() widens them to a valid step's cumulative delay t and cost c and
+    returns minus the alpha-blend of t and c normalized to them. Every reward
+    is score(): PlacementEnv's per step, LockstepEnv's after its window and
+    normalize_and_reward's.
+    """
+
+    __slots__ = ("t_min", "t_max", "c_min", "c_max", "alpha")
+
+    def __init__(self, alpha: float, t_min=0.0, t_max=0.0, c_min=0.0, c_max=0.0):
+        self.alpha = alpha
+        self.t_min, self.t_max, self.c_min, self.c_max = t_min, t_max, c_min, c_max
+
+    @property
+    def bounds(self) -> RewardBounds:
+        return RewardBounds(self.t_min, self.t_max, self.c_min, self.c_max)
+
+    def widen(self, t_upper: float) -> None:  # at each episode's start, to its t_max_bound
+        self.t_max = max(self.t_max, t_upper)
+
+    def score(self, t: float, c: float) -> float:
+        self.t_min, self.t_max = min(self.t_min, t), max(self.t_max, t)
+        self.c_min, self.c_max = min(self.c_min, c), max(self.c_max, c)
+        t_norm = _normalize(t, self.t_min, self.t_max)
+        c_norm = _normalize(c, self.c_min, self.c_max)
+        return -(self.alpha * c_norm + (1.0 - self.alpha) * t_norm)
 
 
 def normalize_and_reward(
     t_total: float, c_total: float, bounds: RewardBounds, alpha: float
 ) -> tuple[float, RewardBounds]:
     """Blend normalized cumulative delay and cost into a reward in [-1, 1]."""
-    bounds = bounds.observe(t_total, c_total)
-    reward = _blend(t_total, c_total, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max,
-                    alpha)
-    return reward, bounds
+    scorer = _RewardScorer(alpha, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max)
+    return scorer.score(t_total, c_total), scorer.bounds
 
 
-def window_rewards(
-    bounds: RewardBounds,
-    t_uppers: list[float],
-    valid: np.ndarray,
-    delays: np.ndarray,
-    costs: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, RewardBounds]:
-    """Rewards of a window of E episodes of F steps, scored as PlacementEnv scores them.
-
-    Episodes are taken in order: episode e first widens the bounds to
-    t_uppers[e], as PlacementEnv.reset does; then each valid step
-    scores its cumulative delays[e, k] and costs[e, k] as
-    normalize_and_reward does, and each invalid step scores PENALTY_REWARD.
-    The scan keeps the four bounds as floats, widened and observed with
-    RewardBounds' own min/max calls. Returns the (E, F) rewards and the
-    bounds after the window.
-    """
-    rewards = np.full(valid.shape, PENALTY_REWARD)
-    t_min, t_max, c_min, c_max = bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max
-    rows = zip(t_uppers, delays.tolist(), costs.tolist(), valid.tolist())
-    for e, (t_upper, delay_row, cost_row, valid_row) in enumerate(rows):
-        t_max = max(t_max, t_upper)
-        for k, (t, c, ok) in enumerate(zip(delay_row, cost_row, valid_row)):
-            if ok:
-                t_min, t_max = min(t_min, t), max(t_max, t)
-                c_min, c_max = min(c_min, c), max(c_max, c)
-                rewards[e, k] = _blend(t, c, t_min, t_max, c_min, c_max, alpha)
-    return rewards, RewardBounds(t_min=t_min, t_max=t_max, c_min=c_min, c_max=c_max)
-
-
-def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float:
-    """Upper bound on cumulative delay: every request crossing every link."""
+def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float | np.ndarray:
+    """Upper bound on cumulative delay: every request crossing every link.
+    A float for one (F, N) snapshot, an (E,) array for an (E, F, N) stack."""
     row_sums = np.add.reduce(scenario.topology.delays, axis=1)
-    return float(np.add.reduce(workload * row_sums[None, :], axis=None))
+    bound = np.add.reduce(workload * row_sums, axis=(-2, -1))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def cost_increment(routing: np.ndarray, workload_row: np.ndarray, cpr: np.ndarray) -> float:
@@ -264,8 +245,8 @@ class PlacementEnv:
     topology's own read-only arrays until a valid step replaces them, the
     total_delay and total_cost, and empty placements and routes dicts keyed
     by function id. A valid step assigns all six; an invalid step counts in
-    invalid_steps and assigns none of them. The reward bounds are four
-    floats, widened as RewardBounds widens them; `bounds` reads them.
+    invalid_steps and assigns none of them. The env keeps its run's reward
+    bounds across resets; `bounds` reads them.
     """
 
     def __init__(self, scenario: Scenario, alpha: float):
@@ -273,20 +254,19 @@ class PlacementEnv:
         self.alpha = float(alpha)
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._t_min = self._t_max = self._c_min = 0.0
-        self._c_max = float(scenario.topology.cores.sum())
+        self._scorer = _RewardScorer(self.alpha, c_max=float(scenario.topology.cores.sum()))
         self.workload = scenario.workload
         self.queue: list[int] = []
         self.invalid_steps = 0
 
     @property
     def bounds(self) -> RewardBounds:
-        return RewardBounds(self._t_min, self._t_max, self._c_min, self._c_max)
+        return self._scorer.bounds
 
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
         if workload is not None:
             self.workload = workload
-        self._t_max = max(self._t_max, t_max_bound(self.scenario, self.workload))
+        self._scorer.widen(t_max_bound(self.scenario, self.workload))
         self.available_cores = self.scenario.topology.cores
         self.available_memory = self.scenario.topology.memory
         self.total_delay = 0.0
@@ -353,11 +333,7 @@ class PlacementEnv:
             self.available_memory = mem_after
             self.total_delay += solution.objective_delay
             self.total_cost += cost_increment(routing, row, cpr)
-            # normalize_and_reward on the four floats
-            t, c = self.total_delay, self.total_cost
-            self._t_min, self._t_max = min(self._t_min, t), max(self._t_max, t)
-            self._c_min, self._c_max = min(self._c_min, c), max(self._c_max, c)
-            reward = _blend(t, c, self._t_min, self._t_max, self._c_min, self._c_max, self.alpha)
+            reward = self._scorer.score(self.total_delay, self.total_cost)
         else:
             self.invalid_steps += 1
             reward = PENALTY_REWARD
@@ -383,15 +359,20 @@ class LockstepEnv:
     and memory, routes the remaining slots with route_batch, which decides
     routability as solve_routing does, and then checks the routed cores.
     `routing` holds the last step's (E, N, N) routings, zero for invalid
-    slots. Rewards are window_rewards' job, because the reward bounds are
-    shared by episodes in their order.
+    slots, and `codes` the window's (E, F) violation codes so far. A step
+    returns no reward, because the run's reward bounds (`bounds`) widen in
+    episode order: rewards() scores the finished window.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, alpha: float):
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self.total_cores = float(scenario.topology.cores.sum())
+        self._scorer = _RewardScorer(float(alpha), c_max=float(scenario.topology.cores.sum()))
+
+    @property
+    def bounds(self) -> RewardBounds:
+        return self._scorer.bounds
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""
@@ -405,7 +386,10 @@ class LockstepEnv:
         self.total_delay = np.zeros(n_slots)
         self.total_cost = np.zeros(n_slots)
         self.routing = np.zeros((n_slots, n, n))
+        self.codes = np.zeros(self.queues.shape, dtype=np.int8)
+        self._step_totals = np.zeros((2,) + self.queues.shape)  # delay, cost after each step
         self.position = 0
+        self._scored = False
         self._slots = np.arange(n_slots)
         return self._observe()
 
@@ -454,9 +438,33 @@ class LockstepEnv:
         self.total_cost += np.where(valid, cost, 0.0)
         routing[~valid] = 0.0
         self.routing = routing
+        self.codes[:, self.position] = codes
+        self._step_totals[:, :, self.position] = self.total_delay, self.total_cost
         self.position += 1
         done = self.position == self.queues.shape[1]
         return codes, None if done else self._observe()
+
+    def rewards(self) -> np.ndarray:
+        """The finished window's (E, F) rewards, scored as PlacementEnv scores them.
+
+        Episodes are taken in slot order: episode e first widens the bounds to
+        its t_max_bound, as PlacementEnv.reset does; then each valid step
+        scores its cumulative delay and cost and each invalid step scores
+        PENALTY_REWARD. Scoring moves the run's bounds, so a window is scored once.
+        """
+        if self.position < self.queues.shape[1] or self._scored:
+            raise RuntimeError("rewards() scores each finished window once; step it to the end")
+        self._scored = True
+        rewards = np.full(self.codes.shape, PENALTY_REWARD)
+        delays, costs = self._step_totals.tolist()
+        t_uppers = t_max_bound(self.scenario, self.workloads).tolist()
+        rows = zip(t_uppers, delays, costs, (self.codes == 0).tolist())
+        for e, (t_upper, delay_row, cost_row, valid_row) in enumerate(rows):
+            self._scorer.widen(t_upper)
+            for k, (t, c, ok) in enumerate(zip(delay_row, cost_row, valid_row)):
+                if ok:
+                    rewards[e, k] = self._scorer.score(t, c)
+        return rewards
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,12 @@ class PolicyArchitectureError(ValueError):
     """Checkpoint and caller disagree about the network shape."""
 
 
+def layer_shapes(input_dim: int, n_actions: int, hidden) -> list[tuple[int, int]]:
+    """Each layer's (inputs, outputs); MLP.params holds a * b weights then b biases per layer."""
+    sizes = [int(input_dim), *(int(h) for h in hidden), int(n_actions) + 1]
+    return list(zip(sizes[:-1], sizes[1:]))
+
+
 class MLP:
     def __init__(
         self,
@@ -34,8 +40,7 @@ class MLP:
         self.n_actions = int(n_actions)
         self.hidden = tuple(int(h) for h in hidden)
         rng = rng or np.random.default_rng(0)
-        sizes = [self.input_dim, *self.hidden, self.n_actions + 1]
-        self._shapes = list(zip(sizes[:-1], sizes[1:]))
+        self._shapes = layer_shapes(self.input_dim, self.n_actions, self.hidden)
         self.params = np.zeros(sum(a * b + b for a, b in self._shapes))
         self.weights, self.biases = self._layer_views(self.params)
         for w in self.weights:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .nn import MLP, Adam, PolicyArchitectureError
+from .nn import MLP, Adam, PolicyArchitectureError, layer_shapes
 from .util import dump_json, load_json
 
 POLICY_SCHEMA_VERSION = 1
@@ -286,8 +286,15 @@ def _checkpoint_from_doc(
         raise PolicyArchitectureError(
             f"policy expects n_actions {arch['n_actions']}, scenario needs {expect_n_actions}"
         )
+    params = np.array(doc["params"], dtype=float)
+    shapes = layer_shapes(arch["input_dim"], arch["n_actions"], arch["hidden"])
+    if min(b for _, b in shapes) < 1:
+        raise PolicyArchitectureError(f"arch has a layer narrower than 1: hidden {arch['hidden']}")
+    n_params = sum(a * b + b for a, b in shapes)
+    if params.shape != (n_params,):  # checked before MLP allocates the declared layers
+        raise PolicyArchitectureError(f"params have shape {params.shape}, arch needs ({n_params},)")
     net = MLP(arch["input_dim"], arch["n_actions"], hidden=tuple(arch["hidden"]))
-    net.set_params(np.array(doc["params"], dtype=float))
+    net.set_params(params)
     if not np.isfinite(net.params).all():
         raise PolicyArchitectureError("params are not all finite")
     scale = np.array(doc["state_scale"], dtype=float)

@@ -27,7 +27,6 @@ from edgeplace.env import (
     VIOLATIONS,
     LockstepEnv,
     PlacementEnv,
-    RewardBounds,
     build_state_scale,
     run_episode,
     state_dim,
@@ -129,18 +128,14 @@ def test_rollout_window_holds_net_inputs(tri_scenario):
     scale = build_state_scale(tri_scenario, [tri_scenario.workload])
     agent = PolicyAgent(net=net, state_scale=scale)
     workloads = [tri_scenario.workload * s for s in (1.0, 0.5, 2.0)]
-    env = LockstepEnv(tri_scenario)
-    bounds = RewardBounds(c_max=env.total_cores)
-    traj, codes, bounds = bench._rollout_window(
-        agent, env, workloads, [t_max_bound(tri_scenario, w) for w in workloads],
-        bounds, 0.0, np.random.default_rng(0),
-    )
-    assert traj.states.shape == (6, state_dim(3)) and codes.shape == (3, 2)
+    env = LockstepEnv(tri_scenario, alpha=0.0)
+    traj = bench._rollout_window(agent, env, workloads, np.random.default_rng(0))
+    assert traj.states.shape == (6, state_dim(3)) and env.codes.shape == (3, 2)
     probe = PlacementEnv(tri_scenario, alpha=0.0)
     for e, workload in enumerate(workloads):  # episode order: each episode's steps together
         np.testing.assert_array_equal(traj.states[2 * e], probe.reset(workload) / agent.state_scale)
     assert traj.episode_steps == 2
-    assert bounds.t_max == max(t_max_bound(tri_scenario, w) for w in workloads)
+    assert env.bounds.t_max == max(t_max_bound(tri_scenario, w) for w in workloads)
 
 
 def test_write_train_log_round_trips(tri_scenario, tmp_path):

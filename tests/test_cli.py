@@ -89,9 +89,21 @@ def test_invalid_scenario_file_exits_2(tmp_path):
     assert run_cli("gen-workload", "--scenario", str(bad), "--out", str(tmp_path / "t.csv")) == EXIT_INVALID
 
 
+def _arch_doc(hidden, n_params):
+    return json.dumps({
+        "schema_version": 1, "arch": {"input_dim": state_dim(3), "n_actions": 3, "hidden": hidden},
+        "params": [0.0] * n_params, "state_scale": [1.0] * state_dim(3),
+    })
+
+
 @pytest.mark.parametrize(
-    "content", [None, "not json", json.dumps({"schema_version": 1})],
-    ids=["missing", "not-json", "no-arch"],
+    "content",
+    [
+        None, "not json", json.dumps({"schema_version": 1}),
+        _arch_doc([10**12], 1),  # the layer alone would take about 200 TiB
+        _arch_doc([0], 4),  # as many params as a zero-width layer implies
+    ],
+    ids=["missing", "not-json", "no-arch", "arch-params-mismatch", "zero-width-layer"],
 )
 def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
     checkpoint = tmp_path / "policy.json"

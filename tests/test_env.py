@@ -155,6 +155,8 @@ def test_t_max_bound_hand_value(tri_scenario):
     assert t_max_bound(tri_scenario, tri_scenario.workload) == pytest.approx(
         (10 * 7 + 4 * 5) + (2 * 7 + 6 * 5 + 8 * 8)
     )
+    stack = np.stack([tri_scenario.workload, tri_scenario.workload * 0.3])
+    assert t_max_bound(tri_scenario, stack).tolist() == [t_max_bound(tri_scenario, w) for w in stack]
 
 
 def test_cost_increment_hand_value():
@@ -165,13 +167,21 @@ def test_cost_increment_hand_value():
     assert cost_increment(routing, workload_row, cpr) == pytest.approx(2 + 16)
 
 
-def test_reward_bounds_only_widen():
-    b = RewardBounds(t_max=10.0, c_max=5.0)
-    assert b.widened(t_upper=3.0) == b
-    wide = b.widened(t_upper=20.0)
-    assert wide.t_max == 20.0 and wide.c_max == 5.0
-    seen = wide.observe(25.0, -1.0)
-    assert seen.t_max == 25.0 and seen.c_min == -1.0 and seen.c_max == 5.0
+def test_reward_bounds_only_widen(tri_scenario):
+    env = PlacementEnv(tri_scenario, alpha=0.0)
+    env.reset()
+    wide = env.bounds
+    assert wide == RewardBounds(t_max=t_max_bound(tri_scenario, tri_scenario.workload),
+                                c_max=90.0)  # the cluster's total cores
+    env.reset(tri_scenario.workload * 0.5)
+    assert env.bounds == wide  # a smaller snapshot's bound never narrows the window
+    env.reset(tri_scenario.workload * 3.0)
+    big = t_max_bound(tri_scenario, tri_scenario.workload * 3.0)
+    assert env.bounds == replace(wide, t_max=big)  # a larger one widens only t_max
+    reward, seen = normalize_and_reward(25.0, -1.0, RewardBounds(t_max=10.0, c_max=5.0), 0.5)
+    assert seen == RewardBounds(t_min=0.0, t_max=25.0, c_min=-1.0, c_max=5.0)
+    assert reward == pytest.approx(-(0.5 * -1.0 + 0.5 * 1.0))  # at the widened edges
+    assert normalize_and_reward(3.0, 2.0, seen, 0.5)[1] == seen  # inside: nothing moves
 
 
 def test_degenerate_window_scores_best():
@@ -278,7 +288,7 @@ def test_wrong_shape_actions_raise():
             env.step(action)
     assert len(env.queue) == scenario.n_functions and env.invalid_steps == 0
     assert env.step(np.ones(n, dtype=bool)).valid
-    lockstep = LockstepEnv(scenario)
+    lockstep = LockstepEnv(scenario, alpha=0.0)
     lockstep.reset([scenario.workload] * 3)
     for actions in (np.ones((3, 1), dtype=bool), np.ones((2, n), dtype=bool),
                     np.ones(n, dtype=bool)):
@@ -320,7 +330,8 @@ class _ReferenceEnv:
 
     def reset(self, workload):
         self.workload = workload
-        self.bounds = self.bounds.widened(t_upper=t_max_bound(self.scenario, workload))
+        t_upper = t_max_bound(self.scenario, workload)
+        self.bounds = replace(self.bounds, t_max=max(self.bounds.t_max, t_upper))
         self.state = empty_state(self.scenario.topology)
         self.queue = make_queue(self.scenario, workload)
         return build_state(self.scenario, self.state, workload, self.queue)
@@ -423,7 +434,7 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch
         alpha = float(rng.choice([0.0, 0.5, 1.0]))
         env = PlacementEnv(scenario, alpha)
         ref = _ReferenceEnv(scenario, alpha)
-        episodes = []  # (workload, first state, [(action, PlacementEnv step record)])
+        episodes = []  # (workload, first state, [(action, reward, PlacementEnv step record)])
         for episode in range(6):
             workload = scenario.workload * (rng.choice([0.5, 3.0]) if episode % 2 else 1.0)
             state = env.reset(workload)
@@ -449,25 +460,29 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch
                 else:
                     np.testing.assert_array_equal(out.state, ref_state)
                 routing = None if violation else env.routes[out.function_id]
-                episodes[-1][2].append((action, out.violation, _snapshot(env),
+                episodes[-1][2].append((action, out.reward, out.violation, _snapshot(env),
                                         routing, out.state))
         before = len(fallbacks)
-        _assert_lockstep_matches(scenario, episodes)
+        _assert_lockstep_matches(scenario, alpha, episodes, env.bounds)
         if scenario.name == "contested":
             assert len(fallbacks) > before  # LockstepEnv's own slow slots went to HiGHS
     assert seen == {"empty-placement", "memory", "cores", "routing-infeasible"}
 
 
-def _assert_lockstep_matches(scenario, episodes):
-    """LockstepEnv, one slot per episode, repeats PlacementEnv's steps bit for bit."""
-    env = LockstepEnv(scenario)
+def _assert_lockstep_matches(scenario, alpha, episodes, bounds):
+    """LockstepEnv, one slot per episode, repeats PlacementEnv's steps bit for bit,
+    and its window's rewards and bounds are those of the one PlacementEnv that
+    ran the episodes in slot order."""
+    env = LockstepEnv(scenario, alpha)
     states = env.reset([workload for workload, _, _ in episodes])
     np.testing.assert_array_equal(states, [state for _, state, _ in episodes])
     n = scenario.n_nodes
     for k in range(scenario.n_functions):
+        with pytest.raises(RuntimeError, match="finished window"):
+            env.rewards()
         codes, states = env.step(np.array([steps[k][0] for _, _, steps in episodes]))
         for e, (_, _, steps) in enumerate(episodes):
-            _, violation, (cores, memory, _, _, delay, cost), routing, state = steps[k]
+            _, _, violation, (cores, memory, _, _, delay, cost), routing, state = steps[k]
             assert codes[e] == (0 if violation is None else VIOLATIONS.index(violation) + 1)
             np.testing.assert_array_equal(env.available_cores[e], cores)
             np.testing.assert_array_equal(env.available_memory[e], memory)
@@ -481,6 +496,12 @@ def _assert_lockstep_matches(scenario, episodes):
                 np.testing.assert_array_equal(states[e], state)
     with pytest.raises(RuntimeError, match="reset"):
         env.step(np.ones((len(episodes), n), dtype=bool))
+    rewards = env.rewards()
+    for e, (_, _, steps) in enumerate(episodes):
+        assert rewards[e].tolist() == [reward for _, reward, *_ in steps]
+    assert env.bounds == bounds
+    with pytest.raises(RuntimeError, match="once"):
+        env.rewards()
 
 
 def test_episode_record_survives_later_episodes(tri_scenario):

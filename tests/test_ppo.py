@@ -20,7 +20,7 @@ from edgeplace.ppo import (
 )
 
 from edgeplace import bench
-from edgeplace.env import LockstepEnv, RewardBounds, build_state_scale, state_dim, t_max_bound
+from edgeplace.env import LockstepEnv, build_state_scale, state_dim
 from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
 from edgeplace.util import rng_stream
 from edgeplace.workload import generate_workloads
@@ -205,17 +205,13 @@ def test_ppo_update_matches_per_minibatch_reference(preset):
     net = MLP(state_dim(scenario.n_nodes), scenario.n_nodes, hidden=cfg.hidden,
               rng=np.random.default_rng(3))
     agent = PolicyAgent(net=net, state_scale=build_state_scale(scenario, snapshots))
-    env = LockstepEnv(scenario)
-    bounds = RewardBounds(c_max=env.total_cores)
+    env = LockstepEnv(scenario, alpha=0.0)
     window = -(-cfg.update_interval // scenario.n_functions)
     rollout_rng = np.random.default_rng(4)
     trajectories = []
     for offset in range(2):
         workloads = [snapshots[(offset + e) % len(snapshots)] for e in range(window)]
-        trajectory, _, bounds = bench._rollout_window(
-            agent, env, workloads, [t_max_bound(scenario, w) for w in workloads], bounds, 0.0,
-            rollout_rng,
-        )
+        trajectory = bench._rollout_window(agent, env, workloads, rollout_rng)
         trajectories.append(trajectory)
     reference_net = MLP(net.input_dim, net.n_actions, hidden=cfg.hidden)
     reference_net.set_params(net.params)
