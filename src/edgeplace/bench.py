@@ -107,8 +107,10 @@ def train_agent(
     ceil(update_interval / F) episodes that reach update_interval steps.
     They run in lockstep (_rollout_window); the result is the one a rollout
     of one episode at a time gives, up to the rounding of batched forward
-    passes.
+    passes. total_timesteps below 1 is a ValueError: no update would run.
     """
+    if total_timesteps < 1:
+        raise ValueError(f"total_timesteps must be at least 1, got {total_timesteps}")
     snapshots = generate_workloads(
         scenario.n_functions, scenario.n_nodes, workload_cfg, rng_stream(seed, "workload-train")
     )

@@ -316,8 +316,8 @@ def cmd_train(args) -> int:
         scenario, args.alpha, args.seed, workload_cfg, ppo_cfg, args.timesteps
     )
     policy_path, log_path = bench.save_training(out_dir, result)
-    last = result.log_rows[-1] if result.log_rows else {}
-    print(f"trained {last.get('timesteps', 0)} steps over {last.get('episodes', 0)} episodes")
+    last = result.log_rows[-1]
+    print(f"trained {last['timesteps']} steps over {last['episodes']} episodes")
     print(f"wrote {policy_path}")
     print(f"wrote {log_path}")
     return EXIT_OK

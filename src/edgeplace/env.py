@@ -11,8 +11,13 @@ PlacementEnv is the single-decision path that evaluation uses. It keeps one
 episode's state on itself under LockstepEnv's names (available_cores,
 available_memory, total_delay, total_cost), plus the placements and routes
 made so far; a valid step assigns them and an invalid step leaves them as
-they were. LockstepEnv is the training path: it steps E episodes together,
-with residual cores and memory as (E, N) arrays and totals as (E,) arrays.
+they were. Its queue comes from make_queue, a Python sort, and its queue
+statistics from queue_memory on Python floats: a sum of fewer than 8 terms
+is taken left to right, which is numpy's order there, and a longer one by
+np.add.reduce, so the bits are numpy's. LockstepEnv is the training path:
+it steps E episodes together, with residual cores and memory as (E, N)
+arrays and totals as (E,) arrays; queue_order's lexsort orders its
+(E, F, N) stack and queue_memory's array reductions give its statistics.
 Each lockstep step runs the empty-placement and memory checks for all E
 slots at once with array operations, then routes the slots still valid
 with one routing.route_batch call, which owns the batched nearest-host fast
@@ -33,16 +38,19 @@ scans a finished window in that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Scenario
 from .ppo import PolicyAgent, deterministic_action, forward
-from .routing import RoutingProblem, route_batch, solve_routing
+from .routing import RoutingProblem, _total, route_batch, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
+# numpy sums 8 or more contiguous float64s pairwise, fewer left to right from 0.0
+_PAIRWISE_MIN = 8
 # LockstepEnv's violation codes: 0 is a valid step, k + 1 stands for VIOLATIONS[k]
 VIOLATIONS = ("empty-placement", "memory", "routing-infeasible", "cores")
 _EMPTY, _MEMORY, _UNROUTABLE, _CORES = range(1, len(VIOLATIONS) + 1)
@@ -58,16 +66,25 @@ def state_dim(n_nodes: int) -> int:
 
 
 def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[int]:
-    """queue_order of one snapshot, the scenario's own by default, as a list."""
+    """Placement order of one (F, N) snapshot, the scenario's own by default.
+
+    The order is queue_order's, taken by Python's sorted on (-total, -memory)
+    with the totals from np.add.reduce; the sort is stable, so ties keep id
+    order, as lexsort's do. PlacementEnv.reset and both greedy baselines
+    take their queue here; LockstepEnv's stacks go through queue_order.
+    """
     w = scenario.workload if workload is None else workload
-    return queue_order(scenario.function_memory, w).tolist()
+    totals = np.add.reduce(w, axis=-1).tolist()
+    memory = scenario.function_memory.tolist()
+    return sorted(range(len(totals)), key=lambda f: (-totals[f], -memory[f]))
 
 
 def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
     """Placement order of one (F, N) snapshot or of each of an (E, F, N) stack:
     heaviest total workload first, then larger memory, then smaller id.
 
-    Returns the (F,) or (E, F) function ids.
+    Returns the (F,) or (E, F) function ids. LockstepEnv orders its stack
+    here; make_queue gives one snapshot the same order as a list.
     """
     totals = np.add.reduce(workloads, axis=-1)
     # lexsort sorts by its last key first and is stable, so ties keep id order
@@ -79,9 +96,15 @@ def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
 
     Entry [..., k] is (memory of the function placed at step k, mean and std
     of the memory of the functions queued after it), zeros when none are;
-    returns (..., F, 3).
+    returns (..., F, 3). Every mean and std has np.mean's and np.std's bits.
+    A stack (LockstepEnv's) takes their own ufunc calls for all rows at
+    once. One queue (PlacementEnv's) sums each suffix of fewer than
+    _PAIRWISE_MIN terms left to right on Python floats, which is numpy's
+    order there, and a longer suffix with np.add.reduce.
     """
     queued = memory[np.asarray(queues)]
+    if queued.ndim == 1:
+        return _one_queue_memory(queued)
     n_functions = queued.shape[-1]
     stats = np.zeros(queued.shape + (3,))
     stats[..., 0] = queued
@@ -101,6 +124,29 @@ def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
     stats[..., :-1, 1] = means
     stats[..., :-1, 2] = np.sqrt(sums / counts)
     return stats
+
+
+def _one_queue_memory(queued: np.ndarray) -> np.ndarray:
+    """queue_memory of one queue's (F,) memories, in queue order."""
+    values = queued.tolist()
+    n_functions = len(values)
+    flat: list[float] = []
+    for k, value in enumerate(values, start=1):
+        count = n_functions - k  # the functions queued after position k - 1
+        if not count:
+            mean = variance = 0.0
+        elif count < _PAIRWISE_MIN:
+            rest = values[k:]
+            mean = _total(rest) / count
+            variance = _total([(x - mean) * (x - mean) for x in rest]) / count
+        else:
+            rest = queued[k:]
+            mean = float(np.add.reduce(rest)) / count
+            spread = rest - mean
+            spread *= spread
+            variance = float(np.add.reduce(spread)) / count
+        flat += value, mean, math.sqrt(variance)
+    return np.array(flat).reshape(n_functions, 3)
 
 
 def observe(delays, cores, memory, rows, queued, total_delay) -> np.ndarray:
@@ -214,7 +260,9 @@ def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float | np.ndarray:
 
 def cost_increment(routing: np.ndarray, workload_row: np.ndarray, cpr: np.ndarray) -> float:
     """Core-units consumed by one function's routed traffic."""
-    return float(np.add.reduce(routing * workload_row[:, None] * cpr[None, :], axis=None))
+    weighted = routing * workload_row[:, None]
+    weighted *= cpr
+    return float(np.add.reduce(weighted, axis=None))
 
 
 # --------------------------------------------------------------------------
@@ -273,9 +321,8 @@ class PlacementEnv:
         self.total_cost = 0.0
         self.placements: dict[int, np.ndarray] = {}  # f -> bool (N,)
         self.routes: dict[int, np.ndarray] = {}  # f -> float (N, N)
-        memory = self.scenario.function_memory
-        self.queue = queue_order(memory, self.workload).tolist()
-        self._queue_memory = queue_memory(memory, self.queue)
+        self.queue = make_queue(self.scenario, self.workload)
+        self._queue_memory = queue_memory(self.scenario.function_memory, self.queue)
         self.invalid_steps = 0
         return self._observe()
 
@@ -301,8 +348,8 @@ class PlacementEnv:
         if not any(placement.tolist()):
             violation = "empty-placement"
         else:
-            memory = self.scenario.function_memory[fid]
-            mem_after = self.available_memory - np.where(placement, memory, 0.0)
+            # False * memory is 0.0, so unplaced nodes keep their residual bit for bit
+            mem_after = self.available_memory - placement * self.scenario.function_memory[fid]
             if _overdrawn(mem_after):
                 violation = "memory"
         if violation is None:

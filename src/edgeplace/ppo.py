@@ -234,6 +234,12 @@ def ppo_update(
 
 
 def save_policy(path: str, agent: PolicyAgent, extras: dict | None = None) -> None:
+    """Write a checkpoint load_policy reads back; params that are not all finite,
+    as a diverged training leaves them, are a PolicyArchitectureError and write nothing."""
+    if not np.isfinite(agent.net.params).all():
+        raise PolicyArchitectureError(
+            f"refusing to save policy {path}: params are not all finite (training diverged)"
+        )
     doc = {
         "schema_version": POLICY_SCHEMA_VERSION,
         "arch": agent.net.arch_dict(),

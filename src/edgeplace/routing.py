@@ -111,13 +111,14 @@ class RoutingSolution:
 
 def chosen_nodes(placement: np.ndarray) -> list[int]:
     """Indices selected by a boolean placement vector, ascending."""
-    return [j for j, hosted in enumerate(np.asarray(placement, dtype=bool).tolist()) if hosted]
+    return np.asarray(placement, dtype=bool).nonzero()[0].tolist()
 
 
 def total_delay(routing: np.ndarray, workload_row: np.ndarray, delays: np.ndarray) -> float:
     """Aggregate delay of a routing split: sum_ij x[i,j] * w[i] * delta[i,j]."""
     # np.add.reduce over all axes is the call np.sum makes, without its wrapper
-    weighted = routing * delays * np.asarray(workload_row, dtype=float)[:, None]
+    weighted = routing * delays
+    weighted *= np.asarray(workload_row, dtype=float)[:, None]
     return float(np.add.reduce(weighted, axis=None))
 
 

@@ -83,6 +83,13 @@ def test_train_log_rows_are_consistent(tri_scenario):
     assert set(result.bounds_dict) == {"t_min", "t_max", "c_min", "c_max"}
 
 
+@pytest.mark.parametrize("timesteps", [0, -64])
+def test_train_agent_refuses_a_budget_below_one(tri_scenario, timesteps):
+    with pytest.raises(ValueError, match="total_timesteps"):
+        train_agent(tri_scenario, 0.0, 1, WorkloadGenConfig(n_snapshots=4, rate_range=(4, 12)),
+                    _FAST_PPO, total_timesteps=timesteps)
+
+
 def test_training_is_seed_deterministic(tri_scenario):
     a = _train(tri_scenario, seed=7).agent
     b = _train(tri_scenario, seed=7).agent

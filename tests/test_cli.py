@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from edgeplace import bench
 from edgeplace.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from edgeplace.env import state_dim
 from edgeplace.model import load_scenario, save_scenario
@@ -324,6 +325,28 @@ def test_one_node_generated_scenario_trains(tmp_path):
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "s.json"
     assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(out)) == EXIT_INTERNAL
+
+
+def test_train_refuses_a_diverged_policy(scenario_path, fast_config, tmp_path, monkeypatch,
+                                          capsys):
+    """A training whose parameters end non-finite exits 2 naming it and saves no policy."""
+    real_train = bench.train_agent
+
+    def diverged(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        result.agent.net.params[0] = np.nan
+        return result
+
+    monkeypatch.setattr(bench, "train_agent", diverged)
+    train_dir = tmp_path / "train"
+    code = run_cli(
+        "train", "--scenario", scenario_path, "--alpha", "0", "--seed", "1",
+        "--timesteps", "64", "--train-snapshots", "4",
+        "--config", fast_config, "--out", str(train_dir),
+    )
+    assert code == EXIT_INVALID
+    assert "params are not all finite" in capsys.readouterr().err
+    assert not (train_dir / "policy-alpha0-seed1.json").exists()
 
 
 def test_train_then_evaluate_pipeline(scenario_path, fast_config, tmp_path, capsys):

@@ -247,6 +247,16 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_policy_refuses_non_finite_params(tmp_path):
+    net = MLP(4, 3, hidden=(5,), rng=np.random.default_rng(15))
+    net.params[7] = np.nan
+    agent = PolicyAgent(net=net, state_scale=np.ones(4))
+    path = tmp_path / "policy.json"
+    with pytest.raises(PolicyArchitectureError, match="not all finite"):
+        save_policy(str(path), agent)
+    assert not path.exists()
+
+
 def test_checkpoint_dimension_mismatch(tmp_path):
     net = MLP(4, 3, hidden=(5,), rng=np.random.default_rng(13))
     agent = PolicyAgent(net=net, state_scale=np.ones(4))
