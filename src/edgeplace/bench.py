@@ -108,6 +108,8 @@ def train_agent(
     They run in lockstep (_rollout_window); the result is the one a rollout
     of one episode at a time gives, up to the rounding of batched forward
     passes. total_timesteps below 1 is a ValueError: no update would run.
+    A training stops after the first update that leaves the parameters not
+    all finite; its log then ends at that iteration.
     """
     if total_timesteps < 1:
         raise ValueError(f"total_timesteps must be at least 1, got {total_timesteps}")
@@ -167,6 +169,8 @@ def train_agent(
                 "approx_kl": diag["approx_kl"],
             }
         )
+        if not np.isfinite(net.params).all():
+            break  # diverged: later updates only spend the budget; save_policy refuses these
     return TrainResult(
         agent=agent,
         seed=seed,

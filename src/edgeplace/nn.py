@@ -9,6 +9,10 @@ All parameters live in one flat array, `MLP.params`: per layer the weights
 (row-major), then the biases. `weights` and `biases` are views into it, so
 `Adam.step` updating `params` in place updates the network, and
 `forward_backward` returns the gradient as a new array in the same layout.
+The backward pass writes each layer's weight and bias gradient straight into
+that array's views and reuses each hidden activation, once used, as the
+buffer for its tanh derivative 1 - a^2. Nothing is kept on the network
+between calls.
 """
 
 from __future__ import annotations
@@ -102,17 +106,26 @@ class MLP:
 
         d_out_fn returns the gradient of a scalar loss w.r.t. the combined
         head output (B, n_actions+1). Returns (logits, values, grad), where
-        grad is a new flat array laid out like `params`.
+        grad is a new flat array laid out like `params`: each layer's
+        acts.T @ delta and delta summed over the batch are written into
+        their views of it with `out=`. Each hidden activation is overwritten
+        in place with 1 - a^2 after its weight gradient is taken; the
+        activations are this call's own, and the returned logits and values
+        are not among them.
         """
         logits, values, acts = self._forward_cached(x)
         delta = d_out_fn(logits, values)
         grad = np.empty_like(self.params)
         grads_w, grads_b = self._layer_views(grad)
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer][:] = acts[layer].T @ delta
-            grads_b[layer][:] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=grads_w[layer])
+            np.add.reduce(delta, axis=0, out=grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
+                tanh_grad = acts[layer]  # the activation is spent: reuse it for 1 - a^2
+                np.square(tanh_grad, out=tanh_grad)
+                np.subtract(1.0, tanh_grad, out=tanh_grad)
+                delta = delta @ self.weights[layer].T
+                delta *= tanh_grad
         return logits, values, grad
 
     def arch_dict(self) -> dict:

@@ -86,7 +86,7 @@ def log_prob_from_logits(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
     actions are 0/1 floats, or bools, which the product casts to them.
     """
-    return np.sum(actions * logits - _softplus(logits), axis=1)
+    return np.add.reduce(actions * logits - _softplus(logits), axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -144,27 +144,44 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool
     grad vector); with_stats=False skips the loss and its diagnostics and
     returns None for the stats, with the same gradient.
     """
-    states = batch["states"]
-    actions = batch["actions"]
-    old_lp = batch["old_log_probs"]
-    adv = batch["advantages"]
-    rets = batch["returns"]
+    return _loss_and_grad(
+        net, batch["states"], batch["actions"], batch["old_log_probs"], batch["advantages"],
+        batch["returns"], config, with_stats,
+    )
+
+
+def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats):
+    """ppo_loss_and_grad on the minibatch's columns."""
     b = states.shape[0]
     eps = config.clip_ratio
     stats: dict = {}
 
     def d_out(logits, values):
+        # logits is a column slice of the head output; elementwise work is faster on a copy
+        logits = np.ascontiguousarray(logits)
         probs = _sigmoid(logits)
         new_lp = log_prob_from_logits(logits, actions)
         ratio = np.exp(new_lp - old_lp)
         # gradient flows only where the unclipped branch attains the min
         active = np.where(adv >= 0.0, ratio <= 1.0 + eps, ratio >= 1.0 - eps)
-        d_head = np.empty((b, logits.shape[1] + 1))
-        d_logits = d_head[:, :-1]
-        np.multiply(-(active * ratio * adv)[:, None], actions - probs, out=d_logits)
+        # d_logits = -(active * ratio * adv)[:, None] * (actions - probs) / b
+        #            + entropy_coef * (logits * probs * (1 - probs)) / b,
+        # in that operation order, built in place in a contiguous array and
+        # copied into d_head once: on d_head's strided columns each step is slower
+        weight = active * ratio
+        weight *= adv
+        np.negative(weight, out=weight)
+        d_logits = actions - probs
+        d_logits *= weight[:, None]
         d_logits /= b
-        d_logits += config.entropy_coef * (logits * probs * (1.0 - probs)) / b
+        entropy_grad = logits * probs
+        entropy_grad *= 1.0 - probs
+        entropy_grad *= config.entropy_coef
+        entropy_grad /= b
+        d_logits += entropy_grad
         v_err = values - rets
+        d_head = np.empty((b, logits.shape[1] + 1))
+        d_head[:, :-1] = d_logits
         d_head[:, -1] = config.value_coef * 2.0 * v_err / b
         if with_stats:
             clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
@@ -197,30 +214,35 @@ def ppo_update(
 ) -> dict:
     """Multi-epoch minibatch PPO update in place.
 
-    Each epoch gathers the trajectory's columns once in a fresh shuffled
-    order and cuts its minibatches from them. Returns the loss diagnostics of
-    the last minibatch of the last epoch, the only one they are computed
-    for, plus the window's mean reward.
+    Each epoch gathers each of the trajectory's columns once, in a fresh
+    shuffled order, and cuts minibatch k as rows k*size to (k+1)*size of
+    those gathered arrays, so the last one is ragged when size does not
+    divide the window. Returns the loss diagnostics of the last minibatch of
+    the last epoch, the only one they are computed for, plus the window's
+    mean reward.
     """
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
     t_len = len(trajectory)
     size = config.minibatch_size
-    columns = {
-        "states": trajectory.states,
-        "actions": trajectory.actions.astype(float),
-        "old_log_probs": trajectory.log_probs,
-        "advantages": adv,
-        "returns": returns,
-    }
+    columns = (
+        trajectory.states,
+        trajectory.actions.astype(float),
+        trajectory.log_probs,
+        adv,
+        returns,
+    )
     diag: dict = {}
     for epoch in range(config.epochs):
         perm = rng.permutation(t_len)
-        shuffled = {key: column[perm] for key, column in columns.items()}
+        states, actions, old_lp, advantages, rets = (column[perm] for column in columns)
         for start in range(0, t_len, size):
-            batch = {key: column[start : start + size] for key, column in shuffled.items()}
-            last = epoch == config.epochs - 1 and start + size >= t_len
-            stats, grad = ppo_loss_and_grad(net, batch, config, with_stats=last)
+            stop = start + size
+            last = epoch == config.epochs - 1 and stop >= t_len
+            stats, grad = _loss_and_grad(
+                net, states[start:stop], actions[start:stop], old_lp[start:stop],
+                advantages[start:stop], rets[start:stop], config, last,
+            )
             optimizer.step(net.params, grad)
             if last:
                 diag = stats

@@ -23,7 +23,6 @@ from edgeplace.ppo import (
     Trajectory,
     compute_gae,
     forward,
-    ppo_loss_and_grad,
     ppo_update,
 )
 from edgeplace.util import rng_stream
@@ -116,11 +115,84 @@ def adam_reference(params: np.ndarray, grads, lr: float, beta1: float = 0.9,
     return iterates
 
 
+def forward_backward_reference(net: MLP, x: np.ndarray, d_out_fn):
+    """MLP.forward_backward with a fresh array for every intermediate.
+
+    Forward: h = tanh(h @ W + b) per hidden layer, then the linear head.
+    Backward from delta = d_out_fn(logits, values): per layer the weight
+    gradient acts.T @ delta and the bias gradient delta.sum(axis=0), then
+    delta @ W.T * (1 - a**2) for the layer below. Returns (logits, values,
+    grad) with grad laid out like net.params.
+    """
+    h = np.asarray(x, dtype=float)
+    if h.ndim == 1:
+        h = h[None]
+    acts = [h]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        acts.append(h)
+    out = h @ net.weights[-1] + net.biases[-1]
+    logits, values = out[:, : net.n_actions], out[:, net.n_actions]
+    delta = d_out_fn(logits, values)
+    layer_grads = []
+    for layer in range(len(net.weights) - 1, -1, -1):
+        layer_grads.append((acts[layer].T @ delta, delta.sum(axis=0)))
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (1.0 - acts[layer] ** 2)
+    grad = np.concatenate([part.ravel() for pair in reversed(layer_grads) for part in pair])
+    return logits, values, grad
+
+
+def ppo_loss_and_grad_reference(net: MLP, batch: dict, config: PPOConfig):
+    """The clipped-surrogate PPO loss, its diagnostics and its flat gradient,
+    one expression per quantity, backpropagated by forward_backward_reference.
+
+    Per row, with p = sigmoid(z), log pi = sum(a z - softplus(z)) and
+    r = exp(log pi - old log pi): the logits' gradient is
+    -(active r A)(a - p) / B + entropy_coef z p (1 - p) / B, where active
+    marks the rows whose unclipped term attains the min, and the value's is
+    value_coef * 2 (v - R) / B.
+    """
+    actions, old_lp = batch["actions"], batch["old_log_probs"]
+    adv, rets = batch["advantages"], batch["returns"]
+    b = batch["states"].shape[0]
+    eps = config.clip_ratio
+    stats: dict = {}
+
+    def d_out(logits, values):
+        probs = 0.5 * (1.0 + np.tanh(0.5 * logits))
+        new_lp = np.sum(actions * logits - np.logaddexp(0.0, logits), axis=1)
+        ratio = np.exp(new_lp - old_lp)
+        active = np.where(adv >= 0.0, ratio <= 1.0 + eps, ratio >= 1.0 - eps)
+        d_logits = (
+            -(active * ratio * adv)[:, None] * (actions - probs) / b
+            + config.entropy_coef * (logits * probs * (1.0 - probs)) / b
+        )
+        v_err = values - rets
+        d_values = config.value_coef * 2.0 * v_err / b
+        surr = np.minimum(ratio * adv, np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv)
+        ent = np.logaddexp(0.0, logits) - probs * logits
+        stats["policy_loss"] = float(-np.mean(surr))
+        stats["value_loss"] = float(np.mean(v_err**2))
+        stats["entropy"] = float(np.mean(np.sum(ent, axis=1)))
+        stats["clip_fraction"] = float(np.mean(np.abs(ratio - 1.0) > eps))
+        stats["approx_kl"] = float(np.mean(old_lp - new_lp))
+        return np.concatenate([d_logits, d_values[:, None]], axis=1)
+
+    _, _, grad = forward_backward_reference(net, batch["states"], d_out)
+    stats["loss"] = (
+        stats["policy_loss"]
+        + config.value_coef * stats["value_loss"]
+        - config.entropy_coef * stats["entropy"]
+    )
+    return stats, grad
+
+
 def ppo_update_reference(net: MLP, trajectory: Trajectory, config: PPOConfig,
                          optimizer: AdamReference, rng: np.random.Generator) -> dict:
     """ppo_update written plainly: each minibatch gathers its own rows from the
-    trajectory and computes its loss diagnostics, the last minibatch's are kept,
-    and the optimizer is AdamReference."""
+    trajectory and computes its loss diagnostics with ppo_loss_and_grad_reference,
+    the last minibatch's are kept, and the optimizer is AdamReference."""
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
     t_len = len(trajectory)
@@ -136,7 +208,7 @@ def ppo_update_reference(net: MLP, trajectory: Trajectory, config: PPOConfig,
                 "advantages": adv[idx],
                 "returns": returns[idx],
             }
-            diag, grad = ppo_loss_and_grad(net, batch, config)
+            diag, grad = ppo_loss_and_grad_reference(net, batch, config)
             optimizer.step(net.params, grad)
     diag["mean_reward"] = float(np.mean(trajectory.rewards))
     return diag

@@ -349,6 +349,35 @@ def test_train_refuses_a_diverged_policy(scenario_path, fast_config, tmp_path, m
     assert not (train_dir / "policy-alpha0-seed1.json").exists()
 
 
+def test_diverged_training_stops_early_and_writes_its_log(tmp_path, monkeypatch, capsys):
+    """A learning rate far too large stops the training after the update that diverged."""
+    scenario = tmp_path / "scenario.json"
+    assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(scenario)) == EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ppo": {"learning_rate": 1e300}}))
+    calls = []
+    real_update = bench.ppo_update
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "ppo_update", counting)
+    train_dir = tmp_path / "train"
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+        code = run_cli(
+            "train", "--scenario", str(scenario), "--alpha", "0", "--seed", "1",
+            "--timesteps", "8192", "--config", str(config), "--out", str(train_dir),
+        )
+    assert code == EXIT_INVALID
+    assert "params are not all finite" in capsys.readouterr().err
+    assert 1 <= len(calls) <= 2  # an 8192-step budget would run 32 updates
+    with open(train_dir / "train-log-alpha0-seed1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["iteration"]) for row in rows] == list(range(1, len(calls) + 1))
+    assert not (train_dir / "policy-alpha0-seed1.json").exists()
+
+
 def test_train_then_evaluate_pipeline(scenario_path, fast_config, tmp_path, capsys):
     train_dir = tmp_path / "train"
     code = run_cli(

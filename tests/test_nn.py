@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from edgeplace.nn import MLP, Adam, PolicyArchitectureError
 
-from oracles import AdamReference, adam_reference, finite_difference_grad
+from oracles import (
+    AdamReference,
+    adam_reference,
+    finite_difference_grad,
+    forward_backward_reference,
+)
 
 
 def test_cold_start_outputs_zero():
@@ -61,6 +66,33 @@ def test_backward_matches_finite_differences():
     # per-spec style check: worst relative error with an absolute floor
     denom = np.maximum(np.abs(fd), 1e-4)
     assert np.max(np.abs(grad - fd) / denom) <= 1e-4
+
+
+def test_backward_matches_reference_bit_for_bit():
+    """forward_backward equals the fresh-array oracle at the minibatch sizes training
+    meets (4 is large-payload's ragged last one), called alternately on one network,
+    and a returned gradient is not touched by the calls that follow it."""
+    rng = np.random.default_rng(9)
+    net = MLP(44, 5, hidden=(64, 64), rng=rng)
+    net.set_params(net.get_params() + rng.normal(scale=0.2, size=net.n_params))
+
+    def d_out(logits, values):
+        d = np.concatenate([np.tanh(logits) - 0.25, (values - 1.0)[:, None]], axis=1)
+        return d / logits.shape[0]
+
+    earlier = []  # (grad as returned, its bytes at return)
+    for size in (64, 4, 65, 1, 64, 65, 4, 1):
+        x = rng.normal(size=(size, 44))
+        logits, values, grad = net.forward_backward(x, d_out)
+        ref_logits, ref_values, ref_grad = forward_backward_reference(net, x, d_out)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+        assert grad.shape == net.params.shape
+        assert grad.tobytes() == ref_grad.tobytes(), size
+        assert not np.shares_memory(grad, net.params)
+        for kept, kept_bytes in earlier:
+            assert kept.tobytes() == kept_bytes
+        earlier.append((grad, grad.tobytes()))
 
 
 def test_weights_and_biases_are_views_of_params():
