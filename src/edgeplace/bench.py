@@ -76,7 +76,9 @@ class ResultRow:
     cost: float
     decision_time_ms: float | None  # None in an untimed run
     valid: bool
-    decision_doc: dict | None = None  # verified then dropped before CSV
+    # the verified decision document of a valid row; results.csv leaves it out, and
+    # the acceptance suite's verifier criterion reads it
+    decision_doc: dict | None = None
 
 
 @dataclass

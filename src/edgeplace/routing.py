@@ -18,19 +18,17 @@ needs it.
 
 Two routers share this: solve_routing routes one problem (one per
 evaluation decision, baseline step or PlacementEnv step), route_batch S
-problems on one delay matrix (one call per LockstepEnv training step). One
-function, _route, routes a single problem for both: it reads each source's
-delays to the hosts as Python lists from its plan (see Memos), runs the
-fast path's test on Python floats, hands a problem that misses it to
-route_flows with the same lists and divides each source's flows by its
-rate. route_batch runs the fast path's test on (S, N) arrays first. When
-its slow rows are at least as many as the delay matrix's greedy rounds,
-_route_rounds runs the greedy start for all of them at once and certifies
-them, and unit_rows divides their flows; only the routable rows it does
-not certify go to _route. Fewer slow rows each go to _route, the cheaper
-way for a few rows. Both ways rescale the rows by their numpy sums in
-_rescale_rows, so the routers agree bit for bit. The capacity test is
-_over_capacity, which route_flows and _route_rounds both call on sums
+problems on one delay matrix (one call per LockstepEnv training step).
+solve_routing goes through _route, which reads each source's delays to the
+hosts as Python lists from its plan (see Memos), runs the fast path's test
+on Python floats, hands a problem that misses it to route_flows with the
+same lists and divides each source's flows by its rate. route_batch runs
+the fast path's test on (S, N) arrays, and _route_rounds runs the greedy
+start for every row that misses it at once and certifies them; a routable
+row it does not certify gets route_flows on its own cost rows, and
+unit_rows divides the flows of both. Both routers rescale the rows by their
+numpy sums in _rescale_rows, so they agree bit for bit. The capacity test
+is _over_capacity, which route_flows and _route_rounds both call on sums
 taken left to right from 0.0 (numpy's order for fewer than 8 terms, and
 cumsum's for any number).
 
@@ -48,15 +46,14 @@ updates; a host loaded to equality, or within the margin of it, takes the
 slow path. When every load fits, demand is within capacity, so the fast
 path needs no capacity test.
 
-Memos: every slot of a training run routes on one delay matrix, so the
-slow path meets the same few cost matrices (the dummy row included) over
-and over, and an evaluation routes the same few (sources, hosts) problems on
-one matrix. Three least-recently-used tables keep what depends on the
-matrices alone. _plan (at most _PLAN_ENTRIES), keyed on the delay matrix's
-float64 bytes, N, the sources and the hosts, holds _route's cost lists,
-each source's first-minimum host and the fast path's routing; on the
-problem's first miss of the fast path it adds the cost matrix with its
-dummy row, that matrix's tuple key and its greedy order (_balanced).
+Memos: every slot of a training run routes on one delay matrix, and an
+evaluation routes the same few (sources, hosts) problems on one matrix.
+Three least-recently-used tables keep what depends on the matrices alone.
+_plan (at most _PLAN_ENTRIES), keyed on the delay matrix's float64 bytes,
+N, the sources and the hosts, holds _route's cost lists, each source's
+first-minimum host and the fast path's routing; on the problem's first miss
+of the fast path it adds the cost matrix with its dummy row, that matrix's
+tuple key and its greedy order (_balanced). Only solve_routing reads it.
 _schedule (at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes,
 holds the full matrix's greedy order cut into rounds of cells that share no
 row or column, and the cost of moving a request between two hosts through
@@ -64,9 +61,9 @@ each source, for _route_rounds. _certificate (at most
 _CERTIFICATE_ENTRIES), keyed on a cost matrix with its dummy row and the
 cells that carry flow, holds the certificate's verdict, which follows from
 the costs and those cells, never from the amounts. _greedy_order has no
-table: it runs only when a _plan entry gets its balanced matrix or a
-_schedule entry is built, and both are memoised. A hit returns what a miss
-computes from equal keys, and the greedy allocation still runs on each
+table: it runs when a _plan entry gets its balanced matrix, a _schedule
+entry is built or route_batch hands route_flows a row. A hit returns what a
+miss computes from equal keys, and the greedy allocation still runs on each
 problem's own rates and capacities, so memoised flows are the flows of a
 cold call, byte for byte.
 """
@@ -84,7 +81,8 @@ _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * t
 # memo sizes; a training run meets about 300 (cost, flow cells) pairs
 _CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
-_PLAN_ENTRIES = 256  # a preset evaluation meets 3 (sources, hosts) pairs, a 20-node one tens
+# solve_routing's plans: a preset evaluation meets 3 (sources, hosts) pairs, a 20-node one tens
+_PLAN_ENTRIES = 256
 # a greedy start is certified when no cycle of request moves costs below -_EPS_CERTIFY
 _EPS_CERTIFY = 5e-11
 
@@ -160,7 +158,7 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
 def _route(
     delays_key: bytes, rates: list[float], chosen: list[int], caps: list[float]
 ) -> np.ndarray | None:
-    """The (N, N) routing of one problem, or None when demand exceeds capacity.
+    """solve_routing's (N, N) routing of one problem, or None when demand exceeds capacity.
 
     delays_key holds the (N, N) float64 delay matrix, rates[i] is what node i
     sends, chosen the hosts in ascending order and caps[k] what chosen[k] can
@@ -230,10 +228,9 @@ def route_batch(
     the placement. Returns which rows are routable and their (S, N, N)
     routings, zero for an unroutable row.
 
-    Rows that miss the fast path go through _route_rounds together when
-    there are at least as many as the delay matrix's greedy rounds; the rows
-    it finds routable but cannot certify, and every slow row of a smaller
-    set, go through _route, the cheaper way for a few rows.
+    Rows that miss the fast path go through _route_rounds together; a row
+    it finds routable but cannot certify gets route_flows on its cost rows,
+    cut from the float64 delay matrix. No row reads a _plan.
     """
     n_rows, n = rows.shape
     index = np.arange(n_rows)
@@ -247,24 +244,19 @@ def route_batch(
     slow = np.flatnonzero(~(load <= caps * _FAST_MARGIN).all(axis=1))
     if not slow.size:
         return routable, routings
-    key = np.ascontiguousarray(delays, dtype=float).tobytes()
-    leftover = slow
-    if slow.size >= n:  # fewer rows never suffice: a row of the matrix spans n rounds
-        schedule = _schedule(n, key)
-        if slow.size >= len(schedule.rounds):
-            fits, certified, flows = _route_rounds(schedule, rows[slow], placement[slow], caps[slow])
-            routable[slow], accepted = fits, fits & certified
-            done, leftover = slow[accepted], slow[fits & ~certified]
-            exact = unit_rows(flows[accepted], rows[done])
-            # sources without traffic keep the fast path's lowest-index host
-            routings[done] = np.where(rows[done, :, None] > 0, exact, routings[done])
-    for s, rates, hosted, cap in zip(leftover.tolist(), rows[leftover].tolist(),
-                                     placement[leftover].tolist(), caps[leftover].tolist()):
-        chosen = [j for j in range(n) if hosted[j]]
-        x = _route(key, rates, chosen, [cap[j] for j in chosen])
-        routable[s] = x is not None
-        if x is not None:
-            routings[s] = x
+    matrix = np.ascontiguousarray(delays, dtype=float)
+    rates, hosted, room = rows[slow], placement[slow], caps[slow]
+    fits, certified, flows = _route_rounds(_schedule(n, matrix.tobytes()), rates, hosted, room)
+    for s in np.flatnonzero(fits & ~certified).tolist():
+        sources, chosen = np.flatnonzero(rates[s] > 0), np.flatnonzero(hosted[s])
+        block = np.ix_(sources, chosen)
+        flows[s][block] = route_flows(matrix[block].tolist(), rates[s, sources].tolist(),
+                                      room[s, chosen].tolist())
+    routable[slow] = fits
+    done = slow[fits]
+    exact = unit_rows(flows[fits], rates[fits])
+    # sources without traffic keep the fast path's lowest-index host
+    routings[done] = np.where(rows[done, :, None] > 0, exact, routings[done])
     routings[~routable] = 0.0
     return routable, routings
 

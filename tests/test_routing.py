@@ -23,7 +23,8 @@ from edgeplace.routing import (
     solve_routing,
     total_delay,
 )
-from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config
+from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
+from edgeplace.workload import WorkloadGenConfig
 
 from conftest import count_highs_fallbacks, random_routing_case
 from oracles import (
@@ -661,10 +662,8 @@ def _caps(placement, cores, cpr) -> np.ndarray:
 def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     """Each row of route_batch is solve_routing on that row's problem, bit for bit.
 
-    Batches of at least as many rows as their greedy rounds also take the
-    array pass, so one call mixes rows it certifies with rows left to _route.
-    A leftover row's plan is solve_routing's: each distinct leftover problem
-    costs one _plan miss in route_batch, and solve_routing then hits it.
+    Every slow row takes the array pass, so one call mixes rows it certifies
+    with rows it leaves to route_flows, and none of them reads a _plan.
     """
     fallbacks = count_highs_fallbacks(monkeypatch)
     fell_back, threshold_outcomes, mixed, passes = [], set(), [], []
@@ -689,18 +688,11 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
         routing._plan.cache_clear()
         routable, routings = route_batch(delays, rows, placement, caps)
         fell_back.append(len(fallbacks) > before)
-        leftover = slow
-        if len(passes) > first_pass:  # the array pass settles the rows that do not fit
+        assert len(passes) == first_pass + bool(slow.size)  # one pass for every slow row
+        if slow.size:
             fits, certified = passes[first_pass]
-            leftover = slow[fits & ~certified]
-            mixed.append(bool(leftover.size) and (fits & certified).any())
-        misses = routing._plan.cache_info().misses
-        topologies = {(tuple(np.flatnonzero(rows[s] > 0)), tuple(np.flatnonzero(placement[s])))
-                      for s in leftover}
-        assert misses == len(topologies)
-        for s in leftover:
-            solve_routing(problems[s])
-        assert routing._plan.cache_info().misses == misses
+            mixed.append((fits & ~certified).any() and (fits & certified).any())
+        assert routing._plan.cache_info().misses == 0  # route_batch adds no _plan miss
         assert routings.shape == (len(rows),) + delays.shape
         for s, mode in enumerate(modes):
             sol = solve_routing(problems[s])
@@ -788,3 +780,15 @@ def test_training_certifies_every_routable_batched_row(preset, monkeypatch):
                           timing=False)
     assert len(evaluate_candidates(plan, 3, {0.0: trained.agent})) == 150
     assert fallbacks == []
+
+
+def test_training_beyond_the_presets_reads_no_plan(monkeypatch):
+    """A 10-node training sends uncertified batched rows to HiGHS without
+    touching solve_routing's plans: route_batch routes them on their own
+    cost rows."""
+    fallbacks = count_highs_fallbacks(monkeypatch)
+    scenario = random_scenario(10, 15, np.random.default_rng(1))
+    before = routing._plan.cache_info()
+    train_agent(scenario, 0.0, 1, WorkloadGenConfig(n_snapshots=50), PPOConfig(), 1024)
+    assert fallbacks
+    assert routing._plan.cache_info() == before
