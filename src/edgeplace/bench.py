@@ -5,8 +5,9 @@ Reproducibility rules honored here:
   * evaluation snapshots are generated once and shared by all candidates;
   * an untimed run records no wall-clock value (its rows' decision_time_ms
     is None), so its emitted CSV/JSON are byte-identical across fixed-seed runs;
-  * every result row is re-checked by the independent verifier before it is
-    written; a row that fails verification is a bug, not a warning.
+  * every result row's own arrays are re-checked by the independent verifier
+    (verify.check_decision) before the row is written; a row that fails
+    verification is a bug, not a warning.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class ResultRow:
     cost: float
     decision_time_ms: float | None  # None in an untimed run
     valid: bool
-    # the verified decision document of a valid row; results.csv leaves it out, and
-    # the acceptance suite's verifier criterion reads it
-    decision_doc: dict | None = None
 
 
 @dataclass
@@ -264,10 +262,7 @@ def _eval_one(
         decision_s = time.perf_counter() - started
         valid = record.valid
         delay, cost = record.total_delay, record.total_cost
-        placements = np.zeros((scenario.n_functions, scenario.n_nodes), dtype=bool)
-        for f, p in record.placements.items():
-            placements[f] = p
-        routes = record.routes
+        placements, routes = record.placements, record.routes
     else:
         if candidate == "joint-milp":
             sol = baselines.solve_joint_milp(
@@ -282,24 +277,16 @@ def _eval_one(
         decision_s = time.perf_counter() - started
         valid = sol.feasible
         delay, cost = sol.total_delay, sol.total_cost
-        placements = sol.placements
-        routes = sol.routes
-    doc, per_request = None, float("nan")
+        placements, routes = sol.placements, sol.routes
+    per_request = float("nan")
     if not valid:  # an invalid decision has no totals, whichever candidate made it
         delay = cost = float("nan")
     else:
-        doc = verify.decision_to_dict(
-            scenario_name=scenario.name,
-            workload=workload,
-            placements=placements,
-            routes=routes,
-            total_delay=delay,
-            total_cost=cost,
-            candidate=candidate,
-            alpha=alpha,
-            snapshot=snapshot_idx,
-        )
-        problems = verify.verify_decision(scenario, doc)
+        # the agent's dicts and a solver's arrays alike, as (F, N) and (F, N, N) arrays
+        functions = range(scenario.n_functions)
+        placements = np.array([placements[f] for f in functions])
+        routes = np.array([routes[f] for f in functions])
+        problems = verify.check_decision(scenario, workload, placements, routes, delay, cost)
         if problems:  # emitting an unverifiable row would poison the benchmark
             raise AssertionError(
                 f"{candidate} produced an invalid decision on snapshot {snapshot_idx}: "
@@ -316,7 +303,6 @@ def _eval_one(
         cost=cost,
         decision_time_ms=decision_s * 1000.0 if timed else None,
         valid=valid,
-        decision_doc=doc,
     )
 
 

@@ -2,9 +2,10 @@
 
 A decision file is self-contained: it embeds the workload snapshot it was
 solved against plus the placements, routing matrices, and declared totals.
-verify_decision re-derives every constraint and the totals from scratch and
-returns the list of violations, so a buggy or tampered solver output cannot
-pass. The benchmark harness re-verifies every row it emits with this module.
+verify_decision parses such a document and check_decision re-derives every
+constraint and the totals from scratch, returning the list of violations, so a
+buggy or tampered solver output cannot pass. The benchmark harness runs
+check_decision on each row's own arrays before it emits the row.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def decision_to_dict(
         "candidate": candidate,
         "alpha": float(alpha),
         "snapshot": int(snapshot),
-        "workload": [[float(v) for v in row] for row in workload],
-        "placements": [[int(v) for v in row] for row in placements],
-        "routes": [[[float(v) for v in row] for row in routes[f]] for f in range(f_cnt)],
+        "workload": np.asarray(workload, dtype=float).tolist(),
+        "placements": np.asarray(placements).astype(int).tolist(),
+        "routes": [np.asarray(routes[f], dtype=float).tolist() for f in range(f_cnt)],
         "total_delay": float(total_delay),
         "total_cost": float(total_cost),
     }
@@ -68,7 +69,6 @@ def load_decision(path: str) -> dict:
 
 def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
     """All constraint and bookkeeping violations in a decision document."""
-    out: list[str] = []
     version = doc.get("schema_version")
     if version != DECISION_SCHEMA_VERSION:
         return [f"unsupported schema_version {version!r}"]
@@ -76,10 +76,19 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
         workload = np.array(doc["workload"], dtype=float)
         placements = np.array(doc["placements"], dtype=float)
         routes = np.array(doc["routes"], dtype=float)
-        declared_delay = float(doc["total_delay"])
-        declared_cost = float(doc["total_cost"])
+        total_delay = float(doc["total_delay"])
+        total_cost = float(doc["total_cost"])
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed document: {exc}"]
+    return check_decision(scenario, workload, placements, routes, total_delay, total_cost)
+
+
+def check_decision(
+    scenario: Scenario, workload: np.ndarray, placements: np.ndarray, routes: np.ndarray,
+    total_delay: float, total_cost: float,
+) -> list[str]:
+    """All constraint and bookkeeping violations of a decision's (F, N) and (F, N, N) arrays."""
+    out: list[str] = []
     n = scenario.n_nodes
     f_cnt = scenario.n_functions
     problems = validate_workload(workload, f_cnt, n)
@@ -134,13 +143,13 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
         sum(np.sum(routes[f] * workload[f][:, None] * cpr[f][None, :]) for f in range(f_cnt))
     )
     # "not <=" so that a NaN declared total, for which every comparison is false, fails
-    if not abs(actual_delay - declared_delay) <= _TOTAL_RTOL * max(1.0, abs(actual_delay)):
+    if not abs(actual_delay - total_delay) <= _TOTAL_RTOL * max(1.0, abs(actual_delay)):
         out.append(
-            f"delay-mismatch: declared {declared_delay:.12g}, recomputed {actual_delay:.12g}"
+            f"delay-mismatch: declared {total_delay:.12g}, recomputed {actual_delay:.12g}"
         )
-    if not abs(actual_cost - declared_cost) <= _TOTAL_RTOL * max(1.0, abs(actual_cost)):
+    if not abs(actual_cost - total_cost) <= _TOTAL_RTOL * max(1.0, abs(actual_cost)):
         out.append(
-            f"cost-mismatch: declared {declared_cost:.12g}, recomputed {actual_cost:.12g}"
+            f"cost-mismatch: declared {total_cost:.12g}, recomputed {actual_cost:.12g}"
         )
     return out
 

@@ -18,13 +18,21 @@ import pytest
 from edgeplace.baselines import joint_objective_weights, solve_joint_milp
 from edgeplace.bench import ExperimentPlan, evaluate_candidates, train_agent
 from edgeplace.cli import EXIT_INVALID, EXIT_OK, main
-from edgeplace.env import PENALTY_REWARD, PlacementEnv, RewardBounds, normalize_and_reward
+from edgeplace.env import (
+    PENALTY_REWARD,
+    PlacementEnv,
+    RewardBounds,
+    normalize_and_reward,
+    run_episode,
+)
 from edgeplace.model import save_scenario
 from edgeplace.nn import MLP
 from edgeplace.ppo import PPOConfig, log_prob_from_logits, ppo_loss_and_grad
 from edgeplace.routing import RoutingProblem, solve_routing
 from edgeplace.scenarios import build_preset, preset_workload_config
-from edgeplace.verify import save_decision
+from edgeplace.util import rng_stream
+from edgeplace.verify import decision_to_dict, save_decision
+from edgeplace.workload import generate_workloads
 
 from conftest import make_scenario, random_routing_case
 from oracles import brute_force_routing, exhaustive_joint_enumeration, finite_difference_grad
@@ -69,12 +77,17 @@ def small_trainings():
 
 
 @pytest.fixture(scope="module")
-def small_rows(small_trainings):
-    scenario = build_preset("small-payload")
-    agents = {
+def small_agents(small_trainings):
+    """The small-preset seed-1 policies by alpha, shared by small_rows and criterion 9."""
+    return {
         0.0: small_trainings[1][0].agent,
         0.5: _train("small-payload", 0.5, 1)[0].agent,
     }
+
+
+@pytest.fixture(scope="module")
+def small_rows(small_agents):
+    scenario = build_preset("small-payload")
     plan = ExperimentPlan(
         scenario=scenario,
         workload_cfg=preset_workload_config("small-payload", EVAL_SNAPSHOTS),
@@ -83,7 +96,7 @@ def small_rows(small_trainings):
         eval_snapshots=EVAL_SNAPSHOTS,
         timing=False,
     )
-    return evaluate_candidates(plan, EVAL_SEED, agents)
+    return evaluate_candidates(plan, EVAL_SEED, small_agents)
 
 
 @pytest.fixture(scope="module")
@@ -468,11 +481,32 @@ def _corruptions(doc: dict):
     return out
 
 
-def test_criterion_09_verifier_soundness(report, small_rows, tmp_path):
+def _agent_decision_docs(scenario, agents, rows):
+    """Each agent row's decision document, from its episode re-run on its evaluation snapshot."""
+    cfg = preset_workload_config("small-payload", EVAL_SNAPSHOTS)
+    snapshots = generate_workloads(
+        scenario.n_functions, scenario.n_nodes, cfg, rng_stream(EVAL_SEED, "workload-eval")
+    )
+    docs = []
+    for row in rows:
+        assert row.candidate == "agent"
+        workload = snapshots[row.snapshot]
+        record = run_episode(agents[row.alpha], PlacementEnv(scenario, row.alpha), workload)
+        placements = np.array([record.placements[f] for f in range(scenario.n_functions)])
+        docs.append(
+            decision_to_dict(
+                scenario.name, workload, placements, record.routes, record.total_delay,
+                record.total_cost, row.candidate, row.alpha, row.snapshot,
+            )
+        )
+    return docs
+
+
+def test_criterion_09_verifier_soundness(report, small_agents, small_rows, tmp_path):
     scenario = build_preset("small-payload")
     scenario_path = tmp_path / "scenario.json"
     save_scenario(str(scenario_path), scenario)
-    docs = [r.decision_doc for r in small_rows if r.decision_doc is not None][:10]
+    docs = _agent_decision_docs(scenario, small_agents, [r for r in small_rows if r.valid][:10])
     assert len(docs) == 10
     good_paths = []
     for k, doc in enumerate(docs):

@@ -5,12 +5,13 @@ import json
 import os
 
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeplace import bench
+from edgeplace import baselines, bench
 from edgeplace.bench import (
     CANDIDATES,
     RESULT_COLUMNS,
@@ -194,6 +195,25 @@ def test_invalid_agent_row_carries_nan_totals():
     [row] = evaluate_candidates(plan, 1, {0.0: agent}, snapshots=[scenario.workload])
     assert not row.valid
     assert np.isnan(row.total_delay) and np.isnan(row.cost) and np.isnan(row.delay_ms_per_req)
+
+
+def test_result_row_fields_are_the_results_columns():
+    assert tuple(f.name for f in fields(bench.ResultRow)) == RESULT_COLUMNS
+
+
+def test_evaluate_refuses_an_unverifiable_row(small_plan, monkeypatch):
+    solve_vsvbp = baselines.solve_vsvbp
+
+    def short_routed(scenario, workload):
+        sol = solve_vsvbp(scenario, workload)
+        routes = {**sol.routes, 0: sol.routes[0].copy()}
+        routes[0][0] *= 0.9  # source 0 ships 90% of function 0's traffic
+        return replace(sol, routes=routes)
+
+    monkeypatch.setattr(baselines, "solve_vsvbp", short_routed)
+    plan = replace(small_plan, candidates=("vsvbp",), timing=False)
+    with pytest.raises(AssertionError, match="route-sum"):
+        evaluate_candidates(plan, seed=3, agents={})
 
 
 def test_agent_decision_time_covers_the_whole_episode(small_plan, tri_scenario, monkeypatch):

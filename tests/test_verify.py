@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgeplace.baselines import solve_joint_milp, solve_vsvbp
+from edgeplace.util import canonical_json
 from edgeplace.verify import (
     DecisionFormatError,
     decision_to_dict,
@@ -44,6 +45,28 @@ def test_greedy_output_verifies_clean(tri_scenario):
         sol.total_delay, sol.total_cost, "vsvbp", 0.0, 3,
     )
     assert verify_decision(tri_scenario, doc) == []
+
+
+@pytest.mark.parametrize("as_type", [
+    lambda p: p,  # bool
+    lambda p: p.astype(float),
+    lambda p: 1.5 * p - 0.25,  # fractional: int() and astype(int) both truncate
+], ids=["bool", "float", "fractional"])
+def test_decision_to_dict_matches_per_element_construction(tri_scenario, as_type):
+    sol = solve_vsvbp(tri_scenario)
+    placements = as_type(sol.placements)
+    doc = decision_to_dict(
+        tri_scenario.name, tri_scenario.workload, placements, sol.routes,
+        sol.total_delay, sol.total_cost, "vsvbp", 0.0, 3,
+    )
+    per_element = dict(
+        doc,
+        workload=[[float(v) for v in row] for row in tri_scenario.workload],
+        placements=[[int(v) for v in row] for row in placements],
+        routes=[[[float(v) for v in row] for row in sol.routes[f]]
+                for f in range(tri_scenario.n_functions)],
+    )
+    assert canonical_json(doc) == canonical_json(per_element)  # also tells 1 from 1.0
 
 
 def test_round_trip_via_file(tri_scenario, good_doc, tmp_path):
