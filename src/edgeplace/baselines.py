@@ -331,7 +331,7 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     n = scenario.n_nodes
     crit = scenario.criticality or (0,) * scenario.n_functions
     base = make_queue(scenario, workload)
-    order = sorted(base, key=lambda f: (-crit[f], base.index(f)))
+    order = sorted(base, key=lambda f: -crit[f])  # a stable sort: ties keep queue order
     cores, memory = scenario.topology.cores, scenario.topology.memory
     placements = np.zeros((scenario.n_functions, n), dtype=bool)
     routes: dict[int, np.ndarray] = {}

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import types
@@ -24,7 +23,7 @@ from .model import ScenarioError, load_scenario, save_scenario
 from .nn import PolicyArchitectureError
 from .ppo import PPOConfig, load_policy
 from .scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
-from .util import rng_stream
+from .util import load_json, rng_stream
 from .verify import verify_file
 from .workload import WorkloadError, WorkloadGenConfig, generate_workloads, ingest_trace, write_trace
 
@@ -59,16 +58,24 @@ def positive_int(text: str) -> int:
     return value
 
 
+def unit_interval(text: str) -> float:
+    """argparse type of a cost weight: a value outside [0, 1], NaN included, is a usage error."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 def _add_seed_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="root seed for all sub-streams")
-    sub.add_argument("--out", default=None, help="output file or directory")
+    sub.add_argument("--out", required=True, help="output file or directory")
 
 
 def _add_common(sub: argparse.ArgumentParser, alpha: bool = False) -> None:
     """Flags of the commands that read a scenario and a config and write output."""
     sub.add_argument("--scenario", required=True, help="scenario JSON path")
     if alpha:
-        sub.add_argument("--alpha", type=float, default=0.0, help="cost weight in [0, 1]")
+        sub.add_argument("--alpha", type=unit_interval, default=0.0, help="cost weight in [0, 1]")
     _add_seed_out(sub)
     sub.add_argument("--config", default=None, help="JSON file with config overrides")
 
@@ -176,18 +183,17 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
+def _as_declared(value):
+    """A value that _fits its field, with each list, nested ones too, the tuple it stands for."""
+    return tuple(map(_as_declared, value)) if isinstance(value, list) else value
+
+
 def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
-    """The config file's overrides; a section outside `sections`, the ones the
-    command reads, is a usage error."""
+    """The config file's overrides, each a value of its field's declared type; a
+    section outside `sections`, the ones the command reads, is a usage error."""
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config {path} must be a JSON object")
+    doc = load_json(path, UsageError, "config")
     for section, patch in doc.items():
         if section not in sections:
             raise UsageError(
@@ -215,14 +221,12 @@ def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
                 raise UsageError(
                     f"config {path}: '{section}.{key}' must be {wording}, got {value!r}"
                 )
+            patch[key] = _as_declared(value)
     return doc
 
 
 def _ppo_config(overrides: dict) -> PPOConfig:
-    patch = dict(overrides.get("ppo", {}))
-    if "hidden" in patch:
-        patch["hidden"] = tuple(patch["hidden"])
-    return replace(PPOConfig(), **patch)
+    return replace(PPOConfig(), **overrides.get("ppo", {}))
 
 
 def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGenConfig:
@@ -230,22 +234,14 @@ def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGen
         cfg = preset_workload_config(scenario.name, n_snapshots)
     else:
         cfg = WorkloadGenConfig(n_snapshots=n_snapshots, hotspot_count=min(2, scenario.n_nodes))
-    patch = dict(overrides.get("workload", {}))
+    patch = overrides.get("workload", {})
     ranges = patch.get("per_function_rate_ranges")
     if ranges is not None and len(ranges) != scenario.n_functions:
         raise UsageError(
             f"config: 'workload.per_function_rate_ranges' has {len(ranges)} entries, "
             f"scenario {scenario.name!r} has {scenario.n_functions} functions"
         )
-    if "rate_range" in patch:
-        patch["rate_range"] = tuple(patch["rate_range"])
     return replace(cfg, **patch)
-
-
-def _require_out(args, what: str) -> str:
-    if not args.out:
-        raise UsageError(f"--out is required for {what}")
-    return args.out
 
 
 def _unique(flag: str, values: tuple) -> tuple:
@@ -258,11 +254,11 @@ def _unique(flag: str, values: tuple) -> tuple:
 
 def _alpha_list(spec: str) -> tuple[float, ...]:
     try:
-        alphas = tuple(float(a) for a in spec.split(",") if a.strip() != "")
-    except ValueError as exc:
-        raise UsageError(f"bad --alphas value {spec!r}") from exc
-    if not alphas or any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise UsageError("--alphas entries must lie in [0, 1]")
+        alphas = tuple(unit_interval(a) for a in spec.split(",") if a.strip() != "")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"bad --alphas value {spec!r}: {exc}") from exc
+    if not alphas:
+        raise UsageError("--alphas names no cost weight")
     return _unique("--alphas", alphas)
 
 
@@ -272,7 +268,6 @@ def _alpha_list(spec: str) -> tuple[float, ...]:
 
 
 def cmd_gen_scenario(args) -> int:
-    out = _require_out(args, "gen-scenario")
     shape = {"--nodes": args.nodes, "--functions": args.functions, "--seed": args.seed}
     if args.preset:
         given = [flag for flag, value in shape.items() if value is not None]
@@ -286,36 +281,32 @@ def cmd_gen_scenario(args) -> int:
             rng_stream(0 if args.seed is None else args.seed, "gen-scenario"),
             name="random",
         )
-    save_scenario(out, scenario)
-    print(f"wrote scenario {scenario.name!r} to {out}")
+    save_scenario(args.out, scenario)
+    print(f"wrote scenario {scenario.name!r} to {args.out}")
     return EXIT_OK
 
 
 def cmd_gen_workload(args) -> int:
-    out = _require_out(args, "gen-workload")
     scenario = load_scenario(args.scenario)
     overrides = _load_overrides(args.config, ("workload",))
     cfg = _workload_config(scenario, args.snapshots, overrides)
     snapshots = generate_workloads(
         scenario.n_functions, scenario.n_nodes, cfg, rng_stream(args.seed, "workload-eval")
     )
-    write_trace(out, snapshots)
-    print(f"wrote {len(snapshots)} snapshots to {out}")
+    write_trace(args.out, snapshots)
+    print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    out_dir = _require_out(args, "train")
     scenario = load_scenario(args.scenario)
-    if not 0.0 <= args.alpha <= 1.0:
-        raise UsageError("--alpha must lie in [0, 1]")
     overrides = _load_overrides(args.config, ("ppo", "workload"))
     ppo_cfg = _ppo_config(overrides)
     workload_cfg = _workload_config(scenario, args.train_snapshots, overrides)
     result = bench.train_agent(
         scenario, args.alpha, args.seed, workload_cfg, ppo_cfg, args.timesteps
     )
-    policy_path, log_path = bench.save_training(out_dir, result)
+    policy_path, log_path = bench.save_training(args.out, result)
     last = result.log_rows[-1]
     print(f"trained {last['timesteps']} steps over {last['episodes']} episodes")
     print(f"wrote {policy_path}")
@@ -344,10 +335,7 @@ def _build_plan(args, scenario, overrides, n_snapshots, **fields) -> bench.Exper
 
 
 def cmd_evaluate(args) -> int:
-    out_dir = _require_out(args, "evaluate")
     scenario = load_scenario(args.scenario)
-    if not 0.0 <= args.alpha <= 1.0:
-        raise UsageError("--alpha must lie in [0, 1]")
     candidates = _candidate_list(args.candidates)
     if args.trace and args.snapshots is not None:
         raise UsageError("--trace takes no --snapshots: the trace sets the snapshot count")
@@ -380,14 +368,13 @@ def cmd_evaluate(args) -> int:
             )
         plan = replace(plan, eval_snapshots=len(snapshots))
     rows = bench.evaluate_candidates(plan, args.seed, agents, snapshots=snapshots)
-    paths, summary = bench.emit_results(out_dir, rows, plan, args.seed)
+    paths, summary = bench.emit_results(args.out, rows, plan, args.seed)
     print(bench.render_summary_table(summary), end="")
     print(f"wrote {paths['results']}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    out_dir = _require_out(args, "compare")
     scenario = load_scenario(args.scenario)
     overrides = _load_overrides(args.config, ("ppo", "workload"))
     alphas = _alpha_list(args.alphas)
@@ -396,7 +383,7 @@ def cmd_compare(args) -> int:
         train_snapshots=args.train_snapshots, total_timesteps=args.timesteps,
         ppo=_ppo_config(overrides),
     )
-    outcome = bench.run_compare(plan, args.seed, out_dir)
+    outcome = bench.run_compare(plan, args.seed, args.out)
     print(bench.render_summary_table(outcome["summary"]), end="")
     print(f"wrote {outcome['paths']['results']}")
     return EXIT_OK
@@ -438,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"edgeplace: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # reads fail as the loaders' own errors, so this is a write
+        print(f"edgeplace: error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ScenarioError, WorkloadError, PolicyArchitectureError) as exc:
         print(f"edgeplace: invalid input: {exc}", file=sys.stderr)

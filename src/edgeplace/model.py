@@ -255,13 +255,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        doc = load_json(path)
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"scenario {path} is not a JSON object")
-    return scenario_from_dict(doc)
+    return scenario_from_dict(load_json(path, ScenarioError, "scenario"))
 
 
 def save_scenario(path: str, scenario: Scenario) -> None:

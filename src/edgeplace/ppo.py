@@ -136,22 +136,22 @@ def compute_gae(trajectory: Trajectory, gamma: float, lam: float):
 # --------------------------------------------------------------------------
 
 
-def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig, with_stats: bool = True):
+def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
     """Analytic loss and flat parameter gradient for one minibatch.
 
     batch: states (B,D), actions (B,N) as 0/1 floats, old_log_probs (B,),
     advantages (B,) (already normalized), returns (B,). Returns (stats dict,
-    grad vector); with_stats=False skips the loss and its diagnostics and
-    returns None for the stats, with the same gradient.
+    grad vector).
     """
     return _loss_and_grad(
         net, batch["states"], batch["actions"], batch["old_log_probs"], batch["advantages"],
-        batch["returns"], config, with_stats,
+        batch["returns"], config, True,
     )
 
 
 def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats):
-    """ppo_loss_and_grad on the minibatch's columns."""
+    """ppo_loss_and_grad on the minibatch's columns; with_stats=False skips the loss
+    and its diagnostics and returns None for the stats, with the same gradient."""
     b = states.shape[0]
     eps = config.clip_ratio
     stats: dict = {}
@@ -283,12 +283,7 @@ def load_policy(
     path: str, expect_input_dim: int | None = None, expect_n_actions: int | None = None
 ) -> PolicyCheckpoint:
     """Read a checkpoint; any unreadable or incomplete file is a PolicyArchitectureError."""
-    try:
-        doc = load_json(path)
-    except (OSError, ValueError) as exc:
-        raise PolicyArchitectureError(f"cannot read policy {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PolicyArchitectureError(f"policy {path} is not a JSON object")
+    doc = load_json(path, PolicyArchitectureError, "policy")
     try:
         return _checkpoint_from_doc(doc, expect_input_dim, expect_n_actions)
     except KeyError as exc:

@@ -78,7 +78,10 @@ from scipy.optimize import linprog
 
 _EPS_FEAS = 1e-9
 _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
-# memo sizes; a training run meets about 300 (cost, flow cells) pairs
+# memo sizes. _certificate's lookups (hits) at alpha 0, seed 1: 4096 training steps make
+# none on the presets and 80 (7) and 73 (0) on random_scenario(10, 15) and (20, 30) with
+# default_rng(1), all on rows that go on to HiGHS; the agent's decisions on 20 snapshots
+# after it make 52 (38) on small-payload, 98 (82) on large-payload and 261 (167) at 20x30
 _CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
 # solve_routing's plans: a preset evaluation meets 3 (sources, hosts) pairs, a 20-node one tens

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded sub-streams and canonical JSON output."""
+"""Small shared helpers: seeded sub-streams, canonical JSON output and JSON-object input."""
 
 from __future__ import annotations
 
@@ -33,6 +33,13 @@ def dump_json(path: str, obj: Any) -> None:
         fh.write(text)
 
 
-def load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path: str, error: type[Exception], what: str) -> dict:
+    """The JSON object in a file; an unreadable file or any other JSON value raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return doc

@@ -58,13 +58,7 @@ def save_decision(path: str, doc: dict) -> None:
 
 
 def load_decision(path: str) -> dict:
-    try:
-        doc = load_json(path)
-    except (OSError, ValueError) as exc:
-        raise DecisionFormatError(f"cannot read decision file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DecisionFormatError(f"decision file {path} is not a JSON object")
-    return doc
+    return load_json(path, DecisionFormatError, "decision file")
 
 
 def verify_decision(scenario: Scenario, doc: dict) -> list[str]:

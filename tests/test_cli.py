@@ -322,9 +322,139 @@ def test_one_node_generated_scenario_trains(tmp_path):
         assert code == EXIT_OK, command
 
 
-def test_unwritable_output_exits_3(tmp_path):
-    out = tmp_path / "no" / "such" / "dir" / "s.json"
-    assert run_cli("gen-scenario", "--preset", "small-payload", "--out", str(out)) == EXIT_INTERNAL
+@pytest.mark.parametrize("out", ["no/such/dir/s.json", ""], ids=["missing-dir", "empty"])
+def test_unwritable_output_exits_1(tmp_path, capsys, out):
+    out = str(tmp_path / out) if out else out
+    assert run_cli("gen-scenario", "--preset", "small-payload", "--out", out) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and repr(out) in err
+
+
+def test_an_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("edgeplace.cli.save_scenario", fail)
+    out = str(tmp_path / "s.json")
+    assert run_cli("gen-scenario", "--preset", "small-payload", "--out", out) == EXIT_INTERNAL
+    assert "internal error: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--alpha", "1.5"),
+        ("train", "--alpha", "nan"),
+        ("evaluate", "--alpha", "-0.1"),
+        ("compare", "--alphas", "0,x"),  # test_bad_alphas_rejected takes one above 1
+    ],
+    ids=["train-above-1", "train-nan", "evaluate-negative", "alphas-non-numeric"],
+)
+def test_cost_weight_outside_unit_interval_exits_1(scenario_path, tmp_path, capsys, command,
+                                                   flag, value):
+    out = tmp_path / "o"
+    code = run_cli(
+        command, "--scenario", scenario_path, "--out", str(out), *_SMALL_RUN[command],
+        flag, value,  # the last occurrence of a flag wins
+    )
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, cause",
+    [
+        (None, "cannot read config"),
+        ('{"ppo": ', "cannot read config"),
+        ("[]", "is not a JSON object"),
+        (json.dumps({"ppo": [["epochs", 1]]}), "section 'ppo' must be a JSON object"),
+    ],
+    ids=["missing", "unparseable", "list", "section-list"],
+)
+def test_unreadable_config_exits_1(scenario_path, tmp_path, capsys, content, cause):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    code = run_cli(
+        "train", "--scenario", scenario_path, "--out", str(tmp_path / "o"),
+        *_SMALL_RUN["train"], "--config", str(path),
+    )
+    assert code == EXIT_USAGE
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["scenario", "checkpoint", "decision"])
+def test_a_file_holding_a_json_list_is_refused(scenario_path, tmp_path, capsys, kind):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    out = str(tmp_path / "o")
+    argv = {
+        "scenario": ["gen-workload", "--scenario", str(listed), "--out", out],
+        "checkpoint": ["evaluate", "--scenario", scenario_path, "--out", out,
+                       "--snapshots", "2", "--checkpoint", str(listed)],
+        "decision": ["verify", "--scenario", scenario_path, str(listed)],
+    }[kind]
+    assert run_cli(*argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    # verify reports a file it cannot read as a FAIL line on stdout
+    report = captured.out if kind == "decision" else captured.err
+    assert f"{listed} is not a JSON object" in report
+    if kind == "decision":
+        assert f"FAIL {listed}" in report
+
+
+@pytest.mark.parametrize(
+    "field, cause", [("placements", "placements shape"), ("routes", "non-finite route entry")]
+)
+def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_scenario, tmp_path,
+                                                          capsys, field, cause):
+    from edgeplace.baselines import solve_vsvbp
+    from edgeplace.verify import decision_to_dict
+
+    sol = solve_vsvbp(tri_scenario)
+    doc = decision_to_dict(
+        tri_scenario.name, tri_scenario.workload, sol.placements, sol.routes,
+        sol.total_delay, sol.total_cost, "vsvbp", 0.0, 0,
+    )
+    if field == "placements":
+        doc["placements"] = doc["placements"][:-1]
+    else:
+        doc["routes"][0][0][0] = float("inf")  # json writes an Infinity literal
+    path = tmp_path / "decision.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("verify", "--scenario", scenario_path, str(path)) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "FAIL" in out and cause in out
+
+
+def test_checkpoint_state_scale_of_the_wrong_length_exits_2(scenario_path, tmp_path, capsys):
+    checkpoint = tmp_path / "policy.json"
+    net = MLP(state_dim(3), 3, hidden=(4,), rng=np.random.default_rng(0))
+    save_policy(str(checkpoint), PolicyAgent(net=net, state_scale=np.ones(state_dim(3))))
+    doc = json.loads(checkpoint.read_text())
+    doc["state_scale"] = doc["state_scale"][:-1]
+    checkpoint.write_text(json.dumps(doc))
+    code = run_cli(
+        "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+        "--checkpoint", str(checkpoint), "--snapshots", "2",
+    )
+    assert code == EXIT_INVALID
+    assert "state_scale length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, cause",
+    [("0,1,0", "expected 4 columns, got 3"), ("0,-1,0,1.0", "negative index")],
+    ids=["three-columns", "negative-function"],
+)
+def test_evaluate_refuses_a_bad_trace_line(scenario_path, tmp_path, capsys, line, cause):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"snapshot,function_id,node_id,rate\n0,0,0,1.0\n{line}\n")
+    code = run_cli("evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+                   "--candidates", "vsvbp", "--trace", str(trace))
+    assert code == EXIT_INVALID
+    assert f"line 3: {cause}" in capsys.readouterr().err
 
 
 def test_train_refuses_a_diverged_policy(scenario_path, fast_config, tmp_path, monkeypatch,

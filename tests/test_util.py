@@ -16,4 +16,4 @@ def test_dump_json_refusal_leaves_files_as_they_were(tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         dump_json(str(old), {"value": float("inf")})
     assert old.read_bytes() == before
-    assert load_json(str(old)) == {"value": 1.5}
+    assert load_json(str(old), ValueError, "file") == {"value": 1.5}
