@@ -186,8 +186,10 @@ def _rollout_window(
     """Sample one episode per workload, all in lockstep, and let env score them in order.
 
     The uniforms are drawn up front in (episode, step, node) order, which
-    are the draws of sampling the episodes one after another. Returns the
-    window's trajectory in episode order; env keeps its violation codes.
+    are the draws of sampling the episodes one after another. env.rewards()
+    scores the whole window with array scans, with the bits of scoring the
+    episodes one step at a time. Returns the window's trajectory in episode
+    order; env keeps its violation codes.
     """
     n_eps, n_steps, n = len(workloads), env.scenario.n_functions, env.scenario.n_nodes
     uniforms = rng.random((n_eps, n_steps, n))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import types
 import typing
@@ -303,6 +304,7 @@ def cmd_train(args) -> int:
     overrides = _load_overrides(args.config, ("ppo", "workload"))
     ppo_cfg = _ppo_config(overrides)
     workload_cfg = _workload_config(scenario, args.train_snapshots, overrides)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the training
     result = bench.train_agent(
         scenario, args.alpha, args.seed, workload_cfg, ppo_cfg, args.timesteps
     )
@@ -367,6 +369,7 @@ def cmd_evaluate(args) -> int:
                 f"({scenario.n_functions}, {scenario.n_nodes})"
             )
         plan = replace(plan, eval_snapshots=len(snapshots))
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the evaluation
     rows = bench.evaluate_candidates(plan, args.seed, agents, snapshots=snapshots)
     paths, summary = bench.emit_results(args.out, rows, plan, args.seed)
     print(bench.render_summary_table(summary), end="")

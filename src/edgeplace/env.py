@@ -32,8 +32,12 @@ alpha-blend, so 0-cost/0-delay scores +1 and worst-case scores -1. Invalid
 steps (no node chosen, memory or core overdraft, unroutable traffic) score
 a flat penalty below that range and commit nothing. The bounds widen in
 episode order across a run. One scorer holds them and computes every
-reward: PlacementEnv's at each step, and LockstepEnv's in rewards(), which
-scans a finished window in that order.
+reward. PlacementEnv's score() call at each step widens them to that step;
+LockstepEnv's rewards() hands a finished window to score_window, which
+takes the bounds each step sees as running maxima and minima
+(np.maximum.accumulate and np.minimum.accumulate) over the window in
+episode order. Max and min are exact and the normalization and blend are
+score()'s own float64 operations, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -212,13 +216,37 @@ def _normalize(value: float, lo: float, hi: float) -> float:
     return 2.0 * (value - lo) / (hi - lo) - 1.0
 
 
+def _normalize_all(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_normalize of each entry, with its float64 operations in its order."""
+    span = hi - lo
+    degenerate = span <= 1e-12
+    # a degenerate span is divided by 1.0 instead, so no division by zero is taken
+    scaled = 2.0 * (values - lo) / np.where(degenerate, 1.0, span) - 1.0
+    return np.where(degenerate, -1.0, scaled)
+
+
+def _running(ufunc: np.ufunc, seed: float, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """ufunc's running value over seed, then values in C order: (the scan in
+    values' shape, its final value).
+
+    np.maximum and np.minimum return one of their operands, so each entry has
+    the bits of Python's max or min over the same prefix. The one exception is
+    a tie between 0.0 and -0.0, where the scan keeps the later operand and
+    Python the earlier; a window's totals and t_max_bounds are sums of
+    non-negative terms started from 0.0, which are never -0.0.
+    """
+    scan = ufunc.accumulate(np.concatenate(([seed], values.ravel())))
+    return scan[1:].reshape(values.shape), float(scan[-1])
+
+
 class _RewardScorer:
     """A run's reward bounds as four floats, widened in place, and the reward.
 
     score() widens them to a valid step's cumulative delay t and cost c and
-    returns minus the alpha-blend of t and c normalized to them. Every reward
-    is score(): PlacementEnv's per step, LockstepEnv's after its window and
-    normalize_and_reward's.
+    returns minus the alpha-blend of t and c normalized to them: it scores
+    PlacementEnv's steps and normalize_and_reward's. score_window() gives a
+    finished LockstepEnv window the rewards and final bounds that widen()
+    and score() give it one step at a time, with array scans.
     """
 
     __slots__ = ("t_min", "t_max", "c_min", "c_max", "alpha")
@@ -240,6 +268,29 @@ class _RewardScorer:
         t_norm = _normalize(t, self.t_min, self.t_max)
         c_norm = _normalize(c, self.c_min, self.c_max)
         return -(self.alpha * c_norm + (1.0 - self.alpha) * t_norm)
+
+    def score_window(
+        self, t_uppers: np.ndarray, delays: np.ndarray, costs: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """The (E, F) rewards of a window of E episodes of F steps, taken in episode order.
+
+        Episode e first widens t_max to t_uppers[e], as widen() does; then each
+        valid step k scores (delays[e, k], costs[e, k]) as score() does, and each
+        invalid step scores PENALTY_REWARD and moves no bound. The bounds every
+        step sees are prefix scans seeded with the current bounds, and the four
+        final bounds are kept. Every later operation is score()'s own on
+        float64, in its order, so each reward has score()'s bits.
+        """
+        # each episode's row: its t_upper, then its steps
+        t_rows = np.column_stack((t_uppers, np.where(valid, delays, -np.inf)))
+        t_hi, self.t_max = _running(np.maximum, self.t_max, t_rows)
+        t_lo, self.t_min = _running(np.minimum, self.t_min, np.where(valid, delays, np.inf))
+        c_hi, self.c_max = _running(np.maximum, self.c_max, np.where(valid, costs, -np.inf))
+        c_lo, self.c_min = _running(np.minimum, self.c_min, np.where(valid, costs, np.inf))
+        t_norm = _normalize_all(delays, t_lo, t_hi[:, 1:])
+        c_norm = _normalize_all(costs, c_lo, c_hi)
+        blend = -(self.alpha * c_norm + (1.0 - self.alpha) * t_norm)
+        return np.where(valid, blend, PENALTY_REWARD)
 
 
 def normalize_and_reward(
@@ -408,7 +459,7 @@ class LockstepEnv:
     `routing` holds the last step's (E, N, N) routings, zero for invalid
     slots, and `codes` the window's (E, F) violation codes so far. A step
     returns no reward, because the run's reward bounds (`bounds`) widen in
-    episode order: rewards() scores the finished window.
+    episode order: rewards() scores the finished window with array scans.
     """
 
     def __init__(self, scenario: Scenario, alpha: float):
@@ -492,26 +543,20 @@ class LockstepEnv:
         return codes, None if done else self._observe()
 
     def rewards(self) -> np.ndarray:
-        """The finished window's (E, F) rewards, scored as PlacementEnv scores them.
+        """The finished window's (E, F) rewards, with the bits PlacementEnv's steps give.
 
         Episodes are taken in slot order: episode e first widens the bounds to
         its t_max_bound, as PlacementEnv.reset does; then each valid step
         scores its cumulative delay and cost and each invalid step scores
-        PENALTY_REWARD. Scoring moves the run's bounds, so a window is scored once.
+        PENALTY_REWARD. The scorer's score_window takes the whole window at
+        once. Scoring moves the run's bounds, so a window is scored once.
         """
         if self.position < self.queues.shape[1] or self._scored:
             raise RuntimeError("rewards() scores each finished window once; step it to the end")
         self._scored = True
-        rewards = np.full(self.codes.shape, PENALTY_REWARD)
-        delays, costs = self._step_totals.tolist()
-        t_uppers = t_max_bound(self.scenario, self.workloads).tolist()
-        rows = zip(t_uppers, delays, costs, (self.codes == 0).tolist())
-        for e, (t_upper, delay_row, cost_row, valid_row) in enumerate(rows):
-            self._scorer.widen(t_upper)
-            for k, (t, c, ok) in enumerate(zip(delay_row, cost_row, valid_row)):
-                if ok:
-                    rewards[e, k] = self._scorer.score(t, c)
-        return rewards
+        delays, costs = self._step_totals
+        t_uppers = t_max_bound(self.scenario, self.workloads)
+        return self._scorer.score_window(t_uppers, delays, costs, self.codes == 0)
 
 
 # --------------------------------------------------------------------------

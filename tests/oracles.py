@@ -14,7 +14,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from edgeplace.bench import TrainResult
-from edgeplace.env import VIOLATIONS, PlacementEnv, build_state_scale, state_dim
+from edgeplace.env import (
+    PENALTY_REWARD,
+    VIOLATIONS,
+    PlacementEnv,
+    RewardBounds,
+    build_state_scale,
+    normalize_and_reward,
+    state_dim,
+)
 from edgeplace.model import Scenario, Topology
 from edgeplace.nn import MLP, Adam
 from edgeplace.ppo import (
@@ -681,6 +689,25 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator):
     action = rng.random(probs.shape) < probs
     picked = np.where(action, probs, 1.0 - probs)
     return action, float(np.sum(np.log(np.maximum(picked, 1e-300))))
+
+
+def lockstep_rewards_reference(t_uppers: np.ndarray, delays: np.ndarray, costs: np.ndarray,
+                               valid: np.ndarray, bounds: RewardBounds,
+                               alpha: float) -> tuple[np.ndarray, RewardBounds]:
+    """A window's (E, F) rewards and final bounds, scored one step at a time.
+
+    Episodes go in order: episode e widens t_max to t_uppers[e], as
+    PlacementEnv.reset does; then each valid step k takes normalize_and_reward
+    of (delays[e][k], costs[e][k]) against the bounds so far, the reward
+    PlacementEnv.step pays, and each invalid step scores PENALTY_REWARD.
+    """
+    rewards = np.full(valid.shape, PENALTY_REWARD)
+    for e, t_upper in enumerate(t_uppers.tolist()):
+        bounds = replace(bounds, t_max=max(bounds.t_max, t_upper))
+        for k, (t, c, ok) in enumerate(zip(delays[e].tolist(), costs[e].tolist(), valid[e])):
+            if ok:
+                rewards[e, k], bounds = normalize_and_reward(t, c, bounds, alpha)
+    return rewards, bounds
 
 
 def train_agent_reference(scenario: Scenario, alpha: float, seed: int,

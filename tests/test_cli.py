@@ -330,6 +330,24 @@ def test_unwritable_output_exits_1(tmp_path, capsys, out):
     assert "cannot write output" in err and repr(out) in err
 
 
+@pytest.mark.parametrize("out", ["under-a-file", ""])
+@pytest.mark.parametrize("command, work", [("train", "train_agent"),
+                                           ("evaluate", "evaluate_candidates")])
+def test_unusable_out_exits_1_before_the_work(scenario_path, tmp_path, monkeypatch, capsys,
+                                              command, work, out):
+    def fail(*args, **kwargs):  # a call would end as an internal error, exit 3
+        raise RuntimeError(f"{work} ran")
+
+    monkeypatch.setattr(bench, work, fail)
+    if out:
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "runs")
+    code = run_cli(command, "--scenario", scenario_path, "--out", out, *_SMALL_RUN[command])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and repr(out) in err
+
+
 def test_an_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys):
     def fail(*args):
         raise RuntimeError("boom")

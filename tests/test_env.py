@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from edgeplace.env import (
     LockstepEnv,
     PlacementEnv,
     RewardBounds,
+    _RewardScorer,
     build_state_scale,
     cost_increment,
     make_queue,
@@ -32,7 +34,13 @@ from edgeplace.util import rng_stream
 from edgeplace.workload import WorkloadGenConfig, generate_workloads
 
 from conftest import count_highs_fallbacks, make_scenario
-from oracles import build_state, commit, empty_state, state_scale_reference
+from oracles import (
+    build_state,
+    commit,
+    empty_state,
+    lockstep_rewards_reference,
+    state_scale_reference,
+)
 
 
 def _agent(scenario, snapshots):
@@ -230,6 +238,80 @@ def test_observation_beyond_window_widens_it():
     reward, bounds = normalize_and_reward(30.0, 0.0, bounds, alpha=0.0)
     assert bounds.t_max == 30.0
     assert reward == pytest.approx(-1.0)  # worst seen so far
+
+
+def _assert_window_matches_reference(bounds, alpha, t_uppers, delays, costs, valid):
+    """score_window's rewards and final bounds have the bits of the one-step-at-a-time
+    reference, and scoring raises no warning."""
+    t_uppers, delays, costs = (np.array(v, dtype=float) for v in (t_uppers, delays, costs))
+    valid = np.array(valid, dtype=bool).reshape(delays.shape)
+    scorer = _RewardScorer(alpha, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rewards = scorer.score_window(t_uppers, delays, costs, valid)
+    want, want_bounds = lockstep_rewards_reference(t_uppers, delays, costs, valid, bounds, alpha)
+    assert rewards.tobytes() == want.tobytes()
+    got = (scorer.t_min, scorer.t_max, scorer.c_min, scorer.c_max)
+    assert np.array(got).tobytes() == np.array(list(want_bounds.to_dict().values())).tobytes()
+    assert all(type(value) is float for value in got)
+
+
+_RUN_START = RewardBounds(c_max=90.0)  # a fresh run's bounds: c_max at the cluster's cores
+
+
+@pytest.mark.parametrize(
+    "bounds, t_uppers, delays, costs, valid",
+    [
+        # all-invalid windows: only each episode's t_upper moves a bound
+        (_RUN_START, [40.0, 70.0], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+         [[False, False], [False, False]]),
+        # zero-traffic episodes: t_upper 0 and every total 0, a degenerate delay span
+        (_RUN_START, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+         [[True, True], [True, False]]),
+        (RewardBounds(), [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [[True, True, True]]),
+        # a span of exactly 1e-12 is still degenerate
+        (RewardBounds(), [1e-12], [[0.0, 1e-12]], [[0.0, 0.0]], [[True, True]]),
+        # a zero-traffic episode after a busy one scores against the busy one's bounds
+        (_RUN_START, [50.0, 0.0], [[12.0, 30.0], [0.0, 0.0]], [[4.0, 9.0], [0.0, 0.0]],
+         [[True, True], [True, True]]),
+        # one episode, and one step
+        (_RUN_START, [50.0], [[12.0, 12.0, 60.0]], [[4.0, 4.0, 100.0]], [[True, False, True]]),
+        (_RUN_START, [50.0], [[12.0]], [[4.0]], [[True]]),
+        (RewardBounds(t_min=3.0, t_max=8.0, c_min=1.0, c_max=2.0), [5.0], [[1.0]], [[9.0]],
+         [[True]]),
+    ],
+    ids=["all-invalid", "zero-traffic", "zero-traffic-fresh-bounds", "span-at-the-edge",
+         "zero-after-busy", "one-episode", "one-step", "one-step-moves-every-bound"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.3])
+def test_window_scores_match_step_by_step_reference(bounds, t_uppers, delays, costs, valid, alpha):
+    _assert_window_matches_reference(bounds, alpha, t_uppers, delays, costs, valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_window_scores_match_step_by_step_reference_on_random_windows(data):
+    n_episodes = data.draw(st.integers(1, 5), label="episodes")
+    n_steps = data.draw(st.integers(1, 5), label="steps")
+    # non-negative like every total and t_max_bound; the pool makes ties and spans
+    # at the degenerate edge (1e-12 - 0.0 is exactly 1e-12) common
+    value = st.one_of(st.sampled_from([0.0, 1e-12, 2.5, 40.0]), st.floats(0.0, 1e4))
+    values = st.lists(value, min_size=n_episodes * n_steps, max_size=n_episodes * n_steps)
+    validity = data.draw(st.sampled_from(["mixed", "all-invalid", "all-valid"]), label="valid")
+    if validity == "mixed":
+        valid = data.draw(st.lists(st.booleans(), min_size=n_episodes * n_steps,
+                                   max_size=n_episodes * n_steps), label="mask")
+    else:
+        valid = [validity == "all-valid"] * (n_episodes * n_steps)
+    t_uppers = data.draw(st.lists(value, min_size=n_episodes, max_size=n_episodes))
+    delays = np.reshape(data.draw(values, label="delays"), (n_episodes, n_steps))
+    costs = np.reshape(data.draw(values, label="costs"), (n_episodes, n_steps))
+    for e in data.draw(st.sets(st.integers(0, n_episodes - 1)), label="zero-traffic episodes"):
+        t_uppers[e] = 0.0
+        delays[e] = costs[e] = 0.0
+    bounds = RewardBounds(*data.draw(st.lists(value, min_size=4, max_size=4), label="bounds"))
+    alpha = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="alpha")
+    _assert_window_matches_reference(bounds, alpha, t_uppers, delays, costs, valid)
 
 
 def test_valid_step_commits_and_scores(tri_scenario):
