@@ -172,9 +172,17 @@ def observe(delays, cores, memory, rows, queued, total_delay) -> np.ndarray:
 
 
 def build_state_scale(scenario: Scenario, snapshots: list[np.ndarray]) -> np.ndarray:
-    """Fixed positive per-component scale so state entries land near [0, 1]."""
-    rate_max = max((float(s.max()) for s in snapshots if s.size), default=1.0)
-    t_max = max((t_max_bound(scenario, s) for s in snapshots), default=1.0)
+    """Fixed positive per-component scale so state entries land near [0, 1].
+
+    The snapshots' rate maximum and their largest t_max_bound are taken on
+    their (E, F, N) stack, each bound with the bits of its own snapshot's.
+    Without snapshots both are 1.0, as the rate maximum is without rates.
+    """
+    rate_max = t_max = 1.0
+    if snapshots:
+        stack = np.stack(snapshots)
+        rate_max = float(stack.max()) if stack.size else 1.0
+        t_max = float(t_max_bound(scenario, stack).max())
     topology = scenario.topology
     return observe(
         delays=max(float(topology.delays.max()), 1.0),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .nn import MLP, Adam, PolicyArchitectureError, layer_shapes
+from .nn import MLP, Adam, PolicyArchitectureError, Workspace, layer_shapes
 from .util import dump_json, load_json
 
 POLICY_SCHEMA_VERSION = 1
@@ -42,8 +42,13 @@ class PPOConfig:
 # --------------------------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * z)), built in place in out, or in a new array."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -141,25 +146,50 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
 
     batch: states (B,D), actions (B,N) as 0/1 floats, old_log_probs (B,),
     advantages (B,) (already normalized), returns (B,). Returns (stats dict,
-    grad vector).
+    grad vector), the gradient a new array.
     """
+    states = batch["states"]
     return _loss_and_grad(
-        net, batch["states"], batch["actions"], batch["old_log_probs"], batch["advantages"],
-        batch["returns"], config, True,
+        net, states, batch["actions"], batch["old_log_probs"], batch["advantages"],
+        batch["returns"], config, True, _UpdateWorkspace.build(net, len(states)),
     )
 
 
-def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats):
-    """ppo_loss_and_grad on the minibatch's columns; with_stats=False skips the loss
-    and its diagnostics and returns None for the stats, with the same gradient."""
+@dataclass
+class _UpdateWorkspace:
+    """One ppo_update's buffers, for minibatches of up to net.rows rows.
+
+    net is the network's Workspace. logits (rows, N) holds the contiguous
+    copy of the head's logit columns, probs (rows, N) their probabilities
+    and d_head (rows, N + 1) the loss gradient w.r.t. the head output. A
+    minibatch of B rows uses the leading B rows of each.
+    """
+
+    net: Workspace
+    logits: np.ndarray
+    probs: np.ndarray
+    d_head: np.ndarray
+
+    @classmethod
+    def build(cls, net: MLP, rows: int) -> "_UpdateWorkspace":
+        n = net.n_actions
+        return cls(net.workspace(rows), np.empty((rows, n)), np.empty((rows, n)),
+                   np.empty((rows, n + 1)))
+
+
+def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats, workspace):
+    """ppo_loss_and_grad on the minibatch's columns, with its arrays in workspace (an
+    _UpdateWorkspace); with_stats=False skips the loss and its diagnostics and returns
+    None for the stats, with the same gradient."""
     b = states.shape[0]
     eps = config.clip_ratio
     stats: dict = {}
 
-    def d_out(logits, values):
-        # logits is a column slice of the head output; elementwise work is faster on a copy
-        logits = np.ascontiguousarray(logits)
-        probs = _sigmoid(logits)
+    def d_out(head_logits, values):
+        # head_logits is a column slice of the head output; elementwise work is faster on a copy
+        logits = workspace.logits[:b]
+        np.copyto(logits, head_logits)
+        probs = _sigmoid(logits, out=workspace.probs[:b])
         new_lp = log_prob_from_logits(logits, actions)
         ratio = np.exp(new_lp - old_lp)
         # gradient flows only where the unclipped branch attains the min
@@ -180,7 +210,7 @@ def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats):
         entropy_grad /= b
         d_logits += entropy_grad
         v_err = values - rets
-        d_head = np.empty((b, logits.shape[1] + 1))
+        d_head = workspace.d_head[:b]
         d_head[:, :-1] = d_logits
         d_head[:, -1] = config.value_coef * 2.0 * v_err / b
         if with_stats:
@@ -194,7 +224,7 @@ def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats):
             stats["approx_kl"] = float(np.mean(old_lp - new_lp))
         return d_head
 
-    _, _, grad = net.forward_backward(states, d_out)
+    _, _, grad = net.forward_backward(states, d_out, workspace.net)
     if not with_stats:
         return None, grad
     stats["loss"] = (
@@ -217,9 +247,12 @@ def ppo_update(
     Each epoch gathers each of the trajectory's columns once, in a fresh
     shuffled order, and cuts minibatch k as rows k*size to (k+1)*size of
     those gathered arrays, so the last one is ragged when size does not
-    divide the window. Returns the loss diagnostics of the last minibatch of
-    the last epoch, the only one they are computed for, plus the window's
-    mean reward.
+    divide the window. The update owns one workspace, sized for
+    min(size, window) rows: every minibatch's activations, loss head, deltas
+    and gradient are written into it (a ragged one into its leading rows),
+    and it is dropped when the update returns. Returns the loss diagnostics
+    of the last minibatch of the last epoch, the only one they are computed
+    for, plus the window's mean reward.
     """
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
@@ -232,6 +265,7 @@ def ppo_update(
         adv,
         returns,
     )
+    workspace = _UpdateWorkspace.build(net, min(size, t_len))
     diag: dict = {}
     for epoch in range(config.epochs):
         perm = rng.permutation(t_len)
@@ -241,7 +275,7 @@ def ppo_update(
             last = epoch == config.epochs - 1 and stop >= t_len
             stats, grad = _loss_and_grad(
                 net, states[start:stop], actions[start:stop], old_lp[start:stop],
-                advantages[start:stop], rets[start:stop], config, last,
+                advantages[start:stop], rets[start:stop], config, last, workspace,
             )
             optimizer.step(net.params, grad)
             if last:

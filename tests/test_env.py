@@ -155,6 +155,27 @@ def test_state_scale_matches_reference_on_random_scenarios():
         _assert_scale_matches_reference(scenario, [])  # no snapshots: rate and bound are 1
 
 
+def test_state_scale_stack_equals_the_per_snapshot_loop():
+    """The stacked rate maximum and delay bound are the per-snapshot loop's, bit for bit:
+    the largest of each snapshot's own max() and t_max_bound."""
+    rng = np.random.default_rng(5)
+    cases = [(build_preset(p), preset_workload_config(p, 50)) for p in PRESETS]
+    cases += [(random_scenario(n, f, np.random.default_rng(1)), WorkloadGenConfig(n_snapshots=50))
+              for n, f in ((10, 15), (20, 30))]
+    cases += [(random_scenario(int(rng.integers(1, 8)), int(rng.integers(1, 11)), rng),
+               WorkloadGenConfig(n_snapshots=int(rng.integers(1, 6)), hotspot_count=1))
+              for _ in range(10)]
+    for scenario, cfg in cases:
+        n = scenario.n_nodes
+        snapshots = generate_workloads(scenario.n_functions, n, cfg, rng)
+        rate_max = max(float(s.max()) for s in snapshots)
+        t_max = max(t_max_bound(scenario, s) for s in snapshots)
+        scale = build_state_scale(scenario, snapshots)
+        rows = scale[n * n + 2 * n : n * n + 3 * n]
+        assert rows.tobytes() == np.full(n, max(rate_max, 1.0)).tobytes()
+        assert scale[-1] == max(t_max, 1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_queue_memory_stack_matches_one_queue_at_a_time(data):

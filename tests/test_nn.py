@@ -95,6 +95,32 @@ def test_backward_matches_reference_bit_for_bit():
         earlier.append((grad, grad.tobytes()))
 
 
+def test_workspace_backward_matches_reference_bit_for_bit():
+    """forward_backward into one 64-row workspace equals the fresh-array oracle at 64,
+    4 and 1 rows, called alternately on one network; each call's results live in the
+    workspace's leading rows, and a batch larger than it is refused."""
+    rng = np.random.default_rng(10)
+    net = MLP(44, 5, hidden=(64, 64), rng=rng)
+    net.set_params(net.get_params() + rng.normal(scale=0.2, size=net.n_params))
+    workspace = net.workspace(64)
+
+    def d_out(logits, values):
+        d = np.concatenate([np.tanh(logits) - 0.25, (values - 1.0)[:, None]], axis=1)
+        return d / logits.shape[0]
+
+    for size in (64, 4, 1, 64, 1, 4, 64):
+        x = rng.normal(size=(size, 44))
+        logits, values, grad = net.forward_backward(x, d_out, workspace)
+        ref_logits, ref_values, ref_grad = forward_backward_reference(net, x, d_out)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes(), size
+        assert grad is workspace.grad
+        assert np.shares_memory(logits, workspace.head)
+    with pytest.raises(ValueError, match="exceeds the workspace"):
+        net.forward_backward(rng.normal(size=(65, 44)), d_out, workspace)
+
+
 def test_weights_and_biases_are_views_of_params():
     net = MLP(5, 2, hidden=(7, 3), rng=np.random.default_rng(5))
     for w, b in zip(net.weights, net.biases):

@@ -191,12 +191,17 @@ def test_ppo_update_improves_simple_preference():
     assert probs[0] > 0.9 and probs[1] < 0.1
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_ppo_update_matches_per_minibatch_reference(preset):
+@pytest.mark.parametrize("preset, episodes", [
+    *(pytest.param(preset, None, id=preset) for preset in PRESETS),
+    pytest.param("large-payload", 1, id="large-payload-short-window"),
+])
+def test_ppo_update_matches_per_minibatch_reference(preset, episodes):
     """Two updates on rollouts of the preset equal the plain reference bit for bit.
 
     The default config cuts small-payload's 256-step window into even
     minibatches and large-payload's 260-step window into a ragged last one.
+    One large-payload episode is a 10-step window, shorter than one
+    minibatch, which the update's workspace is sized to.
     """
     scenario = build_preset(preset)
     cfg = PPOConfig()
@@ -206,7 +211,7 @@ def test_ppo_update_matches_per_minibatch_reference(preset):
               rng=np.random.default_rng(3))
     agent = PolicyAgent(net=net, state_scale=build_state_scale(scenario, snapshots))
     env = LockstepEnv(scenario, alpha=0.0)
-    window = -(-cfg.update_interval // scenario.n_functions)
+    window = episodes or -(-cfg.update_interval // scenario.n_functions)
     rollout_rng = np.random.default_rng(4)
     trajectories = []
     for offset in range(2):
@@ -227,6 +232,7 @@ def test_ppo_update_matches_per_minibatch_reference(preset):
         assert opt.v.tobytes() == reference_opt.v.tobytes()
         assert opt.t == reference_opt.t
     assert opt.t == 2 * cfg.epochs * -(-len(trajectories[0]) // cfg.minibatch_size)
+    assert episodes is None or len(trajectories[0]) < cfg.minibatch_size
     assert set(diag) == {"policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
                          "loss", "mean_reward"}
 

@@ -663,18 +663,25 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
     """Each row of route_batch is solve_routing on that row's problem, bit for bit.
 
     Every slow row takes the array pass, so one call mixes rows it certifies
-    with rows it leaves to route_flows, and none of them reads a _plan.
+    with rows it leaves to route_flows, and none of them reads a _plan. A
+    second call on the batch finds every verdict in its schedule's table,
+    certifies nothing afresh and returns the same bytes.
     """
     fallbacks = count_highs_fallbacks(monkeypatch)
-    fell_back, threshold_outcomes, mixed, passes = [], set(), [], []
-    route_rounds = routing._route_rounds
+    fell_back, threshold_outcomes, mixed, passes, certified_rows = [], set(), [], [], []
+    route_rounds, certify = routing._route_rounds, routing._certified
 
     def recording(*args):
         fits, certified, flows = route_rounds(*args)
         passes.append((fits, certified))
         return fits, certified, flows
 
+    def counting(moves, flowing):
+        certified_rows.append(flowing.shape[-1])
+        return certify(moves, flowing)
+
     monkeypatch.setattr(routing, "_route_rounds", recording)
+    monkeypatch.setattr(routing, "_certified", counting)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(batch=st.one_of(_routing_batch(), _rounds_batch()))
@@ -703,11 +710,65 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
                 assert not routings[s].any()
             if mode == "threshold":
                 threshold_outcomes.add(sol.feasible)
+        table = routing._schedule(len(delays), delays.tobytes()).verdicts
+        assert len(table) <= routing._VERDICT_ENTRIES
+        fresh = len(certified_rows)
+        warm_routable, warm_routings = route_batch(delays, rows, placement, caps)
+        assert len(certified_rows) == fresh  # every verdict is warm
+        assert warm_routable.tobytes() == routable.tobytes()
+        assert warm_routings.tobytes() == routings.tobytes()
+        assert len(table) <= routing._VERDICT_ENTRIES
 
     check()
     assert sum(fell_back) >= len(fell_back) // 5  # slow rows reach HiGHS
     assert threshold_outcomes == {True, False}  # the threshold is met from both sides
     assert sum(mixed) >= len(fell_back) // 10  # certified array-pass rows beside leftovers
+
+
+def test_verdict_table_evicts_beyond_its_cap(monkeypatch):
+    """A verdict table with room for two patterns keeps the two most recently used,
+    and route_batch's rows stay solve_routing's, cold or warm."""
+    monkeypatch.setattr(routing, "_VERDICT_ENTRIES", 2)
+    routing._schedule.cache_clear()  # schedules whose tables grew beyond 2 before
+    sizes, certified_rows = [], []
+    certify = routing._certified
+
+    def counting(moves, flowing):
+        certified_rows.append(flowing.shape[-1])
+        return certify(moves, flowing)
+
+    monkeypatch.setattr(routing, "_certified", counting)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch=_rounds_batch())
+    def check(batch):
+        delays, rows, placement, cores, cpr, _ = batch
+        caps = _caps(placement, cores, cpr)
+        table = routing._schedule(len(delays), delays.tobytes()).verdicts
+        for _ in range(2):
+            routable, routings = route_batch(delays, rows, placement, caps)
+            assert len(table) <= 2
+            sizes.append(len(table))
+            for s in range(len(rows)):
+                sol = solve_routing(RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s]))
+                assert routable[s] == sol.feasible
+                if sol.feasible:
+                    assert routings[s].tobytes() == sol.routing.tobytes()
+
+    check()
+    assert 2 in sizes
+    assert max(certified_rows) > 2  # one call added more patterns than the table keeps
+    # patterns a, b, a, c: c evicts b, the least recently used, and keeps a
+    schedule = routing._schedule(2, np.array([[0.0, 1.0], [2.0, 0.5]]).tobytes())
+    a, b, c = (np.eye(6, dtype=bool)[k].reshape(3, 2, 1) for k in range(3))
+    for pattern in (a, b, a, c):
+        routing._verdicts(schedule, pattern)
+    before = len(certified_rows)
+    routing._verdicts(schedule, a)
+    assert len(certified_rows) == before
+    routing._verdicts(schedule, b)
+    assert len(certified_rows) == before + 1
+    routing._schedule.cache_clear()  # no later test meets a table capped at 2
 
 
 def test_route_rounds_certifies_only_route_row_flows():
