@@ -101,7 +101,12 @@ _PLAN_ENTRIES = 256
 _EPS_CERTIFY = 5e-11
 
 
-@dataclass(frozen=True)
+# RoutingProblem and RoutingSolution are built once per agent step and once per
+# baseline step, so they are slotted and built positionally, and not frozen:
+# frozen sets each field through object.__setattr__, which costs more than the
+# rest of a build, and nothing rebinds their fields. They stay dataclasses, so
+# dataclasses.replace derives one problem from another.
+@dataclass(slots=True)
 class RoutingProblem:
     delays: np.ndarray  # (N, N) ms
     workload_row: np.ndarray  # (N,) requests/s for this function
@@ -110,7 +115,7 @@ class RoutingProblem:
     cores_per_request: np.ndarray  # (N,) core-units consumed per request/s
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoutingSolution:
     status: str  # "optimal" or "infeasible"
     routing: np.ndarray | None  # (N, N), rows sum to 1 when optimal
@@ -161,12 +166,12 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     if chosen:
         w = np.asarray(problem.workload_row, dtype=float)
         cores, cpr = problem.available_cores.tolist(), problem.cores_per_request.tolist()
+        # max(c, 0.0) as Python takes it: 0.0 only when 0.0 > c
         x = _route(np.ascontiguousarray(problem.delays, dtype=float).tobytes(), w.tolist(),
-                   chosen, [max(cores[j], 0.0) / cpr[j] for j in chosen])
+                   chosen, [(0.0 if 0.0 > cores[j] else cores[j]) / cpr[j] for j in chosen])
         if x is not None:
-            return RoutingSolution(status="optimal", routing=x,
-                                   objective_delay=total_delay(x, w, problem.delays))
-    return RoutingSolution(status="infeasible", routing=None, objective_delay=None)
+            return RoutingSolution("optimal", x, total_delay(x, w, problem.delays))
+    return RoutingSolution("infeasible", None, None)
 
 
 def _route(
@@ -185,7 +190,10 @@ def _route(
     load = [0.0] * len(chosen)
     for i, k in zip(sources, plan.nearest):
         load[k] += rates[i]
-    if all(host_load <= cap * _FAST_MARGIN for host_load, cap in zip(load, caps)):
+    for host_load, cap in zip(load, caps):
+        if not host_load <= cap * _FAST_MARGIN:
+            break
+    else:  # every host fits its load
         return plan.one_hot.copy()
     if plan.balanced is None:
         plan.balanced = _balanced(plan.cost)
@@ -496,7 +504,10 @@ def _transport(
     rs, rc = list(supply), list(caps)
     support = []
     for i, j in order:
-        alloc = min(rs[i], rc[j])
+        # min(rs[i], rc[j]) as Python takes it: rc[j] only when rc[j] < rs[i]
+        alloc, room = rs[i], rc[j]
+        if room < alloc:
+            alloc = room
         if alloc > 0.0:
             y[i][j] = alloc
             support.append(i * k + j)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeplace import env as env_module
 from edgeplace.env import (
     _CORE_TOL,
     PENALTY_REWARD,
@@ -649,3 +650,66 @@ def test_run_episode_is_deterministic_only(tri_scenario):
     with pytest.raises(ValueError, match="deterministic"):
         run_episode(agent, PlacementEnv(tri_scenario, 0.0), tri_scenario.workload,
                     deterministic=False)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_placement_steps_route_through_the_traced_solve_routing(preset, monkeypatch):
+    """Every PlacementEnv step that passes the empty-placement and memory checks
+    makes one edgeplace.env.solve_routing call on a RoutingProblem of that step's
+    arrays: the name perfbench's tracer wraps, and the problem its
+    nearest_host_fits hook reads. Checked on run_episode's steps and on random
+    actions."""
+    calls = []
+
+    def recording(problem):
+        solution = solve_routing(problem)
+        calls.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(env_module, "solve_routing", recording)
+    scenario = build_preset(preset)
+    snapshots = generate_workloads(scenario.n_functions, scenario.n_nodes,
+                                   preset_workload_config(preset, 4), rng_stream(5, "traced"))
+    agent = _agent(scenario, snapshots)
+    agent.net.set_params(np.random.default_rng(3).normal(size=agent.net.n_params))
+    env = PlacementEnv(scenario, alpha=0.0)
+    step = env.step
+    steps = []  # (action, cores before the step, workload row, outcome, routing calls)
+
+    def traced_step(action):
+        cores, fid, before = env.available_cores, env.queue[0], len(calls)
+        row = env.workload[fid]
+        outcome = step(action)
+        steps.append((action, cores, row, outcome, calls[before:]))
+        return outcome
+
+    env.step = traced_step  # run_episode calls the instance's step
+    for snapshot in snapshots:
+        run_episode(agent, env, snapshot)
+    agent_steps = len(steps)
+    rng = np.random.default_rng(11)
+    for snapshot in snapshots:
+        env.reset(snapshot * rng.choice([1.0, 3.0]))
+        for _ in range(scenario.n_functions):
+            traced_step(rng.random(scenario.n_nodes) < rng.choice([0.0, 0.3, 0.7, 1.0]))
+    assert len(calls) == sum(len(routed) for *_, routed in steps)
+    assert any(outcome.violation is None for *_, outcome, _ in steps[:agent_steps])
+    seen = set()
+    for action, cores, row, outcome, routed in steps:
+        seen.add(outcome.violation)
+        if outcome.violation in ("empty-placement", "memory"):
+            assert routed == []
+            continue
+        [(problem, solution)] = routed
+        assert type(problem) is RoutingProblem
+        assert problem.delays is scenario.topology.delays
+        np.testing.assert_array_equal(problem.workload_row, row)
+        np.testing.assert_array_equal(problem.placement, np.asarray(action, dtype=bool))
+        assert problem.available_cores is cores
+        np.testing.assert_array_equal(problem.cores_per_request,
+                                      scenario.cores_per_request[outcome.function_id])
+        assert solution.feasible == (outcome.violation != "routing-infeasible")
+        again = replace(problem, available_cores=cores.copy())
+        assert type(again) is RoutingProblem and again.placement is problem.placement
+        assert solve_routing(again).feasible == solution.feasible
+    assert {None, "empty-placement", "memory", "routing-infeasible"} <= seen
