@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from edgeplace import env as env_module
 from edgeplace.env import (
     _CORE_TOL,
+    _QUEUE_STATS_ENTRIES,
     PENALTY_REWARD,
     VIOLATIONS,
     LockstepEnv,
     PlacementEnv,
     RewardBounds,
     _RewardScorer,
+    _queue_stats,
     build_state_scale,
     cost_increment,
     make_queue,
     normalize_and_reward,
+    observe,
     queue_memory,
     queue_order,
     run_episode,
@@ -200,6 +203,80 @@ def test_queue_memory_stack_matches_one_queue_at_a_time(data):
             rest = queued[k + 1 :]
             expected = [queued[k], rest.mean(), rest.std()] if rest.size else [queued[k], 0.0, 0.0]
             assert entry.tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_queue_stats_memo_hits_and_misses_equal_queue_memory(data):
+    """The memo PlacementEnv.reset reads gives queue_memory's bytes on a miss and
+    on the hit after it, as one read-only array; F >= 9 takes numpy's pairwise sums."""
+    n_functions = data.draw(st.integers(min_value=1, max_value=20), label="F")
+    memory = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+        min_size=n_functions, max_size=n_functions,
+    ), label="memory"))
+    queue = data.draw(st.permutations(range(n_functions)), label="queue")
+    expected = queue_memory(memory, queue).tobytes()
+    _queue_stats.cache_clear()
+    miss = _queue_stats(memory[queue].tobytes())
+    hit = _queue_stats(memory[queue].tobytes())
+    info = _queue_stats.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert hit is miss and miss.tobytes() == expected and miss.shape == (n_functions, 3)
+    assert not miss.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        miss[0, 0] = 1.0
+
+
+def test_queue_stats_memo_stays_within_its_cap(tri_scenario):
+    """The memo keeps its _QUEUE_STATS_ENTRIES most recently used queues, and a
+    reset whose queued memories it has seen reads them from it."""
+    _queue_stats.cache_clear()
+    keys = [np.array([float(k), 1.0, 2.0]).tobytes() for k in range(_QUEUE_STATS_ENTRIES + 10)]
+    for key in keys:
+        _queue_stats(key)
+    info = _queue_stats.cache_info()
+    assert info.maxsize == _QUEUE_STATS_ENTRIES
+    assert (info.currsize, info.misses) == (_QUEUE_STATS_ENTRIES, len(keys))
+    _queue_stats(keys[-1])  # still held
+    _queue_stats(keys[0])  # the least recently used went out first
+    assert _queue_stats.cache_info()[:2] == (1, len(keys) + 1)
+    env = PlacementEnv(tri_scenario, alpha=0.0)
+    first = env.reset()
+    hits = _queue_stats.cache_info().hits
+    assert env.reset().tobytes() == first.tobytes()
+    assert _queue_stats.cache_info().hits == hits + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_observations_are_observe_of_the_state_and_stay_as_handed_out(data):
+    """Every observation reset() and step() return is observe() of the env's state
+    at that step, with the queue statistics of queue_memory's stack path. F >= 9,
+    so the statistics take numpy's pairwise sums. No observation changes after
+    it is handed out: not at later steps, nor at the next episode's."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_nodes = data.draw(st.integers(min_value=1, max_value=6), label="N")
+    n_functions = data.draw(st.integers(min_value=9, max_value=14), label="F")
+    scenario = random_scenario(n_nodes, n_functions, rng)
+    env = PlacementEnv(scenario, alpha=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="alpha"))
+    delays = scenario.topology.delays.ravel()
+    handed_out = []
+    for _ in range(2):
+        workload = scenario.workload * data.draw(st.sampled_from([0.5, 1.0, 3.0]), label="scale")
+        state = env.reset(workload)
+        queue = list(env.queue)
+        stats = queue_memory(scenario.function_memory, np.array([queue]))[0]
+        for k, fid in enumerate(queue):
+            expected = observe(delays, env.available_cores, env.available_memory,
+                               workload[fid], stats[k], env.total_delay)
+            assert state.tobytes() == expected.tobytes()
+            handed_out.append((state, state.copy()))
+            density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="density")
+            state = env.step(rng.random(n_nodes) < density).state
+        assert state is None
+    for state, copy in handed_out:
+        assert state.tobytes() == copy.tobytes()
 
 
 def test_t_max_bound_hand_value(tri_scenario):
