@@ -11,28 +11,26 @@ PlacementEnv is the single-decision path that evaluation uses. It keeps one
 episode's state on itself under LockstepEnv's names (available_cores,
 available_memory, total_delay, total_cost), plus the placements and routes
 made so far; a valid step assigns them and an invalid step leaves them as
-they were. Its queue comes from make_queue, a Python sort. reset() lays out
-the episode's whole (F, state_dim(N)) observation matrix with one observe()
-call: the delay block, each step's workload row and queue statistics, and
-step 0's residuals and cumulative delay. Each step writes only the next
-row's residual cores, residual memory and cumulative delay, and returns that
-row; no row is written after it is handed out, and the next reset lays out
-a new matrix. The queue statistics come from _queue_stats, a least recently
-used memo (at most _QUEUE_STATS_ENTRIES) keyed on the queued functions'
-float64 memories in queue order, which is all queue_memory reads. It holds
-read-only arrays, computed on Python floats: a sum of fewer than 8 terms is
-taken left to right, which is numpy's order there, and a longer one by
-np.add.reduce, so the bits are numpy's. LockstepEnv is the training path:
-it steps E episodes together, with residual cores and memory as (E, N)
-arrays and totals as (E,) arrays; queue_order's lexsort orders its
-(E, F, N) stack and queue_memory's array reductions give its statistics.
+they were. reset() lays out the episode's whole (F, state_dim(N))
+observation matrix with one observe() call: the delay block, each step's
+workload row and queue statistics, and step 0's residuals and cumulative
+delay. Each step writes only the next row's residual cores, residual memory
+and cumulative delay, and returns that row; no row is written after it is
+handed out, and the next reset lays out a new matrix. The queue statistics
+come from _queue_stats, a least recently used memo (at most
+_QUEUE_STATS_ENTRIES) of read-only queue_memory results, keyed on the queued
+functions' float64 memories in queue order, which is all queue_memory reads.
+LockstepEnv is the training path: it steps E episodes together, with
+residual cores and memory as (E, N) arrays and totals as (E,) arrays.
 Each lockstep step runs the empty-placement and memory checks for all E
 slots at once with array operations, then routes the slots still valid
 with one routing.route_batch call, which owns the batched nearest-host fast
 path, the exact fallback and the capacity test, and scores every slot with
 batched sums. Every slot's violations, residuals, routing, totals and
 observations are bit-identical to PlacementEnv.step on the same actions,
-which a test pins.
+which a test pins. Both environments and the greedy baselines take their
+queue order from queue_order's lexsort (make_queue for one snapshot), and
+both environments take their queue statistics from queue_memory.
 
 Rewards: each valid step re-normalizes the cumulative delay and cumulative
 core cost into [-1, 1] against run-level bounds and returns their negated
@@ -51,23 +49,22 @@ score()'s own float64 operations, so both give the same bits.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Scenario
 from .ppo import PolicyAgent, deterministic_action, forward
-from .routing import RoutingProblem, _total, route_batch, solve_routing
+from .routing import RoutingProblem, route_batch, solve_routing
 
 PENALTY_REWARD = -2.0
 _CORE_TOL = 1e-9
-# numpy sums 8 or more contiguous float64s pairwise, fewer left to right from 0.0
-_PAIRWISE_MIN = 8
 # _queue_stats' entries. Lookups (misses), alpha 0, seed 1: the agent's decisions on 20 and
 # 150 evaluation snapshots after one cold 2048-step training make 20 (4) and 150 (4) on
 # small-payload and 20 (1) and 150 (1) on large-payload; on random_scenario(10, 15) and
-# (20, 30) with default_rng(1) no queue order repeats, so every lookup misses
+# (20, 30) with default_rng(1) no queue order repeats, so every lookup misses. A miss
+# takes queue_memory's array path, the one LockstepEnv takes, so at scale a reset pays
+# that path plus the key's bytes and one insert
 _QUEUE_STATS_ENTRIES = 256
 # LockstepEnv's violation codes: 0 is a valid step, k + 1 stands for VIOLATIONS[k]
 VIOLATIONS = ("empty-placement", "memory", "routing-infeasible", "cores")
@@ -84,17 +81,12 @@ def state_dim(n_nodes: int) -> int:
 
 
 def make_queue(scenario: Scenario, workload: np.ndarray | None = None) -> list[int]:
-    """Placement order of one (F, N) snapshot, the scenario's own by default.
+    """queue_order of one (F, N) snapshot, the scenario's own by default, as a list.
 
-    The order is queue_order's, taken by Python's sorted on (-total, -memory)
-    with the totals from np.add.reduce; the sort is stable, so ties keep id
-    order, as lexsort's do. PlacementEnv.reset and both greedy baselines
-    take their queue here; LockstepEnv's stacks go through queue_order.
+    PlacementEnv.reset and both greedy baselines take their queue here.
     """
     w = scenario.workload if workload is None else workload
-    totals = np.add.reduce(w, axis=-1).tolist()
-    memory = scenario.function_memory.tolist()
-    return sorted(range(len(totals)), key=lambda f: (-totals[f], -memory[f]))
+    return queue_order(scenario.function_memory, w).tolist()
 
 
 def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
@@ -102,11 +94,12 @@ def queue_order(memory: np.ndarray, workloads: np.ndarray) -> np.ndarray:
     heaviest total workload first, then larger memory, then smaller id.
 
     Returns the (F,) or (E, F) function ids. LockstepEnv orders its stack
-    here; make_queue gives one snapshot the same order as a list.
+    here, and make_queue one snapshot.
     """
     totals = np.add.reduce(workloads, axis=-1)
-    # lexsort sorts by its last key first and is stable, so ties keep id order
-    return np.lexsort((np.zeros_like(totals) - memory, -totals))
+    # lexsort sorts by its last key first and is stable, so ties keep id order; its keys
+    # share one shape, so -memory is written into each row of an array shaped like totals
+    return np.lexsort((np.negative(memory, out=np.empty_like(totals)), -totals))
 
 
 def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
@@ -114,15 +107,10 @@ def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
 
     Entry [..., k] is (memory of the function placed at step k, mean and std
     of the memory of the functions queued after it), zeros when none are;
-    returns (..., F, 3). Every mean and std has np.mean's and np.std's bits.
-    A stack (LockstepEnv's) takes their own ufunc calls for all rows at
-    once. One queue (PlacementEnv's) sums each suffix of fewer than
-    _PAIRWISE_MIN terms left to right on Python floats, which is numpy's
-    order there, and a longer suffix with np.add.reduce.
+    returns (..., F, 3). Every mean and std has np.mean's and np.std's bits;
+    a stack takes each call for all its rows at once.
     """
     queued = memory[np.asarray(queues)]
-    if queued.ndim == 1:
-        return _one_queue_memory(queued)
     n_functions = queued.shape[-1]
     stats = np.zeros(queued.shape + (3,))
     stats[..., 0] = queued
@@ -144,34 +132,12 @@ def queue_memory(memory: np.ndarray, queues) -> np.ndarray:
     return stats
 
 
-def _one_queue_memory(queued: np.ndarray) -> np.ndarray:
-    """queue_memory of one queue's (F,) memories, in queue order."""
-    values = queued.tolist()
-    n_functions = len(values)
-    flat: list[float] = []
-    for k, value in enumerate(values, start=1):
-        count = n_functions - k  # the functions queued after position k - 1
-        if not count:
-            mean = variance = 0.0
-        elif count < _PAIRWISE_MIN:
-            rest = values[k:]
-            mean = _total(rest) / count
-            variance = _total([(x - mean) * (x - mean) for x in rest]) / count
-        else:
-            rest = queued[k:]
-            mean = float(np.add.reduce(rest)) / count
-            spread = rest - mean
-            spread *= spread
-            variance = float(np.add.reduce(spread)) / count
-        flat += value, mean, math.sqrt(variance)
-    return np.array(flat).reshape(n_functions, 3)
-
-
 @functools.lru_cache(maxsize=_QUEUE_STATS_ENTRIES)
 def _queue_stats(queued_key: bytes) -> np.ndarray:
     """queue_memory of one queue whose memories, in queue order, are the float64s
     in queued_key, as a read-only (F, 3) array."""
-    stats = _one_queue_memory(np.frombuffer(queued_key))
+    queued = np.frombuffer(queued_key)
+    stats = queue_memory(queued, np.arange(queued.size))
     stats.flags.writeable = False
     return stats
 

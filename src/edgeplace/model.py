@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import dump_json, load_json
+from .util import dump_json, is_json_int, load_json
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -194,17 +194,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def _sparse_ids(entries: list, kind: str, count: str) -> list[str]:
     return [
-        f"{kind} ids must be dense 0..{count}-1, position {idx} holds id {int(entry['id'])}"
+        f"{kind} ids must be dense integers 0..{count}-1, position {idx} holds id {entry['id']!r}"
         for idx, entry in enumerate(entries)
-        if int(entry["id"]) != idx
+        if not is_json_int(entry["id"]) or entry["id"] != idx
     ]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a JSON document.
 
-    Node and function ids must be dense. A function's cores_per_request is
-    one number for every node (1.0 when missing) or a list of one per node.
+    Node and function ids must be dense integers, and criticality entries
+    integers. A function's cores_per_request is one number for every node
+    (1.0 when missing) or a list of one per node.
     """
     try:
         version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
@@ -231,7 +232,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if workload.ndim != 2:
             raise ScenarioError("workload must be a 2-d matrix")
         crit = doc.get("criticality")
-        criticality = tuple(int(c) for c in crit) if crit is not None else None
+        criticality = tuple(crit) if crit is not None else None
+        problems += [
+            f"criticality entry {idx} is {c!r}, not an integer"
+            for idx, c in enumerate(criticality or ())
+            if not is_json_int(c)
+        ]
         scenario = Scenario(
             topology=Topology(
                 cores=[float(node["cores"]) for node in nodes],

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .nn import MLP, Adam, PolicyArchitectureError, Workspace, layer_shapes
-from .util import dump_json, load_json
+from .util import dump_json, is_json_int, load_json
 
 POLICY_SCHEMA_VERSION = 1
 
@@ -335,6 +335,14 @@ def _checkpoint_from_doc(
     if version != POLICY_SCHEMA_VERSION:
         raise PolicyArchitectureError(f"unsupported policy schema_version {version}")
     arch = doc["arch"]
+    hidden = arch["hidden"]
+    if not isinstance(hidden, list) or not all(
+        is_json_int(v) for v in (arch["input_dim"], arch["n_actions"], *hidden)
+    ):
+        raise PolicyArchitectureError(
+            "arch needs integer input_dim and n_actions and a list of integer hidden widths, "
+            f"got input_dim {arch['input_dim']!r}, n_actions {arch['n_actions']!r}, hidden {hidden!r}"
+        )
     if expect_input_dim is not None and arch["input_dim"] != expect_input_dim:
         raise PolicyArchitectureError(
             f"policy expects input_dim {arch['input_dim']}, scenario needs {expect_input_dim}"
@@ -344,13 +352,13 @@ def _checkpoint_from_doc(
             f"policy expects n_actions {arch['n_actions']}, scenario needs {expect_n_actions}"
         )
     params = np.array(doc["params"], dtype=float)
-    shapes = layer_shapes(arch["input_dim"], arch["n_actions"], arch["hidden"])
+    shapes = layer_shapes(arch["input_dim"], arch["n_actions"], hidden)
     if min(b for _, b in shapes) < 1:
-        raise PolicyArchitectureError(f"arch has a layer narrower than 1: hidden {arch['hidden']}")
+        raise PolicyArchitectureError(f"arch has a layer narrower than 1: hidden {hidden}")
     n_params = sum(a * b + b for a, b in shapes)
     if params.shape != (n_params,):  # checked before MLP allocates the declared layers
         raise PolicyArchitectureError(f"params have shape {params.shape}, arch needs ({n_params},)")
-    net = MLP(arch["input_dim"], arch["n_actions"], hidden=tuple(arch["hidden"]))
+    net = MLP(arch["input_dim"], arch["n_actions"], hidden=tuple(hidden))
     net.set_params(params)
     if not np.isfinite(net.params).all():
         raise PolicyArchitectureError("params are not all finite")

@@ -43,3 +43,8 @@ def load_json(path: str, error: type[Exception], what: str) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} {path} is not a JSON object")
     return doc
+
+
+def is_json_int(value: Any) -> bool:
+    """Whether a value read from JSON is an integer: 3, not 3.0, "3" or true."""
+    return isinstance(value, int) and not isinstance(value, bool)

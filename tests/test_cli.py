@@ -103,8 +103,12 @@ def _arch_doc(hidden, n_params):
         None, "not json", json.dumps({"schema_version": 1}),
         _arch_doc([10**12], 1),  # the layer alone would take about 200 TiB
         _arch_doc([0], 4),  # as many params as a zero-width layer implies
+        # 112 params fit hidden [4], which int() would make of [4.5] and of "4"
+        _arch_doc([4.5], 112),
+        _arch_doc("4", 112),
     ],
-    ids=["missing", "not-json", "no-arch", "arch-params-mismatch", "zero-width-layer"],
+    ids=["missing", "not-json", "no-arch", "arch-params-mismatch", "zero-width-layer",
+         "float-width", "string-hidden"],
 )
 def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
     checkpoint = tmp_path / "policy.json"

@@ -97,27 +97,6 @@ def test_queue_order_pins_ties_for_one_snapshot_and_a_stack():
         assert queue_order(memory, snapshot).tolist() == order
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_make_queue_matches_the_lexsort_of_a_stack(data):
-    """make_queue's Python sort gives queue_order's row for the same snapshot in a
-    stack. Few distinct integer rates and memories make both keys tie often."""
-    n_functions = data.draw(st.integers(min_value=1, max_value=20), label="F")
-    n_nodes = data.draw(st.integers(min_value=1, max_value=3), label="N")
-    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
-    memory = data.draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=n_functions,
-                                max_size=n_functions), label="memory")
-    stack = np.array(data.draw(st.lists(
-        st.lists(st.lists(values, min_size=n_nodes, max_size=n_nodes),
-                 min_size=n_functions, max_size=n_functions),
-        min_size=1, max_size=4,
-    ), label="workloads"))
-    scenario = make_scenario(delays=np.zeros((n_nodes, n_nodes)), cores=[1.0] * n_nodes,
-                             memory=[8.0] * n_nodes, fn_memory=memory, workload=stack[0])
-    for snapshot, order in zip(stack, queue_order(scenario.function_memory, stack).tolist()):
-        assert make_queue(scenario, snapshot) == order
-
-
 def test_state_scale_positive_and_sized(tri_scenario):
     scale = build_state_scale(tri_scenario, [tri_scenario.workload])
     assert scale.shape == (state_dim(3),)
@@ -183,9 +162,9 @@ def test_state_scale_stack_equals_the_per_snapshot_loop():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_queue_memory_stack_matches_one_queue_at_a_time(data):
-    """Each row of an (E, F) stack, and one queue's Python sums, are 1-D mean/std
-    byte for byte; F >= 9 leaves 8 or more functions after the head, numpy's
-    pairwise-sum branch, which one queue takes through np.add.reduce."""
+    """Each row of an (E, F) stack, and the same queue passed alone, are 1-D
+    mean/std byte for byte; F >= 9 leaves 8 or more functions after the head,
+    numpy's pairwise-sum branch."""
     n_functions = data.draw(st.integers(min_value=1, max_value=12), label="F")
     memory = np.array(data.draw(st.lists(
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),

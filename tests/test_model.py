@@ -101,12 +101,26 @@ def test_scenario_dict_rejects_invalid(tri_scenario):
         scenario_from_dict(doc)
 
 
-def test_scenario_rejects_dense_id_violation(tri_scenario):
+@pytest.mark.parametrize(
+    "value", [7, 1.7, 1.0, "1", True], ids=["sparse", "float", "integral-float", "string", "bool"]
+)
+def test_scenario_rejects_dense_id_violation(tri_scenario, value):
+    """Position 1 must hold the JSON integer 1; int() would make 1 of each value but 7."""
     for kind in ("nodes", "functions"):
         doc = scenario_to_dict(tri_scenario)
-        doc[kind][0]["id"] = 7
+        doc[kind][1]["id"] = value
         with pytest.raises(ScenarioError, match=f"{kind[:-1]} ids must be dense"):
             scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [2.9, 2.0, "2", True], ids=["float", "integral-float", "string", "bool"])
+def test_scenario_rejects_non_integer_criticality(tri_scenario, value):
+    doc = scenario_to_dict(tri_scenario)
+    doc["criticality"] = [value, 1]
+    with pytest.raises(ScenarioError, match="criticality entry 0"):
+        scenario_from_dict(doc)
+    doc["criticality"] = [2, 1]
+    assert scenario_from_dict(doc).criticality == (2, 1)
 
 
 @pytest.mark.parametrize(
