@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scenario
-from .ppo import PolicyAgent, deterministic_action, forward
+from .ppo import PolicyAgent, deterministic_action_from_logits
 from .routing import RoutingProblem, route_batch, solve_routing
 
 PENALTY_REWARD = -2.0
@@ -583,15 +583,19 @@ def run_episode(
     """Roll one snapshot through the policy's deterministic decisions.
 
     This is the evaluation runner; training samples its episodes in
-    lockstep (bench.train_agent). `deterministic` names the only mode.
+    lockstep (bench.train_agent). `deterministic` names the only mode. Each
+    step decodes its action from the net's logit row with
+    deterministic_action_from_logits, which activates the nodes forward's
+    probabilities would put at 0.5 or above, bit for bit, without building
+    them; the value head is not read.
     """
     if not deterministic:
         raise ValueError("run_episode runs deterministic episodes only")
     state = env.reset(workload)
     done = False
     while not done:
-        probs, _ = forward(agent.net, state / agent.state_scale)
-        outcome = env.step(deterministic_action(probs))
+        logits, _ = agent.net.forward(state / agent.state_scale)
+        outcome = env.step(deterministic_action_from_logits(logits[0]))
         done = outcome.done
         state = outcome.state
     return EpisodeRecord(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import dump_json, is_json_int, load_json
+from .util import dump_json, is_json_int, load_json, non_number
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -204,8 +204,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a JSON document.
 
     Node and function ids must be dense integers, and criticality entries
-    integers. A function's cores_per_request is one number for every node
-    (1.0 when missing) or a list of one per node.
+    integers. Node cores and memory, function memory and cores_per_request,
+    and the delays and workload entries must be JSON numbers: a string such
+    as "40" or a bool is refused, naming the first one of each field. A
+    function's cores_per_request is one number for every node (1.0 when
+    missing) or a list of one per node.
     """
     try:
         version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
@@ -213,6 +216,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError(f"unsupported scenario schema_version {version}")
         nodes, functions = doc["nodes"], doc["functions"]
         problems = _sparse_ids(nodes, "node", "N") + _sparse_ids(functions, "function", "F")
+        fields = [(node[key], f"node {j} {key}") for j, node in enumerate(nodes)
+                  for key in ("cores", "memory")]
+        fields += [(f["memory"], f"function {idx} memory") for idx, f in enumerate(functions)]
+        fields += [(f.get("cores_per_request", 1.0), f"function {idx} cores_per_request")
+                   for idx, f in enumerate(functions)]
+        fields += [(doc["delays"], "delays"), (doc["workload"], "workload")]
+        wrong = [found for found in (non_number(*field) for field in fields) if found]
+        if wrong:
+            raise ScenarioError(
+                "invalid scenario: " + "; ".join(f"{found}, not a number" for found in wrong)
+            )
         delays = np.array(doc["delays"], dtype=float)
         if delays.ndim != 2:
             raise ScenarioError("delays must be a 2-d matrix")

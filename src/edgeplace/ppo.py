@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .nn import MLP, Adam, PolicyArchitectureError, Workspace, layer_shapes
-from .util import dump_json, is_json_int, load_json
+from .util import dump_json, is_json_int, load_json, non_number
 
 POLICY_SCHEMA_VERSION = 1
 
@@ -84,6 +84,18 @@ def sample_actions(logits: np.ndarray, uniforms: np.ndarray):
 def deterministic_action(probs: np.ndarray) -> np.ndarray:
     """Evaluation-mode action: activate every node with probability >= 0.5."""
     return np.asarray(probs, dtype=float) >= 0.5
+
+
+def deterministic_action_from_logits(logits: np.ndarray) -> np.ndarray:
+    """deterministic_action(_sigmoid(logits)) bit for bit, without the probabilities.
+
+    _sigmoid(z) >= 0.5 is fl(1 + t) >= 1 for t = tanh(z / 2), since halving
+    is exact, and that holds exactly when t >= -2**-54: 1 - 2**-54 lies
+    halfway between 1 - 2**-53 and 1 and rounds to the even 1.0, anything
+    below it to 1 - 2**-53. A NaN logit fails both tests. This skips the
+    sigmoid's add and multiply.
+    """
+    return np.tanh(logits * 0.5) >= -(2.0**-54)
 
 
 def log_prob_from_logits(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -324,7 +336,7 @@ def load_policy(
         raise PolicyArchitectureError(f"policy {path} lacks key {exc}") from exc
     except PolicyArchitectureError:
         raise
-    except (TypeError, ValueError) as exc:  # non-numeric or ragged arrays, bad field types
+    except (TypeError, ValueError) as exc:  # non-numbers, ragged arrays, bad field types
         raise PolicyArchitectureError(f"policy {path} is malformed: {exc}") from exc
 
 
@@ -351,6 +363,10 @@ def _checkpoint_from_doc(
         raise PolicyArchitectureError(
             f"policy expects n_actions {arch['n_actions']}, scenario needs {expect_n_actions}"
         )
+    for name in ("params", "state_scale"):  # np.array would parse "0.5" and true
+        found = non_number(doc[name], name)
+        if found is not None:
+            raise ValueError(f"{found}, not a number")
     params = np.array(doc["params"], dtype=float)
     shapes = layer_shapes(arch["input_dim"], arch["n_actions"], hidden)
     if min(b for _, b in shapes) < 1:

@@ -22,14 +22,17 @@ problems on one delay matrix (one call per LockstepEnv training step).
 solve_routing goes through _route, which reads each source's delays to the
 hosts as Python lists from its plan (see Memos), runs the fast path's test
 on Python floats, hands a problem that misses it to route_flows with the
-same lists and divides each source's flows by its rate. route_batch runs
-the fast path's test on (S, N) arrays, and _route_rounds runs the greedy
-start for every row that misses it at once and certifies them; a routable
-row it does not certify gets route_flows on its own cost rows, and
-unit_rows divides the flows of both. Both routers rescale the rows by their
-numpy sums in _rescale_rows, so they agree bit for bit. The capacity test
-is _over_capacity, which route_flows and _route_rounds both call on sums
-taken left to right from 0.0 (numpy's order for fewer than 8 terms, and
+same lists and, in one loop, writes each source's flows over its rate on a
+copy of the plan's flat routing of the nodes without traffic. route_batch
+runs the fast path's test on (S, N) arrays, and _route_rounds runs the
+greedy start for every row that misses it at once and certifies them; a
+routable row it does not certify gets route_flows on its own cost rows,
+and unit_rows divides the flows of both. Both routers rescale the rows by
+their numpy sums as _rescale_rows does, so they agree bit for bit; _route
+divides without _rescale_rows' mask when no row sums to zero, which is
+the same division. The capacity test is _over_capacity, which route_flows
+calls on Python floats and _route_rounds on arrays, both on sums taken
+left to right from 0.0 (numpy's order for fewer than 8 terms, and
 cumsum's for any number).
 
 Fast path: when every source's lowest-delay host (the lowest node index on
@@ -51,9 +54,10 @@ evaluation routes the same few (sources, hosts) problems on one matrix.
 Least-recently-used tables keep what depends on the matrices alone.
 _plan (at most _PLAN_ENTRIES), keyed on the delay matrix's float64 bytes,
 N, the sources and the hosts, holds _route's cost lists, each source's
-first-minimum host and the fast path's routing; on the problem's first miss
-of the fast path it adds the cost matrix with its dummy row, that matrix's
-tuple key and its greedy order (_balanced). Only solve_routing reads it.
+first-minimum host, the flat routing of the nodes without traffic and the
+fast path's routing; on the problem's first miss of the fast path it adds
+the cost matrix with its dummy row, that matrix's tuple key and its greedy
+order (_balanced). Only solve_routing reads it.
 _schedule (at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes,
 holds the full matrix's greedy order cut into rounds of cells that share no
 row or column, and the cost of moving a request between two hosts through
@@ -200,16 +204,19 @@ def _route(
     flows = route_flows(plan.cost, [rates[i] for i in sources], caps, plan.balanced)
     if flows is None:
         return None
-    # unit_rows' fractions, and the lowest-index host for a source without traffic
-    flat = [0.0] * (n * n)
-    for i, rate in enumerate(rates):
-        if rate <= 0.0:
-            flat[i * n + chosen[0]] = 1.0
+    # unit_rows' fractions: each source's flows over its rate, on the plan's routing of
+    # the nodes without traffic
+    flat = plan.idle.copy()
     for i, source_flows in zip(sources, flows):
-        rate = rates[i]
+        rate, row = rates[i], i * n
         for j, flow in zip(chosen, source_flows):
-            flat[i * n + j] = flow / rate
-    return _rescale_rows(np.array(flat).reshape(n, n))
+            flat[row + j] = flow / rate
+    x = np.array(flat).reshape(n, n)
+    sums = np.add.reduce(x, axis=-1, keepdims=True)
+    if 0.0 in sums.ravel().tolist():  # a source that ships nothing keeps its zero row
+        return _rescale_rows(x)
+    x /= sums  # _rescale_rows' division, where every row passes its mask
+    return x
 
 
 @dataclass
@@ -219,9 +226,12 @@ class _Plan:
     cost: list[list[float]]  # cost[s][k], the delay from sources[s] to hosts[k]
     # the first minimum of each cost row: the greedy start's first cell on it
     nearest: list[int]
-    # (N, N) read-only, the fast path's routing: each source to its nearest host, a
-    # source without traffic to the lowest-index host; unit_rows would build it
-    # from route_flows' flows, y / w exactly 1.0
+    # (N * N,) the flat routing of the nodes without traffic, row after row: 1.0 on the
+    # lowest-index host, zero elsewhere and on every source's row. The slow path
+    # writes its sources' fractions on a copy of it
+    idle: list[float]
+    # (N, N) read-only, the fast path's routing: idle with each source sent to its
+    # nearest host; unit_rows would build it from route_flows' flows, y / w exactly 1.0
     one_hot: np.ndarray
     balanced: tuple | None = None  # _balanced(cost), built on the first slow-path call
 
@@ -231,13 +241,14 @@ def _plan(delays_key: bytes, n: int, sources: tuple[int, ...], hosts: tuple[int,
     """The plan of routing sources to hosts on the (n, n) float64 delay matrix in delays_key."""
     cost = np.frombuffer(delays_key).reshape(n, n)[np.ix_(sources, hosts)].tolist()
     nearest = [row.index(min(row)) for row in cost]
-    targets = [hosts[0]] * n
+    idle = [0.0] * (n * n)
+    for i in set(range(n)).difference(sources):
+        idle[i * n + hosts[0]] = 1.0
+    one_hot = np.array(idle).reshape(n, n)
     for i, k in zip(sources, nearest):
-        targets[i] = hosts[k]
-    one_hot = np.zeros((n, n))
-    one_hot[range(n), targets] = 1.0
+        one_hot[i, hosts[k]] = 1.0
     one_hot.flags.writeable = False
-    return _Plan(cost, nearest, one_hot)
+    return _Plan(cost, nearest, idle, one_hot)
 
 
 def route_batch(
@@ -440,8 +451,13 @@ def _total(values: list[float]) -> float:
 def _over_capacity(supply_total, caps_total):
     """The capacity test: demand above capacity by more than a relative _EPS_FEAS.
 
-    Takes floats or arrays of them.
+    Takes two floats (route_flows) or two arrays of them (_route_rounds). The
+    floor of 1.0 under caps_total is Python's max on a float, which returns
+    a float, and np.maximum on an array; both give the larger value, and a
+    NaN total fails the test either way.
     """
+    if isinstance(caps_total, float):
+        return supply_total > caps_total + _EPS_FEAS * max(1.0, caps_total)
     return supply_total > caps_total + _EPS_FEAS * np.maximum(1.0, caps_total)
 
 

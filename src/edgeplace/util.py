@@ -48,3 +48,24 @@ def load_json(path: str, error: type[Exception], what: str) -> dict:
 def is_json_int(value: Any) -> bool:
     """Whether a value read from JSON is an integer: 3, not 3.0, "3" or true."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value: Any) -> bool:
+    """Whether a value read from JSON is a number: 3 or 3.5, not "3.5" or true."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def non_number(value: Any, name: str) -> str | None:
+    """The first entry of a JSON value, a number or nested lists of them, that is not a number.
+
+    Returns None when there is none, else the entry named after its position,
+    such as "delays[0][1] is '2'" (or "delays is '2'" for the value itself).
+    """
+    if not isinstance(value, list):
+        return None if is_json_number(value) else f"{name} is {value!r}"
+    for idx, item in enumerate(value):
+        if not is_json_number(item):
+            found = non_number(item, f"{name}[{idx}]")
+            if found is not None:
+                return found
+    return None

@@ -123,18 +123,28 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("params", "x"), ("state_scale", [[1.0], [1.0, 2.0]])],
-    ids=["non-numeric-params", "ragged-state-scale"],
+    [
+        ("params", "x"),
+        ("state_scale", [[1.0], [1.0, 2.0]]),
+        # np.array(dtype=float) would read these as 0.5 and 1.0
+        ("params", "0.5"),
+        ("params", True),
+        ("state_scale", "0.5"),
+        ("state_scale", True),
+    ],
+    ids=["non-numeric-params", "ragged-state-scale", "string-number-params", "bool-params",
+         "string-number-state-scale", "bool-state-scale"],
 )
 def test_malformed_checkpoint_numbers_exit_2(scenario_path, tmp_path, capsys, field, value):
+    """A list value replaces the whole field, any other value its first entry."""
     checkpoint = tmp_path / "policy.json"
     net = MLP(state_dim(3), 3, hidden=(4,), rng=np.random.default_rng(0))
     save_policy(str(checkpoint), PolicyAgent(net=net, state_scale=np.ones(state_dim(3))))
     doc = json.loads(checkpoint.read_text())
-    if field == "params":
-        doc["params"][0] = value
+    if isinstance(value, list):
+        doc[field] = value
     else:
-        doc["state_scale"] = value
+        doc[field][0] = value
     checkpoint.write_text(json.dumps(doc))
     code = run_cli(
         "evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,26 @@ def test_scenario_rejects_non_integer_criticality(tri_scenario, value):
         scenario_from_dict(doc)
     doc["criticality"] = [2, 1]
     assert scenario_from_dict(doc).criticality == (2, 1)
+
+
+@pytest.mark.parametrize("value", ["2", True], ids=["string", "bool"])
+@pytest.mark.parametrize(
+    "field", ["node-cores", "function-memory", "workload-entry", "delay-entry"]
+)
+def test_scenario_rejects_values_that_are_not_json_numbers(tri_scenario, field, value):
+    """float() and np.array(dtype=float) would read "2" as 2.0 and true as 1.0."""
+    doc = scenario_to_dict(tri_scenario)
+    if field == "node-cores":
+        doc["nodes"][1]["cores"], name = value, "node 1 cores"
+    elif field == "function-memory":
+        doc["functions"][1]["memory"], name = value, "function 1 memory"
+    elif field == "workload-entry":
+        doc["workload"][1][2], name = value, "workload[1][2]"
+    else:
+        doc["delays"][0][1] = doc["delays"][1][0] = value
+        name = "delays[0][1]"
+    with pytest.raises(ScenarioError, match=re.escape(f"{name} is {value!r}, not a number")):
+        scenario_from_dict(doc)
 
 
 @pytest.mark.parametrize(

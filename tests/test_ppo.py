@@ -8,8 +8,10 @@ from edgeplace.ppo import (
     PolicyAgent,
     PPOConfig,
     Trajectory,
+    _sigmoid,
     compute_gae,
     deterministic_action,
+    deterministic_action_from_logits,
     forward,
     load_policy,
     log_prob_from_logits,
@@ -73,6 +75,26 @@ def test_sample_actions_log_prob_matches_logits():
 def test_deterministic_action_threshold():
     probs = np.array([0.49, 0.5, 0.51])
     np.testing.assert_array_equal(deterministic_action(probs), [False, True, True])
+
+
+def test_action_from_logits_matches_the_probability_threshold():
+    """The logit rule picks the nodes whose sigmoid is >= 0.5, bit for bit.
+
+    The sigmoid rounds to exactly 0.5 from z = -2**-53 up, where tanh(z / 2)
+    is z / 2 = -2**-54; the sweep takes every float within 200,000 steps of
+    that point, and the specials and a spread of ordinary logits ride along.
+    """
+    switch = np.array([-(2.0**-53)]).view(np.int64)
+    sweep = (switch + np.arange(-200_000, 200_000)).view(np.float64)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 2.0**-1074, -(2.0**-1074)])
+    spread = np.random.default_rng(0).normal(scale=40.0, size=100_000)
+    for logits in (sweep, specials, spread):
+        expected = deterministic_action(_sigmoid(logits))
+        np.testing.assert_array_equal(deterministic_action_from_logits(logits), expected)
+    decided = deterministic_action_from_logits(sweep)
+    assert decided.any() and not decided.all()
+    np.testing.assert_array_equal(deterministic_action_from_logits(specials),
+                                  [True, True, True, False, False, False, True, True])
 
 
 def test_log_prob_from_logits_matches_direct():

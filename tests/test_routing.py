@@ -15,6 +15,7 @@ from edgeplace.routing import (
     _EPS_FEAS,
     _FAST_MARGIN,
     RoutingProblem,
+    _over_capacity,
     _total,
     _transport,
     chosen_nodes,
@@ -22,6 +23,7 @@ from edgeplace.routing import (
     route_flows,
     solve_routing,
     total_delay,
+    unit_rows,
 )
 from edgeplace.scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
 from edgeplace.workload import WorkloadGenConfig
@@ -402,6 +404,49 @@ def test_nearest_host_test_matches_numpy_reference():
     check()
     assert outcomes == {(True, "optimal"), (False, "optimal"), (False, "infeasible")}
     assert any(exact_hits)  # some load sits exactly on capacity * _FAST_MARGIN
+
+
+@pytest.mark.parametrize(
+    "rate, cap", [(6e-10, 4.0), (0.5, 4.5)], ids=["stranded-within-eps-feas", "every-source-ships"]
+)
+def test_slow_path_routing_is_unit_rows_of_route_flows(rate, cap):
+    """_route's slow path builds unit_rows of route_flows' flows, byte for byte.
+
+    Node 2 sends nothing and gets the lowest-index host, as on the fast
+    path. Hosts 0 and 2 fill up with sources 0 and 3; with rate 6e-10,
+    source 1's supply is above what is left by less than _EPS_FEAS, so it
+    is routable but ships nothing, and its row stays zero, not NaN.
+    """
+    delays = np.array([[0.0, 5.0, 3.0, 3.0],
+                       [5.0, 0.0, 5.0, 5.0],
+                       [3.0, 5.0, 0.0, 1.0],
+                       [3.0, 5.0, 1.0, 0.0]])
+    w = np.array([4.0, rate, 0.0, 2.0])
+    placement = np.array([True, False, True, False])
+    sol = solve_routing(_problem(delays, w, placement, [cap, 9.0, 2.0, 9.0], np.ones(4)))
+    sources, hosts = [0, 1, 3], [0, 2]
+    flows = np.zeros((4, 4))
+    flows[np.ix_(sources, hosts)] = route_flows(
+        delays[np.ix_(sources, hosts)].tolist(), w[sources].tolist(), [cap, 2.0]
+    )
+    expected = unit_rows(flows, w)
+    expected[2, 0] = 1.0
+    assert sol.feasible
+    assert sol.routing.tobytes() == expected.tobytes()
+    assert (sol.routing[1].sum() == 0.0) == (rate < 1e-9)
+
+
+@pytest.mark.parametrize("caps_total", [0.0, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 3.0, 1e6, np.nan])
+def test_over_capacity_gives_one_verdict_on_floats_and_arrays(caps_total):
+    """route_flows tests Python floats and _route_rounds arrays; the verdicts agree."""
+    edge = caps_total + _EPS_FEAS * max(1.0, caps_total)
+    supplies = [caps_total * (1.0 - 1e-9), caps_total * (1.0 + 1e-9), caps_total, edge,
+                np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), 1.0, np.nextafter(1.0, 2.0)]
+    for supply_total in map(float, supplies):
+        verdict = _over_capacity(supply_total, float(caps_total))
+        assert type(verdict) is bool
+        assert verdict == _over_capacity(np.array([supply_total]), np.array([caps_total]))[0]
+    assert _over_capacity(float(np.nextafter(edge, np.inf)), float(caps_total)) == (caps_total >= 0.0)
 
 
 def test_simplex_failure_reports_instance(monkeypatch):
