@@ -7,10 +7,15 @@ the chosen placement, so emitted routes meet the verifier's tolerances. The
 optional budget counts HiGHS branch-and-bound nodes, not wall time, so
 budgeted runs are reproducible too.
 
-solve_vsvbp: bin-packing-flavored greedy, fewest hosting nodes first.
-solve_creua: criticality-ordered greedy, nearest node first per source.
-Both are deliberately simple reference points, not faithful reimplementations
-of any specific system.
+The greedy baselines share one run, _greedy_run. It offers each function, in
+the solver's order, the residual cores and memory; charges the placement its
+rule picks (routed cores, hosts' memory) to later functions; sums delay and
+cost; and records a function that finds no room as a violation. Each solver
+supplies only its order and its rule, and neither is a faithful
+reimplementation of any specific system:
+
+solve_vsvbp: queue order; fewest hosting nodes first, most core headroom first.
+solve_creua: queue by decreasing criticality; each source fills its nearest nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from scipy.optimize import LinearConstraint, linprog, milp
 
 from .env import cost_increment, make_queue, t_max_bound
 from .model import Scenario
-from .routing import RoutingProblem, solve_routing, total_delay
+from .routing import RoutingProblem, _total, solve_routing, total_delay
 
 
 @dataclass
@@ -106,8 +111,8 @@ def _joint_routing_lp(
     if not res.success:
         return None
     x[var_f, var_i, hosts] = res.x
-    delay = float(sum(total_delay(x[f], workload[f], delays) for f in range(f_cnt)))
-    cost = float(sum(cost_increment(x[f], workload[f], cpr[f]) for f in range(f_cnt)))
+    delay = _total([total_delay(x[f], workload[f], delays) for f in range(f_cnt)])
+    cost = _total([cost_increment(x[f], workload[f], cpr[f]) for f in range(f_cnt)])
     return lam_t * delay + lam_c * cost, delay, cost, x
 
 
@@ -249,24 +254,33 @@ def solve_joint_milp(
 # --------------------------------------------------------------------------
 
 
-def _greedy_solution(
-    placements: np.ndarray,
-    routes: dict[int, np.ndarray],
-    delay: float,
-    cost: float,
-    violations: list[str],
-    method: str,
+def _greedy_run(
+    scenario: Scenario, workload: np.ndarray, order: list[int], place, method: str
 ) -> JointSolution:
-    return JointSolution(
-        status="feasible" if not violations else "infeasible",
-        placements=placements if not violations else None,
-        routes=routes if not violations else None,
-        total_delay=delay if not violations else None,
-        total_cost=cost if not violations else None,
-        objective=None,
-        optimal=False,
-        metadata={"method": method, "violations": violations},
-    )
+    """One greedy episode over `order`: place(f, cores, memory) gets the residual
+    cores and memory and returns (placement, routing, delay), or None for no room."""
+    cores, memory = scenario.topology.cores, scenario.topology.memory
+    placements = np.zeros((scenario.n_functions, scenario.n_nodes), dtype=bool)
+    routes: dict[int, np.ndarray] = {}
+    delay = cost = 0.0
+    violations: list[str] = []
+    for f in order:
+        placed = place(f, cores, memory)
+        if placed is None:
+            violations.append(f"{f}:unplaceable")
+            continue
+        placement, routing, f_delay = placed
+        cpr = scenario.cores_per_request[f]
+        placements[f] = placement
+        routes[f] = routing
+        cores = cores - routing.T @ workload[f] * cpr
+        memory = memory - np.where(placement, scenario.function_memory[f], 0.0)
+        delay += f_delay
+        cost += cost_increment(routing, workload[f], cpr)
+    meta = {"method": method, "violations": violations}
+    if violations:
+        return JointSolution("infeasible", None, None, None, None, None, False, metadata=meta)
+    return JointSolution("feasible", placements, routes, delay, cost, None, False, metadata=meta)
 
 
 def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> JointSolution:
@@ -277,23 +291,14 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     core headroom until the traffic fits, then routed optimally on that set.
     """
     workload = scenario.workload if workload is None else workload
-    n = scenario.n_nodes
-    cores, memory = scenario.topology.cores, scenario.topology.memory
-    placements = np.zeros((scenario.n_functions, n), dtype=bool)
-    routes: dict[int, np.ndarray] = {}
-    delay = cost = 0.0
-    violations: list[str] = []
-    for f in make_queue(scenario, workload):
-        cpr, fn_memory = scenario.cores_per_request[f], scenario.function_memory[f]
-        fits_mem = memory >= fn_memory - 1e-9
-        headroom = np.maximum(cores, 0.0) / cpr
-        candidates = sorted(
-            (int(i) for i in np.flatnonzero(fits_mem)),
-            key=lambda i: (-headroom[i], i),
-        )
-        solution = None
-        placement = np.zeros(n, dtype=bool)
-        for i in candidates:
+
+    def place(f, cores, memory):
+        cpr = scenario.cores_per_request[f]
+        fits_mem = np.flatnonzero(memory >= scenario.function_memory[f] - 1e-9)
+        headroom = np.maximum(cores[fits_mem], 0.0) / cpr[fits_mem]
+        placement = np.zeros(scenario.n_nodes, dtype=bool)
+        # most headroom first, the lower index on a tie
+        for i in fits_mem[np.argsort(-headroom, kind="stable")].tolist():
             placement[i] = True
             trial = solve_routing(
                 RoutingProblem(
@@ -305,19 +310,10 @@ def solve_vsvbp(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
                 )
             )
             if trial.feasible:
-                solution = trial
-                break
-        if solution is None:
-            violations.append(f"{f}:unplaceable")
-            continue
-        routing = solution.routing
-        placements[f] = placement
-        routes[f] = routing
-        cores = cores - routing.T @ workload[f] * cpr
-        memory = memory - np.where(placement, fn_memory, 0.0)
-        delay += solution.objective_delay
-        cost += cost_increment(routing, workload[f], cpr)
-    return _greedy_solution(placements, routes, delay, cost, violations, "vsvbp")
+                return placement, trial.routing, trial.objective_delay
+        return None
+
+    return _greedy_run(scenario, workload, make_queue(scenario, workload), place, "vsvbp")
 
 
 def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> JointSolution:
@@ -329,26 +325,24 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
     """
     workload = scenario.workload if workload is None else workload
     n = scenario.n_nodes
+    delays = scenario.topology.delays
     crit = scenario.criticality or (0,) * scenario.n_functions
-    base = make_queue(scenario, workload)
-    order = sorted(base, key=lambda f: -crit[f])  # a stable sort: ties keep queue order
-    cores, memory = scenario.topology.cores, scenario.topology.memory
-    placements = np.zeros((scenario.n_functions, n), dtype=bool)
-    routes: dict[int, np.ndarray] = {}
-    delay = cost = 0.0
-    violations: list[str] = []
-    for f in order:
+    # stable sorts: equal criticality keeps queue order, and equal rates or
+    # delays put the lower index first
+    order = sorted(make_queue(scenario, workload), key=lambda f: -crit[f])
+    nearest = np.argsort(delays, axis=1, kind="stable").tolist()
+
+    def place(f, cores, memory):
         cpr, fn_memory = scenario.cores_per_request[f], scenario.function_memory[f]
+        rates = workload[f]
         cores_left = cores.copy()
         placement = np.zeros(n, dtype=bool)
         routing = np.zeros((n, n))
-        failed = False
-        sources = sorted(range(n), key=lambda i: (-workload[f, i], i))
-        for i in sources:
-            remaining = workload[f, i]
+        for i in np.argsort(-rates, kind="stable").tolist():
+            remaining = rates[i]
             if remaining <= 0:
                 continue
-            for j in sorted(range(n), key=lambda j: (scenario.topology.delays[i, j], j)):
+            for j in nearest[i]:
                 if remaining <= 1e-12:
                     break
                 if not placement[j] and memory[j] < fn_memory - 1e-9:
@@ -357,31 +351,24 @@ def solve_creua(scenario: Scenario, workload: np.ndarray | None = None) -> Joint
                 if absorb <= 0:
                     continue
                 placement[j] = True
-                routing[i, j] += absorb / workload[f, i]
+                routing[i, j] += absorb / rates[i]
                 cores_left[j] -= absorb * cpr[j]
                 remaining -= absorb
             if remaining > 1e-9:
-                failed = True
-                break
-        if failed or (workload[f].sum() > 0 and not placement.any()):
-            violations.append(f"{f}:unplaceable")
-            continue
+                return None
         if not placement.any():  # zero traffic: lowest node with memory room
+            if rates.sum() > 0:
+                return None
             hosts = np.flatnonzero(memory >= fn_memory - 1e-9)
             if hosts.size == 0:
-                violations.append(f"{f}:unplaceable")
-                continue
+                return None
             placement[int(hosts[0])] = True
         for i in range(n):
-            if workload[f, i] <= 0:
+            if rates[i] <= 0:
                 routing[i] = 0.0
                 routing[i, int(np.flatnonzero(placement)[0])] = 1.0
             else:
                 routing[i] /= routing[i].sum()  # absorb split-loop float dust
-        placements[f] = placement
-        routes[f] = routing
-        cores = cores - routing.T @ workload[f] * cpr
-        memory = memory - np.where(placement, fn_memory, 0.0)
-        delay += total_delay(routing, workload[f], scenario.topology.delays)
-        cost += cost_increment(routing, workload[f], cpr)
-    return _greedy_solution(placements, routes, delay, cost, violations, "cr-eua")
+        return placement, routing, total_delay(routing, rates, delays)
+
+    return _greedy_run(scenario, workload, order, place, "cr-eua")

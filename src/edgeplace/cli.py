@@ -24,7 +24,7 @@ from .model import ScenarioError, load_scenario, save_scenario
 from .nn import PolicyArchitectureError
 from .ppo import PPOConfig, load_policy
 from .scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
-from .util import load_json, rng_stream
+from .util import is_json_number, load_json, rng_stream
 from .verify import verify_file
 from .workload import WorkloadError, WorkloadGenConfig, generate_workloads, ingest_trace, write_trace
 
@@ -180,7 +180,7 @@ def _fits(value, hint) -> bool:
             return all(_fits(v, args[0]) for v in value)
         return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
     if hint is float:
-        return type(value) in (int, float)
+        return is_json_number(value)
     return type(value) is hint
 
 

@@ -50,9 +50,14 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the least int that float() rounds to infinity and refuses with OverflowError
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
 def is_json_number(value: Any) -> bool:
-    """Whether a value read from JSON is a number: 3 or 3.5, not "3.5" or true."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value read from JSON is a number a float holds: 3 or 3.5, not "3.5",
+    true or 10**400."""
+    return isinstance(value, float) or (is_json_int(value) and abs(value) < _FLOAT_INT_LIMIT)
 
 
 def non_number(value: Any, name: str) -> str | None:

@@ -72,7 +72,7 @@ def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
         routes = np.array(doc["routes"], dtype=float)
         total_delay = float(doc["total_delay"])
         total_cost = float(doc["total_cost"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return [f"malformed document: {exc}"]
     return check_decision(scenario, workload, placements, routes, total_delay, total_cost)
 

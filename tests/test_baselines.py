@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from edgeplace.baselines import (
+    _joint_routing_lp,
     joint_objective_weights,
     solve_creua,
     solve_joint_milp,
     solve_vsvbp,
 )
-from edgeplace.env import t_max_bound
+from edgeplace.env import cost_increment, t_max_bound
+from edgeplace.routing import total_delay
 from edgeplace.scenarios import build_preset, preset_workload_config, random_scenario
 from edgeplace.verify import decision_to_dict, verify_decision
 from edgeplace.workload import generate_workloads
@@ -261,6 +263,28 @@ def test_creua_places_zero_traffic_function(tri_scenario):
     np.testing.assert_allclose(sol.routes[1].sum(axis=1), 1.0)
 
 
+def test_creua_breaks_ties_toward_the_lower_index():
+    """Sources 0 and 1 send equal rates; source 0 is as near to node 1 as to node 2.
+
+    Source 0 goes first and fills its own node, then node 1 before node 2:
+    0.25 + 0.25 + 0.5. Source 1 then finds nodes 1 and 0 full and ships all
+    to node 2, and the idle source 2 routes to the lowest host, node 0.
+    Serving source 1 first, or node 2 before node 1, gives other routes.
+    """
+    scenario = make_scenario(
+        delays=[[0, 1, 1], [1, 0, 2], [1, 2, 0]],
+        cores=[0.25, 0.25, 2.0],
+        memory=[64, 64, 64],
+        fn_memory=[1],
+        workload=[[1, 1, 0]],
+    )
+    sol = solve_creua(scenario)
+    _check_valid_greedy(scenario, scenario.workload, sol)
+    np.testing.assert_array_equal(sol.placements[0], [True, True, True])
+    np.testing.assert_array_equal(sol.routes[0], [[0.25, 0.25, 0.5], [0, 0, 1], [1, 0, 0]])
+    assert (sol.total_delay, sol.total_cost) == (2.75, 2.0)
+
+
 @pytest.mark.parametrize("solver", [solve_vsvbp, solve_creua])
 @pytest.mark.parametrize("cores, memory", [([8, 8], [64, 64]), ([50, 50], [3, 64])],
                          ids=["cores", "memory"])
@@ -303,3 +327,19 @@ def test_joint_lp_reference_agrees_with_fixed_placement_milp(tri_scenario):
     assert delay == pytest.approx(0.0, abs=1e-9)
     assert cost == pytest.approx(30.0, rel=1e-9)
     assert obj == pytest.approx(lam_c * 30.0, rel=1e-9)
+
+
+def test_joint_routing_lp_totals_sum_left_to_right():
+    """Both totals are the per-function terms added left to right from 0.0 in
+    function order. Python's sum() compensates float sums from 3.12 on, which
+    here would change the last bits of both totals."""
+    scenario = random_scenario(20, 30, np.random.default_rng(2))
+    workload = scenario.workload
+    lam_t, lam_c = joint_objective_weights(scenario, workload, 0.5)
+    allowed = np.ones(workload.shape, dtype=bool)
+    _, delay, cost, x = _joint_routing_lp(scenario, workload, allowed, lam_t, lam_c)
+    want_delay = want_cost = 0.0
+    for f in range(scenario.n_functions):
+        want_delay += total_delay(x[f], workload[f], scenario.topology.delays)
+        want_cost += cost_increment(x[f], workload[f], scenario.cores_per_request[f])
+    assert (delay, cost) == (want_delay, want_cost)

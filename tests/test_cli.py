@@ -131,9 +131,13 @@ def test_bad_checkpoint_exits_2(scenario_path, tmp_path, content):
         ("params", True),
         ("state_scale", "0.5"),
         ("state_scale", True),
+        # and these as OverflowError
+        ("params", 10**400),
+        ("state_scale", 10**400),
     ],
     ids=["non-numeric-params", "ragged-state-scale", "string-number-params", "bool-params",
-         "string-number-state-scale", "bool-state-scale"],
+         "string-number-state-scale", "bool-state-scale", "huge-int-params",
+         "huge-int-state-scale"],
 )
 def test_malformed_checkpoint_numbers_exit_2(scenario_path, tmp_path, capsys, field, value):
     """A list value replaces the whole field, any other value its first entry."""
@@ -205,12 +209,16 @@ def test_non_finite_or_non_positive_checkpoint_exits_2(
         ({"ppo": {"gae_lambda": 1.5}}, "ppo.gae_lambda"),
         ({"ppo": {"entropy_coef": -0.01}}, "ppo.entropy_coef"),
         ({"ppo": {"value_coef": float("inf")}}, "ppo.value_coef"),
+        ({"ppo": {"learning_rate": 10**400}}, "ppo.learning_rate"),
+        ({"ppo": {"clip_ratio": 10**400}}, "ppo.clip_ratio"),
+        ({"workload": {"rate_range": [1, 10**400]}}, "workload.rate_range"),
     ],
     ids=["plan-section", "misspelled-ppo-key", "flag-owned-workload-key", "unknown-section",
          "string-for-int", "number-for-pair", "zero-epochs", "zero-minibatch",
          "zero-update-interval", "zero-width-layer", "rate-ranges-per-function-count",
          "nan-learning-rate", "zero-learning-rate", "negative-clip-ratio", "negative-gamma",
-         "gae-lambda-above-1", "negative-entropy-coef", "infinite-value-coef"],
+         "gae-lambda-above-1", "negative-entropy-coef", "infinite-value-coef",
+         "huge-int-learning-rate", "huge-int-clip-ratio", "huge-int-rate-range"],
 )
 def test_bad_config_exits_1_naming_the_key(scenario_path, tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
@@ -437,7 +445,14 @@ def test_a_file_holding_a_json_list_is_refused(scenario_path, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "field, cause", [("placements", "placements shape"), ("routes", "non-finite route entry")]
+    "field, cause",
+    [
+        ("placements", "placements shape"),
+        ("routes", "non-finite route entry"),
+        # float() and np.array(dtype=float) raise OverflowError on 10**400
+        ("total_delay", "malformed document"),
+        ("workload", "malformed document"),
+    ],
 )
 def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_scenario, tmp_path,
                                                           capsys, field, cause):
@@ -451,8 +466,12 @@ def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_sc
     )
     if field == "placements":
         doc["placements"] = doc["placements"][:-1]
-    else:
+    elif field == "routes":
         doc["routes"][0][0][0] = float("inf")  # json writes an Infinity literal
+    elif field == "total_delay":
+        doc["total_delay"] = 10**400
+    else:
+        doc["workload"][0][0] = 10**400
     path = tmp_path / "decision.json"
     path.write_text(json.dumps(doc))
     assert run_cli("verify", "--scenario", scenario_path, str(path)) == EXIT_INVALID

@@ -125,12 +125,13 @@ def test_scenario_rejects_non_integer_criticality(tri_scenario, value):
     assert scenario_from_dict(doc).criticality == (2, 1)
 
 
-@pytest.mark.parametrize("value", ["2", True], ids=["string", "bool"])
+@pytest.mark.parametrize("value", ["2", True, 10**400], ids=["string", "bool", "huge-int"])
 @pytest.mark.parametrize(
     "field", ["node-cores", "function-memory", "workload-entry", "delay-entry"]
 )
 def test_scenario_rejects_values_that_are_not_json_numbers(tri_scenario, field, value):
-    """float() and np.array(dtype=float) would read "2" as 2.0 and true as 1.0."""
+    """float() and np.array(dtype=float) would read "2" as 2.0 and true as 1.0,
+    and raise OverflowError on 10**400."""
     doc = scenario_to_dict(tri_scenario)
     if field == "node-cores":
         doc["nodes"][1]["cores"], name = value, "node 1 cores"
