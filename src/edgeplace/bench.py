@@ -16,7 +16,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,17 +35,6 @@ from .ppo import PolicyAgent, PPOConfig, Trajectory, ppo_update, sample_actions,
 from .util import dump_json, rng_stream
 from .workload import WorkloadGenConfig, generate_workloads
 
-# results.csv's columns in order, each one the ResultRow field of that name
-RESULT_COLUMNS = (
-    "candidate",
-    "alpha",
-    "snapshot",
-    "delay_ms_per_req",
-    "total_delay",
-    "cost",
-    "decision_time_ms",
-    "valid",
-)
 CANDIDATES = ("agent", "joint-milp", "vsvbp", "cr-eua")
 # per-function placement decisions a timed run makes, per candidate and alpha, before
 # its measured rows to warm caches and the allocator; one snapshot run makes F of them
@@ -77,6 +66,10 @@ class ResultRow:
     cost: float
     decision_time_ms: float | None  # None in an untimed run
     valid: bool
+
+
+# results.csv's columns in order: ResultRow's fields
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -366,7 +359,12 @@ def _mean(values: list) -> float | None:
 
 
 def summarize(rows: list[ResultRow]) -> list[dict]:
-    """Per (candidate, alpha): means over valid snapshots plus validity rate."""
+    """Per (candidate, alpha): means over valid snapshots plus validity rate.
+
+    The mean decision time is over every timed decision, valid or not: a
+    decision that is invalid, or an exact solve stopped at its budget, took
+    its time all the same.
+    """
     keys = sorted({(r.candidate, r.alpha) for r in rows})
     out = []
     for candidate, alpha in keys:
@@ -381,7 +379,7 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
                 "mean_delay_ms_per_req": _mean([r.delay_ms_per_req for r in valid]),
                 "mean_total_delay": _mean([r.total_delay for r in valid]),
                 "mean_cost": _mean([r.cost for r in valid]),
-                "mean_decision_time_ms": _mean([r.decision_time_ms for r in valid]),
+                "mean_decision_time_ms": _mean([r.decision_time_ms for r in group]),
             }
         )
     return out

@@ -59,6 +59,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type of --seed: rng_stream keeps 32 bits, so a seed outside 0..2**32 - 1,
+    which would repeat another seed's run, is a usage error."""
+    value = int(text)
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise argparse.ArgumentTypeError(f"must lie in 0..4294967295, got {value}")
+    return value
+
+
 def unit_interval(text: str) -> float:
     """argparse type of a cost weight: a value outside [0, 1], NaN included, is a usage error."""
     value = float(text)
@@ -68,7 +77,9 @@ def unit_interval(text: str) -> float:
 
 
 def _add_seed_out(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="root seed for all sub-streams")
+    sub.add_argument(
+        "--seed", type=seed_int, default=0, help="root seed for all sub-streams, 0..2**32-1"
+    )
     sub.add_argument("--out", required=True, help="output file or directory")
 
 

@@ -37,10 +37,11 @@ core cost into [-1, 1] against run-level bounds and returns their negated
 alpha-blend, so 0-cost/0-delay scores +1 and worst-case scores -1. Invalid
 steps (no node chosen, memory or core overdraft, unroutable traffic) score
 a flat penalty below that range and commit nothing. The bounds widen in
-episode order across a run. One scorer holds them and computes every
-reward. PlacementEnv's score() call at each step widens them to that step;
-LockstepEnv's rewards() hands a finished window to score_window, which
-takes the bounds each step sees as running maxima and minima
+episode order across a run. Each environment holds its run's bounds as one
+RewardBounds, which widens in place and computes every reward.
+PlacementEnv.step calls RewardBounds.score, which widens them to that step;
+LockstepEnv's rewards() hands a finished window to RewardBounds.score_window,
+which takes the bounds each step sees as running maxima and minima
 (np.maximum.accumulate and np.minimum.accumulate) over the window in
 episode order. Max and min are exact and the normalization and blend are
 score()'s own float64 operations, so both give the same bits.
@@ -49,7 +50,7 @@ score()'s own float64 operations, so both give the same bits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,25 +195,6 @@ def build_state_scale(scenario: Scenario, snapshots: list[np.ndarray]) -> np.nda
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewardBounds:
-    """Normalization window for cumulative delay and cumulative core cost.
-
-    Bounds only ever widen (within and across episodes of a run) so the
-    reward scale cannot oscillate while training. A run starts c_max at the
-    cluster's total cores, which no episode's cost can exceed, so each new
-    episode widens only t_max, to that episode's t_max_bound.
-    """
-
-    t_min: float = 0.0
-    t_max: float = 0.0
-    c_min: float = 0.0
-    c_max: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"t_min": self.t_min, "t_max": self.t_max, "c_min": self.c_min, "c_max": self.c_max}
-
-
 def _normalize(value: float, lo: float, hi: float) -> float:
     if hi - lo <= 1e-12:
         return -1.0  # degenerate window: best possible by convention
@@ -242,38 +224,42 @@ def _running(ufunc: np.ufunc, seed: float, values: np.ndarray) -> tuple[np.ndarr
     return scan[1:].reshape(values.shape), float(scan[-1])
 
 
-class _RewardScorer:
-    """A run's reward bounds as four floats, widened in place, and the reward.
+@dataclass(slots=True)
+class RewardBounds:
+    """A run's normalization window for cumulative delay and core cost, widened in place.
 
-    score() widens them to a valid step's cumulative delay t and cost c and
-    returns minus the alpha-blend of t and c normalized to them: it scores
+    Bounds only ever widen (within and across episodes of a run) so the
+    reward scale cannot oscillate while training. A run starts c_max at the
+    cluster's total cores, which no episode's cost can exceed, so each new
+    episode widens only t_max, to that episode's t_max_bound. score()
+    widens them to a valid step's cumulative delay t and cost c and returns
+    minus the alpha-blend of t and c normalized to them: it scores
     PlacementEnv's steps and normalize_and_reward's. score_window() gives a
     finished LockstepEnv window the rewards and final bounds that widen()
     and score() give it one step at a time, with array scans.
     """
 
-    __slots__ = ("t_min", "t_max", "c_min", "c_max", "alpha")
+    t_min: float = 0.0
+    t_max: float = 0.0
+    c_min: float = 0.0
+    c_max: float = 0.0
 
-    def __init__(self, alpha: float, t_min=0.0, t_max=0.0, c_min=0.0, c_max=0.0):
-        self.alpha = alpha
-        self.t_min, self.t_max, self.c_min, self.c_max = t_min, t_max, c_min, c_max
-
-    @property
-    def bounds(self) -> RewardBounds:
-        return RewardBounds(self.t_min, self.t_max, self.c_min, self.c_max)
+    def to_dict(self) -> dict:
+        return {"t_min": self.t_min, "t_max": self.t_max, "c_min": self.c_min, "c_max": self.c_max}
 
     def widen(self, t_upper: float) -> None:  # at each episode's start, to its t_max_bound
         self.t_max = max(self.t_max, t_upper)
 
-    def score(self, t: float, c: float) -> float:
+    def score(self, t: float, c: float, alpha: float) -> float:
         self.t_min, self.t_max = min(self.t_min, t), max(self.t_max, t)
         self.c_min, self.c_max = min(self.c_min, c), max(self.c_max, c)
         t_norm = _normalize(t, self.t_min, self.t_max)
         c_norm = _normalize(c, self.c_min, self.c_max)
-        return -(self.alpha * c_norm + (1.0 - self.alpha) * t_norm)
+        return -(alpha * c_norm + (1.0 - alpha) * t_norm)
 
     def score_window(
-        self, t_uppers: np.ndarray, delays: np.ndarray, costs: np.ndarray, valid: np.ndarray
+        self, t_uppers: np.ndarray, delays: np.ndarray, costs: np.ndarray, valid: np.ndarray,
+        alpha: float,
     ) -> np.ndarray:
         """The (E, F) rewards of a window of E episodes of F steps, taken in episode order.
 
@@ -292,16 +278,20 @@ class _RewardScorer:
         c_lo, self.c_min = _running(np.minimum, self.c_min, np.where(valid, costs, np.inf))
         t_norm = _normalize_all(delays, t_lo, t_hi[:, 1:])
         c_norm = _normalize_all(costs, c_lo, c_hi)
-        blend = -(self.alpha * c_norm + (1.0 - self.alpha) * t_norm)
+        blend = -(alpha * c_norm + (1.0 - alpha) * t_norm)
         return np.where(valid, blend, PENALTY_REWARD)
 
 
 def normalize_and_reward(
     t_total: float, c_total: float, bounds: RewardBounds, alpha: float
 ) -> tuple[float, RewardBounds]:
-    """Blend normalized cumulative delay and cost into a reward in [-1, 1]."""
-    scorer = _RewardScorer(alpha, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max)
-    return scorer.score(t_total, c_total), scorer.bounds
+    """Blend normalized cumulative delay and cost into a reward in [-1, 1].
+
+    Returns the reward and the widened bounds, a new RewardBounds: the one
+    given is left as it was.
+    """
+    widened = replace(bounds)
+    return widened.score(t_total, c_total, alpha), widened
 
 
 def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float | np.ndarray:
@@ -355,8 +345,10 @@ class PlacementEnv:
     total_delay and total_cost, and empty placements and routes dicts keyed
     by function id. A valid step assigns all six; an invalid step counts in
     invalid_steps and assigns none of them. The env keeps its run's reward
-    bounds across resets; `bounds` reads them. The observations reset() and
-    step() return are the rows of one matrix per episode, each written once.
+    bounds across resets in `bounds`, one RewardBounds that reset() widens
+    and each valid step's RewardBounds.score widens and scores against. The
+    observations reset() and step() return are the rows of one matrix per
+    episode, each written once.
     """
 
     def __init__(self, scenario: Scenario, alpha: float):
@@ -364,19 +356,15 @@ class PlacementEnv:
         self.alpha = float(alpha)
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._scorer = _RewardScorer(self.alpha, c_max=float(scenario.topology.cores.sum()))
+        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
         self.workload = scenario.workload
         self.queue: list[int] = []
         self.invalid_steps = 0
 
-    @property
-    def bounds(self) -> RewardBounds:
-        return self._scorer.bounds
-
     def reset(self, workload: np.ndarray | None = None) -> np.ndarray:
         if workload is not None:
             self.workload = workload
-        self._scorer.widen(t_max_bound(self.scenario, self.workload))
+        self.bounds.widen(t_max_bound(self.scenario, self.workload))
         self.available_cores = self.scenario.topology.cores
         self.available_memory = self.scenario.topology.memory
         self.total_delay = 0.0
@@ -435,7 +423,7 @@ class PlacementEnv:
             self.available_memory = mem_after
             self.total_delay += solution.objective_delay
             self.total_cost += cost_increment(routing, row, cpr)
-            reward = self._scorer.score(self.total_delay, self.total_cost)
+            reward = self.bounds.score(self.total_delay, self.total_cost, self.alpha)
         else:
             self.invalid_steps += 1
             reward = PENALTY_REWARD
@@ -459,19 +447,17 @@ class LockstepEnv:
     routability as solve_routing does, and then checks the routed cores.
     `routing` holds the last step's (E, N, N) routings, zero for invalid
     slots, and `codes` the window's (E, F) violation codes so far. A step
-    returns no reward, because the run's reward bounds (`bounds`) widen in
-    episode order: rewards() scores the finished window with array scans.
+    returns no reward, because the run's reward bounds (`bounds`, one
+    RewardBounds kept across resets) widen in episode order: rewards() scores
+    the finished window with RewardBounds.score_window's array scans.
     """
 
     def __init__(self, scenario: Scenario, alpha: float):
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self._scorer = _RewardScorer(float(alpha), c_max=float(scenario.topology.cores.sum()))
-
-    @property
-    def bounds(self) -> RewardBounds:
-        return self._scorer.bounds
+        self.alpha = float(alpha)
+        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""
@@ -549,7 +535,7 @@ class LockstepEnv:
         Episodes are taken in slot order: episode e first widens the bounds to
         its t_max_bound, as PlacementEnv.reset does; then each valid step
         scores its cumulative delay and cost and each invalid step scores
-        PENALTY_REWARD. The scorer's score_window takes the whole window at
+        PENALTY_REWARD. RewardBounds.score_window takes the whole window at
         once. Scoring moves the run's bounds, so a window is scored once.
         """
         if self.position < self.queues.shape[1] or self._scored:
@@ -557,7 +543,7 @@ class LockstepEnv:
         self._scored = True
         delays, costs = self._step_totals
         t_uppers = t_max_bound(self.scenario, self.workloads)
-        return self._scorer.score_window(t_uppers, delays, costs, self.codes == 0)
+        return self.bounds.score_window(t_uppers, delays, costs, self.codes == 0, self.alpha)
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ def rng_stream(seed: int, name: str) -> np.random.Generator:
     All randomness in the package flows from one user-facing seed; each
     consumer (workload synthesis, policy init, action sampling, ...) gets
     its own named stream so adding a consumer never perturbs the others.
+    Only the seed's low 32 bits are used, so the CLI takes seeds in 0..2**32 - 1.
     """
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]

@@ -5,7 +5,7 @@ import json
 import os
 
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from edgeplace.bench import (
     CANDIDATES,
     RESULT_COLUMNS,
     ExperimentPlan,
+    ResultRow,
     emit_results,
     evaluate_candidates,
     render_summary_table,
@@ -197,10 +198,6 @@ def test_invalid_agent_row_carries_nan_totals():
     assert np.isnan(row.total_delay) and np.isnan(row.cost) and np.isnan(row.delay_ms_per_req)
 
 
-def test_result_row_fields_are_the_results_columns():
-    assert tuple(f.name for f in fields(bench.ResultRow)) == RESULT_COLUMNS
-
-
 def test_evaluate_refuses_an_unverifiable_row(small_plan, monkeypatch):
     solve_vsvbp = baselines.solve_vsvbp
 
@@ -279,6 +276,25 @@ def test_summarize_matches_hand_means(small_plan, tri_scenario):
     assert entry["mean_total_delay"] == pytest.approx(
         np.mean([r.total_delay for r in group])
     )
+
+
+def test_summarize_times_every_decision():
+    """An invalid decision's time counts in the mean; its delay and cost do not."""
+
+    def row(candidate, valid, ms, delay=4.0):
+        return ResultRow(candidate, 0.0, 0, 0.5, delay, 2.0, ms, valid)
+
+    rows = [row("joint-milp", True, 10.0), row("joint-milp", False, 30.0, delay=float("nan")),
+            row("agent", False, 2.0), row("agent", False, 4.0)]
+    agent, milp = summarize(rows)  # in candidate order
+    assert milp["valid_fraction"] == 0.5 and milp["mean_total_delay"] == 4.0
+    assert milp["mean_decision_time_ms"] == 20.0
+    assert agent["valid_fraction"] == 0.0 and agent["mean_total_delay"] is None
+    assert agent["mean_decision_time_ms"] == 3.0
+    table = render_summary_table(summarize(rows)).splitlines()
+    assert table[1].split()[0] == "agent" and table[1].split()[-1] == "3.0000"
+    untimed = [replace(r, decision_time_ms=None) for r in rows]
+    assert all(e["mean_decision_time_ms"] is None for e in summarize(untimed))
 
 
 def test_emit_results_writes_artifacts(small_plan, tri_scenario, tmp_path):

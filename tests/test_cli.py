@@ -311,6 +311,26 @@ def test_non_positive_count_exits_1(scenario_path, tmp_path, capsys, command, fl
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "4294967296", "4294967297"])
+@pytest.mark.parametrize("command", ["gen-scenario", "gen-workload", "train", "evaluate",
+                                     "compare"])
+def test_seed_outside_32_bits_exits_1(scenario_path, tmp_path, capsys, command, value):
+    """A seed that rng_stream's 32 bits would fold onto another seed is refused."""
+    out = tmp_path / "o"
+    scenario = [] if command == "gen-scenario" else ["--scenario", scenario_path]
+    code = run_cli(command, *scenario, "--out", str(out), *_SMALL_RUN.get(command, []),
+                   "--seed", value)
+    assert code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_at_the_32_bit_edges_runs(tmp_path):
+    for seed in ("0", "4294967295"):
+        assert run_cli("gen-scenario", "--out", str(tmp_path / f"{seed}.json"),
+                       "--seed", seed) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "command, workload",
     [

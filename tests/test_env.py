@@ -17,7 +17,6 @@ from edgeplace.env import (
     LockstepEnv,
     PlacementEnv,
     RewardBounds,
-    _RewardScorer,
     _queue_stats,
     build_state_scale,
     cost_increment,
@@ -278,7 +277,7 @@ def test_cost_increment_hand_value():
 def test_reward_bounds_only_widen(tri_scenario):
     env = PlacementEnv(tri_scenario, alpha=0.0)
     env.reset()
-    wide = env.bounds
+    wide = replace(env.bounds)
     assert wide == RewardBounds(t_max=t_max_bound(tri_scenario, tri_scenario.workload),
                                 c_max=90.0)  # the cluster's total cores
     env.reset(tri_scenario.workload * 0.5)
@@ -323,10 +322,10 @@ def _assert_window_matches_reference(bounds, alpha, t_uppers, delays, costs, val
     reference, and scoring raises no warning."""
     t_uppers, delays, costs = (np.array(v, dtype=float) for v in (t_uppers, delays, costs))
     valid = np.array(valid, dtype=bool).reshape(delays.shape)
-    scorer = _RewardScorer(alpha, bounds.t_min, bounds.t_max, bounds.c_min, bounds.c_max)
+    scorer = replace(bounds)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rewards = scorer.score_window(t_uppers, delays, costs, valid)
+        rewards = scorer.score_window(t_uppers, delays, costs, valid, alpha)
     want, want_bounds = lockstep_rewards_reference(t_uppers, delays, costs, valid, bounds, alpha)
     assert rewards.tobytes() == want.tobytes()
     got = (scorer.t_min, scorer.t_max, scorer.c_min, scorer.c_max)
@@ -487,6 +486,36 @@ def test_bounds_survive_reset(tri_scenario):
     big = env.bounds.t_max
     env.reset(tri_scenario.workload * 0.01)
     assert env.bounds.t_max == big  # never narrows for smaller snapshots
+
+
+def test_one_reward_window_widens_in_place(tri_scenario):
+    """normalize_and_reward leaves the window it is given as it was, and each
+    environment widens its one window across resets and scored windows."""
+    given = RewardBounds(t_min=1.0, t_max=10.0, c_min=2.0, c_max=5.0)
+    _, widened = normalize_and_reward(25.0, -1.0, given, 0.5)
+    assert widened is not given
+    assert widened == RewardBounds(t_min=1.0, t_max=25.0, c_min=-1.0, c_max=5.0)
+    assert given.to_dict() == {"t_min": 1.0, "t_max": 10.0, "c_min": 2.0, "c_max": 5.0}
+
+    workload = tri_scenario.workload
+    single = PlacementEnv(tri_scenario, alpha=0.5)
+    window = single.bounds
+    for scale in (1.0, 0.5, 3.0):
+        single.reset(workload * scale)
+        while single.step(np.ones(3, dtype=bool)).state is not None:
+            pass
+        assert single.bounds is window
+    assert window.t_max == t_max_bound(tri_scenario, workload * 3.0)
+
+    lockstep = LockstepEnv(tri_scenario, alpha=0.5)
+    window = lockstep.bounds
+    for scales in ((1.0,), (0.5, 3.0)):
+        lockstep.reset([workload * s for s in scales])
+        for _ in range(tri_scenario.n_functions):
+            lockstep.step(np.ones((len(scales), 3), dtype=bool))
+        lockstep.rewards()
+        assert lockstep.bounds is window
+    assert window == single.bounds  # the same episodes widen both windows alike
 
 
 def test_run_episode_deterministic_cold_start(tri_scenario):
