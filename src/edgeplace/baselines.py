@@ -51,7 +51,7 @@ class JointSolution:
 def joint_objective_weights(scenario: Scenario, workload: np.ndarray, alpha: float):
     """Delay/cost weights equivalent to the reward's normalized alpha-blend."""
     t_span = max(t_max_bound(scenario, workload), 1e-12)
-    c_span = max(float(scenario.topology.cores.sum()), 1e-12)
+    c_span = max(scenario.topology.total_cores, 1e-12)
     return 2.0 * (1.0 - alpha) / t_span, 2.0 * alpha / c_span
 
 

@@ -60,8 +60,8 @@ def positive_int(text: str) -> int:
 
 
 def seed_int(text: str) -> int:
-    """argparse type of --seed: rng_stream keeps 32 bits, so a seed outside 0..2**32 - 1,
-    which would repeat another seed's run, is a usage error."""
+    """argparse type of --seed: a seed outside 0..2**32 - 1, which rng_stream refuses,
+    is a usage error before any work."""
     value = int(text)
     if not 0 <= value <= 0xFFFFFFFF:
         raise argparse.ArgumentTypeError(f"must lie in 0..4294967295, got {value}")

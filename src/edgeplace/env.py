@@ -297,8 +297,7 @@ def normalize_and_reward(
 def t_max_bound(scenario: Scenario, workload: np.ndarray) -> float | np.ndarray:
     """Upper bound on cumulative delay: every request crossing every link.
     A float for one (F, N) snapshot, an (E,) array for an (E, F, N) stack."""
-    row_sums = np.add.reduce(scenario.topology.delays, axis=1)
-    bound = np.add.reduce(workload * row_sums, axis=(-2, -1))
+    bound = np.add.reduce(workload * scenario.topology.delay_row_sums, axis=(-2, -1))
     return float(bound) if bound.ndim == 0 else bound
 
 
@@ -356,7 +355,7 @@ class PlacementEnv:
         self.alpha = float(alpha)
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
+        self.bounds = RewardBounds(c_max=scenario.topology.total_cores)
         self.workload = scenario.workload
         self.queue: list[int] = []
         self.invalid_steps = 0
@@ -457,7 +456,7 @@ class LockstepEnv:
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
         self.alpha = float(alpha)
-        self.bounds = RewardBounds(c_max=float(scenario.topology.cores.sum()))
+        self.bounds = RewardBounds(c_max=scenario.topology.total_cores)
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""

@@ -16,6 +16,7 @@ Every reader shares them; a write raises ValueError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,18 @@ class Topology:
     @property
     def n_nodes(self) -> int:
         return len(self.cores)
+
+    # computed on first read, so a malformed topology still builds for validate_topology
+    @functools.cached_property
+    def delay_row_sums(self) -> np.ndarray:
+        """(N,) read-only: np.add.reduce(delays, axis=1), each node's delays to all nodes."""
+        sums = np.add.reduce(self.delays, axis=1)
+        sums.flags.writeable = False
+        return sums
+
+    @functools.cached_property
+    def total_cores(self) -> float:
+        return float(self.cores.sum())
 
 
 def validate_topology(topology: Topology) -> list[str]:

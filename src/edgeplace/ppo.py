@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .nn import MLP, Adam, PolicyArchitectureError, Workspace, layer_shapes
+from .nn import MLP, Adam, PolicyArchitectureError, layer_shapes
 from .util import dump_json, is_json_int, load_json, non_number
 
 POLICY_SCHEMA_VERSION = 1
@@ -163,45 +163,22 @@ def ppo_loss_and_grad(net: MLP, batch: dict, config: PPOConfig):
     states = batch["states"]
     return _loss_and_grad(
         net, states, batch["actions"], batch["old_log_probs"], batch["advantages"],
-        batch["returns"], config, True, _UpdateWorkspace.build(net, len(states)),
+        batch["returns"], config, True, net.workspace(len(states)),
     )
 
 
-@dataclass
-class _UpdateWorkspace:
-    """One ppo_update's buffers, for minibatches of up to net.rows rows.
-
-    net is the network's Workspace. logits (rows, N) holds the contiguous
-    copy of the head's logit columns, probs (rows, N) their probabilities
-    and d_head (rows, N + 1) the loss gradient w.r.t. the head output. A
-    minibatch of B rows uses the leading B rows of each.
-    """
-
-    net: Workspace
-    logits: np.ndarray
-    probs: np.ndarray
-    d_head: np.ndarray
-
-    @classmethod
-    def build(cls, net: MLP, rows: int) -> "_UpdateWorkspace":
-        n = net.n_actions
-        return cls(net.workspace(rows), np.empty((rows, n)), np.empty((rows, n)),
-                   np.empty((rows, n + 1)))
-
-
 def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats, workspace):
-    """ppo_loss_and_grad on the minibatch's columns, with its arrays in workspace (an
-    _UpdateWorkspace); with_stats=False skips the loss and its diagnostics and returns
-    None for the stats, with the same gradient."""
+    """ppo_loss_and_grad on the minibatch's columns, with the network's arrays in workspace
+    (an nn.Workspace) and the loss head's made afresh; with_stats=False skips the loss and
+    its diagnostics and returns None for the stats, with the same gradient."""
     b = states.shape[0]
     eps = config.clip_ratio
     stats: dict = {}
 
     def d_out(head_logits, values):
         # head_logits is a column slice of the head output; elementwise work is faster on a copy
-        logits = workspace.logits[:b]
-        np.copyto(logits, head_logits)
-        probs = _sigmoid(logits, out=workspace.probs[:b])
+        logits = head_logits.copy()
+        probs = _sigmoid(logits)
         new_lp = log_prob_from_logits(logits, actions)
         ratio = np.exp(new_lp - old_lp)
         # gradient flows only where the unclipped branch attains the min
@@ -222,7 +199,7 @@ def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats, 
         entropy_grad /= b
         d_logits += entropy_grad
         v_err = values - rets
-        d_head = workspace.d_head[:b]
+        d_head = np.empty((b, net.n_actions + 1))
         d_head[:, :-1] = d_logits
         d_head[:, -1] = config.value_coef * 2.0 * v_err / b
         if with_stats:
@@ -236,7 +213,7 @@ def _loss_and_grad(net, states, actions, old_lp, adv, rets, config, with_stats, 
             stats["approx_kl"] = float(np.mean(old_lp - new_lp))
         return d_head
 
-    _, _, grad = net.forward_backward(states, d_out, workspace.net)
+    _, _, grad = net.forward_backward(states, d_out, workspace)
     if not with_stats:
         return None, grad
     stats["loss"] = (
@@ -259,12 +236,13 @@ def ppo_update(
     Each epoch gathers each of the trajectory's columns once, in a fresh
     shuffled order, and cuts minibatch k as rows k*size to (k+1)*size of
     those gathered arrays, so the last one is ragged when size does not
-    divide the window. The update owns one workspace, sized for
-    min(size, window) rows: every minibatch's activations, loss head, deltas
-    and gradient are written into it (a ragged one into its leading rows),
-    and it is dropped when the update returns. Returns the loss diagnostics
-    of the last minibatch of the last epoch, the only one they are computed
-    for, plus the window's mean reward.
+    divide the window. The update owns one network workspace, sized for
+    min(size, window) rows: every minibatch's activations, deltas and
+    gradient are written into it (a ragged one into its leading rows), and
+    it is dropped when the update returns; the loss head's arrays are made
+    per minibatch. Returns the loss diagnostics of the last minibatch of the
+    last epoch, the only one they are computed for, plus the window's mean
+    reward.
     """
     adv_raw, returns = compute_gae(trajectory, config.gamma, config.gae_lambda)
     adv = (adv_raw - adv_raw.mean()) / (adv_raw.std() + 1e-8)
@@ -277,7 +255,7 @@ def ppo_update(
         adv,
         returns,
     )
-    workspace = _UpdateWorkspace.build(net, min(size, t_len))
+    workspace = net.workspace(min(size, t_len))
     diag: dict = {}
     for epoch in range(config.epochs):
         perm = rng.permutation(t_len)

@@ -56,24 +56,24 @@ _plan (at most _PLAN_ENTRIES), keyed on the delay matrix's float64 bytes,
 N, the sources and the hosts, holds _route's cost lists, each source's
 first-minimum host, the flat routing of the nodes without traffic and the
 fast path's routing; on the problem's first miss of the fast path it adds
-the cost matrix with its dummy row, that matrix's tuple key and its greedy
-order (_balanced). Only solve_routing reads it.
+_balanced's cost matrix with its dummy row, its greedy order and a dict of
+the plan's own certificate verdicts, keyed on the cells of a greedy start
+that carry flow (a verdict follows from the costs and those cells, never
+from the amounts). Only solve_routing reads a plan; route_flows certifies
+a problem without one afresh.
 _schedule (at most _SCHEDULE_ENTRIES), keyed on the delay matrix's bytes,
 holds the full matrix's greedy order cut into rounds of cells that share no
 row or column, and the cost of moving a request between two hosts through
-each source, for _route_rounds. Each _schedule entry also holds a fourth
+each source, for _route_rounds. Each _schedule entry also holds a third
 table, its verdicts (at most _VERDICT_ENTRIES, see _verdicts): keyed on the
 packed bits of a row's support pattern, the (N + 1, N) cells of its greedy
 start that carry flow, it holds _certified's verdict on that pattern, which
-follows from the entry's move costs and those cells alone. _certificate (at
-most _CERTIFICATE_ENTRIES), keyed on a cost matrix with its dummy row and the
-cells that carry flow, holds the certificate's verdict, which follows from
-the costs and those cells, never from the amounts. _greedy_order has no
-table: it runs when a _plan entry gets its balanced matrix, a _schedule
-entry is built or route_batch hands route_flows a row. A hit returns what a
-miss computes from equal keys, and the greedy allocation still runs on each
-problem's own rates and capacities, so memoised flows are the flows of a
-cold call, byte for byte.
+follows from the entry's move costs and those cells alone. _greedy_order has
+no table: it runs when a _plan entry gets its balanced matrix, a _schedule
+entry is built or route_flows gets a problem without a plan. A hit returns
+what a miss computes from equal keys, and the greedy allocation still runs
+on each problem's own rates and capacities, so memoised flows are the flows
+of a cold call, byte for byte.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ from scipy.optimize import linprog
 
 _EPS_FEAS = 1e-9
 _FAST_MARGIN = 1.0 - 1e-12  # nearest-host path needs every load <= capacity * this
-# memo sizes. _certificate's lookups (hits) at alpha 0, seed 1: 4096 training steps make
-# none on the presets and 80 (7) and 73 (0) on random_scenario(10, 15) and (20, 30) with
-# default_rng(1), all on rows that go on to HiGHS; the agent's decisions on 20 snapshots
-# after it make 52 (38) on small-payload, 98 (82) on large-payload and 261 (167) at 20x30
-_CERTIFICATE_ENTRIES = 1024
 _SCHEDULE_ENTRIES = 16
 # a schedule's verdicts. Share of row lookups that certify nothing new (patterns
 # certified), alpha 0, seed 1, one cold training: small-payload 76% (172) at 2048 steps
@@ -233,7 +228,7 @@ class _Plan:
     # (N, N) read-only, the fast path's routing: idle with each source sent to its
     # nearest host; unit_rows would build it from route_flows' flows, y / w exactly 1.0
     one_hot: np.ndarray
-    balanced: tuple | None = None  # _balanced(cost), built on the first slow-path call
+    balanced: tuple | None = None  # _balanced(cost) and its verdicts, from the first slow path
 
 
 @functools.lru_cache(maxsize=_PLAN_ENTRIES)
@@ -326,7 +321,7 @@ def _schedule(n: int, delays_key: bytes) -> _Schedule:
     delays = np.frombuffer(delays_key).reshape(n, n)
     row_round, col_round = [0] * n, [0] * n
     cells: list[list[tuple[int, int]]] = []
-    for i, j in _greedy_order(tuple(map(tuple, delays.tolist()))):
+    for i, j in _greedy_order(delays.tolist()):
         r = max(row_round[i], col_round[j])
         row_round[i] = col_round[j] = r + 1
         if r == len(cells):
@@ -469,51 +464,41 @@ def route_flows(
     cost[i][j] is the delay from source i to host j, supply[i] > 0 the
     source's requests/s and caps[j] the requests/s host j can absorb. Returns
     flows[i][j], the requests/s source i sends to host j. balanced, when
-    given, is _balanced(cost).
+    given, is _balanced(cost), whose verdicts the call reads and adds to.
     """
     supply_total, caps_total = _total(supply), _total(caps)
     if _over_capacity(supply_total, caps_total):
         return None
-    cost, key, order = balanced or _balanced(cost)
+    cost, order, verdicts = balanced or _balanced(cost)
     spare = max(caps_total - supply_total, 0.0)
-    return _transport(cost, supply + [spare], caps, key=key, order=order)[:-1]
+    return _transport(cost, supply + [spare], caps, order=order, verdicts=verdicts)[:-1]
 
 
 def _balanced(cost: list[list[float]]) -> tuple:
-    """cost with the dummy source's row appended, its tuple key and the key's _greedy_order.
+    """cost with the dummy source's row appended, its _greedy_order and an empty verdict dict.
 
     The dummy source soaks up spare capacity. Its cost is one constant for
     the whole row (so the optimum is unchanged) and higher than any real cell
     (so real traffic claims equally-cheap columns in index order first).
     """
     balanced = cost + [[max(map(max, cost)) + 1.0] * len(cost[0])]
-    key = tuple(map(tuple, balanced))
-    return balanced, key, _greedy_order(key)
+    return balanced, _greedy_order(balanced), {}
 
 
-def _greedy_order(cost: tuple[tuple[float, ...], ...]) -> tuple[tuple[int, int], ...]:
+def _greedy_order(cost: list[list[float]]) -> tuple[tuple[int, int], ...]:
     """Every cell (i, j) by (cost, column, row): the order the greedy start visits them in."""
     cells = sorted((c, j, i) for i, row in enumerate(cost) for j, c in enumerate(row))
     return tuple((i, j) for _, j, i in cells)
 
 
-@functools.lru_cache(maxsize=_CERTIFICATE_ENTRIES)
-def _certificate(cost: tuple[tuple[float, ...], ...], support: tuple[int, ...]) -> bool:
-    """_certified for one problem: flow on the cells i * K + j in support."""
-    costs = np.array(cost)
-    flowing = np.zeros(costs.size, dtype=bool)
-    flowing[list(support)] = True
-    moves = costs[:, None, :] - costs[:, :, None]
-    return bool(_certified(moves, flowing.reshape(costs.shape + (1,)))[0])
-
-
 def _transport(
     cost: list[list[float]], supply: list[float], caps: list[float], *,
-    key: tuple[tuple[float, ...], ...], order: tuple[tuple[int, int], ...]
+    order: tuple[tuple[int, int], ...], verdicts: dict[tuple[int, ...], bool]
 ) -> list[list[float]]:
     """Least-cost flows of a balanced problem: its greedy start if certified, else HiGHS's.
 
-    key is the cost as a tuple of tuples and order its _greedy_order.
+    order is the cost's _greedy_order; verdicts maps the cells i * K + j of a
+    greedy start that carry flow to _certified's verdict, and gains the ones it lacks.
     """
     k = len(caps)
     y = [[0.0] * k for _ in supply]
@@ -529,7 +514,15 @@ def _transport(
             support.append(i * k + j)
             rs[i] -= alloc
             rc[j] -= alloc
-    if _certificate(key, tuple(support)):
+    key = tuple(support)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        costs = np.array(cost)
+        flowing = np.zeros(costs.size, dtype=bool)
+        flowing[support] = True
+        moves = costs[:, None, :] - costs[:, :, None]
+        verdict = verdicts[key] = bool(_certified(moves, flowing.reshape(costs.shape + (1,)))[0])
+    if verdict:
         return y
     # rows ship at most their supply and hosts take exactly their capacity, which
     # balances up to rounding; supply above capacity by up to _EPS_FEAS stays feasible.

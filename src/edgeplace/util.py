@@ -15,11 +15,15 @@ def rng_stream(seed: int, name: str) -> np.random.Generator:
     All randomness in the package flows from one user-facing seed; each
     consumer (workload synthesis, policy init, action sampling, ...) gets
     its own named stream so adding a consumer never perturbs the others.
-    Only the seed's low 32 bits are used, so the CLI takes seeds in 0..2**32 - 1.
+    The seed lies in 0..2**32 - 1; any other seed is a ValueError, since one
+    folded into that range would repeat another seed's run.
     """
+    seed = int(seed)
+    if not 0 <= seed <= 0xFFFFFFFF:
+        raise ValueError(f"seed {seed} lies outside 0..4294967295")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF] + words))
+    return np.random.default_rng(np.random.SeedSequence([seed] + words))
 
 
 def canonical_json(obj: Any) -> str:

@@ -578,26 +578,25 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
 
     Each problem is solved cold; then, from cleared memos, both problems are
     solved twice in a row, so the second problem meets the first's plan, and
-    its certificate wherever their flows cover the same cells, and each
-    replay meets its own entries. solve_routing gets each problem on
-    m + k nodes, so the two share one plan but not their rates or
-    capacities. A transposed view of a contiguous copy, and integer-typed
-    delays, hit the plan of their float64 contiguous copy and route as it
-    does.
+    that plan's certificate verdicts wherever their flows cover the same
+    cells, and each replay meets its own plan and verdicts. solve_routing
+    gets each problem on m + k nodes, so the two share one plan but not
+    their rates or capacities. A transposed view of a contiguous copy, and
+    integer-typed delays, hit the plan of their float64 contiguous copy and
+    route as it does.
     """
     fallbacks, supports = count_highs_fallbacks(monkeypatch), []
-    certificate = routing._certificate
+    certify = routing._certified
 
-    def recording(cost, support):
-        supports.append(support)
-        return certificate(cost, support)
+    def recording(moves, flowing):
+        supports.append(tuple(np.flatnonzero(flowing).tolist()))
+        return certify(moves, flowing)
 
-    monkeypatch.setattr(routing, "_certificate", recording)
+    monkeypatch.setattr(routing, "_certified", recording)
     fell_back, other_support = [], []
 
     def clear_memos():
         routing._plan.cache_clear()
-        certificate.cache_clear()
 
     def solve(cost, supply, caps):
         return (_flow_bytes(route_flows(cost, supply, caps)),
@@ -630,6 +629,39 @@ def test_memo_hits_return_the_flows_of_cold_calls(monkeypatch):
     check()
     assert sum(fell_back) >= len(fell_back) // 5  # memoised refusals send problems to HiGHS
     assert sum(other_support) >= len(other_support) // 5  # one cost key, other flow cells
+
+
+def test_each_plan_keeps_its_own_certificate_verdicts(monkeypatch):
+    """solve_routing certifies a slow-path greedy start once per plan, in the
+    plan's verdicts; route_flows without a plan certifies it on every call."""
+    fallbacks, certified = count_highs_fallbacks(monkeypatch), []
+    certify = routing._certified
+
+    def counting(moves, flowing):
+        certified.append(flowing.shape[-1])
+        return certify(moves, flowing)
+
+    monkeypatch.setattr(routing, "_certified", counting)
+    p = _load_equals_capacity()  # off the nearest-host path, with an optimal greedy start
+    routing._plan.cache_clear()
+    first, second = solve_routing(p), solve_routing(p)
+    assert len(certified) == 1
+    assert first.routing.tobytes() == second.routing.tobytes()
+    cost = [[0.0, 1.0], [2.0, 1.0]]  # the plan's cost lists: sources 0 and 2, hosts 0 and 1
+    for _ in range(2):
+        route_flows(cost, [4.0, 2.0], [4.0, 10.0])
+    assert len(certified) == 3
+    plan = routing._plan(np.ascontiguousarray(p.delays).tobytes(), 3, (0, 2), (0, 1))
+    assert plan.cost == cost
+    balanced, _, verdicts = plan.balanced
+    costs = np.array(balanced)
+    moves = costs[:, None, :] - costs[:, :, None]
+    assert list(verdicts.values()) == [True]
+    for support, verdict in verdicts.items():
+        flowing = np.zeros(costs.size, dtype=bool)
+        flowing[list(support)] = True
+        assert verdict == bool(certify(moves, flowing.reshape(costs.shape + (1,)))[0])
+    assert fallbacks == []
 
 
 def _delay_matrix(draw, n: int) -> np.ndarray:
@@ -709,11 +741,12 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
 
     Every slow row takes the array pass, so one call mixes rows it certifies
     with rows it leaves to route_flows, and none of them reads a _plan. A
-    second call on the batch finds every verdict in its schedule's table,
-    certifies nothing afresh and returns the same bytes.
+    second call on the batch finds every array-pass verdict in its
+    schedule's table, which does not grow, and returns the same bytes; the
+    leftover rows, which have no plan, are certified afresh.
     """
     fallbacks = count_highs_fallbacks(monkeypatch)
-    fell_back, threshold_outcomes, mixed, passes, certified_rows = [], set(), [], [], []
+    fell_back, threshold_outcomes, mixed, passes, certified_moves = [], set(), [], [], []
     route_rounds, certify = routing._route_rounds, routing._certified
 
     def recording(*args):
@@ -722,7 +755,7 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
         return fits, certified, flows
 
     def counting(moves, flowing):
-        certified_rows.append(flowing.shape[-1])
+        certified_moves.append(moves)
         return certify(moves, flowing)
 
     monkeypatch.setattr(routing, "_route_rounds", recording)
@@ -736,9 +769,10 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
         problems = [RoutingProblem(delays, rows[s], placement[s], cores[s], cpr[s])
                     for s in range(len(rows))]
         slow = np.flatnonzero([not solve_routing_reference(p)[1] for p in problems])
-        before, first_pass = len(fallbacks), len(passes)
+        before, first_pass, first_certified = len(fallbacks), len(passes), len(certified_moves)
         routing._plan.cache_clear()
         routable, routings = route_batch(delays, rows, placement, caps)
+        cold = certified_moves[first_certified:]
         fell_back.append(len(fallbacks) > before)
         assert len(passes) == first_pass + bool(slow.size)  # one pass for every slow row
         if slow.size:
@@ -755,11 +789,16 @@ def test_route_batch_matches_solve_routing_row_by_row(monkeypatch):
                 assert not routings[s].any()
             if mode == "threshold":
                 threshold_outcomes.add(sol.feasible)
-        table = routing._schedule(len(delays), delays.tobytes()).verdicts
+        schedule = routing._schedule(len(delays), delays.tobytes())
+        table = schedule.verdicts
         assert len(table) <= routing._VERDICT_ENTRIES
-        fresh = len(certified_rows)
+        size, first_warm = len(table), len(certified_moves)
         warm_routable, warm_routings = route_batch(delays, rows, placement, caps)
-        assert len(certified_rows) == fresh  # every verdict is warm
+        warm = certified_moves[first_warm:]
+        assert all(moves is not schedule.moves for moves in warm)  # every array verdict is warm
+        assert len(table) == size
+        # each leftover row's route_flows certifies its start again
+        assert len(warm) == sum(moves is not schedule.moves for moves in cold)
         assert warm_routable.tobytes() == routable.tobytes()
         assert warm_routings.tobytes() == routings.tobytes()
         assert len(table) <= routing._VERDICT_ENTRIES

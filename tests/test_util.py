@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from edgeplace.util import dump_json, load_json
+from edgeplace.bench import train_agent
+from edgeplace.ppo import PPOConfig
+from edgeplace.scenarios import build_preset, preset_workload_config
+from edgeplace.util import dump_json, load_json, rng_stream
 
 
 def test_dump_json_refusal_leaves_files_as_they_were(tmp_path):
@@ -17,3 +20,25 @@ def test_dump_json_refusal_leaves_files_as_they_were(tmp_path):
         dump_json(str(old), {"value": float("inf")})
     assert old.read_bytes() == before
     assert load_json(str(old), ValueError, "file") == {"value": 1.5}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 1])
+def test_rng_stream_refuses_seeds_outside_32_bits(seed):
+    """A seed folded to 32 bits would repeat another seed's draws, so it raises."""
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        rng_stream(seed, "draw")
+
+
+def test_rng_stream_keeps_its_draws_at_the_32_bit_edges():
+    assert rng_stream(0, "draw").random() == 0.626084088079401
+    assert rng_stream(2**32 - 1, "draw").random() == 0.8074869507029785
+
+
+def test_train_agent_refuses_a_seed_outside_32_bits_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("edgeplace.bench.generate_workloads", no_training)
+    with pytest.raises(ValueError, match="seed 4294967296 "):
+        train_agent(build_preset("small-payload"), 0.0, 2**32,
+                    preset_workload_config("small-payload", 4), PPOConfig(), 64)
