@@ -207,6 +207,17 @@ def _rollout_window(
     )
 
 
+def shared_run(alphas: tuple[float, ...]) -> tuple[float, float] | None:
+    """The first two alphas that would share a run: equal floats (0.0 and -0.0
+    among them) share run_compare's agent, and two whose :g forms agree share
+    save_training's files. None when each alpha has its own run."""
+    for k, alpha in enumerate(alphas):
+        for first in alphas[:k]:
+            if first == alpha or f"{first:g}" == f"{alpha:g}":
+                return first, alpha
+    return None
+
+
 def save_training(out_dir: str, result: TrainResult) -> tuple[str, str]:
     """Write a run's policy checkpoint and train log into out_dir; return their paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -447,7 +458,14 @@ def _num(value) -> str:
 
 
 def run_compare(plan: ExperimentPlan, seed: int, out_dir: str) -> dict:
-    """Train agents for every alpha, evaluate all candidates, emit artifacts."""
+    """Train agents for every alpha, evaluate all candidates, emit artifacts.
+
+    Two alphas that would share one run (see shared_run) are a ValueError,
+    raised before any training.
+    """
+    shared = shared_run(plan.alphas)
+    if shared is not None:
+        raise ValueError(f"alphas {shared[0]!r} and {shared[1]!r} would share one run")
     os.makedirs(out_dir, exist_ok=True)
     agents: dict[float, PolicyAgent] = {}
     for alpha in plan.alphas:

@@ -271,7 +271,11 @@ def _alpha_list(spec: str) -> tuple[float, ...]:
         raise UsageError(f"bad --alphas value {spec!r}: {exc}") from exc
     if not alphas:
         raise UsageError("--alphas names no cost weight")
-    return _unique("--alphas", alphas)
+    shared = bench.shared_run(alphas)
+    if shared is not None:  # an entry listed twice, or two that print alike
+        a, b = shared
+        raise UsageError(f"--alphas lists {a!r} and {b!r}, which would share one run")
+    return alphas
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +376,7 @@ def cmd_evaluate(args) -> int:
         agents[args.alpha] = checkpoint.agent
     snapshots = None
     if args.trace:
-        snapshots = ingest_trace(args.trace)
+        snapshots = ingest_trace(args.trace, (scenario.n_functions, scenario.n_nodes))
         shapes = {s.shape for s in snapshots}
         if shapes != {(scenario.n_functions, scenario.n_nodes)}:
             raise ScenarioError(

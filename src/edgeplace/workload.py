@@ -88,11 +88,14 @@ def write_trace(path: str, snapshots: list[np.ndarray]) -> None:
                     writer.writerow([s, f, n, repr(float(snap[f, n]))])
 
 
-def ingest_trace(path: str) -> list[np.ndarray]:
+def ingest_trace(path: str, shape: tuple[int, int]) -> list[np.ndarray]:
     """Read a trace CSV back into dense snapshots; missing cells are zero.
 
+    shape is the scenario's (F, N): a line whose function index is F or more
+    or whose node index is N or more is refused before any snapshot is made.
     A (snapshot, function, node) cell given on two lines is refused, and so
-    is a snapshot index below the largest that no line gives.
+    is a snapshot index below the largest that no line gives. Each snapshot
+    reaches the largest function and node index the trace gives.
     """
     cells: dict[tuple[int, int, int], tuple[int, float]] = {}  # cell -> (line, rate)
     try:
@@ -115,6 +118,11 @@ def ingest_trace(path: str) -> list[np.ndarray]:
                     raise WorkloadError(f"line {lineno}: {exc}") from exc
                 if s < 0 or f < 0 or n < 0:
                     raise WorkloadError(f"line {lineno}: negative index")
+                if f >= shape[0] or n >= shape[1]:
+                    raise WorkloadError(
+                        f"line {lineno}: function {f}, node {n} is outside the scenario's "
+                        f"{shape[0]} functions and {shape[1]} nodes"
+                    )
                 if not np.isfinite(rate) or rate < 0:
                     raise WorkloadError(f"line {lineno}: bad rate {row[3]}")
                 first, _ = cells.setdefault((s, f, n), (lineno, rate))

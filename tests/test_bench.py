@@ -311,6 +311,25 @@ def test_emit_results_writes_artifacts(small_plan, tri_scenario, tmp_path):
     assert meta["ppo"]["update_interval"] == 64
 
 
+def test_run_compare_refuses_alphas_that_share_a_run(small_plan, tmp_path,
+                                                              monkeypatch):
+    """save_training names a run by f"{alpha:g}", so 0.1 and 0.1000001 would share files;
+    0.0 and -0.0 print apart but are one key of run_compare's agents."""
+    assert bench.shared_run((0.0, 0.5)) is None
+    assert bench.shared_run((0.5, 0.1, 0.0, 0.1000001)) == (0.1, 0.1000001)
+    assert bench.shared_run((0.0, 0.0)) == (0.0, 0.0)
+    assert bench.shared_run((0.5, 0.0, -0.0)) == (0.0, -0.0)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("run_compare trained before it refused the plan")
+
+    monkeypatch.setattr(bench, "train_agent", no_training)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="alphas 0.1 and 0.1000001 would share one run"):
+        bench.run_compare(replace(small_plan, alphas=(0.1, 0.1000001)), 1, str(out))
+    assert not out.exists()
+
+
 def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
     plan = ExperimentPlan(
         **{**small_plan.__dict__, "timing": False}

@@ -79,7 +79,7 @@ def test_gen_workload_writes_ingestible_trace(scenario_path, tmp_path):
         "--seed", "2", "--out", str(out),
     )
     assert code == EXIT_OK
-    snapshots = ingest_trace(str(out))
+    snapshots = ingest_trace(str(out), (2, 3))
     assert len(snapshots) == 5
     assert all(s.shape == (2, 3) for s in snapshots)
 
@@ -516,8 +516,15 @@ def test_checkpoint_state_scale_of_the_wrong_length_exits_2(scenario_path, tmp_p
 
 @pytest.mark.parametrize(
     "line, cause",
-    [("0,1,0", "expected 4 columns, got 3"), ("0,-1,0,1.0", "negative index")],
-    ids=["three-columns", "negative-function"],
+    [
+        ("0,1,0", "expected 4 columns, got 3"),
+        ("0,-1,0,1.0", "negative index"),
+        # refused before any snapshot is made: dense snapshots to this index take 745 GiB
+        ("0,99999999999,0,1.0", "function 99999999999, node 0 is outside"),
+        ("0,2,0,1.0", "function 2, node 0 is outside the scenario's 2 functions and 3 nodes"),
+        ("0,0,3,1.0", "function 0, node 3 is outside"),
+    ],
+    ids=["three-columns", "negative-function", "far-function", "next-function", "next-node"],
 )
 def test_evaluate_refuses_a_bad_trace_line(scenario_path, tmp_path, capsys, line, cause):
     trace = tmp_path / "trace.csv"
@@ -712,7 +719,14 @@ def test_bad_alphas_rejected(scenario_path, tmp_path):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("compare", "--alphas", "0,0"), ("evaluate", "--candidates", "cr-eua,cr-eua")],
+    [
+        ("compare", "--alphas", "0,0"),
+        # two floats, but both runs would be saved as alpha0.1
+        ("compare", "--alphas", "0.1,0.1000001"),
+        # equal floats that print apart: run_compare keeps one agent for both
+        ("compare", "--alphas", "0,-0"),
+        ("evaluate", "--candidates", "cr-eua,cr-eua"),
+    ],
 )
 def test_list_entry_given_twice_exits_1(scenario_path, tmp_path, capsys, command, flag, value):
     out = tmp_path / "o"

@@ -158,7 +158,7 @@ def test_trace_round_trip_bit_exact(tmp_path):
     snaps = generate_workloads(3, 4, cfg, rng_stream(11, "w"))
     path = tmp_path / "trace.csv"
     write_trace(str(path), snaps)
-    loaded = ingest_trace(str(path))
+    loaded = ingest_trace(str(path), (3, 4))
     assert len(loaded) == 7
     for a, b in zip(snaps, loaded):
         np.testing.assert_array_equal(a, b)
@@ -168,30 +168,30 @@ def test_ingest_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header,entirely,x\n")
     with pytest.raises(WorkloadError, match="header"):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,-3.5\n")
     with pytest.raises(WorkloadError, match="bad rate"):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
     path.write_text("snapshot,function_id,node_id,rate\n0,0,zero,1.0\n")
     with pytest.raises(WorkloadError):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
     path.write_text("snapshot,function_id,node_id,rate\n")
     with pytest.raises(WorkloadError, match="no samples"):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
 
 
 def test_ingest_refuses_a_skipped_snapshot_index(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n3,0,0,2.0\n200000,0,0,1.0\n")
     with pytest.raises(WorkloadError, match="no line for snapshot 1 but gives snapshot 200000"):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
     # a snapshot whose lines all give rate 0 is there, with no traffic
     path.write_text("snapshot,function_id,node_id,rate\n1,0,1,1.5\n0,0,0,0.0\n")
-    assert [s.tolist() for s in ingest_trace(str(path))] == [[[0.0, 0.0]], [[0.0, 1.5]]]
+    assert [s.tolist() for s in ingest_trace(str(path), (1, 2))] == [[[0.0, 0.0]], [[0.0, 1.5]]]
 
 
 def test_ingest_refuses_a_cell_given_twice(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n0,0,1,2.0\n0,0,0,999.0\n")
     with pytest.raises(WorkloadError, match="line 4: snapshot 0, function 0, node 0 .* line 2"):
-        ingest_trace(str(path))
+        ingest_trace(str(path), (1, 2))
