@@ -180,9 +180,9 @@ def _rollout_window(
 
     The uniforms are drawn up front in (episode, step, node) order, which
     are the draws of sampling the episodes one after another. env.rewards()
-    scores the whole window with array scans, with the bits of scoring the
-    episodes one step at a time. Returns the window's trajectory in episode
-    order; env keeps its violation codes.
+    scores the whole window with RewardBounds.score_window, one episode
+    after another. Returns the window's trajectory in episode order; env
+    keeps its violation codes.
     """
     n_eps, n_steps, n = len(workloads), env.scenario.n_functions, env.scenario.n_nodes
     uniforms = rng.random((n_eps, n_steps, n))

@@ -94,8 +94,8 @@ def ingest_trace(path: str, shape: tuple[int, int]) -> list[np.ndarray]:
     shape is the scenario's (F, N): a line whose function index is F or more
     or whose node index is N or more is refused before any snapshot is made.
     A (snapshot, function, node) cell given on two lines is refused, and so
-    is a snapshot index below the largest that no line gives. Each snapshot
-    reaches the largest function and node index the trace gives.
+    are a snapshot index below the largest that no line gives and a trace
+    whose largest function and node indices are not F - 1 and N - 1.
     """
     cells: dict[tuple[int, int, int], tuple[int, float]] = {}  # cell -> (line, rate)
     try:
@@ -142,7 +142,12 @@ def ingest_trace(path: str, shape: tuple[int, int]) -> list[np.ndarray]:
             f"trace {path} has no line for snapshot {missing} but gives snapshot {max(given)}"
         )
     n_snapshots, n_functions, n_nodes = (max(axis) + 1 for axis in zip(*cells))
-    snapshots = [np.zeros((n_functions, n_nodes)) for _ in range(n_snapshots)]
+    if (n_functions, n_nodes) != tuple(shape):
+        raise WorkloadError(
+            f"trace {path} gives {n_functions} functions and {n_nodes} nodes, "
+            f"the scenario has {shape[0]} and {shape[1]}"
+        )
+    snapshots = [np.zeros(shape) for _ in range(n_snapshots)]
     for (s, f, n), (_, rate) in cells.items():
         snapshots[s][f, n] = rate
     return snapshots

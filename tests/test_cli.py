@@ -325,6 +325,24 @@ def test_seed_outside_32_bits_exits_1(scenario_path, tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_milp_budget_past_32_bits_exits_1_before_any_work(scenario_path, tmp_path, capsys,
+                                                          command):
+    """HiGHS reads mip_max_nodes as a 32-bit int, so a larger budget fails before training."""
+    out = tmp_path / "o"
+    code = run_cli(command, "--scenario", scenario_path, "--out", str(out),
+                   *_SMALL_RUN[command], "--milp-budget", "2147483648")
+    assert code == EXIT_USAGE
+    assert "--milp-budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_milp_budget_at_the_32_bit_edge_runs(scenario_path, tmp_path):
+    assert run_cli("evaluate", "--scenario", scenario_path, "--out", str(tmp_path / "e"),
+                   "--candidates", "joint-milp", "--snapshots", "1", "--no-timing",
+                   "--milp-budget", "2147483647") == EXIT_OK
+
+
 def test_seed_at_the_32_bit_edges_runs(tmp_path):
     for seed in ("0", "4294967295"):
         assert run_cli("gen-scenario", "--out", str(tmp_path / f"{seed}.json"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -56,3 +57,54 @@ def test_a_difference_lists_the_files_and_prints_both_tables_and_the_counts(tmp_
 def test_only_an_added_line_that_starts_with_the_marker_declares_a_break(new, declared):
     old = "BIT-IDENTITY ENDS: an older break\n"
     assert parity.declares_break(old, new) is declared
+
+
+def _fake_runs(monkeypatch, tmp_path, outputs, changes):
+    """Point parity.main at hand-made trees: run_tree writes outputs' next entry, git
+    answers without a repository, and CHANGES.md goes from changes[0] to changes[1]."""
+    (tmp_path / "CHANGES.md").write_text(changes[1])
+    monkeypatch.setattr(parity, "ROOT", str(tmp_path))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    trees = []
+
+    def run_tree(tree, out):
+        trees.append(tree)
+        _write(out, outputs[len(trees) - 1])
+
+    def run(argv, cwd, env=None):
+        assert argv[0] == "git"
+        return changes[0] if argv[1] == "show" else "0123abcd\n"
+
+    monkeypatch.setattr(parity, "run_tree", run_tree)
+    monkeypatch.setattr(parity, "_run", run)
+    return trees
+
+
+_DECLARED = ("entry\n", "entry\nBIT-IDENTITY ENDS: rewards move\n")
+
+
+def test_a_tree_whose_two_runs_differ_exits_1_despite_a_declared_break(monkeypatch, tmp_path,
+                                                                       capsys):
+    runs = [{"trace.csv": "base\n"}, {"trace.csv": "first\n", "log.csv": "1\n"},
+            {"trace.csv": "second\n", "log.csv": "1\n"}]
+    trees = _fake_runs(monkeypatch, tmp_path, runs, _DECLARED)
+    assert parity.main(["HEAD^"]) == 1
+    assert trees[1:] == [str(tmp_path)] * 2 and trees[0] != str(tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "not reproducible:" and "  trace.csv" in out and "  log.csv" not in out
+
+
+@pytest.mark.parametrize("base, changes, code", [
+    ("a\n", ("entry\n", "entry\n"), 0),
+    ("b\n", _DECLARED, 0),
+    ("b\n", ("entry\n", "entry\n"), 1),
+])
+def test_a_reproducible_tree_is_then_compared_with_base(monkeypatch, tmp_path, capsys, base,
+                                                        changes, code):
+    runs = [{"trace.csv": base}, {"trace.csv": "a\n"}, {"trace.csv": "a\n"}]
+    trees = _fake_runs(monkeypatch, tmp_path, runs, changes)
+    assert parity.main(["HEAD^"]) == code
+    assert len(trees) == 3
+    out = capsys.readouterr().out
+    assert "not reproducible" not in out
+    assert out.startswith("identical" if base == "a\n" else "differ:\n  trace.csv")

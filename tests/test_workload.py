@@ -190,6 +190,16 @@ def test_ingest_refuses_a_skipped_snapshot_index(tmp_path):
     assert [s.tolist() for s in ingest_trace(str(path), (1, 2))] == [[[0.0, 0.0]], [[0.0, 1.5]]]
 
 
+def test_ingest_refuses_a_trace_smaller_than_the_scenario(tmp_path):
+    path = tmp_path / "small.csv"
+    path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n1,1,2,2.0\n")
+    with pytest.raises(WorkloadError, match="gives 2 functions and 3 nodes, the scenario has 4 and 5"):
+        ingest_trace(str(path), (4, 5))
+    with pytest.raises(WorkloadError, match="gives 2 functions and 3 nodes, the scenario has 2 and 4"):
+        ingest_trace(str(path), (2, 4))
+    assert [s.shape for s in ingest_trace(str(path), (2, 3))] == [(2, 3), (2, 3)]
+
+
 def test_ingest_refuses_a_cell_given_twice(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,1.5\n0,0,1,2.0\n0,0,0,999.0\n")

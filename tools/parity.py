@@ -1,4 +1,5 @@
-"""Check that this tree's outputs are byte-identical to those of another commit.
+"""Check that this tree's outputs are reproducible and byte-identical to those of
+another commit.
 
 Usage, from the repository root:
 
@@ -6,8 +7,8 @@ Usage, from the repository root:
 
 BASE is any commit git can name (HEAD^, a branch, a SHA). The script adds a
 git worktree of BASE in a temporary directory and runs one fixed command set
-in that tree and in this one, each on its own src/, with OMP_NUM_THREADS and
-OPENBLAS_NUM_THREADS set to 1:
+once in that tree and twice in this one, each on its own src/, with
+OMP_NUM_THREADS and OPENBLAS_NUM_THREADS set to 1:
 
 - `compare --no-timing --seed 7919 --timesteps 2048 --snapshots 6` on both
   presets;
@@ -19,13 +20,16 @@ OPENBLAS_NUM_THREADS set to 1:
   of which it keeps every count and every share of calls or steps (the
   metrics in `%` that are not the tracer's timing shares).
 
-It compares every output file byte for byte and prints `identical`, or the
-files that differ, each differing run's old and new summary.json tables side
-by side, and the counts that moved. Exit status: 0 when the outputs are
-identical; 1 when they differ, unless a line this tree adds to CHANGES.md
-starts with `BIT-IDENTITY ENDS:`, which declares the break (the differences
-are printed all the same, for the change to record); 2 when BASE cannot be
-checked out or a command fails.
+It first compares this tree's two runs byte for byte: when they differ it
+prints `not reproducible:` with those files, their summary.json tables and
+moved counts, and exits 1, whatever CHANGES.md says. Then it compares this
+tree's outputs with BASE's and prints `identical`, or the files that differ,
+each differing run's old and new summary.json tables side by side, and the
+counts that moved. Exit status: 0 when the outputs are identical; 1 when
+this tree's runs differ, or when its outputs differ from BASE's unless a line
+this tree adds to CHANGES.md starts with `BIT-IDENTITY ENDS:`, which declares
+the break (the differences are printed all the same, for the change to
+record); 2 when BASE cannot be checked out or a command fails.
 
 Nothing here holds digests: numpy's BLAS picks its kernels by CPU, so the
 two trees are run on the same machine instead. Only git and the package's
@@ -173,13 +177,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         commit = _run(["git", "rev-parse", "--verify", f"{base}^{{commit}}"], cwd=ROOT).strip()
         with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-            base_tree, old, new = (os.path.join(tmp, name) for name in ("tree", "old", "new"))
+            base_tree, old, new, again = (
+                os.path.join(tmp, name) for name in ("tree", "old", "new", "again")
+            )
             _run(["git", "worktree", "add", "--detach", base_tree, commit], cwd=ROOT)
             try:
                 run_tree(base_tree, old)
             finally:
                 _run(["git", "worktree", "remove", "--force", base_tree], cwd=ROOT)
             run_tree(ROOT, new)
+            run_tree(ROOT, again)
+            unstable = differing(new, again)
+            if unstable:
+                print("not reproducible:")
+                print(report(new, again, unstable))
+                return 1
             paths = differing(old, new)
             if not paths:
                 print("identical")
