@@ -55,6 +55,23 @@ class ExperimentPlan:
     milp_node_budget: int | None = 2000
     timing: bool = True
 
+    def __post_init__(self) -> None:
+        """A plan that cannot run is a ValueError when it is made, before any training."""
+        if self.eval_snapshots < 1:
+            raise ValueError(f"eval_snapshots must be at least 1, got {self.eval_snapshots}")
+        for candidate in self.candidates:
+            if candidate not in CANDIDATES:
+                raise ValueError(f"unknown candidate {candidate!r}; choose from {CANDIDATES}")
+        if len(set(self.candidates)) < len(self.candidates):
+            raise ValueError(f"candidates {self.candidates} name one candidate twice")
+        for alpha in self.alphas:
+            if not 0.0 <= alpha <= 1.0:
+                raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        shared = shared_run(self.alphas)
+        if shared is not None:
+            raise ValueError(f"alphas {shared[0]!r} and {shared[1]!r} would share one run")
+        baselines.check_node_budget(self.milp_node_budget)
+
 
 @dataclass
 class ResultRow:
@@ -276,10 +293,8 @@ def _eval_one(
             )
         elif candidate == "vsvbp":
             sol = baselines.solve_vsvbp(scenario, workload)
-        elif candidate == "cr-eua":
-            sol = baselines.solve_creua(scenario, workload)
         else:
-            raise ValueError(f"unknown candidate {candidate!r}")
+            sol = baselines.solve_creua(scenario, workload)
         decision_s = time.perf_counter() - started
         valid = sol.feasible
         delay, cost = sol.total_delay, sol.total_cost
@@ -458,14 +473,7 @@ def _num(value) -> str:
 
 
 def run_compare(plan: ExperimentPlan, seed: int, out_dir: str) -> dict:
-    """Train agents for every alpha, evaluate all candidates, emit artifacts.
-
-    Two alphas that would share one run (see shared_run) are a ValueError,
-    raised before any training.
-    """
-    shared = shared_run(plan.alphas)
-    if shared is not None:
-        raise ValueError(f"alphas {shared[0]!r} and {shared[1]!r} would share one run")
+    """Train agents for every alpha, evaluate all candidates, emit artifacts."""
     os.makedirs(out_dir, exist_ok=True)
     agents: dict[float, PolicyAgent] = {}
     for alpha in plan.alphas:

@@ -19,6 +19,7 @@ import typing
 from dataclasses import replace
 
 from . import bench
+from .baselines import MAX_NODE_BUDGET
 from .env import state_dim
 from .model import ScenarioError, load_scenario, save_scenario
 from .nn import PolicyArchitectureError
@@ -69,11 +70,11 @@ def seed_int(text: str) -> int:
 
 
 def node_budget(text: str) -> int:
-    """argparse type of --milp-budget: HiGHS reads mip_max_nodes as a 32-bit int, so a
-    budget outside 1..2**31 - 1 is a usage error before any work."""
+    """argparse type of --milp-budget: a budget outside 1..baselines.MAX_NODE_BUDGET,
+    the node counts HiGHS's 32-bit mip_max_nodes holds, is a usage error before any work."""
     value = positive_int(text)
-    if value > 0x7FFFFFFF:
-        raise argparse.ArgumentTypeError(f"must lie in 1..2147483647, got {value}")
+    if value > MAX_NODE_BUDGET:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_NODE_BUDGET}, got {value}")
     return value
 
 

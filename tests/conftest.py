@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from edgeplace import routing
+from edgeplace import env, routing
 from edgeplace.model import Scenario, Topology
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Every test starts from empty routing and queue memos, as a fresh process
+    does, so no test passes on a plan, schedule, verdict or queue another warmed.
+    A schedule's verdict table lives in its _schedule entry and goes with it."""
+    routing._plan.cache_clear()
+    routing._schedule.cache_clear()
+    env._queue_stats.cache_clear()
 
 
 def make_scenario(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from edgeplace import baselines
 from edgeplace.baselines import (
     _joint_routing_lp,
     joint_objective_weights,
@@ -143,16 +144,25 @@ def test_milp_tie_breaks_lexicographically():
 def test_milp_budget_is_deterministic_and_reported():
     # big enough that HiGHS cannot close the gap at the root node
     scenario = random_scenario(8, 12, np.random.default_rng(1))
-    for budget, status in ((0, "budget-exhausted"), (1, "feasible")):
-        runs = [solve_joint_milp(scenario, alpha=0.0, node_budget=budget) for _ in range(2)]
-        assert runs[0].metadata["mip_nodes"] == runs[1].metadata["mip_nodes"] <= budget
-        assert runs[0].status == runs[1].status == status
-        assert not runs[0].optimal
-        if runs[0].feasible:
-            np.testing.assert_array_equal(runs[0].placements, runs[1].placements)
+    runs = [solve_joint_milp(scenario, alpha=0.0, node_budget=1) for _ in range(2)]
+    assert runs[0].metadata["mip_nodes"] == runs[1].metadata["mip_nodes"] <= 1
+    assert runs[0].status == runs[1].status == "feasible"
+    assert not runs[0].optimal
+    np.testing.assert_array_equal(runs[0].placements, runs[1].placements)
     full = solve_joint_milp(scenario, alpha=0.0)
     assert full.optimal and full.metadata["mip_nodes"] > 1
     assert full.objective <= runs[0].objective
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2**31])
+def test_milp_refuses_a_node_budget_outside_32_bits(tri_scenario, monkeypatch, budget):
+    """HiGHS would stop at once on 0, drop the limit on -5 and raise TypeError on 2**31."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("HiGHS ran")
+
+    monkeypatch.setattr(baselines, "milp", no_solve)
+    with pytest.raises(ValueError, match=rf"1\.\.2147483647, got {budget}$"):
+        solve_joint_milp(tri_scenario, node_budget=budget)
 
 
 def test_milp_detects_memory_infeasibility():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 
 import time
 from dataclasses import replace
@@ -328,6 +329,27 @@ def test_run_compare_refuses_alphas_that_share_a_run(small_plan, tmp_path,
     with pytest.raises(ValueError, match="alphas 0.1 and 0.1000001 would share one run"):
         bench.run_compare(replace(small_plan, alphas=(0.1, 0.1000001)), 1, str(out))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, cause",
+    [
+        # a timed run warms up on the first snapshot, which this plan lacks
+        ({"eval_snapshots": 0}, "eval_snapshots must be at least 1, got 0"),
+        ({"candidates": ("vsvbp", "vsvbp")}, "name one candidate twice"),
+        ({"candidates": ("greedy",)}, "unknown candidate 'greedy'"),
+        ({"alphas": (0.0, 1.5)}, "alpha must lie in [0, 1], got 1.5"),
+        ({"alphas": (float("nan"),)}, "alpha must lie in [0, 1], got nan"),
+        ({"alphas": (0.0, -0.0)}, "alphas 0.0 and -0.0 would share one run"),
+        ({"milp_node_budget": 0}, "node budget must lie in 1..2147483647, got 0"),
+        ({"milp_node_budget": 2**31}, "node budget must lie in 1..2147483647, got 2147483648"),
+    ],
+    ids=["no-snapshots", "candidate-twice", "unknown-candidate", "alpha-above-1", "alpha-nan",
+         "alphas-sharing-a-run", "zero-budget", "budget-past-32-bits"],
+)
+def test_a_plan_that_cannot_run_is_refused(small_plan, fields, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        replace(small_plan, **fields)
 
 
 def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):

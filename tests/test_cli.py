@@ -84,10 +84,29 @@ def test_gen_workload_writes_ingestible_trace(scenario_path, tmp_path):
     assert all(s.shape == (2, 3) for s in snapshots)
 
 
-def test_invalid_scenario_file_exits_2(tmp_path):
+def _first_node(doc, **fields):
+    return dict(doc, nodes=[dict(doc["nodes"][0], **fields)] + doc["nodes"][1:])
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda doc: {"topology": {}}, "malformed scenario document: 'nodes'"),
+        # int() would read the criticality 2.5 as 2, and float() the cores "40" as 40.0
+        (lambda doc: dict(doc, criticality=[2.5] + [1] * (len(doc["functions"]) - 1)),
+         "criticality entry 0 is 2.5, not an integer"),
+        (lambda doc: _first_node(doc, cores="40"), "node 0 cores is '40', not a number"),
+        # float() raises OverflowError on an integer this large
+        (lambda doc: _first_node(doc, cores=10**400), f"node 0 cores is {10**400}, not a number"),
+    ],
+    ids=["no-topology", "float-criticality", "string-cores", "huge-cores"],
+)
+def test_invalid_scenario_file_exits_2(scenario_path, tmp_path, capsys, edit, cause):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"topology": {}}))
+    with open(scenario_path) as fh:
+        bad.write_text(json.dumps(edit(json.load(fh))))
     assert run_cli("gen-workload", "--scenario", str(bad), "--out", str(tmp_path / "t.csv")) == EXIT_INVALID
+    assert cause in capsys.readouterr().err
 
 
 def _arch_doc(hidden, n_params):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplace import routing
+from edgeplace import env, routing
 from edgeplace.bench import ExperimentPlan, evaluate_candidates, train_agent
 from edgeplace.ppo import PPOConfig
 from edgeplace.routing import (
@@ -813,7 +813,6 @@ def test_verdict_table_evicts_beyond_its_cap(monkeypatch):
     """A verdict table with room for two patterns keeps the two most recently used,
     and route_batch's rows stay solve_routing's, cold or warm."""
     monkeypatch.setattr(routing, "_VERDICT_ENTRIES", 2)
-    routing._schedule.cache_clear()  # schedules whose tables grew beyond 2 before
     sizes, certified_rows = [], []
     certify = routing._certified
 
@@ -852,7 +851,6 @@ def test_verdict_table_evicts_beyond_its_cap(monkeypatch):
     assert len(certified_rows) == before
     routing._verdicts(schedule, b)
     assert len(certified_rows) == before + 1
-    routing._schedule.cache_clear()  # no later test meets a table capped at 2
 
 
 def test_route_rounds_certifies_only_route_row_flows():
@@ -937,3 +935,10 @@ def test_training_beyond_the_presets_reads_no_plan(monkeypatch):
     train_agent(scenario, 0.0, 1, WorkloadGenConfig(n_snapshots=50), PPOConfig(), 1024)
     assert fallbacks
     assert routing._plan.cache_info() == before
+
+
+def test_every_test_starts_from_empty_memos():
+    """conftest's autouse fixture empties the memos that earlier tests warm, so
+    no test here or in test_env passes only in a fresh process."""
+    for memo in (routing._plan, routing._schedule, env._queue_stats):
+        assert memo.cache_info().currsize == 0
