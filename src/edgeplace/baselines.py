@@ -26,19 +26,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import LinearConstraint, linprog, milp
 
+from .contract import BUDGET, conform
 from .env import cost_increment, make_queue, t_max_bound
 from .model import Scenario
 from .routing import RoutingProblem, _total, solve_routing, total_delay
-
-
-# HiGHS reads mip_max_nodes as a 32-bit int
-MAX_NODE_BUDGET = 2**31 - 1
-
-
-def check_node_budget(node_budget: int | None) -> None:
-    """A ValueError unless node_budget is None (no limit) or lies in 1..MAX_NODE_BUDGET."""
-    if node_budget is not None and not 1 <= node_budget <= MAX_NODE_BUDGET:
-        raise ValueError(f"node budget must lie in 1..{MAX_NODE_BUDGET}, got {node_budget}")
 
 
 @dataclass
@@ -191,7 +182,7 @@ def solve_joint_milp(
 
     One HiGHS MIP picks the placement; routing is then re-solved exactly as an
     LP over that placement. node_budget caps HiGHS branch-and-bound nodes; one
-    outside 1..MAX_NODE_BUDGET is a ValueError before HiGHS runs.
+    that is not None or a contract.COUNT is a ValueError before HiGHS runs.
     tie_exact (default False) resolves objective ties to the lexicographically
     smallest placement (row-major over function then node) with a second MIP
     that keeps the optimum and minimises sum_k 2^-k p_k; use it only while
@@ -199,7 +190,7 @@ def solve_joint_milp(
     Without tie_exact, hosts that no traffic reaches are dropped from the
     returned placement; a function without traffic keeps its lowest host.
     """
-    check_node_budget(node_budget)
+    conform(node_budget, BUDGET, "node_budget")
     workload = scenario.workload if workload is None else workload
     f_cnt, n = workload.shape
     lam_t, lam_c = joint_objective_weights(scenario, workload, alpha)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import baselines, verify
+from .contract import BUDGET, COUNT, UNIT, conform
 from .env import (
     VIOLATIONS,
     LockstepEnv,
@@ -57,20 +58,17 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         """A plan that cannot run is a ValueError when it is made, before any training."""
-        if self.eval_snapshots < 1:
-            raise ValueError(f"eval_snapshots must be at least 1, got {self.eval_snapshots}")
+        conform(self.eval_snapshots, COUNT, "eval_snapshots")
+        conform(self.alphas, [UNIT], "alphas")
+        conform(self.milp_node_budget, BUDGET, "milp_node_budget")
         for candidate in self.candidates:
             if candidate not in CANDIDATES:
                 raise ValueError(f"unknown candidate {candidate!r}; choose from {CANDIDATES}")
         if len(set(self.candidates)) < len(self.candidates):
             raise ValueError(f"candidates {self.candidates} name one candidate twice")
-        for alpha in self.alphas:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         shared = shared_run(self.alphas)
         if shared is not None:
             raise ValueError(f"alphas {shared[0]!r} and {shared[1]!r} would share one run")
-        baselines.check_node_budget(self.milp_node_budget)
 
 
 @dataclass
@@ -117,12 +115,12 @@ def train_agent(
     ceil(update_interval / F) episodes that reach update_interval steps.
     They run in lockstep (_rollout_window); the result is the one a rollout
     of one episode at a time gives, up to the rounding of batched forward
-    passes. total_timesteps below 1 is a ValueError: no update would run.
-    A training stops after the first update that leaves the parameters not
-    all finite; its log then ends at that iteration.
+    passes. A total_timesteps or n_snapshots outside contract.COUNT is a
+    ValueError. A training stops after the first update that leaves the
+    parameters not all finite; its log then ends at that iteration.
     """
-    if total_timesteps < 1:
-        raise ValueError(f"total_timesteps must be at least 1, got {total_timesteps}")
+    conform(total_timesteps, COUNT, "total_timesteps")
+    conform(workload_cfg.n_snapshots, COUNT, "n_snapshots")
     snapshots = generate_workloads(
         scenario.n_functions, scenario.n_nodes, workload_cfg, rng_stream(seed, "workload-train")
     )
@@ -333,13 +331,15 @@ def evaluate_candidates(
     agents: dict[float, PolicyAgent],
     snapshots: list[np.ndarray] | None = None,
 ) -> list[ResultRow]:
-    """All (candidate, alpha, snapshot) rows; snapshots shared across candidates."""
+    """All (candidate, alpha, snapshot) rows; snapshots shared across candidates, and
+    never empty (a ValueError), since a timed run warms up on the first."""
     scenario = plan.scenario
     if snapshots is None:
         cfg = replace(plan.workload_cfg, n_snapshots=plan.eval_snapshots)
         snapshots = generate_workloads(
             scenario.n_functions, scenario.n_nodes, cfg, rng_stream(seed, "workload-eval")
         )
+    conform(len(snapshots), COUNT, "the snapshot count")
     budget, timed = plan.milp_node_budget, plan.timing
     warmup = -(-WARMUP_DECISIONS // max(1, scenario.n_functions)) if timed else 0
     rows: list[ResultRow] = []

@@ -11,21 +11,18 @@ Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-import types
-import typing
 from dataclasses import replace
 
 from . import bench
-from .baselines import MAX_NODE_BUDGET
+from .contract import CONFIG, COUNT, SEED, UNIT, conform
 from .env import state_dim
 from .model import ScenarioError, load_scenario, save_scenario
 from .nn import PolicyArchitectureError
 from .ppo import PPOConfig, load_policy
 from .scenarios import PRESETS, build_preset, preset_workload_config, random_scenario
-from .util import is_json_number, load_json, rng_stream
+from .util import load_json, rng_stream
 from .verify import verify_file
 from .workload import WorkloadError, WorkloadGenConfig, generate_workloads, ingest_trace, write_trace
 
@@ -52,38 +49,17 @@ class UsageError(ValueError):
     pass
 
 
+# argparse types: a flag's text parsed, then held to its contract.Rule (a refusal exits 1)
 def positive_int(text: str) -> int:
-    """argparse type of a count flag: a count below 1 is a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+    return conform(int(text), COUNT, "the value", argparse.ArgumentTypeError)
 
 
 def seed_int(text: str) -> int:
-    """argparse type of --seed: a seed outside 0..2**32 - 1, which rng_stream refuses,
-    is a usage error before any work."""
-    value = int(text)
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise argparse.ArgumentTypeError(f"must lie in 0..4294967295, got {value}")
-    return value
-
-
-def node_budget(text: str) -> int:
-    """argparse type of --milp-budget: a budget outside 1..baselines.MAX_NODE_BUDGET,
-    the node counts HiGHS's 32-bit mip_max_nodes holds, is a usage error before any work."""
-    value = positive_int(text)
-    if value > MAX_NODE_BUDGET:
-        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_NODE_BUDGET}, got {value}")
-    return value
+    return conform(int(text), SEED, "the value", argparse.ArgumentTypeError)
 
 
 def unit_interval(text: str) -> float:
-    """argparse type of a cost weight: a value outside [0, 1], NaN included, is a usage error."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
-    return value
+    return conform(float(text), UNIT, "the value", argparse.ArgumentTypeError)
 
 
 def _add_seed_out(sub: argparse.ArgumentParser) -> None:
@@ -110,7 +86,7 @@ def _add_training(sub: argparse.ArgumentParser) -> None:
 def _add_evaluation(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--snapshots", type=positive_int, default=_EVAL_SNAPSHOTS)
     sub.add_argument(
-        "--milp-budget", type=node_budget, default=2000,
+        "--milp-budget", type=positive_int, default=2000,
         help="HiGHS branch-and-bound nodes per joint-milp call",
     )
     sub.add_argument(
@@ -167,52 +143,10 @@ def build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 
 
-# config sections and the declared type of each key; snapshot counts come from the flags
-_CONFIG_KEYS = {
-    "ppo": typing.get_type_hints(PPOConfig),
-    "workload": typing.get_type_hints(WorkloadGenConfig),
-}
-del _CONFIG_KEYS["workload"]["n_snapshots"]
-# what a numeric key accepts beyond its type, as (wording, test); a list's every entry
-# must pass, and NaN passes no test. update_interval also sets a training window's episodes
-_COUNT = ("positive", lambda v: v >= 1)
-_POSITIVE = ("finite and > 0", lambda v: 0.0 < v < math.inf)
-_UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
-_RANGES = {
-    "ppo": {
-        "epochs": _COUNT, "minibatch_size": _COUNT, "update_interval": _COUNT, "hidden": _COUNT,
-        "learning_rate": _POSITIVE, "clip_ratio": _POSITIVE,
-        "gamma": _UNIT, "gae_lambda": _UNIT,
-        "entropy_coef": _NON_NEGATIVE, "value_coef": _NON_NEGATIVE,
-    },
-}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a config field's declared type (JSON lists stand for tuples)."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, arg) for arg in args)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
-    if hint is float:
-        return is_json_number(value)
-    return type(value) is hint
-
-
-def _as_declared(value):
-    """A value that _fits its field, with each list, nested ones too, the tuple it stands for."""
-    return tuple(map(_as_declared, value)) if isinstance(value, list) else value
-
-
 def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
-    """The config file's overrides, each a value of its field's declared type; a
-    section outside `sections`, the ones the command reads, is a usage error."""
+    """The config file's overrides, held to contract.CONFIG with lists made tuples; a section
+    outside `sections`, the ones the command reads, is a usage error. Workload values meet
+    their ranges in generate_workloads, where one outside is invalid input (exit 2)."""
     if path is None:
         return {}
     doc = load_json(path, UsageError, "config")
@@ -224,26 +158,15 @@ def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
             )
         if not isinstance(patch, dict):
             raise UsageError(f"config {path}: section {section!r} must be a JSON object")
-        fields = _CONFIG_KEYS[section]
+        fields = CONFIG[section]
         unknown = sorted(set(patch) - set(fields))
         if unknown:
             raise UsageError(
                 f"config {path}: unknown {section} key(s) {unknown}; choose from {sorted(fields)}"
             )
         for key, value in patch.items():
-            if not _fits(value, fields[key]):
-                hint = fields[key]
-                expected = hint.__name__ if isinstance(hint, type) else hint
-                raise UsageError(
-                    f"config {path}: '{section}.{key}' must be {expected}, got {value!r}"
-                )
-            wording, test = _RANGES.get(section, {}).get(key, (None, None))
-            entries = value if isinstance(value, list) else [value]
-            if test is not None and not all(test(v) for v in entries):
-                raise UsageError(
-                    f"config {path}: '{section}.{key}' must be {wording}, got {value!r}"
-                )
-            patch[key] = _as_declared(value)
+            patch[key] = conform(value, fields[key], f"config {path}: '{section}.{key}'",
+                                 UsageError, ranged=section == "ppo")
     return doc
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import dump_json, is_json_int, load_json, non_number
+from .contract import AMOUNT, MAGNITUDE, SCENARIO, conform, first_outside
+from .util import dump_json, load_json
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -73,39 +74,23 @@ class Topology:
 
 
 def validate_topology(topology: Topology) -> list[str]:
-    """Return a list of human-readable violations; empty means valid."""
-    out: list[str] = []
+    """Human-readable violations, empty when valid; an array's first number outside its
+    contract.Rule is named as a scenario document names it, such as "nodes[1].cores"."""
     n = topology.n_nodes
     if n == 0:
         return ["topology has no nodes"]
     if topology.memory.shape != (n,):
         return [f"memory shape {topology.memory.shape} does not match node count {n}"]
-    for idx, (cores, memory) in enumerate(zip(topology.cores.tolist(), topology.memory.tolist())):
-        if not np.isfinite(cores) or cores <= 0:
-            out.append(f"non-positive cores at node {idx}")
-        if not np.isfinite(memory) or memory <= 0:
-            out.append(f"non-positive memory at node {idx}")
     d = topology.delays
+    out = first_outside("nodes[{}].cores", topology.cores, AMOUNT)
+    out += first_outside("nodes[{}].memory", topology.memory, AMOUNT)
     if d.shape != (n, n):
-        out.append(f"delay matrix shape {d.shape} does not match node count {n}")
-        return out
+        return out + [f"delay matrix shape {d.shape} does not match node count {n}"]
+    out += first_outside("delays[{}][{}]", d, MAGNITUDE)
     if not np.all(np.isfinite(d)):
-        out.append("non-finite delay entry")
         return out
-    for i in range(n):
-        if d[i, i] != 0.0:
-            out.append(f"nonzero diagonal at {i}")
-    neg = np.argwhere(d < 0)
-    for i, j in neg:
-        out.append(f"negative delay at ({i},{j})")
-    asym = np.argwhere(d != d.T)
-    seen = set()
-    for i, j in asym:
-        key = (min(i, j), max(i, j))
-        if key not in seen:
-            seen.add(key)
-            out.append(f"asymmetric at ({key[0]},{key[1]})")
-    return out
+    out += [f"delays: nonzero diagonal at {i}" for i in np.flatnonzero(np.diag(d))]
+    return out + [f"delays: asymmetric at ({i},{j})" for i, j in np.argwhere(np.triu(d != d.T))]
 
 
 def validate_workload(workload: np.ndarray, n_functions: int, n_nodes: int) -> list[str]:
@@ -159,9 +144,7 @@ class Scenario:
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     out = validate_topology(scenario.topology)
-    for idx, memory in enumerate(scenario.function_memory.tolist()):
-        if not np.isfinite(memory) or memory <= 0:
-            out.append(f"non-positive memory requirement at function {idx}")
+    out += first_outside("functions[{}].memory", scenario.function_memory, AMOUNT)
     cpr = scenario.cores_per_request
     if cpr.shape != (scenario.n_functions, scenario.n_nodes):
         out.append(
@@ -169,9 +152,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f"(functions, nodes) = ({scenario.n_functions}, {scenario.n_nodes})"
         )
     else:
-        for idx in np.flatnonzero(~(np.isfinite(cpr) & (cpr > 0)).all(axis=1)):
-            out.append(f"non-positive cores_per_request at function {idx}")
-    out += validate_workload(scenario.workload, scenario.n_functions, scenario.n_nodes)
+        out += first_outside("functions[{}].cores_per_request[{}]", cpr, AMOUNT)
+    problems = validate_workload(scenario.workload, scenario.n_functions, scenario.n_nodes)
+    out += problems or first_outside("workload[{}][{}]", scenario.workload, MAGNITUDE)
     if scenario.criticality is not None and len(scenario.criticality) != scenario.n_functions:
         out.append(
             f"criticality length {len(scenario.criticality)} does not match "
@@ -205,76 +188,44 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
-def _sparse_ids(entries: list, kind: str, count: str) -> list[str]:
-    return [
-        f"{kind} ids must be dense integers 0..{count}-1, position {idx} holds id {entry['id']!r}"
-        for idx, entry in enumerate(entries)
-        if not is_json_int(entry["id"]) or entry["id"] != idx
-    ]
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
-    """The scenario of a JSON document.
-
-    Node and function ids must be dense integers, and criticality entries
-    integers. Node cores and memory, function memory and cores_per_request,
-    and the delays and workload entries must be JSON numbers: a string such
-    as "40" or a bool is refused, naming the first one of each field. A
-    function's cores_per_request is one number for every node (1.0 when
-    missing) or a list of one per node.
-    """
+    """The scenario of a JSON document whose numbers are of contract.SCENARIO's kinds, with
+    dense ids (entry k has id k); validate_scenario holds them to their ranges and shapes."""
     try:
         version = doc.get("schema_version", SCENARIO_SCHEMA_VERSION)
         if version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioError(f"unsupported scenario schema_version {version}")
+        conform(doc, SCENARIO, "", ranged=False)
         nodes, functions = doc["nodes"], doc["functions"]
-        problems = _sparse_ids(nodes, "node", "N") + _sparse_ids(functions, "function", "F")
-        fields = [(node[key], f"node {j} {key}") for j, node in enumerate(nodes)
-                  for key in ("cores", "memory")]
-        fields += [(f["memory"], f"function {idx} memory") for idx, f in enumerate(functions)]
-        fields += [(f.get("cores_per_request", 1.0), f"function {idx} cores_per_request")
-                   for idx, f in enumerate(functions)]
-        fields += [(doc["delays"], "delays"), (doc["workload"], "workload")]
-        wrong = [found for found in (non_number(*field) for field in fields) if found]
-        if wrong:
-            raise ScenarioError(
-                "invalid scenario: " + "; ".join(f"{found}, not a number" for found in wrong)
-            )
-        delays = np.array(doc["delays"], dtype=float)
-        if delays.ndim != 2:
-            raise ScenarioError("delays must be a 2-d matrix")
+        problems = [f"{kind[:-1]} ids must be dense: {kind}[{k}].id is {entry['id']}"
+                    for kind in ("nodes", "functions") for k, entry in enumerate(doc[kind])
+                    if entry["id"] != k]
+        for key in ("delays", "workload"):  # lists of lists, as the contract has it
+            if not doc[key] or len({len(row) for row in doc[key]}) > 1:
+                raise ScenarioError(f"{key} must be a 2-d matrix")
         n = len(nodes)
         cores_per_request = []
         for idx, f in enumerate(functions):
             cpr = f.get("cores_per_request", 1.0)
             if not isinstance(cpr, list):
-                cpr = [float(cpr)] * n
+                cpr = [cpr] * n
             elif len(cpr) != n:
                 raise ScenarioError(
                     f"invalid scenario: function {idx}: cores_per_request has {len(cpr)} "
                     f"entries, expected one per node ({n})"
                 )
             cores_per_request.append(cpr)
-        workload = np.array(doc["workload"], dtype=float)
-        if workload.ndim != 2:
-            raise ScenarioError("workload must be a 2-d matrix")
         crit = doc.get("criticality")
-        criticality = tuple(crit) if crit is not None else None
-        problems += [
-            f"criticality entry {idx} is {c!r}, not an integer"
-            for idx, c in enumerate(criticality or ())
-            if not is_json_int(c)
-        ]
         scenario = Scenario(
             topology=Topology(
-                cores=[float(node["cores"]) for node in nodes],
-                memory=[float(node["memory"]) for node in nodes],
-                delays=delays,
+                cores=[node["cores"] for node in nodes],
+                memory=[node["memory"] for node in nodes],
+                delays=doc["delays"],
             ),
-            function_memory=[float(f["memory"]) for f in functions],
+            function_memory=[f["memory"] for f in functions],
             cores_per_request=cores_per_request,
-            workload=workload,
-            criticality=criticality,
+            workload=np.array(doc["workload"], dtype=float),
+            criticality=tuple(crit) if crit is not None else None,
             name=str(doc.get("name", "scenario")),
         )
     except ScenarioError:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .contract import CHECKPOINT, conform
 from .nn import MLP, Adam, PolicyArchitectureError, layer_shapes
-from .util import dump_json, is_json_int, load_json, non_number
+from .util import dump_json, load_json
 
 POLICY_SCHEMA_VERSION = 1
 
@@ -324,43 +325,29 @@ def _checkpoint_from_doc(
     version = doc.get("schema_version")
     if version != POLICY_SCHEMA_VERSION:
         raise PolicyArchitectureError(f"unsupported policy schema_version {version}")
+    conform(doc, CHECKPOINT, "")  # a ValueError, which load_policy reports as malformed
     arch = doc["arch"]
-    hidden = arch["hidden"]
-    if not isinstance(hidden, list) or not all(
-        is_json_int(v) for v in (arch["input_dim"], arch["n_actions"], *hidden)
-    ):
+    input_dim, n_actions, hidden = arch["input_dim"], arch["n_actions"], arch["hidden"]
+    if expect_input_dim is not None and input_dim != expect_input_dim:
         raise PolicyArchitectureError(
-            "arch needs integer input_dim and n_actions and a list of integer hidden widths, "
-            f"got input_dim {arch['input_dim']!r}, n_actions {arch['n_actions']!r}, hidden {hidden!r}"
+            f"policy expects input_dim {input_dim}, scenario needs {expect_input_dim}"
         )
-    if expect_input_dim is not None and arch["input_dim"] != expect_input_dim:
+    if expect_n_actions is not None and n_actions != expect_n_actions:
         raise PolicyArchitectureError(
-            f"policy expects input_dim {arch['input_dim']}, scenario needs {expect_input_dim}"
+            f"policy expects n_actions {n_actions}, scenario needs {expect_n_actions}"
         )
-    if expect_n_actions is not None and arch["n_actions"] != expect_n_actions:
-        raise PolicyArchitectureError(
-            f"policy expects n_actions {arch['n_actions']}, scenario needs {expect_n_actions}"
-        )
-    for name in ("params", "state_scale"):  # np.array would parse "0.5" and true
-        found = non_number(doc[name], name)
-        if found is not None:
-            raise ValueError(f"{found}, not a number")
     params = np.array(doc["params"], dtype=float)
-    shapes = layer_shapes(arch["input_dim"], arch["n_actions"], hidden)
-    if min(b for _, b in shapes) < 1:
-        raise PolicyArchitectureError(f"arch has a layer narrower than 1: hidden {hidden}")
-    n_params = sum(a * b + b for a, b in shapes)
+    n_params = sum(a * b + b for a, b in layer_shapes(input_dim, n_actions, hidden))
     if params.shape != (n_params,):  # checked before MLP allocates the declared layers
-        raise PolicyArchitectureError(f"params have shape {params.shape}, arch needs ({n_params},)")
-    net = MLP(arch["input_dim"], arch["n_actions"], hidden=tuple(hidden))
+        raise PolicyArchitectureError(
+            f"params have shape {params.shape}, arch (input_dim {input_dim}, n_actions "
+            f"{n_actions}, hidden {hidden}) needs ({n_params},)"
+        )
+    net = MLP(input_dim, n_actions, hidden=tuple(hidden))
     net.set_params(params)
-    if not np.isfinite(net.params).all():
-        raise PolicyArchitectureError("params are not all finite")
     scale = np.array(doc["state_scale"], dtype=float)
     if scale.shape != (net.input_dim,):
         raise PolicyArchitectureError("state_scale length does not match input_dim")
-    if not (np.isfinite(scale) & (scale > 0.0)).all():
-        raise PolicyArchitectureError("state_scale entries are not all finite and positive")
     return PolicyCheckpoint(
         agent=PolicyAgent(net=net, state_scale=scale), extras=doc.get("extras", {})
     )

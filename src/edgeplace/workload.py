@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contract import COUNT, MAGNITUDE, TRACE_LINE, UNIT, conform
+
 
 class WorkloadError(ValueError):
     """Raised for malformed trace files or impossible generator configs."""
@@ -37,25 +39,27 @@ class WorkloadGenConfig:
 def generate_workloads(
     n_functions: int, n_nodes: int, config: WorkloadGenConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Deterministic (given rng state) list of (F, N) snapshots."""
-    if config.hotspot_count < 1 or config.hotspot_count > n_nodes:
-        raise WorkloadError(
-            f"hotspot_count {config.hotspot_count} outside 1..{n_nodes}"
-        )
-    if not 0.0 <= config.concentration <= 1.0:
-        raise WorkloadError(f"concentration {config.concentration} outside [0, 1]")
-    if not 0.0 <= config.drift_prob <= 1.0:
-        raise WorkloadError(f"drift_prob {config.drift_prob} outside [0, 1]")
+    """Deterministic (given rng state) list of (F, N) snapshots; a setting outside its
+    contract.CONFIG range, or a hotspot_count above N or a rate range's high below its low,
+    is a WorkloadError."""
+    conform(config.hotspot_count, COUNT, "hotspot_count", WorkloadError)
+    if config.hotspot_count > n_nodes:
+        raise WorkloadError(f"hotspot_count {config.hotspot_count} exceeds the {n_nodes} nodes")
+    conform(config.concentration, UNIT, "concentration", WorkloadError)
+    conform(config.drift_prob, UNIT, "drift_prob", WorkloadError)
     ranges = config.per_function_rate_ranges
     if ranges is not None and len(ranges) != n_functions:
         raise WorkloadError(
             f"per_function_rate_ranges has {len(ranges)} entries for {n_functions} functions"
         )
+    named = {"rate_range": config.rate_range} if ranges is None else {
+        f"per_function_rate_ranges[{f}]": pair for f, pair in enumerate(ranges)}
+    for name, (lo, hi) in named.items():
+        conform(lo, MAGNITUDE, f"{name}[0]", WorkloadError)
+        conform(hi, MAGNITUDE, f"{name}[1]", WorkloadError)
+        if hi < lo:
+            raise WorkloadError(f"{name} {[lo, hi]} has its high end below its low end")
     bounds = [config.rate_range] * n_functions if ranges is None else ranges
-    for f, (lo, hi) in enumerate(bounds):
-        if not 0.0 <= lo <= hi < np.inf:  # NaN fails every comparison
-            where = "" if ranges is None else f" of function {f}"
-            raise WorkloadError(f"rate range {[lo, hi]}{where} needs 0 <= low <= high < inf")
     # as Generator.uniform(lo, hi) draws: float64 bounds, then lo + (hi - lo) * next_double
     lows, highs = np.array(bounds, dtype=float).reshape(n_functions, 2).T
     spans = highs - lows
@@ -91,8 +95,9 @@ def write_trace(path: str, snapshots: list[np.ndarray]) -> None:
 def ingest_trace(path: str, shape: tuple[int, int]) -> list[np.ndarray]:
     """Read a trace CSV back into dense snapshots; missing cells are zero.
 
-    shape is the scenario's (F, N): a line whose function index is F or more
-    or whose node index is N or more is refused before any snapshot is made.
+    shape is the scenario's (F, N): a line whose numbers are not of
+    contract.TRACE_LINE's kinds and ranges, or whose function index is F or
+    more or node index N or more, is refused before any snapshot is made.
     A (snapshot, function, node) cell given on two lines is refused, and so
     are a snapshot index below the largest that no line gives and a trace
     whose largest function and node indices are not F - 1 and N - 1.
@@ -112,19 +117,16 @@ def ingest_trace(path: str, shape: tuple[int, int]) -> list[np.ndarray]:
                 if len(row) != 4:
                     raise WorkloadError(f"line {lineno}: expected 4 columns, got {len(row)}")
                 try:
-                    s, f, n = int(row[0]), int(row[1]), int(row[2])
-                    rate = float(row[3])
+                    values = [parse(text) for parse, text in zip((int, int, int, float), row)]
                 except ValueError as exc:
                     raise WorkloadError(f"line {lineno}: {exc}") from exc
-                if s < 0 or f < 0 or n < 0:
-                    raise WorkloadError(f"line {lineno}: negative index")
+                s, f, n, rate = (conform(value, rule, f"line {lineno}: {column}", WorkloadError)
+                                 for value, rule, column in zip(values, TRACE_LINE, TRACE_COLUMNS))
                 if f >= shape[0] or n >= shape[1]:
                     raise WorkloadError(
                         f"line {lineno}: function {f}, node {n} is outside the scenario's "
                         f"{shape[0]} functions and {shape[1]} nodes"
                     )
-                if not np.isfinite(rate) or rate < 0:
-                    raise WorkloadError(f"line {lineno}: bad rate {row[3]}")
                 first, _ = cells.setdefault((s, f, n), (lineno, rate))
                 if first != lineno:
                     raise WorkloadError(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -154,15 +156,22 @@ def test_milp_budget_is_deterministic_and_reported():
     assert full.objective <= runs[0].objective
 
 
-@pytest.mark.parametrize("budget", [0, -5, 2**31])
+@pytest.mark.parametrize("budget", [0, -5, 2**31, 2.5, True, "7"])
 def test_milp_refuses_a_node_budget_outside_32_bits(tri_scenario, monkeypatch, budget):
-    """HiGHS would stop at once on 0, drop the limit on -5 and raise TypeError on 2**31."""
+    """HiGHS would stop at once on 0, drop the limit on -5, raise TypeError on 2**31 and
+    2.5, and run True as a budget of 1."""
     def no_solve(*args, **kwargs):
         raise AssertionError("HiGHS ran")
 
     monkeypatch.setattr(baselines, "milp", no_solve)
-    with pytest.raises(ValueError, match=rf"1\.\.2147483647, got {budget}$"):
+    cause = f"node_budget is {budget!r}, not an integer in 1..2147483647"
+    with pytest.raises(ValueError, match=re.escape(cause) + "$"):
         solve_joint_milp(tri_scenario, node_budget=budget)
+
+
+def test_milp_takes_a_numpy_integer_budget(tri_scenario):
+    runs = [solve_joint_milp(tri_scenario, node_budget=b) for b in (np.int64(50), 50)]
+    assert runs[0].objective == runs[1].objective and runs[0].status == runs[1].status
 
 
 def test_milp_detects_memory_infeasibility():

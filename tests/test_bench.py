@@ -279,6 +279,31 @@ def test_summarize_matches_hand_means(small_plan, tri_scenario):
     )
 
 
+def test_summarize_means_the_valid_rows_of_a_mixed_group():
+    """Invalid rows carry NaN totals, as _eval_one writes them; a mean over the whole group
+    would be NaN."""
+    nan = float("nan")
+    rows = [ResultRow("vsvbp", 0.5, 0, 2.0, 20.0, 10.0, 1.0, True),
+            ResultRow("vsvbp", 0.5, 1, nan, nan, nan, 3.0, False),
+            ResultRow("vsvbp", 0.5, 2, 4.0, 40.0, 30.0, 5.0, True)]
+    assert summarize(rows) == [{
+        "candidate": "vsvbp", "alpha": 0.5, "snapshots": 3, "valid_fraction": 2 / 3,
+        "mean_delay_ms_per_req": 3.0, "mean_total_delay": 30.0, "mean_cost": 20.0,
+        "mean_decision_time_ms": 3.0,
+    }]
+
+
+def test_evaluate_candidates_refuses_an_empty_snapshot_list(small_plan, monkeypatch):
+    """A timed run warms up on the first snapshot, which an empty list lacks."""
+    def no_decision(*args, **kwargs):
+        raise AssertionError("a decision ran")
+
+    monkeypatch.setattr(bench, "_eval_one", no_decision)
+    plan = replace(small_plan, candidates=("vsvbp",))
+    with pytest.raises(ValueError, match="the snapshot count is 0, not an integer in 1"):
+        evaluate_candidates(plan, seed=3, agents={}, snapshots=[])
+
+
 def test_summarize_times_every_decision():
     """An invalid decision's time counts in the mean; its delay and cost do not."""
 
@@ -335,14 +360,15 @@ def test_run_compare_refuses_alphas_that_share_a_run(small_plan, tmp_path,
     "fields, cause",
     [
         # a timed run warms up on the first snapshot, which this plan lacks
-        ({"eval_snapshots": 0}, "eval_snapshots must be at least 1, got 0"),
+        ({"eval_snapshots": 0}, "eval_snapshots is 0, not an integer in 1..2147483647"),
         ({"candidates": ("vsvbp", "vsvbp")}, "name one candidate twice"),
         ({"candidates": ("greedy",)}, "unknown candidate 'greedy'"),
-        ({"alphas": (0.0, 1.5)}, "alpha must lie in [0, 1], got 1.5"),
-        ({"alphas": (float("nan"),)}, "alpha must lie in [0, 1], got nan"),
+        ({"alphas": (0.0, 1.5)}, "alphas[1] is 1.5, not a number in [0, 1]"),
+        ({"alphas": (float("nan"),)}, "alphas[0] is nan, not a number in [0, 1]"),
         ({"alphas": (0.0, -0.0)}, "alphas 0.0 and -0.0 would share one run"),
-        ({"milp_node_budget": 0}, "node budget must lie in 1..2147483647, got 0"),
-        ({"milp_node_budget": 2**31}, "node budget must lie in 1..2147483647, got 2147483648"),
+        ({"milp_node_budget": 0}, "milp_node_budget is 0, not an integer in 1..2147483647"),
+        ({"milp_node_budget": 2**31},
+         "milp_node_budget is 2147483648, not an integer in 1..2147483647"),
     ],
     ids=["no-snapshots", "candidate-twice", "unknown-candidate", "alpha-above-1", "alpha-nan",
          "alphas-sharing-a-run", "zero-budget", "budget-past-32-bits"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 
 import numpy as np
 import pytest
@@ -88,18 +89,28 @@ def _first_node(doc, **fields):
     return dict(doc, nodes=[dict(doc["nodes"][0], **fields)] + doc["nodes"][1:])
 
 
+def _first_cpr(doc, value):
+    first = doc["functions"][0]
+    cpr = [value] + first["cores_per_request"][1:]
+    return dict(doc, functions=[dict(first, cores_per_request=cpr)] + doc["functions"][1:])
+
+
 @pytest.mark.parametrize(
     "edit, cause",
     [
         (lambda doc: {"topology": {}}, "malformed scenario document: 'nodes'"),
         # int() would read the criticality 2.5 as 2, and float() the cores "40" as 40.0
         (lambda doc: dict(doc, criticality=[2.5] + [1] * (len(doc["functions"]) - 1)),
-         "criticality entry 0 is 2.5, not an integer"),
-        (lambda doc: _first_node(doc, cores="40"), "node 0 cores is '40', not a number"),
+         "criticality[0] is 2.5, not an integer"),
+        (lambda doc: _first_node(doc, cores="40"), "nodes[0].cores is '40', not a number"),
         # float() raises OverflowError on an integer this large
-        (lambda doc: _first_node(doc, cores=10**400), f"node 0 cores is {10**400}, not a number"),
+        (lambda doc: _first_node(doc, cores=10**400),
+         f"nodes[0].cores is {reprlib.repr(10**400)}, not a number"),
+        # finite, but rate * cores_per_request overflows in joint-milp's objective
+        (lambda doc: _first_cpr(doc, 1e308),
+         "functions[0].cores_per_request[0] is 1e+308, not a number in (0, 1e+12]"),
     ],
-    ids=["no-topology", "float-criticality", "string-cores", "huge-cores"],
+    ids=["no-topology", "float-criticality", "string-cores", "huge-cores", "huge-finite-cpr"],
 )
 def test_invalid_scenario_file_exits_2(scenario_path, tmp_path, capsys, edit, cause):
     bad = tmp_path / "bad.json"
@@ -386,7 +397,7 @@ def test_bad_rate_range_exits_2(scenario_path, tmp_path, capsys, command, worklo
         *_SMALL_RUN[command], "--config", str(path),
     )
     assert code == EXIT_INVALID
-    assert "rate range" in capsys.readouterr().err
+    assert "rate_range" in capsys.readouterr().err
 
 
 def test_one_node_generated_scenario_trains(tmp_path):
@@ -555,7 +566,7 @@ def test_checkpoint_state_scale_of_the_wrong_length_exits_2(scenario_path, tmp_p
     "line, cause",
     [
         ("0,1,0", "expected 4 columns, got 3"),
-        ("0,-1,0,1.0", "negative index"),
+        ("0,-1,0,1.0", "function_id is -1, not an integer >= 0"),
         # refused before any snapshot is made: dense snapshots to this index take 745 GiB
         ("0,99999999999,0,1.0", "function 99999999999, node 0 is outside"),
         ("0,2,0,1.0", "function 2, node 0 is outside the scenario's 2 functions and 3 nodes"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from edgeplace.bench import train_agent
@@ -22,11 +23,16 @@ def test_dump_json_refusal_leaves_files_as_they_were(tmp_path):
     assert load_json(str(old), ValueError, "file") == {"value": 1.5}
 
 
-@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 1])
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 1, 2.5, 2.0, True, "7"])
 def test_rng_stream_refuses_seeds_outside_32_bits(seed):
-    """A seed folded to 32 bits would repeat another seed's draws, so it raises."""
-    with pytest.raises(ValueError, match=f"seed {seed} "):
+    """A seed folded to 32 bits would repeat another seed's draws, and so would one that
+    int() reads: 2.5 as seed 2, True as seed 1 and "7" as seed 7. So each raises."""
+    with pytest.raises(ValueError, match=f"seed is {seed!r}, not an integer in 0..4294967295"):
         rng_stream(seed, "draw")
+
+
+def test_rng_stream_takes_numpy_integers():
+    assert rng_stream(np.uint32(7), "draw").random() == rng_stream(7, "draw").random()
 
 
 def test_rng_stream_keeps_its_draws_at_the_32_bit_edges():
@@ -39,6 +45,7 @@ def test_train_agent_refuses_a_seed_outside_32_bits_before_training(monkeypatch)
         raise AssertionError("training started")
 
     monkeypatch.setattr("edgeplace.bench.generate_workloads", no_training)
-    with pytest.raises(ValueError, match="seed 4294967296 "):
-        train_agent(build_preset("small-payload"), 0.0, 2**32,
-                    preset_workload_config("small-payload", 4), PPOConfig(), 64)
+    for seed in (2**32, 2.5):
+        with pytest.raises(ValueError, match=f"seed is {seed}, not"):
+            train_agent(build_preset("small-payload"), 0.0, seed,
+                        preset_workload_config("small-payload", 4), PPOConfig(), 64)

@@ -9,12 +9,15 @@ from edgeplace.baselines import solve_joint_milp, solve_vsvbp
 from edgeplace.util import canonical_json
 from edgeplace.verify import (
     DecisionFormatError,
+    check_decision,
     decision_to_dict,
     load_decision,
     save_decision,
     verify_decision,
     verify_file,
 )
+
+from conftest import make_scenario
 
 
 @pytest.fixture
@@ -183,3 +186,35 @@ def test_unreadable_file_reported(tri_scenario, tmp_path):
     violations = verify_file(tri_scenario, str(path))
     assert violations and "cannot read" in violations[0]
 
+
+
+def _boundary_decision(rate=10.0, cores=20.0, fn_memory=8.0, spare_row=1.0, delay_scale=1.0,
+                       cost_scale=1.0):
+    """Violations of one function hosted on node 1 of two: node 0's rate travels 2 ms at
+    one core-unit per request, and node 1 (no traffic) keeps its own, through a row that
+    ships spare_row of it. The declared totals are the true ones times the scales."""
+    scenario = make_scenario(delays=[[0, 2], [2, 0]], cores=[50, cores], memory=[64, 64],
+                             fn_memory=[fn_memory], workload=[[rate, 0.0]])
+    routes = np.array([[[0.0, 1.0], [0.0, spare_row]]])
+    return check_decision(scenario, scenario.workload, np.array([[0.0, 1.0]]), routes,
+                          2.0 * rate * delay_scale, rate * cost_scale)
+
+
+# each check at 10 times its tolerance, which fails, and at a tenth of it, which passes;
+# a capacity's tolerance is 1e-9 of it plus 1e-9, a total's 1e-9 of it
+@pytest.mark.parametrize(
+    "field, past, within, needle",
+    [
+        ("rate", 20.0 + 10 * 21e-9, 20.0 + 0.1 * 21e-9, "core-capacity"),
+        ("fn_memory", 64.0 + 10 * 65e-9, 64.0 + 0.1 * 65e-9, "memory-capacity"),
+        ("spare_row", 1.0 + 10 * 1e-9, 1.0 + 0.1 * 1e-9, "route-sum"),
+        ("delay_scale", 1.0 + 10 * 1e-9, 1.0 + 0.1 * 1e-9, "delay-mismatch"),
+        ("cost_scale", 1.0 + 10 * 1e-9, 1.0 + 0.1 * 1e-9, "cost-mismatch"),
+    ],
+    ids=["node-cores", "node-memory", "route-row-sum", "declared-delay", "declared-cost"],
+)
+def test_check_decision_tolerance_boundaries(field, past, within, needle):
+    assert _boundary_decision() == []
+    problems = _boundary_decision(**{field: past})
+    assert len(problems) == 1 and problems[0].startswith(needle), problems
+    assert _boundary_decision(**{field: within}) == []

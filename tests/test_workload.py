@@ -84,11 +84,12 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "ranges, match",
     [
-        ({"rate_range": (-5.0, -1.0)}, r"rate range \[-5.0, -1.0\] needs"),
-        ({"rate_range": (5.0, 1.0)}, r"rate range \[5.0, 1.0\] needs"),
-        ({"rate_range": (1.0, float("inf"))}, "needs 0 <= low <= high < inf"),
-        ({"rate_range": (float("nan"), 1.0)}, "needs 0 <= low <= high < inf"),
-        ({"per_function_rate_ranges": ((1.0, 2.0), (9.0, -7.0))}, "of function 1 needs"),
+        ({"rate_range": (-5.0, -1.0)}, r"rate_range\[0\] is -5.0, not a number in \[0, 1e\+12\]"),
+        ({"rate_range": (5.0, 1.0)}, r"rate_range \[5.0, 1.0\] has its high end below its low"),
+        ({"rate_range": (1.0, float("inf"))}, r"rate_range\[1\] is inf"),
+        ({"rate_range": (float("nan"), 1.0)}, r"rate_range\[0\] is nan"),
+        ({"per_function_rate_ranges": ((1.0, 2.0), (9.0, -7.0))},
+         r"per_function_rate_ranges\[1\]\[1\] is -7.0"),
     ],
     ids=["negative", "inverted", "infinite", "nan", "per-function-inverted"],
 )
@@ -170,7 +171,7 @@ def test_ingest_rejects_bad_files(tmp_path):
     with pytest.raises(WorkloadError, match="header"):
         ingest_trace(str(path), (1, 2))
     path.write_text("snapshot,function_id,node_id,rate\n0,0,0,-3.5\n")
-    with pytest.raises(WorkloadError, match="bad rate"):
+    with pytest.raises(WorkloadError, match="line 2: rate is -3.5, not a number"):
         ingest_trace(str(path), (1, 2))
     path.write_text("snapshot,function_id,node_id,rate\n0,0,zero,1.0\n")
     with pytest.raises(WorkloadError):
