@@ -61,6 +61,9 @@ class ExperimentPlan:
         conform(self.eval_snapshots, COUNT, "eval_snapshots")
         conform(self.alphas, [UNIT], "alphas")
         conform(self.milp_node_budget, BUDGET, "milp_node_budget")
+        for name in ("alphas", "candidates"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty, so the plan would evaluate nothing")
         for candidate in self.candidates:
             if candidate not in CANDIDATES:
                 raise ValueError(f"unknown candidate {candidate!r}; choose from {CANDIDATES}")
@@ -249,14 +252,8 @@ def save_training(out_dir: str, result: TrainResult) -> tuple[str, str]:
 
 
 def write_train_log(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in cols])
+    if rows:
+        _write_csv(path, list(rows[0]), rows)
 
 
 # --------------------------------------------------------------------------
@@ -277,8 +274,6 @@ def _eval_one(
     total_rate = float(workload.sum())
     started = time.perf_counter()  # every candidate: wall time of the whole decision call
     if candidate == "agent":
-        if agent is None:
-            raise ValueError("agent candidate requested but no policy supplied")
         record = run_episode(agent, PlacementEnv(scenario, alpha), workload, deterministic=True)
         decision_s = time.perf_counter() - started
         valid = record.valid
@@ -332,7 +327,13 @@ def evaluate_candidates(
     snapshots: list[np.ndarray] | None = None,
 ) -> list[ResultRow]:
     """All (candidate, alpha, snapshot) rows; snapshots shared across candidates, and
-    never empty (a ValueError), since a timed run warms up on the first."""
+    never empty (a ValueError), since a timed run warms up on the first. An agent
+    candidate without a policy in agents for each alpha is a ValueError before any
+    decision."""
+    if "agent" in plan.candidates:
+        for alpha in plan.alphas:
+            if alpha not in agents:
+                raise ValueError(f"the agent candidate has no policy at alpha {alpha!r}")
     scenario = plan.scenario
     if snapshots is None:
         cfg = replace(plan.workload_cfg, n_snapshots=plan.eval_snapshots)
@@ -370,12 +371,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(path: str, rows: list[ResultRow]) -> None:
+def _write_csv(path: str, columns, rows) -> None:
+    """A header line of columns, then one line per row (a mapping) of its _fmt'd values."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, column)) for column in RESULT_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+
+
+def write_results_csv(path: str, rows: list[ResultRow]) -> None:
+    _write_csv(path, RESULT_COLUMNS, map(vars, rows))
 
 
 def _mean(values: list) -> float | None:
@@ -455,7 +460,7 @@ def render_summary_table(summary: list[dict]) -> str:
                 _num(entry["mean_decision_time_ms"]),
             ]
         )
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
+    widths = [max(map(len, [h, *(r[c] for r in rows)])) for c, h in enumerate(headers)]
     buf = io.StringIO()
     buf.write("  ".join(h.ljust(widths[c]) for c, h in enumerate(headers)).rstrip() + "\n")
     for r in rows:

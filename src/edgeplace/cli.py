@@ -189,26 +189,12 @@ def _workload_config(scenario, n_snapshots: int, overrides: dict) -> WorkloadGen
     return replace(cfg, **patch)
 
 
-def _unique(flag: str, values: tuple) -> tuple:
-    """A comma list's values; an entry listed twice is a usage error."""
-    for k, value in enumerate(values):
-        if value in values[:k]:
-            raise UsageError(f"{flag} lists {value!r} more than once")
-    return values
-
-
 def _alpha_list(spec: str) -> tuple[float, ...]:
+    """--alphas parsed; ExperimentPlan holds the values to their range."""
     try:
-        alphas = tuple(unit_interval(a) for a in spec.split(",") if a.strip() != "")
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return tuple(float(a) for a in spec.split(",") if a.strip() != "")
+    except ValueError as exc:
         raise UsageError(f"bad --alphas value {spec!r}: {exc}") from exc
-    if not alphas:
-        raise UsageError("--alphas names no cost weight")
-    shared = bench.shared_run(alphas)
-    if shared is not None:  # an entry listed twice, or two that print alike
-        a, b = shared
-        raise UsageError(f"--alphas lists {a!r} and {b!r}, which would share one run")
-    return alphas
 
 
 # --------------------------------------------------------------------------
@@ -264,29 +250,26 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _candidate_list(spec: str) -> tuple[str, ...]:
-    candidates = tuple(c.strip() for c in spec.split(","))
-    for candidate in candidates:
-        if candidate not in bench.CANDIDATES:
-            raise UsageError(f"unknown candidate {candidate!r}; choose from {bench.CANDIDATES}")
-    return _unique("--candidates", candidates)
-
-
 def _build_plan(args, scenario, overrides, n_snapshots, **fields) -> bench.ExperimentPlan:
-    """The plan of an evaluate or compare run; fields are the command's own plan fields."""
-    return bench.ExperimentPlan(
-        scenario=scenario,
-        workload_cfg=_workload_config(scenario, n_snapshots, overrides),
-        eval_snapshots=n_snapshots,
-        milp_node_budget=args.milp_budget,
-        timing=args.timing,
-        **fields,
-    )
+    """The plan of an evaluate or compare run; fields are the command's own plan fields. A
+    plan that ExperimentPlan refuses is a usage error."""
+    workload_cfg = _workload_config(scenario, n_snapshots, overrides)
+    try:
+        return bench.ExperimentPlan(
+            scenario=scenario,
+            workload_cfg=workload_cfg,
+            eval_snapshots=n_snapshots,
+            milp_node_budget=args.milp_budget,
+            timing=args.timing,
+            **fields,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
-    candidates = _candidate_list(args.candidates)
+    candidates = tuple(c.strip() for c in args.candidates.split(","))
     if args.trace and args.snapshots is not None:
         raise UsageError("--trace takes no --snapshots: the trace sets the snapshot count")
     if args.checkpoint and "agent" not in candidates:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .contract import CHECKPOINT, conform
+from .contract import CHECKPOINT, CONFIG, conform
 from .nn import MLP, Adam, PolicyArchitectureError, layer_shapes
 from .util import dump_json, load_json
 
@@ -31,6 +31,11 @@ class PPOConfig:
     value_coef: float = 0.5
     update_interval: int = 256  # env steps collected per update
     hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self) -> None:
+        """A field outside contract.CONFIG["ppo"] is a ValueError naming it, as ppo.<field>."""
+        for name, spec in CONFIG["ppo"].items():
+            conform(getattr(self, name), spec, f"ppo.{name}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

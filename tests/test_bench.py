@@ -369,13 +369,27 @@ def test_run_compare_refuses_alphas_that_share_a_run(small_plan, tmp_path,
         ({"milp_node_budget": 0}, "milp_node_budget is 0, not an integer in 1..2147483647"),
         ({"milp_node_budget": 2**31},
          "milp_node_budget is 2147483648, not an integer in 1..2147483647"),
+        # an empty plan evaluates nothing
+        ({"alphas": ()}, "alphas is empty"),
+        ({"candidates": ()}, "candidates is empty"),
     ],
     ids=["no-snapshots", "candidate-twice", "unknown-candidate", "alpha-above-1", "alpha-nan",
-         "alphas-sharing-a-run", "zero-budget", "budget-past-32-bits"],
+         "alphas-sharing-a-run", "zero-budget", "budget-past-32-bits", "no-alphas",
+         "no-candidates"],
 )
 def test_a_plan_that_cannot_run_is_refused(small_plan, fields, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         replace(small_plan, **fields)
+
+
+def test_an_agent_without_a_policy_is_refused_before_any_decision(small_plan, monkeypatch):
+    calls = []
+    solve = baselines.solve_vsvbp
+    monkeypatch.setattr(baselines, "solve_vsvbp", lambda *args: calls.append(args) or solve(*args))
+    plan = replace(small_plan, candidates=("vsvbp", "agent"))
+    with pytest.raises(ValueError, match="the agent candidate has no policy at alpha 0.0"):
+        evaluate_candidates(plan, seed=3, agents={})
+    assert calls == []
 
 
 def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
@@ -391,6 +405,10 @@ def test_untimed_runs_are_byte_identical(small_plan, tri_scenario, tmp_path):
         blob = b"".join(Path(paths[k]).read_bytes() for k in ("results", "summary", "metadata"))
         blobs.append(blob)
     assert blobs[0] == blobs[1]
+
+
+def test_render_summary_table_of_no_rows_is_the_header():
+    assert render_summary_table([]) == "candidate  alpha  valid%  delay ms/req  cost  decision ms\n"
 
 
 def test_render_summary_table_layout(small_plan, tri_scenario):

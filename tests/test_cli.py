@@ -765,6 +765,17 @@ def test_bad_alphas_rejected(scenario_path, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_compare_with_no_alpha_exits_1(scenario_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli(
+        "compare", "--scenario", scenario_path, "--out", str(out), *_SMALL_RUN["compare"],
+        "--alphas", ",",
+    )
+    assert code == EXIT_USAGE
+    assert "alphas is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -783,7 +794,8 @@ def test_list_entry_given_twice_exits_1(scenario_path, tmp_path, capsys, command
         flag, value, "--no-timing",
     )
     assert code == EXIT_USAGE
-    assert f"{flag} lists" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(entry in err for entry in value.split(","))
     assert not out.exists()
 
 

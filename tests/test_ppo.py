@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,26 @@ def test_ppo_update_matches_per_minibatch_reference(preset, episodes):
     assert episodes is None or len(trajectories[0]) < cfg.minibatch_size
     assert set(diag) == {"policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
                          "loss", "mean_reward"}
+
+
+@pytest.mark.parametrize(
+    "field, value, cause",
+    [
+        ("minibatch_size", 0, "ppo.minibatch_size is 0, not an integer in 1..2147483647"),
+        ("update_interval", 0, "ppo.update_interval is 0, not an integer in 1..2147483647"),
+        ("epochs", 0, "ppo.epochs is 0, not an integer in 1..2147483647"),
+        ("epochs", 2.5, "ppo.epochs is 2.5, not an integer in 1..2147483647"),
+        ("hidden", (0,), "ppo.hidden[0] is 0, not an integer in 1..2147483647"),
+        ("learning_rate", float("nan"), "ppo.learning_rate is nan, not a number in (0, inf)"),
+        ("clip_ratio", -1, "ppo.clip_ratio is -1, not a number in (0, inf)"),
+        ("gamma", 2, "ppo.gamma is 2, not a number in [0, 1]"),
+    ],
+    ids=["minibatch-size-0", "update-interval-0", "epochs-0", "epochs-fractional", "hidden-0",
+         "learning-rate-nan", "clip-ratio-negative", "gamma-above-1"],
+)
+def test_ppo_config_outside_the_contract_is_refused(field, value, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        PPOConfig(**{field: value})
 
 
 def test_checkpoint_round_trip(tmp_path):
