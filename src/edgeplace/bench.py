@@ -26,9 +26,11 @@ from .env import (
     VIOLATIONS,
     LockstepEnv,
     PlacementEnv,
+    RewardBounds,
     build_state_scale,
     run_episode,
     state_dim,
+    t_max_bound,
 )
 from .model import Scenario
 from .nn import MLP, Adam
@@ -136,7 +138,8 @@ def train_agent(
     )
     agent = PolicyAgent(net=net, state_scale=scale)
     optimizer = Adam(lr=ppo_cfg.learning_rate)
-    env = LockstepEnv(scenario, alpha)
+    env = LockstepEnv(scenario)
+    bounds = RewardBounds(c_max=scenario.topology.total_cores)
     window_episodes = -(-ppo_cfg.update_interval // scenario.n_functions)
     sample_rng = rng_stream(seed, "action-sample")
     shuffle_rng = rng_stream(seed, "minibatch-shuffle")
@@ -149,7 +152,7 @@ def train_agent(
     iteration = 0
     while timesteps < total_timesteps:
         workloads = [snapshots[(episodes + e) % len(snapshots)] for e in range(window_episodes)]
-        trajectory = _rollout_window(agent, env, workloads, sample_rng)
+        trajectory = _rollout_window(agent, env, workloads, sample_rng, bounds, alpha)
         kinds = np.bincount(env.codes.ravel(), minlength=len(VIOLATIONS) + 1).tolist()
         window_invalid = len(trajectory) - kinds[0]
         episodes += window_episodes
@@ -187,20 +190,22 @@ def train_agent(
         seed=seed,
         alpha=alpha,
         log_rows=log_rows,
-        bounds_dict=env.bounds.to_dict(),
+        bounds_dict=bounds.to_dict(),
     )
 
 
 def _rollout_window(
-    agent: PolicyAgent, env: LockstepEnv, workloads: list[np.ndarray], rng: np.random.Generator
+    agent: PolicyAgent, env: LockstepEnv, workloads: list[np.ndarray], rng: np.random.Generator,
+    bounds: RewardBounds, alpha: float,
 ) -> Trajectory:
-    """Sample one episode per workload, all in lockstep, and let env score them in order.
+    """Sample one episode per workload, all in lockstep, and score them in order.
 
     The uniforms are drawn up front in (episode, step, node) order, which
-    are the draws of sampling the episodes one after another. env.rewards()
-    scores the whole window with RewardBounds.score_window, one episode
-    after another. Returns the window's trajectory in episode order; env
-    keeps its violation codes.
+    are the draws of sampling the episodes one after another. The totals
+    after each step are kept, and the run's bounds score the finished
+    window with RewardBounds.score_window, one episode after another, as
+    PlacementEnv's steps would. Returns the window's trajectory in episode
+    order; env keeps its violation codes.
     """
     n_eps, n_steps, n = len(workloads), env.scenario.n_functions, env.scenario.n_nodes
     uniforms = rng.random((n_eps, n_steps, n))
@@ -208,6 +213,7 @@ def _rollout_window(
     actions = np.empty((n_eps, n_steps, n), dtype=bool)
     log_probs = np.empty((n_eps, n_steps))
     values = np.empty((n_eps, n_steps))
+    totals = np.empty((2, n_eps, n_steps))  # delay, cost after each step
     obs = env.reset(workloads)
     for k in range(n_steps):
         net_input = obs / agent.state_scale
@@ -215,12 +221,14 @@ def _rollout_window(
         actions[:, k], log_probs[:, k] = sample_actions(logits, uniforms[:, k])
         states[:, k] = net_input
         _, obs = env.step(actions[:, k])
+        totals[:, :, k] = env.total_delay, env.total_cost
+    t_uppers = t_max_bound(env.scenario, env.workloads)
     return Trajectory(
         states=states.reshape(n_eps * n_steps, -1),
         actions=actions.reshape(n_eps * n_steps, n),
         log_probs=log_probs.ravel(),
         values=values.ravel(),
-        rewards=env.rewards().ravel(),
+        rewards=bounds.score_window(t_uppers, *totals, env.codes == 0, alpha).ravel(),
         episode_steps=n_steps,
     )
 

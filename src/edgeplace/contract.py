@@ -1,11 +1,11 @@
 """The input contract: the JSON type and range of every number that enters the package.
 
-Scenario and checkpoint documents, config files, trace lines, flags and
-library parameters are held to the Rules below, through `conform` (a value
-against a spec of Rules) or `first_outside` (an array against a Rule). A
-refusal raises the error class the caller passes, naming the field: a file's
-own error (exit 2), a usage error (exit 1), or ValueError in the library.
-Shapes and checks across fields stay with the readers.
+Scenario, checkpoint and decision documents, config files, trace lines,
+flags and library parameters are held to the Rules below, through `conform`
+(a value against a spec of Rules) or `first_outside` (an array against a
+Rule). A refusal raises the error class the caller passes, naming the field:
+a file's own error (exit 2), a usage error (exit 1), or ValueError in the
+library. Shapes and checks across fields stay with the readers.
 
 Every scenario and workload number lies within BOUND = 1e12, so a rate times
 a delay or a cores_per_request, the largest products the package forms, stays
@@ -107,6 +107,9 @@ CONFIG = {
     },
 }
 TRACE_LINE = (INDEX, INDEX, INDEX, MAGNITUDE)  # snapshot, function_id, node_id, rate
+# held to kind only (ranged=False): a NaN total or a placement of 2 is the verifier's finding
+DECISION = {"workload": [[FINITE]], "placements": [[FINITE]], "routes": [[[FINITE]]],
+            "total_delay": FINITE, "total_cost": FINITE}
 
 
 def _shape(x):

@@ -37,10 +37,11 @@ core cost into [-1, 1] against run-level bounds and returns their negated
 alpha-blend, so 0-cost/0-delay scores +1 and worst-case scores -1. Invalid
 steps (no node chosen, memory or core overdraft, unroutable traffic) score
 a flat penalty below that range and commit nothing. The bounds widen in
-episode order across a run. Each environment holds its run's bounds as one
-RewardBounds, and RewardBounds.score is the one scorer: PlacementEnv.step
-calls it on each valid step, and LockstepEnv's rewards() calls it on each
-valid step of a finished window, in episode order, through score_window.
+episode order across a run, held as one RewardBounds, and
+RewardBounds.score is the one scorer: PlacementEnv.step calls it on each
+valid step against the env's own bounds. LockstepEnv steps placements only;
+training (bench._rollout_window) scores each finished window, in episode
+order, with its run's RewardBounds.score_window.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class RewardBounds:
     widens them to a valid step's cumulative delay t and cost c and returns
     minus the alpha-blend of t and c normalized to them: it scores
     PlacementEnv's steps and normalize_and_reward's, and score_window()
-    scores a finished LockstepEnv window with widen() and score().
+    scores a finished training window with widen() and score().
     """
 
     t_min: float = 0.0
@@ -412,17 +413,14 @@ class LockstepEnv:
     routability as solve_routing does, and then checks the routed cores.
     `routing` holds the last step's (E, N, N) routings, zero for invalid
     slots, and `codes` the window's (E, F) violation codes so far. A step
-    returns no reward, because the run's reward bounds (`bounds`, one
-    RewardBounds kept across resets) widen in episode order: rewards() scores
-    the finished window with RewardBounds.score_window.
+    returns no reward: the run's bounds widen in episode order, so the
+    caller scores a finished window from the totals after each step.
     """
 
-    def __init__(self, scenario: Scenario, alpha: float):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._delays = scenario.topology.delays
         self._delays_flat = self._delays.ravel()
-        self.alpha = float(alpha)
-        self.bounds = RewardBounds(c_max=scenario.topology.total_cores)
 
     def reset(self, workloads: list[np.ndarray]) -> np.ndarray:
         """Start one episode per workload; returns the (E, state_dim) observations."""
@@ -437,9 +435,7 @@ class LockstepEnv:
         self.total_cost = np.zeros(n_slots)
         self.routing = np.zeros((n_slots, n, n))
         self.codes = np.zeros(self.queues.shape, dtype=np.int8)
-        self._step_totals = np.zeros((2,) + self.queues.shape)  # delay, cost after each step
         self.position = 0
-        self._scored = False
         self._slots = np.arange(n_slots)
         return self._observe()
 
@@ -489,24 +485,9 @@ class LockstepEnv:
         routing[~valid] = 0.0
         self.routing = routing
         self.codes[:, self.position] = codes
-        self._step_totals[:, :, self.position] = self.total_delay, self.total_cost
         self.position += 1
         done = self.position == self.queues.shape[1]
         return codes, None if done else self._observe()
-
-    def rewards(self) -> np.ndarray:
-        """The finished window's (E, F) rewards, the ones PlacementEnv's steps give.
-
-        RewardBounds.score_window takes the episodes in slot order, each widened
-        to its t_max_bound as PlacementEnv.reset does. Scoring moves the run's
-        bounds, so a window is scored once.
-        """
-        if self.position < self.queues.shape[1] or self._scored:
-            raise RuntimeError("rewards() scores each finished window once; step it to the end")
-        self._scored = True
-        delays, costs = self._step_totals
-        t_uppers = t_max_bound(self.scenario, self.workloads)
-        return self.bounds.score_window(t_uppers, delays, costs, self.codes == 0, self.alpha)
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,10 @@ All parameters live in one flat array, `MLP.params`: per layer the weights
 hidden activations and the head output (through `np.matmul(..., out=)`),
 the backward deltas and the flat gradient, whose per-layer views are made
 with the workspace. A workspace for B rows serves any batch of at most B
-rows in its leading rows, cut once per batch size. The caller owns it:
-`ppo_update` builds one per update and hands it to each minibatch's call,
-so the arrays one call returns are overwritten by the next, and drops it
-when the update returns. A workspace rebuilt per minibatch cost about 5%
+rows in its leading rows, sliced to the batch on each call. The caller
+owns it: `ppo_update` builds one per update and hands it to each
+minibatch's call, so the arrays one call returns are overwritten by the
+next, and drops it when the update returns. A workspace rebuilt per minibatch cost about 5%
 of training steps/s. The PPO loss head's small arrays are not in it: made
 per minibatch, they measured flat in training steps/s. Called without one,
 `forward_backward` builds a fresh workspace, so its results are new
@@ -54,18 +54,12 @@ class Workspace:
     grad: np.ndarray  # laid out like MLP.params
     grads_w: list[np.ndarray]  # per layer, the weight gradient's view of grad
     grads_b: list[np.ndarray]  # per layer, the bias gradient's view of grad
-    _cuts: dict = field(default_factory=dict, repr=False)  # cut(b)'s views, by b
 
     def cut(self, b: int) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-        """acts, head and deltas cut to their leading b rows; the views are made once per b."""
-        views = self._cuts.get(b)
-        if views is None:
-            if b > self.rows:
-                raise ValueError(f"batch of {b} rows exceeds the workspace's {self.rows}")
-            views = self._cuts[b] = (
-                [a[:b] for a in self.acts], self.head[:b], [d[:b] for d in self.deltas]
-            )
-        return views
+        """acts, head and deltas cut to their leading b rows, as fresh views."""
+        if b > self.rows:
+            raise ValueError(f"batch of {b} rows exceeds the workspace's {self.rows}")
+        return [a[:b] for a in self.acts], self.head[:b], [d[:b] for d in self.deltas]
 
 
 class MLP:

@@ -2,9 +2,10 @@
 
 A decision file is self-contained: it embeds the workload snapshot it was
 solved against plus the placements, routing matrices, and declared totals.
-verify_decision parses such a document and check_decision re-derives every
-constraint and the totals from scratch, returning the list of violations, so a
-buggy or tampered solver output cannot pass. The benchmark harness runs
+verify_decision parses such a document, its numbers held to their JSON kind
+by contract.DECISION, and check_decision re-derives every constraint and the
+totals from scratch, returning the list of violations, so a buggy or
+tampered solver output cannot pass. The benchmark harness runs
 check_decision on each row's own arrays before it emits the row.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contract import DECISION, conform
 from .model import Scenario, validate_workload
 from .util import dump_json, load_json
 
@@ -64,17 +66,17 @@ def load_decision(path: str) -> dict:
 def verify_decision(scenario: Scenario, doc: dict) -> list[str]:
     """All constraint and bookkeeping violations in a decision document."""
     version = doc.get("schema_version")
-    if version != DECISION_SCHEMA_VERSION:
+    if type(version) is not int or version != DECISION_SCHEMA_VERSION:  # True == 1
         return [f"unsupported schema_version {version!r}"]
     try:
-        workload = np.array(doc["workload"], dtype=float)
-        placements = np.array(doc["placements"], dtype=float)
-        routes = np.array(doc["routes"], dtype=float)
-        total_delay = float(doc["total_delay"])
-        total_cost = float(doc["total_cost"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        conform(doc, DECISION, "", ranged=False)
+        workload, placements, routes = (
+            np.array(doc[key], dtype=float) for key in ("workload", "placements", "routes")
+        )
+    except (KeyError, ValueError) as exc:  # ValueError: a ragged list too
         return [f"malformed document: {exc}"]
-    return check_decision(scenario, workload, placements, routes, total_delay, total_cost)
+    return check_decision(scenario, workload, placements, routes, float(doc["total_delay"]),
+                          float(doc["total_cost"]))
 
 
 def check_decision(

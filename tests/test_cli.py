@@ -520,6 +520,11 @@ def test_a_file_holding_a_json_list_is_refused(scenario_path, tmp_path, capsys, 
         # float() and np.array(dtype=float) raise OverflowError on 10**400
         ("total_delay", "malformed document"),
         ("workload", "malformed document"),
+        # float(), np.array(dtype=float) and True == 1 take these as numbers
+        ("schema_version", "unsupported schema_version True"),
+        ("totals", "malformed document: total_delay is '"),
+        ("placements-bool", "malformed document: placements[0][0] is "),
+        ("routes-str", "malformed document: routes[0][0][0] is '"),
     ],
 )
 def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_scenario, tmp_path,
@@ -538,8 +543,16 @@ def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_sc
         doc["routes"][0][0][0] = float("inf")  # json writes an Infinity literal
     elif field == "total_delay":
         doc["total_delay"] = 10**400
-    else:
+    elif field == "workload":
         doc["workload"][0][0] = 10**400
+    elif field == "schema_version":
+        doc["schema_version"] = True
+    elif field == "totals":
+        doc["total_delay"], doc["total_cost"] = repr(sol.total_delay), repr(sol.total_cost)
+    elif field == "placements-bool":
+        doc["placements"] = [[bool(v) for v in row] for row in doc["placements"]]
+    else:
+        doc["routes"][0][0] = [repr(v) for v in doc["routes"][0][0]]
     path = tmp_path / "decision.json"
     path.write_text(json.dumps(doc))
     assert run_cli("verify", "--scenario", scenario_path, str(path)) == EXIT_INVALID

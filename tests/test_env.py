@@ -469,7 +469,7 @@ def test_wrong_shape_actions_raise():
             env.step(action)
     assert len(env.queue) == scenario.n_functions and env.invalid_steps == 0
     assert env.step(np.ones(n, dtype=bool)).valid
-    lockstep = LockstepEnv(scenario, alpha=0.0)
+    lockstep = LockstepEnv(scenario)
     lockstep.reset([scenario.workload] * 3)
     for actions in (np.ones((3, 1), dtype=bool), np.ones((2, n), dtype=bool),
                     np.ones(n, dtype=bool)):
@@ -489,8 +489,9 @@ def test_bounds_survive_reset(tri_scenario):
 
 
 def test_one_reward_window_widens_in_place(tri_scenario):
-    """normalize_and_reward leaves the window it is given as it was, and each
-    environment widens its one window across resets and scored windows."""
+    """normalize_and_reward leaves the window it is given as it was, PlacementEnv
+    widens its one window across resets, and a run's window scoring lockstep
+    windows in turn ends where PlacementEnv's does."""
     given = RewardBounds(t_min=1.0, t_max=10.0, c_min=2.0, c_max=5.0)
     _, widened = normalize_and_reward(25.0, -1.0, given, 0.5)
     assert widened is not given
@@ -507,14 +508,16 @@ def test_one_reward_window_widens_in_place(tri_scenario):
         assert single.bounds is window
     assert window.t_max == t_max_bound(tri_scenario, workload * 3.0)
 
-    lockstep = LockstepEnv(tri_scenario, alpha=0.5)
-    window = lockstep.bounds
+    lockstep = LockstepEnv(tri_scenario)
+    window = RewardBounds(c_max=tri_scenario.topology.total_cores)
     for scales in ((1.0,), (0.5, 3.0)):
         lockstep.reset([workload * s for s in scales])
-        for _ in range(tri_scenario.n_functions):
+        totals = np.empty((2, len(scales), tri_scenario.n_functions))
+        for k in range(tri_scenario.n_functions):
             lockstep.step(np.ones((len(scales), 3), dtype=bool))
-        lockstep.rewards()
-        assert lockstep.bounds is window
+            totals[:, :, k] = lockstep.total_delay, lockstep.total_cost
+        window.score_window(t_max_bound(tri_scenario, lockstep.workloads), *totals,
+                            lockstep.codes == 0, 0.5)
     assert window == single.bounds  # the same episodes widen both windows alike
 
 
@@ -682,16 +685,17 @@ def test_step_matches_commit_and_build_state_reference(tri_scenario, monkeypatch
 
 def _assert_lockstep_matches(scenario, alpha, episodes, bounds):
     """LockstepEnv, one slot per episode, repeats PlacementEnv's steps bit for bit,
-    and its window's rewards and bounds are those of the one PlacementEnv that
-    ran the episodes in slot order."""
-    env = LockstepEnv(scenario, alpha)
+    and its window, scored from the totals after each step as the training
+    rollout scores it, pays the rewards and ends at the bounds of the one
+    PlacementEnv that ran the episodes in slot order."""
+    env = LockstepEnv(scenario)
     states = env.reset([workload for workload, _, _ in episodes])
     np.testing.assert_array_equal(states, [state for _, state, _ in episodes])
     n = scenario.n_nodes
+    totals = np.empty((2, len(episodes), scenario.n_functions))  # delay, cost after each step
     for k in range(scenario.n_functions):
-        with pytest.raises(RuntimeError, match="finished window"):
-            env.rewards()
         codes, states = env.step(np.array([steps[k][0] for _, _, steps in episodes]))
+        totals[:, :, k] = env.total_delay, env.total_cost
         for e, (_, _, steps) in enumerate(episodes):
             _, _, violation, (cores, memory, _, _, delay, cost), routing, state = steps[k]
             assert codes[e] == (0 if violation is None else VIOLATIONS.index(violation) + 1)
@@ -707,12 +711,12 @@ def _assert_lockstep_matches(scenario, alpha, episodes, bounds):
                 np.testing.assert_array_equal(states[e], state)
     with pytest.raises(RuntimeError, match="reset"):
         env.step(np.ones((len(episodes), n), dtype=bool))
-    rewards = env.rewards()
+    window = RewardBounds(c_max=scenario.topology.total_cores)
+    rewards = window.score_window(t_max_bound(scenario, env.workloads), *totals,
+                                  env.codes == 0, alpha)
     for e, (_, _, steps) in enumerate(episodes):
         assert rewards[e].tolist() == [reward for _, reward, *_ in steps]
-    assert env.bounds == bounds
-    with pytest.raises(RuntimeError, match="once"):
-        env.rewards()
+    assert window == bounds
 
 
 def test_episode_record_survives_later_episodes(tri_scenario):

@@ -195,7 +195,7 @@ def test_decision_makers_leave_scenario_arrays_unchanged():
     env.reset()
     while env.queue:
         env.step(rng.random(scenario.n_nodes) < 0.6)
-    lockstep = LockstepEnv(scenario, alpha=0.5)
+    lockstep = LockstepEnv(scenario)
     lockstep.reset([scenario.workload] * 4)
     for _ in range(scenario.n_functions):
         lockstep.step(rng.random((4, scenario.n_nodes)) < 0.6)
