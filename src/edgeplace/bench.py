@@ -16,7 +16,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -447,7 +447,7 @@ def emit_results(
         meta.update(
             train_snapshots=plan.train_snapshots,
             total_timesteps=plan.total_timesteps,
-            ppo=plan.ppo.to_dict(),
+            ppo=asdict(plan.ppo),
         )
     meta_path = os.path.join(out_dir, "metadata.json")
     dump_json(meta_path, meta)

@@ -165,8 +165,10 @@ def _load_overrides(path: str | None, sections: tuple[str, ...]) -> dict:
                 f"config {path}: unknown {section} key(s) {unknown}; choose from {sorted(fields)}"
             )
         for key, value in patch.items():
-            patch[key] = conform(value, fields[key], f"config {path}: '{section}.{key}'",
-                                 UsageError, ranged=section == "ppo")
+            conform(value, fields[key], f"config {path}: '{section}.{key}'", UsageError,
+                    ranged=section == "ppo")
+            if isinstance(value, list):  # the tuple its field declares; pairs, tuples too
+                patch[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
     return doc
 
 

@@ -1,11 +1,11 @@
 """The input contract: the JSON type and range of every number that enters the package.
 
-Scenario, checkpoint and decision documents, config files, trace lines,
-flags and library parameters are held to the Rules below, through `conform`
-(a value against a spec of Rules) or `first_outside` (an array against a
-Rule). A refusal raises the error class the caller passes, naming the field:
-a file's own error (exit 2), a usage error (exit 1), or ValueError in the
-library. Shapes and checks across fields stay with the readers.
+Scenario, checkpoint and decision documents, config files, trace lines, flags
+and library parameters are held to the Rules below: `conform` holds a value to
+a spec of Rules and returns it unchanged, `first_outside` an array to a Rule.
+A refusal raises the error class the caller passes, naming the field: a file's
+own error (exit 2), a usage error (exit 1), or ValueError in the library.
+Shapes and checks across fields stay with the readers.
 
 Every scenario and workload number lies within BOUND = 1e12, so a rate times
 a delay or a cores_per_request, the largest products the package forms, stays
@@ -128,37 +128,47 @@ def _describe(spec) -> str:
 
 
 def conform(value, spec, name: str, error: type[Exception] = ValueError, ranged: bool = True):
-    """value held to spec, with each list (or tuple) returned as a tuple; any other value
-    raises `error` naming the first entry that fails, such as "nodes[1].cores".
+    """value itself, once it conforms to spec; otherwise `error` naming the first entry that
+    fails, such as "nodes[1].cores", or KeyError naming a required key that is not there.
+    The walk copies nothing, and makes the failing entry's name only on a refusal.
 
     spec is a Rule for one number, [s] for a list whose entries each conform to s, (s, t) for
     a list of exactly those entries, {key: s} for an object with those keys, None for null, or
     Either of specs of different shapes. A key whose spec is an Either with None may be left
     out. With ranged=False numbers are held to their kind only.
     """
+    refusal = _walk(value, spec, ranged)
+    if refusal is None:
+        return value
+    entry, entry_spec, path = refusal
+    path = name + path if name else path.removeprefix(".")
+    if entry_spec is KeyError:
+        raise KeyError(path)  # as the lookup of a key that is not there would
+    raise error(f"{path} is {reprlib.repr(entry)}, not {_describe(entry_spec)}")
+
+
+def _walk(value, spec, ranged: bool):
+    """None, or the first entry that fails, its spec (KeyError: a key left out) and path."""
     if isinstance(spec, Either):  # the alternative of value's shape; with none, a refusal
         spec = next((alt for alt in spec if _shape(alt) is _shape(value)), spec)
-    if isinstance(spec, Rule):
-        if spec.admits(value, ranged):
-            return value
-    elif spec is None:
-        if value is None:
-            return value
-    elif isinstance(spec, dict):
-        if isinstance(value, dict):
-            for key, entry in spec.items():
-                path = f"{name}.{key}" if name else key
-                if key in value:
-                    conform(value[key], entry, path, error, ranged)
-                elif not (isinstance(entry, Either) and None in entry):
-                    raise KeyError(path)  # as the lookup of a key that is not there would
-            return value
-    elif type(spec) in (list, tuple) and _shape(value) is list:
-        if type(spec) is list or len(value) == len(spec):
-            specs = spec if type(spec) is tuple else spec * len(value)
-            return tuple(conform(v, s, f"{name}[{k}]", error, ranged)
-                         for k, (v, s) in enumerate(zip(value, specs)))
-    raise error(f"{name} is {reprlib.repr(value)}, not {_describe(spec)}")
+    if isinstance(spec, Rule) and spec.admits(value, ranged) or spec is None and value is None:
+        return None
+    if isinstance(spec, dict) and isinstance(value, dict):
+        for key, entry in spec.items():
+            refusal = (_walk(value[key], entry, ranged) if key in value
+                       else None if isinstance(entry, Either) and None in entry
+                       else (None, KeyError, ""))
+            if refusal:
+                return refusal[0], refusal[1], f".{key}{refusal[2]}"
+        return None
+    if type(spec) in (list, tuple) and _shape(value) is list and (
+            type(spec) is list or len(value) == len(spec)):
+        for k, entry in enumerate(value):
+            refusal = _walk(entry, spec[0] if type(spec) is list else spec[k], ranged)
+            if refusal:
+                return refusal[0], refusal[1], f"[{k}]{refusal[2]}"
+        return None
+    return value, spec, ""
 
 
 def first_outside(name: str, arr: np.ndarray, rule: Rule) -> list[str]:

@@ -8,7 +8,7 @@ finite differences in the tests, so every sign here is load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,7 @@ class PPOConfig:
 
     def __post_init__(self) -> None:
         """A field outside contract.CONFIG["ppo"] is a ValueError naming it, as ppo.<field>."""
-        for name, spec in CONFIG["ppo"].items():
-            conform(getattr(self, name), spec, f"ppo.{name}")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["hidden"] = list(self.hidden)
-        return doc
+        conform(vars(self), CONFIG["ppo"], "ppo")
 
 
 # --------------------------------------------------------------------------

@@ -40,15 +40,13 @@ def preset_workload_config(name: str, n_snapshots: int) -> WorkloadGenConfig:
 
 
 def build_preset(name: str) -> Scenario:
+    cfg = preset_workload_config(name, n_snapshots=1)  # an unknown name is its ValueError
     if name == "small-payload":
         memories = (50.0, 10.0, 10.0, 10.0)
         criticality = (2, 1, 1, 0)
-    elif name == "large-payload":
+    else:
         memories = tuple(10.0 for _ in range(10))
         criticality = tuple(f % 3 for f in range(10))
-    else:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-    cfg = preset_workload_config(name, n_snapshots=1)
     snapshot = generate_workloads(
         len(memories), len(_NODE_CORES), cfg, rng_stream(0, f"preset:{name}")
     )[0]

@@ -20,10 +20,10 @@ def rng_stream(seed: int, name: str) -> np.random.Generator:
     A seed that is not an integer in 0..2**32 - 1 (contract.SEED) is a
     ValueError: one folded into that range would repeat another seed's run.
     """
-    seed = int(conform(seed, SEED, "seed"))
+    conform(seed, SEED, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([seed] + words))
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
 def canonical_json(obj: Any) -> str:

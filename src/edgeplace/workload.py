@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import COUNT, MAGNITUDE, TRACE_LINE, UNIT, conform
+from .contract import CONFIG, TRACE_LINE, conform
 
 
 class WorkloadError(ValueError):
@@ -42,21 +42,16 @@ def generate_workloads(
     """Deterministic (given rng state) list of (F, N) snapshots; a setting outside its
     contract.CONFIG range, or a hotspot_count above N or a rate range's high below its low,
     is a WorkloadError."""
-    conform(config.hotspot_count, COUNT, "hotspot_count", WorkloadError)
+    conform(vars(config), CONFIG["workload"], "", WorkloadError)
     if config.hotspot_count > n_nodes:
         raise WorkloadError(f"hotspot_count {config.hotspot_count} exceeds the {n_nodes} nodes")
-    conform(config.concentration, UNIT, "concentration", WorkloadError)
-    conform(config.drift_prob, UNIT, "drift_prob", WorkloadError)
     ranges = config.per_function_rate_ranges
     if ranges is not None and len(ranges) != n_functions:
         raise WorkloadError(
             f"per_function_rate_ranges has {len(ranges)} entries for {n_functions} functions"
         )
-    named = {"rate_range": config.rate_range} if ranges is None else {
-        f"per_function_rate_ranges[{f}]": pair for f, pair in enumerate(ranges)}
-    for name, (lo, hi) in named.items():
-        conform(lo, MAGNITUDE, f"{name}[0]", WorkloadError)
-        conform(hi, MAGNITUDE, f"{name}[1]", WorkloadError)
+    for name, (lo, hi) in [("rate_range", config.rate_range)] + [
+            (f"per_function_rate_ranges[{f}]", pair) for f, pair in enumerate(ranges or ())]:
         if hi < lo:
             raise WorkloadError(f"{name} {[lo, hi]} has its high end below its low end")
     bounds = [config.rate_range] * n_functions if ranges is None else ranges

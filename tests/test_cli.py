@@ -7,7 +7,7 @@ import reprlib
 import numpy as np
 import pytest
 
-from edgeplace import bench
+from edgeplace import bench, cli
 from edgeplace.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from edgeplace.env import state_dim
 from edgeplace.model import load_scenario, save_scenario
@@ -560,6 +560,33 @@ def test_verify_refuses_a_misshapen_or_non_finite_decision(scenario_path, tri_sc
     assert "FAIL" in out and cause in out
 
 
+def test_a_refusal_names_the_last_entry_at_depth(scenario_path, tri_scenario, tmp_path, capsys):
+    """The path is assembled from the failing entry outward, so the last index at each depth
+    and a config name's own quotes both reach the message."""
+    from edgeplace.baselines import solve_vsvbp
+    from edgeplace.verify import decision_to_dict
+
+    sol = solve_vsvbp(tri_scenario)
+    doc = decision_to_dict(
+        tri_scenario.name, tri_scenario.workload, sol.placements, sol.routes,
+        sol.total_delay, sol.total_cost, "vsvbp", 0.0, 0,
+    )
+    doc["routes"][-1][-1][-1] = repr(doc["routes"][-1][-1][-1])
+    decision = tmp_path / "decision.json"
+    decision.write_text(json.dumps(doc))
+    assert run_cli("verify", "--scenario", scenario_path, str(decision)) == EXIT_INVALID
+    f, n = tri_scenario.n_functions - 1, tri_scenario.n_nodes - 1
+    assert f"malformed document: routes[{f}][{n}][{n}] is '" in capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ppo": {"hidden": [16, 8, 0]}}))
+    code = run_cli(
+        "train", "--scenario", scenario_path, "--out", str(tmp_path / "t"),
+        *_SMALL_RUN["train"], "--config", str(config),
+    )
+    assert code == EXIT_USAGE
+    assert f"config {config}: 'ppo.hidden'[2] is 0, not an integer" in capsys.readouterr().err
+
+
 def test_checkpoint_state_scale_of_the_wrong_length_exits_2(scenario_path, tmp_path, capsys):
     checkpoint = tmp_path / "policy.json"
     net = MLP(state_dim(3), 3, hidden=(4,), rng=np.random.default_rng(0))
@@ -897,6 +924,20 @@ def test_bad_drift_prob_exits_2(scenario_path, tmp_path, capsys):
     )
     assert code == EXIT_INVALID
     assert "drift_prob" in capsys.readouterr().err
+
+
+def test_config_lists_arrive_as_the_tuples_their_fields_declare(tri_scenario, tmp_path):
+    """A list never equals a tuple, so each == holds only for tuples at every depth."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "ppo": {"hidden": [16, 8]},
+        "workload": {"rate_range": [4, 12], "per_function_rate_ranges": [[1, 2], [3.5, 4]]},
+    }))
+    overrides = cli._load_overrides(str(path), ("ppo", "workload"))
+    assert cli._ppo_config(overrides).hidden == (16, 8)
+    workload = cli._workload_config(tri_scenario, 2, overrides)
+    assert workload.rate_range == (4, 12)
+    assert workload.per_function_rate_ranges == ((1, 2), (3.5, 4))
 
 
 def test_verify_refuses_a_nan_total(scenario_path, tri_scenario, tmp_path, capsys):

@@ -63,7 +63,8 @@ def test_a_rule_admits_its_kind_in_its_range(value, rule, fits):
 def test_conform_names_the_first_entry_that_fails():
     spec = {"a": [{"b": contract.COUNT}], "c": contract.Either(None, (contract.UNIT,) * 2)}
     assert conform({"a": [{"b": 1}], "c": [0, 1]}, spec, "doc")["c"] == [0, 1]
-    assert conform([[1, 2]], [(contract.UNIT, contract.COUNT)], "x") == ((1, 2),)
+    value = [[1, 2]]
+    assert conform(value, [(contract.UNIT, contract.COUNT)], "x") is value
     with pytest.raises(ValueError, match=r"^doc.a\[1\].b is 0, not an integer in 1..2147483647$"):
         conform({"a": [{"b": 1}, {"b": 0}]}, spec, "doc")
     with pytest.raises(ValueError, match=r"^doc.c is 'x', not null or a list of 2$"):
@@ -73,6 +74,14 @@ def test_conform_names_the_first_entry_that_fails():
     with pytest.raises(TypeError, match=r"^n is 0.5, not a number in \[0, 0.25\]$"):
         conform(0.5, contract.Rule(float, 0.0, 0.25), "n", TypeError)
     assert conform(float("nan"), contract.UNIT, "n", ranged=False) != 0  # the kind only
+
+
+def test_conform_names_a_deep_entry_at_its_last_index():
+    """The path is made on the refusal, from the failing entry outward."""
+    with pytest.raises(ValueError, match=r"^m\[1\]\[1\]\[2\] is 'x', not a finite number$"):
+        conform([[[0]], [[1], [2, 3, "x"]]], [[[contract.FINITE]]], "m", ranged=False)
+    with pytest.raises(KeyError, match=r"\[1\].b"):
+        conform([{"b": 1}, {}], [{"b": contract.COUNT}], "")
 
 
 def test_every_scenario_number_at_the_bound_loads_and_past_it_is_refused():

@@ -90,8 +90,12 @@ def test_config_validation():
         ({"rate_range": (float("nan"), 1.0)}, r"rate_range\[0\] is nan"),
         ({"per_function_rate_ranges": ((1.0, 2.0), (9.0, -7.0))},
          r"per_function_rate_ranges\[1\]\[1\] is -7.0"),
+        # rate_range draws nothing beside per-function ranges, and is held all the same
+        ({"rate_range": (-5.0, 1.0), "per_function_rate_ranges": ((1.0, 2.0),) * 2},
+         r"rate_range\[0\] is -5.0, not a number in \[0, 1e\+12\]"),
     ],
-    ids=["negative", "inverted", "infinite", "nan", "per-function-inverted"],
+    ids=["negative", "inverted", "infinite", "nan", "per-function-inverted",
+         "negative-beside-per-function"],
 )
 def test_bad_rate_range_raises(ranges, match):
     with pytest.raises(WorkloadError, match=match):
